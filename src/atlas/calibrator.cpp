@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "bo/acquisition.hpp"
 #include "bo/gp_bo.hpp"
+#include "bo/scan_tile.hpp"
+#include "bo/top_k.hpp"
 #include "common/log.hpp"
 #include "math/halton.hpp"
 #include "nn/optim.hpp"
@@ -15,12 +18,21 @@ using atlas::math::Matrix;
 using atlas::math::Rng;
 using atlas::math::Vec;
 
+namespace {
+
+CalibrationOptions checked(CalibrationOptions options) {
+  if (options.candidates == 0) throw std::invalid_argument("SimCalibrator: candidates must be > 0");
+  return options;
+}
+
+}  // namespace
+
 SimCalibrator::SimCalibrator(env::EnvClient& service, env::BackendId real,
                              CalibrationOptions options)
     : service_(service),
       real_(real),
+      options_(checked(std::move(options))),
       sim_(service.add_simulator(env::SimParams::defaults(), "stage1-sim")),
-      options_(std::move(options)),
       space_(env::SimParams::space()) {
   if (options_.bnn.sizes.empty()) {
     options_.bnn.sizes = {space_.dim(), 64, 64, 1};
@@ -104,6 +116,7 @@ CalibrationResult SimCalibrator::calibrate() {
 
   const bool use_gp = options_.surrogate == CalibratorSurrogate::kGpEi;
   const std::size_t batch = use_gp ? 1 : std::max<std::size_t>(1, options_.parallel);
+  bo::ScanTile tile(space_.dim());
 
   double best_weighted = std::numeric_limits<double>::infinity();
 
@@ -140,21 +153,23 @@ CalibrationResult SimCalibrator::calibrate() {
     } else {
       // Parallel Thompson sampling: each parallel query draws ONE frozen
       // network from the BNN posterior and minimizes the weighted
-      // discrepancy estimate over a fresh candidate set (Alg. 1, lines 3-5).
+      // discrepancy estimate over a fresh candidate set (Alg. 1, lines 3-5),
+      // scored one tile at a time.
       for (std::size_t q = 0; q < batch; ++q) {
         const nn::BnnSample draw = bnn.thompson(rng);
-        Vec best_x;
-        double best_util = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < options_.candidates; ++c) {
-          const Vec x = sample_candidate(rng);
-          const double est_kl = draw.predict(space_.normalize(x));
-          const double util = est_kl + options_.alpha * space_.distance(x, x_hat);
-          if (util < best_util) {
-            best_util = util;
-            best_x = x;
+        bo::TopK top(1);
+        tile.scan(options_.candidates, [&](std::size_t) {
+          for (std::size_t k = 0; k < tile.size(); ++k) {
+            tile.points[k] = sample_candidate(rng);
+            tile.inputs.set_row(k, space_.normalize(tile.points[k]));
           }
-        }
-        queries.push_back(best_x);
+          const Vec est_kl = draw.predict_batch(tile.inputs);
+          for (std::size_t k = 0; k < tile.size(); ++k) {
+            const Vec& x = tile.points[k];
+            top.offer(x, est_kl[k] + options_.alpha * space_.distance(x, x_hat));
+          }
+        });
+        queries.push_back(top.best());
       }
     }
 

@@ -84,6 +84,7 @@ class SimCalibrator {
   /// online collection D_r. Simulator evaluations run batched through the
   /// service against a private offline backend with per-query Table 3
   /// parameter overrides (and profit from its memoization + accounting).
+  /// Throws std::invalid_argument for an empty candidate pool.
   SimCalibrator(env::EnvClient& service, env::BackendId real, CalibrationOptions options);
 
   /// Run the search (Alg. 1) and return the calibration.
@@ -99,8 +100,8 @@ class SimCalibrator {
 
   env::EnvClient& service_;
   env::BackendId real_;
-  env::BackendId sim_;  ///< Private offline backend for parameter queries.
-  CalibrationOptions options_;
+  CalibrationOptions options_;  ///< Validated before sim_ is registered.
+  env::BackendId sim_;          ///< Private offline backend for parameter queries.
   bo::BoxSpace space_;
   math::Vec d_real_;  ///< Cached online collection.
 };

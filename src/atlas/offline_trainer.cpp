@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 
+#include "bo/scan_tile.hpp"
 #include "bo/top_k.hpp"
 #include "common/log.hpp"
 #include "env/speculation.hpp"
@@ -37,6 +39,9 @@ OfflineTrainer::OfflineTrainer(env::EnvClient& service, env::BackendId simulator
       simulator_(simulator),
       options_(std::move(options)),
       space_(env::SliceConfig::space()) {
+  if (options_.candidates == 0) {
+    throw std::invalid_argument("OfflineTrainer: candidates must be > 0");
+  }
   if (options_.bnn.sizes.empty()) {
     options_.bnn.sizes = {2 + space_.dim(), 64, 64, 1};
     options_.bnn.noise_sigma = 0.07;  // QoE estimates carry ~0.02-0.05 sampling noise
@@ -126,6 +131,22 @@ OfflineResult OfflineTrainer::train() {
   };
   const std::size_t check_half = options_.candidates / 2;
   const std::size_t check_late = options_.candidates - options_.candidates / 20;
+  // Fires the checkpoints right after candidate c is offered, whatever the
+  // tiling.
+  auto checkpoint = [&](const bo::TopK& top, std::size_t c, std::size_t iter, std::size_t slot) {
+    if (c + 1 == check_half || c + 1 == check_late) speculate_top(top, iter, slot);
+  };
+
+  // Acquisition scans run one tile at a time (bo/scan_tile.hpp): sample the
+  // tile's candidates in RNG order, score them with one surrogate call, then
+  // offer them in candidate order.
+  bo::ScanTile tile(2 + space_.dim());
+  auto sample_tile = [&] {
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      tile.points[k] = space_.sample(rng);
+      tile.inputs.set_row(k, surrogate_input(tile.points[k]));
+    }
+  };
 
   for (std::size_t iter = 0; iter < options_.iterations; ++iter) {
     // ---- Select queries -----------------------------------------------------
@@ -143,14 +164,18 @@ OfflineResult OfflineTrainer::train() {
         // Ranked top-K (bo/top_k.hpp): best() is bit-identical to the old
         // running strict-< argmin; the rest of the ranking feeds speculation.
         bo::TopK top(std::max<std::size_t>(1, options_.speculate_top_k));
-        for (std::size_t c = 0; c < options_.candidates; ++c) {
-          const Vec a = space_.sample(rng);
-          const double q_hat = std::clamp(draw.predict(surrogate_input(a)), 0.0, 1.0);
-          const double usage = env::SliceConfig::from_vec(a).resource_usage();
-          const double lagrangian = usage - lambda * (q_hat - options_.sla.availability);
-          top.offer(a, lagrangian);
-          if (c + 1 == check_half || c + 1 == check_late) speculate_top(top, iter, q);
-        }
+        tile.scan(options_.candidates, [&](std::size_t first) {
+          sample_tile();
+          const Vec q_hat = draw.predict_batch(tile.inputs);
+          for (std::size_t k = 0; k < tile.size(); ++k) {
+            const Vec& a = tile.points[k];
+            const double usage = env::SliceConfig::from_vec(a).resource_usage();
+            const double lagrangian =
+                usage - lambda * (std::clamp(q_hat[k], 0.0, 1.0) - options_.sla.availability);
+            top.offer(a, lagrangian);
+            checkpoint(top, first + k, iter, q);
+          }
+        });
         queries.push_back(top.best());
         submit_query(top.best(), iter, q);  // episode q runs while draw q+1 scans candidates
       }
@@ -172,27 +197,30 @@ OfflineResult OfflineTrainer::train() {
       // running strict-> argmax (first-wins on ties in both).
       bo::TopK top(std::max<std::size_t>(1, options_.speculate_top_k));
       const double beta = bo::gp_ucb_beta(iter + 1, options_.candidates);
-      for (std::size_t c = 0; c < options_.candidates; ++c) {
-        const Vec a = space_.sample(rng);
-        const auto post = gp.predict(surrogate_input(a));
-        const double usage = env::SliceConfig::from_vec(a).resource_usage();
-        const double mean_l = usage - lambda * (post.mean - options_.sla.availability);
-        const double std_l = lambda * post.std;
-        double util = 0.0;
-        switch (options_.surrogate) {
-          case OfflineSurrogate::kGpEi:
-            util = bo::expected_improvement(mean_l, std_l, incumbent);
-            break;
-          case OfflineSurrogate::kGpPi:
-            util = bo::probability_of_improvement(mean_l, std_l, incumbent);
-            break;
-          default:
-            util = -bo::lower_confidence_bound(mean_l, std_l, beta);
-            break;
+      tile.scan(options_.candidates, [&](std::size_t first) {
+        sample_tile();
+        const auto post = gp.predict_batch(tile.inputs);
+        for (std::size_t k = 0; k < tile.size(); ++k) {
+          const Vec& a = tile.points[k];
+          const double usage = env::SliceConfig::from_vec(a).resource_usage();
+          const double mean_l = usage - lambda * (post[k].mean - options_.sla.availability);
+          const double std_l = lambda * post[k].std;
+          double util = 0.0;
+          switch (options_.surrogate) {
+            case OfflineSurrogate::kGpEi:
+              util = bo::expected_improvement(mean_l, std_l, incumbent);
+              break;
+            case OfflineSurrogate::kGpPi:
+              util = bo::probability_of_improvement(mean_l, std_l, incumbent);
+              break;
+            default:
+              util = -bo::lower_confidence_bound(mean_l, std_l, beta);
+              break;
+          }
+          top.offer(a, -util);
+          checkpoint(top, first + k, iter, 0);
         }
-        top.offer(a, -util);
-        if (c + 1 == check_half || c + 1 == check_late) speculate_top(top, iter, 0);
-      }
+      });
       queries.push_back(top.best());
       submit_query(top.best(), iter, 0);
     }

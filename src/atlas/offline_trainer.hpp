@@ -103,7 +103,8 @@ struct OfflineResult {
 class OfflineTrainer {
  public:
   /// `simulator` names the (augmented) offline backend inside `service`;
-  /// parallel QoE queries run batched through the service.
+  /// parallel QoE queries run batched through the service. Throws
+  /// std::invalid_argument for an empty candidate pool.
   OfflineTrainer(env::EnvClient& service, env::BackendId simulator, OfflineOptions options);
 
   OfflineResult train();

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
+#include "bo/scan_tile.hpp"
 #include "bo/top_k.hpp"
 #include "common/log.hpp"
 #include "env/speculation.hpp"
@@ -28,6 +30,13 @@ OnlineLearner::OnlineLearner(const OfflinePolicy* policy, env::EnvClient& servic
       space_(env::SliceConfig::space()) {
   if (policy_ == nullptr && options_.model != OnlineModel::kGpWhole) {
     throw std::invalid_argument("OnlineLearner: an offline policy is required unless kGpWhole");
+  }
+  if (options_.candidates == 0) {
+    throw std::invalid_argument("OnlineLearner: candidates must be > 0");
+  }
+  if (options_.offline_acceleration && options_.inner_updates > 0 && options_.candidates < 4) {
+    throw std::invalid_argument(
+        "OnlineLearner: offline acceleration scans candidates / 4 actions; need candidates >= 4");
   }
 }
 
@@ -90,11 +99,47 @@ OnlineResult OnlineLearner::learn() {
     return p;
   };
 
-  // Combined QoE estimate Q(a) = Q_s(a) + G(a) (Eq. 12).
-  auto combined_qoe = [&](const Vec& xn) {
-    const double qs = offline_qoe_estimate(xn);
-    const auto g = residual_posterior(xn);
-    return std::clamp(qs + g.mean, 0.0, 1.0);
+  // Acquisition scans run one tile at a time (bo/scan_tile.hpp). The tile's
+  // inputs are normalized configurations, the online model's input; the
+  // offline BNN reads the same rows behind its (traffic, Y) prefix.
+  bo::ScanTile tile(space_.dim());
+  Matrix offline_inputs(0, 2 + space_.dim());
+  Vec tile_qs;                        // offline QoE estimate Q_s per candidate
+  std::vector<gp::Posterior> tile_g;  // online-model posterior G per candidate
+
+  // Samples the tile's candidates in RNG order. kBnnResidual's Monte-Carlo
+  // posterior draws from the RNG too, so it stays here, per candidate.
+  auto sample_tile = [&] {
+    offline_inputs.resize(tile.size(), offline_inputs.cols());
+    tile_g.resize(tile.size());
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      tile.points[k] = space_.sample(rng);
+      const Vec an = space_.normalize(tile.points[k]);
+      tile.inputs.set_row(k, an);
+      offline_inputs.set_row(k, OfflinePolicy::input(options_.workload.traffic,
+                                                     options_.sla.latency_threshold_ms, an));
+      if (options_.model == OnlineModel::kBnnResidual) tile_g[k] = residual_posterior(an);
+    }
+  };
+  // Scores the sampled tile without the RNG: Q_s through this iteration's
+  // posterior-mean network (bit-identical to offline_qoe_estimate), and G
+  // through one batched GP call.
+  auto score_tile = [&](const std::optional<nn::BnnSample>& offline_net) {
+    if (!offline_net) {
+      tile_qs.assign(tile.size(), 0.0);  // kGpWhole: the online model carries everything
+    } else {
+      tile_qs = offline_net->predict_batch(offline_inputs);
+      for (double& v : tile_qs) v = std::clamp(v, 0.0, 1.0);
+    }
+    if (options_.model == OnlineModel::kBnnResidual) return;  // sampled above
+    if (residual_gp.fitted()) {
+      tile_g = residual_gp.predict_batch(tile.inputs);
+    } else {
+      // A constant prior (unfitted GP, kBnnContinued).
+      for (std::size_t k = 0; k < tile.size(); ++k) {
+        tile_g[k] = residual_posterior(tile.inputs.row(k));
+      }
+    }
   };
 
   double lambda = policy_ != nullptr ? policy_->final_lambda : 1.0;
@@ -206,24 +251,31 @@ OnlineResult OnlineLearner::learn() {
       }
     }
 
+    // The posterior-mean offline network scores this iteration's scans. It is
+    // built after the kBnnContinued fine-tune above and dropped at the end of
+    // the iteration, so it always matches the current weights.
+    std::optional<nn::BnnSample> offline_net;
+    if (policy_ != nullptr) offline_net = policy_->qoe_model->mean_sample();
+
     // ---- Multiplier updates --------------------------------------------------
     if (accelerated) {
       // Offline acceleration (Eq. 15): N inner dual updates, each driven by an
-      // actual augmented-simulator query at the currently-greedy action.
+      // actual augmented-simulator query at the currently-greedy action: the
+      // argmin of the Lagrangian under the combined estimate
+      // Q(a) = Q_s(a) + G(a) (Eq. 12).
       for (std::size_t n = 0; n < options_.inner_updates; ++n) {
-        Vec greedy;
-        double best_l = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < options_.candidates / 4; ++c) {
-          const Vec a = space_.sample(rng);
-          const Vec an = space_.normalize(a);
-          const double q = combined_qoe(an);
-          const double l = env::SliceConfig::from_vec(a).resource_usage() -
-                           lambda * (q - options_.sla.availability);
-          if (l < best_l) {
-            best_l = l;
-            greedy = a;
+        bo::TopK top(1);
+        tile.scan(options_.candidates / 4, [&](std::size_t) {
+          sample_tile();
+          score_tile(offline_net);
+          for (std::size_t k = 0; k < tile.size(); ++k) {
+            const Vec& a = tile.points[k];
+            const double q = std::clamp(tile_qs[k] + tile_g[k].mean, 0.0, 1.0);
+            top.offer(a, env::SliceConfig::from_vec(a).resource_usage() -
+                             lambda * (q - options_.sla.availability));
           }
-        }
+        });
+        const Vec& greedy = top.best();
         env::EnvQuery inner_q;
         inner_q.backend = simulator_;
         inner_q.config = env::SliceConfig::from_vec(greedy);
@@ -279,38 +331,42 @@ OnlineResult OnlineLearner::learn() {
         prefetch->speculate(sim_query_for(entry.x, iter + 1));
       }
     };
-    for (std::size_t c = 0; c < options_.candidates; ++c) {
-      const Vec a = space_.sample(rng);
-      const Vec an = space_.normalize(a);
-      const double usage = env::SliceConfig::from_vec(a).resource_usage();
-      const double qs = offline_qoe_estimate(an);
-      const auto g = residual_posterior(an);
-      double util = 0.0;
-      switch (options_.acquisition) {
-        case bo::AcquisitionKind::kEi: {
-          const double mean_l = usage - lambda * (std::clamp(qs + g.mean, 0.0, 1.0) -
-                                                  options_.sla.availability);
-          util = bo::expected_improvement(mean_l, lambda * g.std, incumbent);
-          break;
+    tile.scan(options_.candidates, [&](std::size_t first) {
+      sample_tile();
+      score_tile(offline_net);
+      for (std::size_t k = 0; k < tile.size(); ++k) {
+        const Vec& a = tile.points[k];
+        const double usage = env::SliceConfig::from_vec(a).resource_usage();
+        const double qs = tile_qs[k];
+        const gp::Posterior& g = tile_g[k];
+        double util = 0.0;
+        switch (options_.acquisition) {
+          case bo::AcquisitionKind::kEi: {
+            const double mean_l =
+                usage - lambda * (std::clamp(qs + g.mean, 0.0, 1.0) - options_.sla.availability);
+            util = bo::expected_improvement(mean_l, lambda * g.std, incumbent);
+            break;
+          }
+          case bo::AcquisitionKind::kPi: {
+            const double mean_l =
+                usage - lambda * (std::clamp(qs + g.mean, 0.0, 1.0) - options_.sla.availability);
+            util = bo::probability_of_improvement(mean_l, lambda * g.std, incumbent);
+            break;
+          }
+          default: {
+            // UCB family (ours): optimistic QoE bound, clipped into [0, 1]
+            // (paper §6.2: mu + sqrt(beta) sigma with Eq. 12's combined model).
+            const double q_ucb =
+                std::clamp(qs + g.mean + std::sqrt(std::max(0.0, beta)) * g.std, 0.0, 1.0);
+            util = -(usage - lambda * (q_ucb - options_.sla.availability));
+            break;
+          }
         }
-        case bo::AcquisitionKind::kPi: {
-          const double mean_l = usage - lambda * (std::clamp(qs + g.mean, 0.0, 1.0) -
-                                                  options_.sla.availability);
-          util = bo::probability_of_improvement(mean_l, lambda * g.std, incumbent);
-          break;
-        }
-        default: {
-          // UCB family (ours): optimistic QoE bound, clipped into [0, 1]
-          // (paper §6.2: mu + sqrt(beta) sigma with Eq. 12's combined model).
-          const double q_ucb =
-              std::clamp(qs + g.mean + std::sqrt(std::max(0.0, beta)) * g.std, 0.0, 1.0);
-          util = -(usage - lambda * (q_ucb - options_.sla.availability));
-          break;
-        }
+        top.offer(a, -util);
+        const std::size_t c = first + k;
+        if (spec_this_iter && (c + 1 == check_half || c + 1 == check_late)) speculate_top();
       }
-      top.offer(a, -util);
-      if (spec_this_iter && (c + 1 == check_half || c + 1 == check_late)) speculate_top();
-    }
+    });
     next_config = top.best();
 
     result.history.push_back(step);

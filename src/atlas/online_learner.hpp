@@ -79,6 +79,8 @@ class OnlineLearner {
   /// `simulator` names the augmented offline backend used for residual
   /// observations and offline acceleration; `real` names the metered live
   /// network. Every real query is accounted by the service as SLA exposure.
+  /// Throws std::invalid_argument for an empty candidate pool, or one under
+  /// 4 with offline acceleration on (its inner scans use candidates / 4).
   OnlineLearner(const OfflinePolicy* policy, env::EnvClient& service,
                 env::BackendId simulator, env::BackendId real, OnlineOptions options);
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "math/matrix.hpp"
@@ -18,7 +20,8 @@ namespace atlas::bo {
 /// therefore exactly the candidate a plain `if (score < best)` running-argmin
 /// loop would have selected — pinned by golden_stage_test, which requires the
 /// TopK-refactored scans to reproduce the historical argmin/argmax choices
-/// bit-for-bit. Maximizing scans offer the negated utility.
+/// bit-for-bit. Maximizing scans offer the negated utility. A NaN score is
+/// skipped, as that argmin never picked one either.
 class TopK {
  public:
   struct Entry {
@@ -30,6 +33,7 @@ class TopK {
 
   /// Consider one candidate. O(K) — K is tiny (prefetch depth).
   void offer(const math::Vec& x, double score) {
+    if (std::isnan(score)) return;
     if (ranked_.size() == k_ && !(score < ranked_.back().score)) return;
     // First slot whose score the newcomer strictly beats: equal scores keep
     // their earlier-offered position (first-wins, matching the old argmin).
@@ -43,14 +47,20 @@ class TopK {
   std::size_t size() const { return ranked_.size(); }
   std::size_t capacity() const { return k_; }
 
-  /// The running argmin (identical to the pre-TopK scan result).
-  const math::Vec& best() const { return ranked_.front().x; }
-  double best_score() const { return ranked_.front().score; }
+  /// The running argmin (identical to the pre-TopK scan result). Throws
+  /// std::out_of_range when nothing (or only NaN) was offered.
+  const math::Vec& best() const { return front().x; }
+  double best_score() const { return front().score; }
 
   /// All tracked candidates, best first.
   const std::vector<Entry>& ranked() const { return ranked_; }
 
  private:
+  const Entry& front() const {
+    if (ranked_.empty()) throw std::out_of_range("TopK: empty ranking");
+    return ranked_.front();
+  }
+
   std::size_t k_;
   std::vector<Entry> ranked_;  ///< Ascending score, at most k_ entries.
 };

@@ -132,27 +132,55 @@ void GaussianProcess::factorize(const Matrix& x, const Vec& y_norm) {
 }
 
 Posterior GaussianProcess::predict(const Vec& xs) const {
-  Posterior p;
-  if (!fitted()) {
-    // Prior: zero mean, amplitude std (denormalization is identity here).
-    p.mean = y_mean_;
-    p.std = std::sqrt(kernel_.variance) * y_std_;
-    return p;
-  }
-  const Vec ks = cross(kernel_, x_, xs);
-  const double mean_norm = atlas::math::dot(ks, alpha_);
-  const Vec v = atlas::math::solve_lower(chol_, ks);
-  const double var_norm =
-      std::max(0.0, kernel_.at_distance(0.0) - atlas::math::dot(v, v));
-  p.mean = mean_norm * y_std_ + y_mean_;
-  p.std = std::sqrt(var_norm) * y_std_;
-  return p;
+  Matrix one(1, xs.size());
+  one.set_row(0, xs);
+  return predict_batch(one).front();
 }
 
 std::vector<Posterior> GaussianProcess::predict_batch(const Matrix& xs) const {
-  std::vector<Posterior> out;
-  out.reserve(xs.rows());
-  for (std::size_t i = 0; i < xs.rows(); ++i) out.push_back(predict(xs.row(i)));
+  const std::size_t m = xs.rows();
+  std::vector<Posterior> out(m);
+  if (!fitted()) {
+    // Prior: zero mean, amplitude std (denormalization is identity here).
+    for (auto& p : out) {
+      p.mean = y_mean_;
+      p.std = std::sqrt(kernel_.variance) * y_std_;
+    }
+    return out;
+  }
+  if (xs.cols() != x_.cols()) {
+    throw std::invalid_argument("GaussianProcess::predict_batch: dimension mismatch");
+  }
+  // The scratch holds k(X, xs_j) as column j. Row i is then overwritten by
+  // v_i = (L^-1 k_j)_i for every candidate at once, so the forward
+  // substitution vectorizes across candidates while each candidate's sums
+  // keep dot()'s and solve_lower()'s order.
+  const std::size_t n = x_.rows();
+  Matrix ks(n, m);
+  for (std::size_t j = 0; j < m; ++j) {
+    cross(kernel_, x_, xs.data() + j * xs.cols(), ks.data() + j, m);
+  }
+  // Posterior::mean and ::std accumulate k.alpha and v.v until the end.
+  for (std::size_t i = 0; i < n; ++i) {
+    double* vi = ks.data() + i * m;
+    for (std::size_t j = 0; j < m; ++j) out[j].mean += vi[j] * alpha_[i];
+    for (std::size_t k = 0; k < i; ++k) {
+      const double lik = chol_(i, k);
+      const double* vk = ks.data() + k * m;
+      for (std::size_t j = 0; j < m; ++j) vi[j] -= lik * vk[j];
+    }
+    const double lii = chol_(i, i);
+    for (std::size_t j = 0; j < m; ++j) {
+      vi[j] /= lii;
+      out[j].std += vi[j] * vi[j];
+    }
+  }
+  const double prior_var = kernel_.at_distance(0.0);
+  for (auto& p : out) {
+    const double var_norm = std::max(0.0, prior_var - p.std);
+    p.mean = p.mean * y_std_ + y_mean_;
+    p.std = std::sqrt(var_norm) * y_std_;
+  }
   return out;
 }
 

@@ -52,10 +52,12 @@ class GaussianProcess {
   std::size_t size() const noexcept { return x_.rows(); }
 
   /// Posterior at a point (prior if unfitted: mean 0 in normalized space,
-  /// std = prior amplitude).
+  /// std = prior amplitude). The one-row case of predict_batch.
   Posterior predict(const atlas::math::Vec& xs) const;
 
-  /// Batch posterior over rows of `xs`.
+  /// Posterior over the rows of `xs`, bit-identical to predicting each row
+  /// on its own. One n x rows scratch buffer, so callers bound the rows
+  /// (the acquisition scans pass one tile at a time).
   std::vector<Posterior> predict_batch(const atlas::math::Matrix& xs) const;
 
   /// Log marginal likelihood of the current fit (normalized-y space).

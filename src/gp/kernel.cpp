@@ -1,6 +1,7 @@
 #include "gp/kernel.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace atlas::gp {
 
@@ -32,11 +33,13 @@ double Kernel::operator()(const Vec& a, const Vec& b) const {
 
 Matrix gram(const Kernel& k, const Matrix& x) {
   const std::size_t n = x.rows();
+  const std::size_t d = x.cols();
   Matrix g(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     g(i, i) = k.at_distance(0.0);
     for (std::size_t j = 0; j < i; ++j) {
-      const double r = std::sqrt(atlas::math::squared_distance(x.row(i), x.row(j)));
+      const double r =
+          std::sqrt(atlas::math::squared_distance(x.data() + i * d, x.data() + j * d, d));
       const double v = k.at_distance(r);
       g(i, j) = v;
       g(j, i) = v;
@@ -46,11 +49,18 @@ Matrix gram(const Kernel& k, const Matrix& x) {
 }
 
 Vec cross(const Kernel& k, const Matrix& x, const Vec& xs) {
+  if (xs.size() != x.cols()) throw std::invalid_argument("cross: size mismatch");
   Vec out(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    out[i] = k.at_distance(std::sqrt(atlas::math::squared_distance(x.row(i), xs)));
-  }
+  cross(k, x, xs.data(), out.data(), 1);
   return out;
+}
+
+void cross(const Kernel& k, const Matrix& x, const double* xs, double* out, std::size_t stride) {
+  const std::size_t d = x.cols();
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    out[i * stride] =
+        k.at_distance(std::sqrt(atlas::math::squared_distance(x.data() + i * d, xs, d)));
+  }
 }
 
 }  // namespace atlas::gp

@@ -28,4 +28,9 @@ atlas::math::Matrix gram(const Kernel& k, const atlas::math::Matrix& x);
 /// Cross-covariance vector k(X, x*) against all rows of X.
 atlas::math::Vec cross(const Kernel& k, const atlas::math::Matrix& x, const atlas::math::Vec& xs);
 
+/// The same for the x.cols() doubles at `xs`, written to out[i * stride]
+/// for every row i of X (no allocation).
+void cross(const Kernel& k, const atlas::math::Matrix& x, const double* xs, double* out,
+           std::size_t stride);
+
 }  // namespace atlas::gp

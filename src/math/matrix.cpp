@@ -19,6 +19,12 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
+
 Vec Matrix::row(std::size_t r) const {
   return Vec(data_.begin() + static_cast<std::ptrdiff_t>(r * cols_),
              data_.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols_));
@@ -136,8 +142,12 @@ double norm2(const Vec& a) { return std::sqrt(dot(a, a)); }
 
 double squared_distance(const Vec& a, const Vec& b) {
   if (a.size() != b.size()) throw std::invalid_argument("squared_distance: size mismatch");
+  return squared_distance(a.data(), b.data(), a.size());
+}
+
+double squared_distance(const double* a, const double* b, std::size_t n) {
   double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const double d = a[i] - b[i];
     acc += d * d;
   }

@@ -33,6 +33,11 @@ class Matrix {
   double* data() noexcept { return data_.data(); }
   const double* data() const noexcept { return data_.data(); }
 
+  /// Reshape to rows x cols, keeping the storage when it is large enough
+  /// (for reused scratch). Elements keep their flat positions, new ones are
+  /// zero; callers overwrite what they read.
+  void resize(std::size_t rows, std::size_t cols);
+
   /// Copy of row r as a Vec.
   Vec row(std::size_t r) const;
   /// Overwrite row r.
@@ -72,5 +77,7 @@ Vec scale(Vec a, double s);
 double norm2(const Vec& a);
 /// Squared Euclidean distance.
 double squared_distance(const Vec& a, const Vec& b);
+/// The same over n doubles read in place (e.g. two matrix rows).
+double squared_distance(const double* a, const double* b, std::size_t n);
 
 }  // namespace atlas::math

@@ -36,11 +36,19 @@ struct BnnConfig {
 /// be evaluated concurrently from many threads. This is the object parallel
 /// Thompson sampling hands to each parallel query ("infer the BNN only once",
 /// §4.2 of the paper).
+///
+/// Weights are stored input-major so the batched kernel vectorizes across a
+/// layer's outputs. Every output is still summed as
+/// bias + w_0 h_0 + w_1 h_1 + ... in input order, so predict_batch, predict
+/// and Bnn::predict_at_mean agree bit for bit (no reassociation; see the
+/// README's "batched surrogate scoring" for the FMA caveat).
 struct BnnSample {
-  std::vector<atlas::math::Matrix> weights;  ///< One (out x in) matrix per layer.
+  std::vector<atlas::math::Matrix> weights;  ///< One (in x out) matrix per layer.
   std::vector<atlas::math::Vec> biases;
 
+  /// The one-row case of predict_batch.
   double predict(const atlas::math::Vec& x) const;
+  /// One prediction per row of `x`.
   atlas::math::Vec predict_batch(const atlas::math::Matrix& x) const;
 };
 
@@ -79,8 +87,13 @@ class Bnn {
   /// Monte-Carlo predictive mean/std at a point (`mc` weight draws).
   MeanStd predict(const atlas::math::Vec& x, std::size_t mc, atlas::math::Rng& rng) const;
 
-  /// Deterministic prediction using the posterior means of all weights.
+  /// Deterministic prediction using the posterior means of all weights. Reads
+  /// them in place; to score many points, batch them through mean_sample().
   double predict_at_mean(const atlas::math::Vec& x) const;
+
+  /// The posterior-mean network as a frozen sample: its predictions equal
+  /// predict_at_mean bit for bit. A snapshot: later training does not move it.
+  BnnSample mean_sample() const;
 
   /// Draw one frozen network w ~ q(w|θ).
   BnnSample thompson(atlas::math::Rng& rng) const;

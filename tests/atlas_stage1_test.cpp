@@ -67,6 +67,14 @@ TEST(Stage1, WeightedObjectiveConsistent) {
               result.best_kl + opts.alpha * result.best_distance, 1e-9);
 }
 
+TEST(Stage1, RejectsEmptyCandidatePool) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto real = service.add_real_network();
+  auto opts = fast_options();
+  opts.candidates = 0;
+  EXPECT_THROW(ac::SimCalibrator(service, real, opts), std::invalid_argument);
+}
+
 TEST(Stage1, GpSurrogateVariantRuns) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto real = service.add_real_network();

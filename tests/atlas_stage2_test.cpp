@@ -89,6 +89,14 @@ TEST(Stage2, PolicyModelLearnsResourceQoeTrend) {
             result.policy.predict_qoe(starved));
 }
 
+TEST(Stage2, RejectsEmptyCandidatePool) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto sim = service.add_simulator();
+  auto opts = fast_options();
+  opts.candidates = 0;
+  EXPECT_THROW(ac::OfflineTrainer(service, sim, opts), std::invalid_argument);
+}
+
 TEST(Stage2, GpSurrogateVariantsRun) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto sim = service.add_simulator();

@@ -104,6 +104,19 @@ TEST_F(Stage3Test, RequiresPolicyUnlessGpWhole) {
                std::invalid_argument);
 }
 
+TEST_F(Stage3Test, RejectsDegenerateCandidatePools) {
+  auto opts = fast_online();
+  opts.candidates = 0;
+  EXPECT_THROW(ac::OnlineLearner(&offline_->policy, *service_, sim_, real_, opts),
+               std::invalid_argument);
+  // Offline acceleration scans candidates / 4 actions per inner update.
+  opts.candidates = 3;
+  EXPECT_THROW(ac::OnlineLearner(&offline_->policy, *service_, sim_, real_, opts),
+               std::invalid_argument);
+  opts.offline_acceleration = false;
+  EXPECT_NO_THROW(ac::OnlineLearner(&offline_->policy, *service_, sim_, real_, opts));
+}
+
 TEST_F(Stage3Test, AcquisitionAblationsRun) {
   for (auto acq : {atlas::bo::AcquisitionKind::kEi, atlas::bo::AcquisitionKind::kPi,
                    atlas::bo::AcquisitionKind::kGpUcb}) {

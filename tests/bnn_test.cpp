@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "math/rng.hpp"
 #include "math/stats.hpp"
@@ -17,6 +20,25 @@ an::BnnConfig small_config() {
   cfg.sizes = {1, 24, 24, 1};
   cfg.noise_sigma = 0.05;
   return cfg;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Scalar forward pass over an input-major sample in the documented order:
+/// bias + w_0 h_0 + w_1 h_1 + ..., ReLU on every hidden layer.
+double reference_predict(const an::BnnSample& s, const am::Vec& x) {
+  am::Vec h = x;
+  for (std::size_t l = 0; l < s.weights.size(); ++l) {
+    const am::Matrix& w = s.weights[l];
+    am::Vec next(w.cols());
+    for (std::size_t o = 0; o < w.cols(); ++o) {
+      double acc = s.biases[l][o];
+      for (std::size_t i = 0; i < w.rows(); ++i) acc += w(i, o) * h[i];
+      next[o] = (l + 1 < s.weights.size() && acc < 0.0) ? 0.0 : acc;
+    }
+    h = std::move(next);
+  }
+  return h[0];
 }
 
 }  // namespace
@@ -48,17 +70,65 @@ TEST(Bnn, ThompsonSamplesDiffer) {
 }
 
 TEST(Bnn, BatchPredictMatchesScalarPredict) {
+  // Row counts straddle the kernel's 4-row blocks and the scans' 256-row tiles.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {6, 64, 64, 1}, {8, 64, 64, 1}, {5, 7, 3, 1}};
+  for (const auto& sizes : shapes) {
+    am::Rng rng(4);
+    an::BnnConfig cfg;
+    cfg.sizes = sizes;
+    an::Bnn bnn(cfg, rng);
+    // A few steps move the posterior-mean biases off zero.
+    am::Matrix tx(32, sizes[0]);
+    am::Vec ty(32);
+    for (std::size_t i = 0; i < 32; ++i) {
+      for (std::size_t j = 0; j < sizes[0]; ++j) tx(i, j) = rng.uniform(-1.0, 1.0);
+      ty[i] = rng.uniform(0.0, 1.0);
+    }
+    an::Adadelta opt(1.0);
+    bnn.train(tx, ty, 2, 8, opt, nullptr, rng);
+    const an::BnnSample draw = bnn.thompson(rng);
+    const an::BnnSample mean = bnn.mean_sample();
+    for (std::size_t rows : {0, 1, 3, 4, 5, 255, 256, 257}) {
+      am::Matrix x(rows, sizes[0]);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < sizes[0]; ++j) x(i, j) = rng.uniform(-1.0, 1.0);
+      }
+      const am::Vec drawn = draw.predict_batch(x);
+      const am::Vec at_mean = mean.predict_batch(x);
+      ASSERT_EQ(drawn.size(), rows);
+      ASSERT_EQ(at_mean.size(), rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        const am::Vec row = x.row(i);
+        ASSERT_EQ(bits(drawn[i]), bits(draw.predict(row))) << "rows " << rows << " row " << i;
+        ASSERT_EQ(bits(drawn[i]), bits(reference_predict(draw, row))) << "rows " << rows;
+        ASSERT_EQ(bits(at_mean[i]), bits(bnn.predict_at_mean(row))) << "rows " << rows;
+        ASSERT_EQ(bits(at_mean[i]), bits(reference_predict(mean, row))) << "rows " << rows;
+      }
+    }
+  }
+}
+
+TEST(Bnn, PredictRejectsWrongInputWidth) {
   am::Rng rng(4);
   an::Bnn bnn(small_config(), rng);
-  const auto s = bnn.thompson(rng);
-  am::Matrix x(3, 1);
-  x(0, 0) = -0.5;
-  x(1, 0) = 0.0;
-  x(2, 0) = 0.7;
-  const am::Vec batch = s.predict_batch(x);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(batch[i], s.predict(x.row(i)), 1e-12);
-  }
+  EXPECT_THROW(bnn.thompson(rng).predict({0.1, 0.2}), std::invalid_argument);
+  EXPECT_THROW(bnn.mean_sample().predict_batch(am::Matrix(3, 2)), std::invalid_argument);
+  EXPECT_THROW(bnn.predict_at_mean({0.1, 0.2}), std::invalid_argument);
+}
+
+TEST(Bnn, MeanSampleIsASnapshot) {
+  am::Rng rng(4);
+  an::Bnn bnn(small_config(), rng);
+  const an::BnnSample before = bnn.mean_sample();
+  const double at_mean = bnn.predict_at_mean({0.3});
+  am::Matrix x(16, 1);
+  am::Vec y(16, 0.9);
+  for (std::size_t i = 0; i < 16; ++i) x(i, 0) = static_cast<double>(i) / 16.0;
+  an::Adadelta opt(1.0);
+  bnn.train(x, y, 5, 8, opt, nullptr, rng);
+  EXPECT_EQ(bits(before.predict({0.3})), bits(at_mean));
+  EXPECT_NE(bits(bnn.mean_sample().predict({0.3})), bits(at_mean));
 }
 
 TEST(Bnn, FitsSmoothFunction) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "bo/acquisition.hpp"
 #include "bo/gp_bo.hpp"
+#include "bo/scan_tile.hpp"
 #include "bo/space.hpp"
+#include "bo/top_k.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
 
@@ -192,4 +196,77 @@ TEST(GpBo, HistoryAndTellValidation) {
   EXPECT_EQ(bo.observations(), 1u);
   EXPECT_THROW(bo.tell({0.1, 0.2}, 1.0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(bo.result().best_y, 1.0);
+}
+
+TEST(TopK, NanNeverWinsAScan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ab::TopK top(1);
+  top.offer({0.0}, nan);
+  top.offer({1.0}, 5.0);
+  top.offer({2.0}, nan);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top.best(), am::Vec{1.0});
+  EXPECT_EQ(top.best_score(), 5.0);
+
+  ab::TopK three(3);
+  three.offer({0.0}, nan);
+  three.offer({1.0}, 2.0);
+  three.offer({2.0}, nan);
+  ASSERT_EQ(three.size(), 1u);
+  EXPECT_EQ(three.best(), am::Vec{1.0});
+}
+
+TEST(TopK, TiesKeepTheFirstOffered) {
+  ab::TopK top(1);
+  top.offer({0.0}, 3.0);
+  top.offer({1.0}, 1.0);
+  top.offer({2.0}, 1.0);
+  EXPECT_EQ(top.best(), am::Vec{1.0});
+
+  ab::TopK three(3);
+  for (double id : {0.0, 1.0, 2.0, 3.0}) three.offer({id}, 7.0);
+  ASSERT_EQ(three.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(three.ranked()[i].x, am::Vec{static_cast<double>(i)});
+  }
+}
+
+TEST(TopK, RanksTheLowestThreeInOrder) {
+  ab::TopK top(3);
+  const std::vector<double> scores = {5.0, 2.0, 9.0, 2.0, -1.0, 4.0, 3.0};
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    top.offer({static_cast<double>(i)}, scores[i]);
+  }
+  ASSERT_EQ(top.size(), 3u);
+  // -1 (candidate 4), then the two 2s in offer order (candidates 1 and 3).
+  EXPECT_EQ(top.ranked()[0].x, am::Vec{4.0});
+  EXPECT_EQ(top.ranked()[1].x, am::Vec{1.0});
+  EXPECT_EQ(top.ranked()[2].x, am::Vec{3.0});
+  EXPECT_EQ(top.ranked()[0].score, -1.0);
+  EXPECT_EQ(top.ranked()[2].score, 2.0);
+  EXPECT_EQ(top.best(), am::Vec{4.0});
+}
+
+TEST(TopK, EmptyRankingHasNoBest) {
+  ab::TopK top(2);
+  EXPECT_THROW(top.best(), std::out_of_range);
+  EXPECT_THROW(top.best_score(), std::out_of_range);
+  top.offer({1.0}, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(top.empty());
+  EXPECT_THROW(top.best(), std::out_of_range);
+}
+
+TEST(ScanTile, CoversTheScanInBoundedTiles) {
+  ab::ScanTile tile(3);
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> sizes;
+  tile.scan(600, [&](std::size_t first) {
+    firsts.push_back(first);
+    sizes.push_back(tile.size());
+    EXPECT_EQ(tile.inputs.rows(), tile.size());
+    EXPECT_EQ(tile.inputs.cols(), 3u);
+  });
+  EXPECT_EQ(firsts, (std::vector<std::size_t>{0, 256, 512}));
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{256, 256, 88}));
+  tile.scan(0, [&](std::size_t) { ADD_FAILURE() << "an empty scan has no tiles"; });
 }

@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <span>
 
 #include "atlas/calibrator.hpp"
 #include "atlas/offline_trainer.hpp"
@@ -95,10 +97,10 @@ ac::OnlineOptions stage3_options() {
   return o;
 }
 
-std::uint64_t hash_stage1() {
+std::uint64_t hash_stage1_with(const ac::CalibrationOptions& options) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto real = service.add_real_network();
-  ac::SimCalibrator calibrator(service, real, stage1_options());
+  ac::SimCalibrator calibrator(service, real, options);
   const auto result = calibrator.calibrate();
 
   Fnv f;
@@ -118,10 +120,11 @@ std::uint64_t hash_stage1() {
   return f.h;
 }
 
-std::uint64_t hash_stage2_with(std::size_t speculate_top_k) {
+std::uint64_t hash_stage1() { return hash_stage1_with(stage1_options()); }
+
+std::uint64_t hash_stage2_with(ac::OfflineOptions options, std::size_t speculate_top_k) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto sim = service.add_simulator();
-  ac::OfflineOptions options = stage2_options();
   options.speculate_top_k = speculate_top_k;
   ac::OfflineTrainer trainer(service, sim, options);
   const auto result = trainer.train();
@@ -144,24 +147,32 @@ std::uint64_t hash_stage2_with(std::size_t speculate_top_k) {
   return f.h;
 }
 
+std::uint64_t hash_stage2_with(std::size_t speculate_top_k) {
+  return hash_stage2_with(stage2_options(), speculate_top_k);
+}
+
 std::uint64_t hash_stage2() { return hash_stage2_with(0); }
 
-std::uint64_t hash_stage3_with(std::size_t speculate_top_k) {
+std::uint64_t hash_stage3_with(ac::OnlineOptions online, bool offline_policy,
+                               std::size_t speculate_top_k) {
   // A micro stage-2 run supplies the offline policy (kGpResidual needs one),
   // then the online learner runs with offline acceleration so the real, the
   // residual-sim, and the inner-update seed streams are all exercised.
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto sim = service.add_simulator();
   const auto real = service.add_real_network();
-  ac::OfflineOptions offline = stage2_options();
-  offline.iterations = 4;
-  offline.speculate_top_k = speculate_top_k;
-  ac::OfflineTrainer trainer(service, sim, offline);
-  const auto offline_result = trainer.train();
+  std::optional<ac::OfflineResult> offline_result;
+  if (offline_policy) {
+    ac::OfflineOptions offline = stage2_options();
+    offline.iterations = 4;
+    offline.speculate_top_k = speculate_top_k;
+    ac::OfflineTrainer trainer(service, sim, offline);
+    offline_result.emplace(trainer.train());
+  }
 
-  ac::OnlineOptions online = stage3_options();
   online.speculate_top_k = speculate_top_k;
-  ac::OnlineLearner learner(&offline_result.policy, service, sim, real, online);
+  ac::OnlineLearner learner(offline_result ? &offline_result->policy : nullptr, service, sim,
+                            real, online);
   const auto result = learner.learn();
 
   Fnv f;
@@ -176,6 +187,10 @@ std::uint64_t hash_stage3_with(std::size_t speculate_top_k) {
     f.add_double(step.beta);
   }
   return f.h;
+}
+
+std::uint64_t hash_stage3_with(std::size_t speculate_top_k) {
+  return hash_stage3_with(stage3_options(), true, speculate_top_k);
 }
 
 std::uint64_t hash_stage3() { return hash_stage3_with(0); }
@@ -248,16 +263,96 @@ const StageCase kGolden[] = {
     {"baseline_dlda", &hash_dlda, 0xa9dcd426e33fd7a8ULL},
 };
 
+using Acq = atlas::bo::AcquisitionKind;
+
+ac::OnlineOptions stage3_acquisition(Acq kind) {
+  ac::OnlineOptions o = stage3_options();
+  o.acquisition = kind;
+  return o;
+}
+
+ac::OnlineOptions stage3_model(ac::OnlineModel model) {
+  ac::OnlineOptions o = stage3_options();
+  o.model = model;
+  return o;
+}
+
+ac::OfflineOptions stage2_surrogate(ac::OfflineSurrogate surrogate) {
+  ac::OfflineOptions o = stage2_options();
+  o.surrogate = surrogate;
+  // The GP scans are sequential; over the first three the EI, PI and UCB
+  // choices coincide, so run long enough for the three to diverge.
+  o.iterations = 10;
+  return o;
+}
+
+// The scan variants the default cases above never reach: other surrogates,
+// acquisitions, online models and candidate samplers. Each scores its
+// candidates through a different branch, so a reordered RNG draw or a
+// changed score in any of them shows up here. Captured before the batched
+// surrogate scoring landed; regenerate with ATLAS_GOLDEN_PRINT=1.
+const StageCase kGoldenVariants[] = {
+    {"stage1_gp_ei",
+     [] {
+       ac::CalibrationOptions o = stage1_options();
+       o.surrogate = ac::CalibratorSurrogate::kGpEi;
+       return hash_stage1_with(o);
+     },
+     0x3765b5069cb089fdULL},
+    {"stage1_halton",
+     [] {
+       ac::CalibrationOptions o = stage1_options();
+       o.sampler = ac::CandidateSampler::kHalton;
+       return hash_stage1_with(o);
+     },
+     0xfcdb4e1aa5efcf99ULL},
+    {"stage2_gp_ei",
+     [] { return hash_stage2_with(stage2_surrogate(ac::OfflineSurrogate::kGpEi), 0); },
+     0x132c4a1f09279bf3ULL},
+    {"stage2_gp_pi",
+     [] { return hash_stage2_with(stage2_surrogate(ac::OfflineSurrogate::kGpPi), 0); },
+     0xb2a17e9f6d6f01a3ULL},
+    {"stage2_gp_ucb",
+     [] { return hash_stage2_with(stage2_surrogate(ac::OfflineSurrogate::kGpUcb), 0); },
+     0x85bf02ef0e77f411ULL},
+    {"stage3_gp_whole_no_policy",
+     [] { return hash_stage3_with(stage3_model(ac::OnlineModel::kGpWhole), false, 0); },
+     0x4bed53cab3dee523ULL},
+    {"stage3_bnn_residual",
+     [] { return hash_stage3_with(stage3_model(ac::OnlineModel::kBnnResidual), true, 0); },
+     0xe7506078b5269997ULL},
+    {"stage3_bnn_continued",
+     [] { return hash_stage3_with(stage3_model(ac::OnlineModel::kBnnContinued), true, 0); },
+     0xd8f81889706d5d0aULL},
+    {"stage3_no_offline_acc",
+     [] {
+       ac::OnlineOptions o = stage3_options();
+       o.offline_acceleration = false;
+       return hash_stage3_with(o, true, 0);
+     },
+     0xe5e36827318e429cULL},
+    {"stage3_acq_ei",
+     [] { return hash_stage3_with(stage3_acquisition(Acq::kEi), true, 0); },
+     0x2cced128e6c71bd5ULL},
+    {"stage3_acq_pi",
+     [] { return hash_stage3_with(stage3_acquisition(Acq::kPi), true, 0); },
+     0x4e1e24e86f86d9dfULL},
+    {"stage3_acq_ucb",
+     [] { return hash_stage3_with(stage3_acquisition(Acq::kUcb), true, 0); },
+     0xf9435b36f8270e71ULL},
+    {"stage3_acq_gp_ucb",
+     [] { return hash_stage3_with(stage3_acquisition(Acq::kGpUcb), true, 0); },
+     0x7f6bcb487dd63073ULL},
+};
+
 bool print_mode() { return std::getenv("ATLAS_GOLDEN_PRINT") != nullptr; }
 bool lenient_mode() { return std::getenv("ATLAS_GOLDEN_TOOLCHAIN_LENIENT") != nullptr; }
 
-}  // namespace
-
-TEST(GoldenStage, FreshPolicyBitIdenticalToPreSeedPlanStages) {
-  for (const auto& c : kGolden) {
+void expect_golden(std::span<const StageCase> cases) {
+  for (const auto& c : cases) {
     const std::uint64_t h = c.run();
     if (print_mode()) {
-      std::printf("stage %-24s 0x%016llx\n", c.name, static_cast<unsigned long long>(h));
+      std::printf("stage %-26s 0x%016llx\n", c.name, static_cast<unsigned long long>(h));
       continue;
     }
     if (lenient_mode()) {
@@ -267,6 +362,12 @@ TEST(GoldenStage, FreshPolicyBitIdenticalToPreSeedPlanStages) {
     EXPECT_EQ(h, c.expected) << c.name;
   }
 }
+
+}  // namespace
+
+TEST(GoldenStage, FreshPolicyBitIdenticalToPreSeedPlanStages) { expect_golden(kGolden); }
+
+TEST(GoldenStage, ScanVariantsBitIdentical) { expect_golden(kGoldenVariants); }
 
 TEST(GoldenStage, SpeculativePrefetchingIsBitIdenticalOnAndOff) {
   // The tentpole's determinism contract, both directions: with speculation

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "gp/gaussian_process.hpp"
 #include "gp/kernel.hpp"
 #include "math/linalg.hpp"
 #include "math/rng.hpp"
+#include "math/stats.hpp"
 
 namespace am = atlas::math;
 namespace ag = atlas::gp;
@@ -159,6 +163,84 @@ TEST(Gp, BatchPredictMatchesScalar) {
     EXPECT_DOUBLE_EQ(batch[i].mean, p.mean);
     EXPECT_DOUBLE_EQ(batch[i].std, p.std);
   }
+}
+
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The posterior one point at a time, the way predict computed it before
+/// batching: cross(), dot() and solve_lower() on the same factorization.
+ag::Posterior reference_posterior(const ag::GaussianProcess& gp, const ag::GpConfig& cfg,
+                                  const am::Matrix& x, const am::Vec& y, const am::Vec& xs) {
+  const auto s = am::summarize(y);
+  const double y_mean = s.mean;
+  const double y_std = s.stddev > 1e-12 ? s.stddev : 1.0;
+  am::Vec y_norm = y;
+  for (auto& v : y_norm) v = (v - y_mean) / y_std;
+  am::Matrix g = ag::gram(gp.kernel(), x);
+  for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) += cfg.noise_variance;
+  const am::Matrix chol = am::cholesky_jittered(g);
+  const am::Vec alpha = am::cholesky_solve(chol, y_norm);
+  const am::Vec ks = ag::cross(gp.kernel(), x, xs);
+  const am::Vec v = am::solve_lower(chol, ks);
+  ag::Posterior p;
+  p.mean = am::dot(ks, alpha) * y_std + y_mean;
+  p.std = std::sqrt(std::max(0.0, gp.kernel().at_distance(0.0) - am::dot(v, v))) * y_std;
+  return p;
+}
+
+}  // namespace
+
+TEST(Gp, BatchPredictIsBitIdenticalPerKernel) {
+  for (auto kind : {ag::KernelKind::kRbf, ag::KernelKind::kMatern12, ag::KernelKind::kMatern32,
+                    ag::KernelKind::kMatern52}) {
+    am::Rng rng(5);
+    ag::GpConfig cfg;
+    cfg.kernel = kind;
+    ag::GaussianProcess gp(cfg);
+    am::Matrix x(20, 6);
+    am::Vec y(20);
+    for (std::size_t i = 0; i < 20; ++i) {
+      for (std::size_t d = 0; d < 6; ++d) x(i, d) = rng.uniform(0, 1);
+      y[i] = std::sin(3.0 * x(i, 0)) + x(i, 1) * x(i, 2);
+    }
+    gp.fit(x, y);
+    for (std::size_t rows : {0, 1, 7, 257}) {
+      am::Matrix q(rows, 6);
+      for (std::size_t j = 0; j < rows; ++j) {
+        for (std::size_t d = 0; d < 6; ++d) q(j, d) = rng.uniform(-0.2, 1.2);
+      }
+      const auto batch = gp.predict_batch(q);
+      ASSERT_EQ(batch.size(), rows);
+      for (std::size_t j = 0; j < rows; ++j) {
+        const am::Vec row = q.row(j);
+        const auto one = gp.predict(row);
+        const auto ref = reference_posterior(gp, cfg, x, y, row);
+        ASSERT_EQ(bits(batch[j].mean), bits(one.mean)) << static_cast<int>(kind);
+        ASSERT_EQ(bits(batch[j].std), bits(one.std)) << static_cast<int>(kind);
+        ASSERT_EQ(bits(batch[j].mean), bits(ref.mean)) << static_cast<int>(kind);
+        ASSERT_EQ(bits(batch[j].std), bits(ref.std)) << static_cast<int>(kind);
+      }
+    }
+  }
+}
+
+TEST(Gp, BatchPredictBeforeFitIsThePrior) {
+  ag::GaussianProcess gp;
+  const auto batch = gp.predict_batch(am::Matrix(3, 2, 0.5));
+  ASSERT_EQ(batch.size(), 3u);
+  for (const auto& p : batch) {
+    EXPECT_EQ(bits(p.mean), bits(gp.predict({0.5, 0.5}).mean));
+    EXPECT_EQ(bits(p.std), bits(gp.predict({0.5, 0.5}).std));
+  }
+}
+
+TEST(Gp, PredictRejectsWrongDimension) {
+  ag::GaussianProcess gp;
+  gp.fit(am::Matrix(3, 2, 0.5), {1.0, 2.0, 3.0});
+  EXPECT_THROW(gp.predict({0.5}), std::invalid_argument);
+  EXPECT_THROW(gp.predict_batch(am::Matrix(4, 3)), std::invalid_argument);
 }
 
 TEST(Gp, FitValidatesInput) {

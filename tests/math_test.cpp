@@ -26,6 +26,19 @@ TEST(Matrix, InitializerListAndTranspose) {
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
 }
 
+TEST(Matrix, ResizeReshapesInPlace) {
+  am::Matrix m(4, 3, 1.0);
+  m.resize(2, 3);
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 3u);
+  EXPECT_DOUBLE_EQ(m(1, 2), 1.0);
+  m.resize(3, 4);  // grows past the kept flat prefix: new elements are zero
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 4u);
+  EXPECT_DOUBLE_EQ(m(1, 1), 1.0);
+  EXPECT_DOUBLE_EQ(m(2, 3), 0.0);
+}
+
 TEST(Matrix, RaggedInitializerThrows) {
   EXPECT_THROW((am::Matrix{{1, 2}, {3}}), std::invalid_argument);
 }
