@@ -142,6 +142,28 @@ OnlineResult OnlineLearner::learn() {
     }
   };
 
+  // An inner update's pool, sampled and scored before lambda is known: each
+  // candidate's action a, its usage F(a) and its combined QoE estimate
+  // clamp(Q_s(a) + G(a) mean). One buffer is reused for every pool.
+  struct PoolCandidate {
+    Vec a;
+    double usage = 0.0;
+    double q = 0.0;
+  };
+  std::vector<PoolCandidate> pool(options_.candidates / 4);
+  auto score_pool = [&](const std::optional<nn::BnnSample>& offline_net) {
+    tile.scan(pool.size(), [&](std::size_t first) {
+      sample_tile();
+      score_tile(offline_net);
+      for (std::size_t k = 0; k < tile.size(); ++k) {
+        PoolCandidate& c = pool[first + k];
+        c.a = tile.points[k];
+        c.usage = env::SliceConfig::from_vec(c.a).resource_usage();
+        c.q = std::clamp(tile_qs[k] + tile_g[k].mean, 0.0, 1.0);
+      }
+    });
+  };
+
   double lambda = policy_ != nullptr ? policy_->final_lambda : 1.0;
 
   // The very first online action is the offline optimum when available (§8.3).
@@ -263,26 +285,28 @@ OnlineResult OnlineLearner::learn() {
       // actual augmented-simulator query at the currently-greedy action: the
       // argmin of the Lagrangian under the combined estimate
       // Q(a) = Q_s(a) + G(a) (Eq. 12).
+      //
+      // No pool depends on lambda or on any episode, so while update n's
+      // episode runs on the service pool this thread scores pool n + 1. The
+      // only RNG draw between two pools, kBnnResidual's posterior at the
+      // greedy action, still precedes the next pool's sampling, and episodes
+      // never touch the RNG: results are bit-identical to inline episodes.
+      score_pool(offline_net);
       for (std::size_t n = 0; n < options_.inner_updates; ++n) {
         bo::TopK top(1);
-        tile.scan(options_.candidates / 4, [&](std::size_t) {
-          sample_tile();
-          score_tile(offline_net);
-          for (std::size_t k = 0; k < tile.size(); ++k) {
-            const Vec& a = tile.points[k];
-            const double q = std::clamp(tile_qs[k] + tile_g[k].mean, 0.0, 1.0);
-            top.offer(a, env::SliceConfig::from_vec(a).resource_usage() -
-                             lambda * (q - options_.sla.availability));
-          }
-        });
+        for (const PoolCandidate& c : pool) {
+          top.offer(c.a, c.usage - lambda * (c.q - options_.sla.availability));
+        }
         const Vec& greedy = top.best();
+        const auto g = residual_posterior(space_.normalize(greedy));
         env::EnvQuery inner_q;
         inner_q.backend = simulator_;
         inner_q.config = env::SliceConfig::from_vec(greedy);
         inner_q.workload = options_.workload;
         sim_seeds.apply(inner_q, iter, 1 + n);  // slot 0 was the residual episode
-        const double qs = service_.measure_qoe(inner_q, options_.sla.latency_threshold_ms);
-        const auto g = residual_posterior(space_.normalize(greedy));
+        env::QueryHandle episode = service_.submit(std::move(inner_q));
+        if (n + 1 < options_.inner_updates) score_pool(offline_net);
+        const double qs = episode.get().qoe(options_.sla.latency_threshold_ms);
         const double q_est = std::clamp(qs + g.mean, 0.0, 1.0);
         lambda = std::max(0.0, lambda - options_.epsilon * (q_est - options_.sla.availability));
       }

@@ -196,12 +196,13 @@ void EnvService::evict_locked(CacheShard& shard) {
 /// same key, or a duplicate inside the same batch — counts a hit and either
 /// copies the memo entry or waits on the in-flight future.
 ///
-/// Cancellation (speculative prefetch): a leader whose own token fires
-/// resolves everyone with a typed kCancelled result and memoizes nothing. A
-/// waiter that receives kCancelled but whose OWN token did not fire was
-/// innocently coalesced onto an abandoned speculation — it loops back,
-/// re-takes the lookup, and (usually as the new leader) runs the episode it
-/// still wants.
+/// Rejections are the leader's own: a leader whose token fires resolves
+/// everyone with a typed kCancelled result, and a backend may answer a leader
+/// with a typed rejection (a remote worker shed a speculative query at its
+/// soft watermark); neither memoizes anything. A waiter that receives a
+/// rejection was innocently coalesced onto a flight that never ran — unless
+/// its OWN token fired, it loops back, re-takes the lookup, and (usually as
+/// the new leader) runs the episode it still wants.
 EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& query,
                                             const CancelToken* cancel) {
   QueryKey key = make_key(query);
@@ -237,8 +238,8 @@ EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& qu
       backend.cache_hits.fetch_add(1, std::memory_order_relaxed);
       if (query.crn) backend.crn_hits.fetch_add(1, std::memory_order_relaxed);
       EpisodeResult shared = flight->future.get();
-      if (shared.rejected != RejectReason::kCancelled) return shared;
-      // The leader was an abandoned speculation; that cancellation is not
+      if (!shared.is_rejected()) return shared;
+      // The leader's rejection (an abandoned or shed speculation) is not
       // ours. Undo the provisional hit and either report our own
       // cancellation or retry the lookup.
       backend.cache_hits.fetch_sub(1, std::memory_order_relaxed);
@@ -246,7 +247,9 @@ EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& qu
       if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
         backend.cancelled.fetch_add(1, std::memory_order_relaxed);
         cancelled_total_->increment();
-        return shared;
+        EpisodeResult abandoned;
+        abandoned.rejected = RejectReason::kCancelled;
+        return abandoned;
       }
       continue;
     }

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "env/profile.hpp"
 #include "env/slice_config.hpp"
@@ -44,6 +46,21 @@ constexpr const char* to_string(RejectReason reason) noexcept {
   return "none";
 }
 
+/// Thrown when a stage reads a measurement from a rejected result: a shed,
+/// deadline-expired or cancelled query ran no episode, so it has no QoE or
+/// latencies to learn from (an empty episode would read as QoE 0).
+class QueryRejected : public std::runtime_error {
+ public:
+  explicit QueryRejected(RejectReason reason)
+      : std::runtime_error(std::string("query rejected: ") + to_string(reason)),
+        reason_(reason) {}
+
+  RejectReason reason() const noexcept { return reason_; }
+
+ private:
+  RejectReason reason_;
+};
+
 /// Everything measured during one episode.
 struct EpisodeResult {
   atlas::math::Vec latencies_ms;  ///< End-to-end latency of each completed frame.
@@ -60,6 +77,7 @@ struct EpisodeResult {
   bool is_rejected() const noexcept { return rejected != RejectReason::kNone; }
 
   /// QoE = Pr(latency <= threshold) over the episode (Eq. 6's probability).
+  /// Throws QueryRejected when no episode ran.
   double qoe(double threshold_ms) const;
   atlas::math::Summary latency_summary() const;
 };

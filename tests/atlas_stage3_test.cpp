@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+
 #include "env/env_service.hpp"
 #include "atlas/offline_trainer.hpp"
 #include "atlas/online_learner.hpp"
@@ -54,6 +58,31 @@ ae::EnvService* Stage3Test::service_ = nullptr;
 ae::BackendId Stage3Test::sim_ = 0;
 ae::BackendId Stage3Test::real_ = 0;
 ac::OfflineResult* Stage3Test::offline_ = nullptr;
+
+/// The oracle-calibrated simulator, except that its `shed_call`-th query
+/// (counting from 1) is answered with a typed shed instead of an episode.
+class SheddingSimulator final : public ae::EnvBackend {
+ public:
+  explicit SheddingSimulator(std::size_t shed_call) : shed_call_(shed_call) {}
+
+  ae::EpisodeResult execute(const ae::EnvQuery& query) const override {
+    if (calls_.fetch_add(1) + 1 == shed_call_) {
+      ae::EpisodeResult shed;
+      shed.rejected = ae::RejectReason::kShedded;
+      return shed;
+    }
+    return sim_.execute(query);
+  }
+  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
+  const std::string& name() const noexcept override { return name_; }
+
+ private:
+  ae::LocalBackend sim_{std::make_shared<ae::Simulator>(ae::oracle_calibration()), "sim",
+                        ae::BackendKind::kOffline};
+  std::size_t shed_call_;
+  mutable std::atomic<std::size_t> calls_{0};
+  std::string name_ = "shedding-sim";
+};
 
 }  // namespace
 
@@ -133,6 +162,41 @@ TEST_F(Stage3Test, NoOfflineAccelerationStillLearns) {
   opts.offline_acceleration = false;
   ac::OnlineLearner learner(&offline_->policy, *service_, sim_, real_, opts);
   EXPECT_EQ(learner.learn().history.size(), opts.iterations);
+}
+
+// 1100 candidates give 275-candidate inner pools, two scan tiles each, scored
+// while the previous inner update's episode runs on the service pool.
+TEST_F(Stage3Test, AccountsEveryInnerUpdateQuery) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto sim = service.add_simulator(ae::oracle_calibration());
+  const auto real = service.add_real_network();
+  auto opts = fast_online();
+  opts.iterations = 3;
+  opts.candidates = 1100;
+  ac::OnlineLearner learner(&offline_->policy, service, sim, real, opts);
+  EXPECT_EQ(learner.learn().history.size(), opts.iterations);
+  EXPECT_EQ(service.outstanding_queries(), 0u);
+  // One residual episode plus one per inner update, each iteration.
+  EXPECT_EQ(service.backend_stats(sim).queries, opts.iterations * (1 + opts.inner_updates));
+  EXPECT_EQ(service.backend_stats(real).queries, opts.iterations);
+}
+
+TEST_F(Stage3Test, ShedInnerUpdateFailsTheStage) {
+  // The simulator's third query is iteration 0's second inner update, whose
+  // episode runs while the third pool is scored.
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto sim = service.register_backend(std::make_shared<SheddingSimulator>(3));
+  const auto real = service.add_real_network();
+  auto opts = fast_online();
+  opts.iterations = 2;
+  opts.candidates = 1100;
+  ac::OnlineLearner learner(&offline_->policy, service, sim, real, opts);
+  try {
+    (void)learner.learn();
+    FAIL() << "stage 3 learned from a shed inner update";
+  } catch (const ae::QueryRejected& e) {
+    EXPECT_EQ(e.reason(), ae::RejectReason::kShedded);
+  }
 }
 
 TEST(Oracle, FindsFeasibleCheapConfig) {

@@ -277,6 +277,19 @@ ac::OnlineOptions stage3_model(ac::OnlineModel model) {
   return o;
 }
 
+// 275-candidate inner pools: two scan tiles each, so the next pool's scoring
+// crosses a tile boundary while an inner update's episode runs. With one
+// inner update there is no next pool to score. Two iterations carry lambda and the online
+// model across an iteration boundary; more only slow kBnnResidual, whose
+// posterior draws 8 networks a candidate.
+ac::OnlineOptions stage3_wide_pools(ac::OnlineModel model, std::size_t inner_updates) {
+  ac::OnlineOptions o = stage3_model(model);
+  o.iterations = 2;
+  o.candidates = 1100;
+  o.inner_updates = inner_updates;
+  return o;
+}
+
 ac::OfflineOptions stage2_surrogate(ac::OfflineSurrogate surrogate) {
   ac::OfflineOptions o = stage2_options();
   o.surrogate = surrogate;
@@ -343,6 +356,37 @@ const StageCase kGoldenVariants[] = {
     {"stage3_acq_gp_ucb",
      [] { return hash_stage3_with(stage3_acquisition(Acq::kGpUcb), true, 0); },
      0x7f6bcb487dd63073ULL},
+    // Captured before inner-update episodes overlapped scoring the next pool.
+    {"stage3_wide_gp_residual",
+     [] { return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kGpResidual, 3), true, 0); },
+     0x52b607c12aebcb00ULL},
+    {"stage3_wide_bnn_residual",
+     [] { return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kBnnResidual, 3), true, 0); },
+     0xc71513c5f02df333ULL},
+    {"stage3_wide_bnn_continued",
+     [] {
+       return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kBnnContinued, 3), true, 0);
+     },
+     0x0a80951d3c2d856bULL},
+    {"stage3_wide_gp_whole_no_policy",
+     [] { return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kGpWhole, 3), false, 0); },
+     0xaa0300b9ec17f9ceULL},
+    {"stage3_wide_one_update_gp_residual",
+     [] { return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kGpResidual, 1), true, 0); },
+     0xf24f283a42795dfbULL},
+    {"stage3_wide_one_update_bnn_residual",
+     [] {
+       return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kBnnResidual, 1), true, 0);
+     },
+     0xc60fafa1b7e2cef2ULL},
+    {"stage3_wide_one_update_bnn_continued",
+     [] {
+       return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kBnnContinued, 1), true, 0);
+     },
+     0x6b91c0c29c95c421ULL},
+    {"stage3_wide_one_update_gp_whole",
+     [] { return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kGpWhole, 1), false, 0); },
+     0xb528dcea03ffdc5bULL},
 };
 
 bool print_mode() { return std::getenv("ATLAS_GOLDEN_PRINT") != nullptr; }
@@ -381,4 +425,7 @@ TEST(GoldenStage, SpeculativePrefetchingIsBitIdenticalOnAndOff) {
   if (print_mode()) GTEST_SKIP() << "hash-capture run";
   EXPECT_EQ(hash_stage2_with(4), hash_stage2_with(0)) << "stage2 speculation must be invisible";
   EXPECT_EQ(hash_stage3_with(4), hash_stage3_with(0)) << "stage3 speculation must be invisible";
+  const ac::OnlineOptions wide = stage3_wide_pools(ac::OnlineModel::kGpResidual, 3);
+  EXPECT_EQ(hash_stage3_with(wide, true, 4), hash_stage3_with(wide, true, 0))
+      << "stage3 speculation must be invisible with overlapped inner updates";
 }

@@ -1,7 +1,8 @@
 // Speculative episode prefetching (env/speculation.hpp): exact accounting of
 // the launched == hits + cancelled + wasted invariant, the
 // cancellation-never-memoizes guarantee, single-counting of shed speculative
-// queries, and the budget rule against outstanding work. The bit-identity
+// queries, the retry of a committed query coalesced onto a shed speculation,
+// and the budget rule against outstanding work. The bit-identity
 // half of the contract lives in golden_stage_test.cpp.
 
 #include <gtest/gtest.h>
@@ -49,6 +50,36 @@ class GatedBackend final : public ae::EnvBackend {
  private:
   std::string name_ = "gated";
   mutable std::atomic<int> started_{0};
+  mutable std::atomic<bool> release_{false};
+};
+
+/// Offline backend whose first execute() parks until released and then
+/// answers with a typed kShedded, as a remote worker does when it sheds a
+/// speculative query at its soft watermark. Every later call runs an episode.
+class ShedFirstBackend final : public ae::EnvBackend {
+ public:
+  ae::EpisodeResult execute(const ae::EnvQuery&) const override {
+    ae::EpisodeResult result;
+    if (calls_.fetch_add(1, std::memory_order_relaxed) == 0) {
+      release_.wait(false);
+      result.rejected = ae::RejectReason::kShedded;
+    } else {
+      result.latencies_ms = {1.0};
+    }
+    return result;
+  }
+  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
+  const std::string& name() const noexcept override { return name_; }
+
+  int calls() const noexcept { return calls_.load(std::memory_order_relaxed); }
+  void release() {
+    release_.store(true, std::memory_order_release);
+    release_.notify_all();
+  }
+
+ private:
+  std::string name_ = "shed-first";
+  mutable std::atomic<int> calls_{0};
   mutable std::atomic<bool> release_{false};
 };
 
@@ -195,6 +226,38 @@ TEST(Speculation, ShedSpeculativeQueryIsCountedExactlyOnce) {
   const auto totals = service.stats();
   EXPECT_EQ(totals.shed_total, 1u);
   EXPECT_EQ(totals.cancelled_total, 0u);
+}
+
+TEST(Speculation, CommittedQueryCoalescedOntoAShedSpeculationStillRuns) {
+  // The backend sheds the speculative leader. The committed query that
+  // coalesced onto that flight was never shed itself: it retries the lookup
+  // and runs its episode.
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto backend = std::make_shared<ShedFirstBackend>();
+  const auto id = service.register_backend(backend);
+
+  ae::EnvQuery speculative = query(id, 41);
+  speculative.priority = ae::QueryPriority::kSpeculative;
+  auto leader = service.submit(speculative);
+  while (backend->calls() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  auto waiter = service.submit(query(id, 41));
+  // A waiter counts its provisional hit before it blocks on the flight.
+  while (service.backend_stats(id).cache_hits < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  backend->release();
+
+  EXPECT_EQ(leader.get().rejected, ae::RejectReason::kShedded);
+  const auto committed = waiter.get();
+  EXPECT_FALSE(committed.is_rejected());
+  EXPECT_EQ(committed.latencies_ms.size(), 1u);
+
+  const auto stats = service.backend_stats(id);
+  EXPECT_EQ(stats.queries, 2u);
+  EXPECT_EQ(stats.episodes, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u) << "the waiter's provisional hit is undone";
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(service.cache_size(), 1u) << "only the executed episode memoizes";
 }
 
 TEST(Speculation, BudgetRespectsDepthOutstandingWorkAndWatermark) {
