@@ -46,7 +46,7 @@ using CancelToken = std::atomic<bool>;
 
 /// Thrown by a cancellable execute when its CancelToken fired. Distinct from
 /// a real failure: a hedging loser's cancellation is NOT a worker fault and
-/// must not trip circuit breakers or the farm health machine.
+/// must not move the farm health machine.
 struct EpisodeCancelled : std::runtime_error {
   EpisodeCancelled() : std::runtime_error("episode cancelled (hedge loser)") {}
 };

@@ -135,15 +135,14 @@ common::Table EnvServiceStats::summary() const {
   }
   // Degradation visibility: only rendered once any overload/fault machinery
   // has fired, so quiet deployments keep the familiar table.
-  if (farm.hedges > 0 || farm.breaker_trips > 0 || farm.reconnects > 0 ||
-      shed_total > 0 || deadline_rejected > 0 || cancelled_total > 0) {
+  if (farm.hedges > 0 || farm.reconnects > 0 || shed_total > 0 || deadline_rejected > 0 ||
+      cancelled_total > 0) {
     table.add_row({"overload", "hedges " + std::to_string(farm.hedges),
                    "hedge wins " + std::to_string(farm.hedge_wins),
-                   "breaker trips " + std::to_string(farm.breaker_trips),
                    "reconnects " + std::to_string(farm.reconnects),
                    "shed " + std::to_string(shed_total),
                    "deadline " + std::to_string(deadline_rejected),
-                   "cancelled " + std::to_string(cancelled_total), "", "", "", ""});
+                   "cancelled " + std::to_string(cancelled_total), "", "", "", "", ""});
   }
   if (speculation.active && speculation.launched > 0) {
     table.add_row({"speculation", "launched " + std::to_string(speculation.launched),

@@ -58,15 +58,14 @@ struct FarmView {
   std::uint64_t episodes_redispatched = 0;  ///< re-run on a replica after a worker fault
   std::uint64_t memo_entries_migrated = 0;  ///< worker-to-worker memo transfers
   std::uint64_t backends_migrated = 0;      ///< backends whose memo found a new shard
-  // Overload / partial-failure counters (PR 8). hedges/hedge_wins/
-  // breaker_trips come from the FarmController; reconnects and shed_total are
-  // filled by ShardRouter::stats() from the backend rows so they cover
-  // non-farm remote backends too.
-  std::uint64_t hedges = 0;         ///< hedged second attempts launched
-  std::uint64_t hedge_wins = 0;     ///< hedges whose SECOND attempt returned first
-  std::uint64_t breaker_trips = 0;  ///< per-replica circuit breakers opened
-  std::uint64_t reconnects = 0;     ///< remote connections re-established
-  std::uint64_t shed_total = 0;     ///< queries shed at admission watermarks
+  // Overload / partial-failure counters. hedges/hedge_wins come from the
+  // FarmController; reconnects and shed_total are filled by
+  // ShardRouter::stats() from the backend rows so they cover non-farm remote
+  // backends too.
+  std::uint64_t hedges = 0;      ///< hedged second attempts launched
+  std::uint64_t hedge_wins = 0;  ///< hedges whose SECOND attempt returned first
+  std::uint64_t reconnects = 0;  ///< remote connections re-established
+  std::uint64_t shed_total = 0;  ///< queries shed at admission watermarks
 };
 
 class SpeculationState;
@@ -111,7 +110,7 @@ struct EnvServiceStats {
   telemetry::HistogramData query_latency_ns;
   telemetry::HistogramData queue_depth;
   /// Worker-side RPC service time (decode -> response encoded). Only filled
-  /// on snapshots exported by an EpisodeRpcServer (wire v3 stats-snapshot);
+  /// on snapshots exported by an EpisodeRpcServer (the wire stats snapshot);
   /// empty for purely in-process clients.
   telemetry::HistogramData rpc_service_ns;
   /// Farm-membership counters; `farm.active` only when a FarmController is

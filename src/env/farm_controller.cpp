@@ -50,7 +50,6 @@ FarmView FarmState::view() const {
   view.backends_migrated = backends_migrated.load(std::memory_order_relaxed);
   view.hedges = hedges.load(std::memory_order_relaxed);
   view.hedge_wins = hedge_wins.load(std::memory_order_relaxed);
-  view.breaker_trips = breaker_trips.load(std::memory_order_relaxed);
   return view;
 }
 
@@ -63,11 +62,8 @@ void FarmState::report_fault(std::uint32_t worker) {
 // ---- FailoverBackend --------------------------------------------------------
 
 FailoverBackend::FailoverBackend(WorkerBackendInfo descriptor, std::shared_ptr<FarmState> farm,
-                                 HedgePolicy hedge, BreakerPolicy breaker)
-    : descriptor_(std::move(descriptor)),
-      farm_(std::move(farm)),
-      hedge_(hedge),
-      breaker_policy_(breaker) {
+                                 HedgePolicy hedge)
+    : descriptor_(std::move(descriptor)), farm_(std::move(farm)), hedge_(hedge) {
   replicas_.store(std::make_shared<const ReplicaList>(), std::memory_order_release);
   hedge_delay_cache_ms_.store(hedge_.fallback_delay_ms, std::memory_order_relaxed);
 }
@@ -77,8 +73,7 @@ void FailoverBackend::add_replica(std::shared_ptr<const EnvBackend> backend,
                                   std::shared_ptr<const std::atomic<int>> health) {
   std::scoped_lock lock(mutex_);
   auto next = std::make_shared<ReplicaList>(*snapshot());
-  next->push_back(
-      Replica{std::move(backend), worker, std::move(health), std::make_shared<Breaker>()});
+  next->push_back(Replica{std::move(backend), worker, std::move(health)});
   replicas_.store(std::shared_ptr<const ReplicaList>(std::move(next)),
                   std::memory_order_release);
 }
@@ -101,79 +96,27 @@ std::vector<std::uint32_t> FailoverBackend::replica_workers() const {
   return workers;
 }
 
-bool FailoverBackend::breaker_allows(const Replica& replica) const {
-  if (!breaker_policy_.enabled) return true;
-  Breaker& b = *replica.breaker;
-  const int state = b.state.load(std::memory_order_acquire);
-  if (state == 0) return true;  // closed
-  const auto now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now().time_since_epoch())
-                          .count();
-  const auto cooldown_ns = static_cast<std::int64_t>(breaker_policy_.cooldown_ms * 1e6);
-  if (now_ns - b.opened_at_ns.load(std::memory_order_relaxed) < cooldown_ns) return false;
-  if (state == 1) {
-    // Open, cooldown elapsed: exactly ONE caller wins the CAS to half-open
-    // and probes; everyone else keeps skipping. Restart the window so the
-    // next probe slot arms one cooldown from now.
-    int expected = 1;
-    if (!b.state.compare_exchange_strong(expected, 2, std::memory_order_acq_rel)) return false;
-    b.opened_at_ns.store(now_ns, std::memory_order_relaxed);
-    return true;
-  }
-  // Half-open past its window: the claimed probe never ran (its candidate
-  // lost the race to an earlier success) — re-arm rather than wedge.
-  b.opened_at_ns.store(now_ns, std::memory_order_relaxed);
-  return true;
-}
-
-void FailoverBackend::breaker_success(const Replica& replica) const {
-  if (!breaker_policy_.enabled) return;
-  replica.breaker->consecutive_failures.store(0, std::memory_order_relaxed);
-  replica.breaker->state.store(0, std::memory_order_release);
-}
-
-void FailoverBackend::breaker_failure(const Replica& replica) const {
-  if (!breaker_policy_.enabled) return;
-  Breaker& b = *replica.breaker;
-  const std::uint32_t failures =
-      b.consecutive_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-  const int state = b.state.load(std::memory_order_acquire);
-  const bool reopen = state == 2;  // failed half-open probe: straight back open
-  if (!reopen && (state != 0 || failures < breaker_policy_.failure_threshold)) return;
-  b.opened_at_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now().time_since_epoch())
-                           .count(),
-                       std::memory_order_relaxed);
-  b.state.store(1, std::memory_order_release);
-  farm_->breaker_trips.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::vector<std::size_t> FailoverBackend::candidate_order(const ReplicaList& replicas) const {
-  // Candidate order: serving replicas with a closed (or probe-ready) breaker
-  // first, round-robin rotated so load spreads; then joining/suspect/draining
-  // as fallback; dead and breaker-open replicas are skipped outright — unless
-  // that leaves nothing, in which case everyone gets one last chance (a stale
-  // health cell beats failing the episode).
+  // Serving replicas first, round-robin rotated so load spreads; then
+  // joining/suspect/draining as fallback; dead replicas are skipped outright —
+  // unless that leaves nothing, in which case everyone gets one last chance
+  // (a stale health cell beats failing the episode). Each cell is read once,
+  // so a replica changing state mid-scan lands in exactly one tier.
   std::vector<std::size_t> candidates;
+  std::vector<std::size_t> fallback;
   candidates.reserve(replicas.size());
   const std::size_t offset = rr_.fetch_add(1, std::memory_order_relaxed) % replicas.size();
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     const std::size_t index = (offset + i) % replicas.size();
     const auto state =
         static_cast<WorkerState>(replicas[index].health->load(std::memory_order_relaxed));
-    if (state == WorkerState::kServing && breaker_allows(replicas[index])) {
+    if (state == WorkerState::kServing) {
       candidates.push_back(index);
+    } else if (state != WorkerState::kDead) {
+      fallback.push_back(index);
     }
   }
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    const std::size_t index = (offset + i) % replicas.size();
-    const auto state =
-        static_cast<WorkerState>(replicas[index].health->load(std::memory_order_relaxed));
-    if (state == WorkerState::kDead) continue;
-    if (state == WorkerState::kServing && breaker_allows(replicas[index])) continue;  // tier 1
-    if (state == WorkerState::kServing) continue;  // breaker-open serving: last resort only
-    candidates.push_back(index);
-  }
+  candidates.insert(candidates.end(), fallback.begin(), fallback.end());
   if (candidates.empty()) {
     for (std::size_t i = 0; i < replicas.size(); ++i) candidates.push_back(i);
   }
@@ -214,14 +157,6 @@ double FailoverBackend::hedge_delay_ms() const {
     hedge_delay_cache_ms_.store(delay_ms, std::memory_order_relaxed);
   }
   return hedge_delay_cache_ms_.load(std::memory_order_relaxed);
-}
-
-int FailoverBackend::breaker_state(std::uint32_t worker) const {
-  const auto replicas = snapshot();
-  for (const Replica& replica : *replicas) {
-    if (replica.worker == worker) return replica.breaker->state.load(std::memory_order_acquire);
-  }
-  return -1;
 }
 
 bool FailoverBackend::execute_hedged(const EnvQuery& query, const ReplicaList& replicas,
@@ -293,21 +228,14 @@ bool FailoverBackend::execute_hedged(const EnvQuery& query, const ReplicaList& r
   if (second.joinable()) second.join();
 
   const auto settle_loser = [&](const Replica& replica, std::size_t slot) {
-    if (race->error[slot] == nullptr) {
-      if (!(race->have_result && race->winner == slot)) {
-        // Finished fine but lost the race; still a healthy replica.
-        breaker_success(replica);
-      }
-      return;
-    }
+    if (race->error[slot] == nullptr) return;  // answered, won or lost
     try {
       std::rethrow_exception(race->error[slot]);
     } catch (const EpisodeCancelled&) {
-      // The hedge loser we cancelled — not a fault, no breaker movement.
+      // The hedge loser we cancelled — not a fault.
     } catch (...) {
       last = race->error[slot];
       faulted = true;
-      breaker_failure(replica);
       farm_->report_fault(replica.worker);
     }
   };
@@ -315,8 +243,6 @@ bool FailoverBackend::execute_hedged(const EnvQuery& query, const ReplicaList& r
   if (hedged) settle_loser(secondary, 1);
 
   if (!race->have_result) return false;
-  const Replica& won = race->winner == 0 ? primary : secondary;
-  breaker_success(won);
   if (race->winner == 1) farm_->hedge_wins.fetch_add(1, std::memory_order_relaxed);
   if (faulted) {
     // The primary FAILED (not merely lagged) and the hedge completed the
@@ -350,7 +276,6 @@ EpisodeResult FailoverBackend::execute(const EnvQuery& query) const {
     const Replica& replica = (*replicas)[candidates[c]];
     try {
       EpisodeResult result = replica.backend->execute(query);
-      breaker_success(replica);
       if (faulted) {
         // The episode died with one worker and completed on another —
         // deterministic per seed, so the result is the one the lost worker
@@ -361,7 +286,6 @@ EpisodeResult FailoverBackend::execute(const EnvQuery& query) const {
     } catch (...) {
       last = std::current_exception();
       faulted = true;
-      breaker_failure(replica);
       // Data-plane detection: don't wait for the heartbeat sweep to shun
       // this worker for the rest of the batch.
       farm_->report_fault(replica.worker);
@@ -427,7 +351,6 @@ void FarmController::publish_metrics() const {
   mirror("farm.backends_migrated", view.backends_migrated);
   mirror("farm.hedges", view.hedges);
   mirror("farm.hedge_wins", view.hedge_wins);
-  mirror("farm.breaker_trips", view.breaker_trips);
   // Reconnect/shed totals live on the backend rows / services, not in
   // FarmState; sum them across this controller's failover backends so the
   // registry carries the whole overload story in one place.
@@ -499,8 +422,7 @@ std::uint32_t FarmController::add_worker(std::shared_ptr<WorkerControl> control)
       // First worker advertising this kind: a fresh FailoverBackend enters
       // the router's LIVE BackendId space — late joiners extend the farm
       // without disturbing existing ids.
-      failover = std::make_shared<FailoverBackend>(info, state_, options_.hedge,
-                                                   options_.breaker);
+      failover = std::make_shared<FailoverBackend>(info, state_, options_.hedge);
       global = router_.register_backend(failover);
       backends_by_key_.emplace(key, global);
       failover_backends_.emplace(global, failover);

@@ -24,8 +24,9 @@ namespace atlas::env {
 ///
 /// `serving` answers heartbeats and takes traffic; `suspect` missed one (or a
 /// data-plane fault was reported) and is deprioritized but not abandoned;
-/// `dead` is removed from every FailoverBackend. Episodes are deterministic
-/// per seed, so anything lost with a worker is safely re-dispatched.
+/// `dead` is removed from every FailoverBackend. These states are the farm's
+/// only replica-health model. Episodes are deterministic per seed, so
+/// anything lost with a worker is safely re-dispatched.
 enum class WorkerState : std::uint8_t {
   kJoining = 0,
   kServing = 1,
@@ -37,7 +38,7 @@ enum class WorkerState : std::uint8_t {
 const char* to_string(WorkerState state) noexcept;
 
 /// Control-plane handle to one worker, transport-agnostic: the rpc layer
-/// adapts RemoteBackend's wire-v4 round-trips onto this
+/// adapts RemoteBackend's control-plane round-trips onto this
 /// (rpc/worker_control.hpp), and tests drive the controller with in-process
 /// fakes. All methods may throw (std::exception) on a sick worker; heartbeat
 /// failure IS the liveness signal.
@@ -70,7 +71,7 @@ struct HedgePolicy {
   /// distribution: once `min_samples` RTTs exist, an attempt that outlives
   /// this quantile of past episodes is probably stuck, and a second attempt
   /// is launched on the next candidate replica (first response wins; the
-  /// loser is cancelled via the wire-v4 kCancel).
+  /// loser is cancelled via the wire kCancel).
   double quantile = 0.95;
   std::uint64_t min_samples = 32;
   /// Clamp on the learned delay.
@@ -84,19 +85,6 @@ struct HedgePolicy {
   /// not rolled over, so a farm that idles across an RTT regime change (e.g.
   /// failover to a slower replica) never hedges on pre-idle numbers.
   double refresh_interval_ms = 1000.0;
-};
-
-/// Per-replica circuit breaker: closed -> open (after `failure_threshold`
-/// consecutive faults) -> half-open (one probe after `cooldown_ms`) ->
-/// closed on success / open again on failure. An open replica is skipped by
-/// candidate selection like a dead one (kept only as last resort), so a
-/// brown-out worker stops eating a timeout per episode long before the
-/// heartbeat machine declares it dead. Breakers only act on faults, so the
-/// fault-free path is bit-identical with them enabled.
-struct BreakerPolicy {
-  bool enabled = true;
-  std::uint32_t failure_threshold = 3;
-  double cooldown_ms = 250.0;
 };
 
 /// Shared farm counters. Owned jointly by the controller, every
@@ -118,7 +106,6 @@ class FarmState {
   std::atomic<std::uint64_t> backends_migrated{0};
   std::atomic<std::uint64_t> hedges{0};
   std::atomic<std::uint64_t> hedge_wins{0};
-  std::atomic<std::uint64_t> breaker_trips{0};
 
   FarmView view() const;
 
@@ -141,11 +128,15 @@ class FarmState {
 /// Replica selection: round-robin over serving replicas; suspect replicas
 /// are a fallback, dead ones are skipped. On a replica fault the episode is
 /// re-dispatched to the next candidate (deterministic per seed, so the
-/// result is identical) and `episodes_redispatched` counts it.
+/// result is identical) and `episodes_redispatched` counts it. The fault
+/// also marks the worker suspect at once (FarmState::report_fault), so the
+/// rest of the batch avoids it; the next heartbeat sweep clears or confirms
+/// the suspicion. A brown-out worker — episodes fail, heartbeats answer —
+/// therefore costs one failed attempt per sweep.
 class FailoverBackend final : public EnvBackend {
  public:
   FailoverBackend(WorkerBackendInfo descriptor, std::shared_ptr<FarmState> farm,
-                  HedgePolicy hedge = {}, BreakerPolicy breaker = {});
+                  HedgePolicy hedge = {});
 
   EpisodeResult execute(const EnvQuery& query) const override;
   BackendKind kind() const noexcept override { return descriptor_.kind; }
@@ -170,23 +161,12 @@ class FailoverBackend final : public EnvBackend {
   /// Current hedge delay in ms (<= 0 when hedging is off or not yet armed);
   /// exposed for tests.
   double hedge_delay_ms() const;
-  /// Circuit-breaker state of the replica on `worker`: 0 closed, 1 open,
-  /// 2 half-open; -1 when no replica for that worker exists.
-  int breaker_state(std::uint32_t worker) const;
 
  private:
-  /// Per-replica breaker cell; shared_ptr so replica-list snapshots keep one
-  /// stable cell per replica across copy-on-write membership updates.
-  struct Breaker {
-    std::atomic<std::uint32_t> consecutive_failures{0};
-    std::atomic<int> state{0};  ///< 0 closed, 1 open, 2 half-open
-    std::atomic<std::int64_t> opened_at_ns{0};
-  };
   struct Replica {
     std::shared_ptr<const EnvBackend> backend;
     std::uint32_t worker = 0;
     std::shared_ptr<const std::atomic<int>> health;
-    std::shared_ptr<Breaker> breaker;
   };
   using ReplicaList = std::vector<Replica>;
 
@@ -194,13 +174,10 @@ class FailoverBackend final : public EnvBackend {
     return replicas_.load(std::memory_order_acquire);
   }
 
-  /// Candidate replica indexes in dispatch order: serving (breaker closed)
-  /// first, round-robin rotated; then non-dead fallbacks; then, only if that
-  /// leaves nothing, everyone (a stale cell beats failing the episode).
+  /// Candidate replica indexes in dispatch order: serving first, round-robin
+  /// rotated; then non-dead fallbacks; then, only if that leaves nothing,
+  /// everyone (a stale cell beats failing the episode).
   std::vector<std::size_t> candidate_order(const ReplicaList& replicas) const;
-  bool breaker_allows(const Replica& replica) const;
-  void breaker_success(const Replica& replica) const;
-  void breaker_failure(const Replica& replica) const;
   /// Run candidates[0] and, if it outlives the hedge delay, candidates[1]
   /// concurrently; first response wins and the loser is cancelled. Returns
   /// false if every hedged attempt failed (caller falls back to the
@@ -212,7 +189,6 @@ class FailoverBackend final : public EnvBackend {
   WorkerBackendInfo descriptor_;
   std::shared_ptr<FarmState> farm_;
   HedgePolicy hedge_;
-  BreakerPolicy breaker_policy_;
   mutable std::mutex mutex_;  ///< Serializes membership writers.
   std::atomic<std::shared_ptr<const ReplicaList>> replicas_;
   mutable std::atomic<std::uint64_t> rr_{0};
@@ -232,10 +208,8 @@ struct FarmControllerOptions {
   /// Missed heartbeats before a serving worker turns suspect / dead.
   std::uint32_t suspect_after_misses = 1;
   std::uint32_t dead_after_misses = 3;
-  /// Tail-latency hedging and per-replica circuit breaking for every
-  /// FailoverBackend this controller creates.
+  /// Tail-latency hedging for every FailoverBackend this controller creates.
   HedgePolicy hedge;
-  BreakerPolicy breaker;
   /// Mirror farm counters into this registry as `farm.*` telemetry counters
   /// (e.g. a shard's metrics(), so JSON reports include the farm view).
   telemetry::MetricRegistry* metrics = nullptr;

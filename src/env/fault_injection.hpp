@@ -56,7 +56,7 @@ struct FaultRule {
 /// caller-supplied stream key, rule index) — no global RNG, no wall clock —
 /// so two same-seed runs inject the identical fault sequence regardless of
 /// thread interleaving. That determinism is what makes the chaos suite's
-/// shed/hedge/breaker counters reproducible.
+/// shed/hedge/redispatch counters reproducible.
 struct FaultPlan {
   std::uint64_t seed = 1;
   std::vector<FaultRule> rules;
@@ -146,7 +146,8 @@ class FaultInjector {
 /// Decorator that injects faults in front of any EnvBackend. Forwards name,
 /// kind, cost_hint and accepts_sim_params verbatim so the farm's equivalence
 /// digest (params_digest keys on those) cannot tell a faulty replica from a
-/// healthy one — exactly the adversary the breaker/hedging machinery faces.
+/// healthy one — exactly the adversary the farm's health states and hedging
+/// face.
 ///
 /// Fault semantics at this layer: kError and kDrop throw FaultInjectedError
 /// (a dropped query IS an error by the time the caller times out), kDelay

@@ -97,10 +97,9 @@ void WireReader::expect_done() const {
 
 namespace {
 
-void put_header(WireWriter& w, MsgType type, std::uint64_t request_id,
-                std::uint16_t version = kWireVersion) {
+void put_header(WireWriter& w, MsgType type, std::uint64_t request_id) {
   w.u32(kWireMagic);
-  w.u16(version);
+  w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(type));
   w.u64(request_id);
 }
@@ -195,15 +194,39 @@ env::FrameTrace get_trace(WireReader& r) {
   return t;
 }
 
-/// Element-count sanity bound: a count whose decoded size would exceed the
-/// frame cap is corruption, not data (prevents giant allocations from a
-/// flipped length byte).
-std::size_t checked_count(std::uint64_t n, std::size_t element_bytes, const char* what) {
-  if (n > kMaxFrameBytes / element_bytes) {
+// Smallest wire encoding of one list element: an empty string or list
+// costs its u32/u64 length field alone.
+constexpr std::size_t kHistogramBucketWireBytes = 4 + 8;  // u32 index, u64 count
+constexpr std::size_t kTraceWireBytes = 8 + 8 * 8;        // u64 id, 8 f64 stamps
+constexpr std::size_t kResultBodyMinBytes = 8 + 8 + 4 * 4 + 8;  // empty latency/trace lists
+constexpr std::size_t kMemoEntryMinBytes = 8 + 8 + kResultBodyMinBytes;  // empty key, cost
+constexpr std::size_t kBackendInfoMinBytes = 4 + 1 + 8 + 1 + 8;  // empty name
+constexpr std::size_t kHistogramMinBytes = 4 + 8;                // no buckets, sum
+constexpr std::size_t kBackendStatsMinBytes =
+    4 + 1 + 5 * 8 + 8 + 2 * 8 + kHistogramMinBytes + 3 * 8;  // empty name
+
+/// Element-count sanity bound: every element takes at least
+/// `min_wire_bytes`, so a count the rest of the frame cannot hold is
+/// corruption, not data. Checked before the decoder reserves anything, so a
+/// flipped length byte never turns into a giant allocation.
+std::size_t checked_count(const WireReader& r, std::uint64_t n, std::size_t min_wire_bytes,
+                          const char* what) {
+  if (n > r.remaining() / min_wire_bytes) {
     throw CodecError(std::string("rpc codec: implausible ") + what + " count " +
-                     std::to_string(n));
+                     std::to_string(n) + " (" + std::to_string(r.remaining()) +
+                     " bytes left)");
   }
   return static_cast<std::size_t>(n);
+}
+
+void put_backend_kind(WireWriter& w, env::BackendKind kind) {
+  w.u8(kind == env::BackendKind::kOnline ? 1 : 0);
+}
+
+env::BackendKind get_backend_kind(WireReader& r) {
+  const std::uint8_t raw = r.u8();
+  if (raw > 1) throw CodecError("rpc codec: bad backend kind " + std::to_string(raw));
+  return raw == 1 ? env::BackendKind::kOnline : env::BackendKind::kOffline;
 }
 
 /// Sparse histogram: u32 occupied-bucket count | (u32 index, u64 count)* |
@@ -222,7 +245,8 @@ void put_histogram(WireWriter& w, const telemetry::HistogramData& h) {
 }
 
 telemetry::HistogramData get_histogram(WireReader& r) {
-  const std::size_t occupied = checked_count(r.u32(), 12, "histogram bucket");
+  const std::size_t occupied =
+      checked_count(r, r.u32(), kHistogramBucketWireBytes, "histogram bucket");
   if (occupied == 0) {
     if (r.u64() != 0) throw CodecError("rpc codec: empty histogram with nonzero sum");
     return {};
@@ -254,7 +278,7 @@ void put_result_body(WireWriter& w, const env::EpisodeResult& result) {
 
 env::EpisodeResult get_result_body(WireReader& r) {
   env::EpisodeResult result;
-  const std::size_t latencies = checked_count(r.u64(), sizeof(double), "latency");
+  const std::size_t latencies = checked_count(r, r.u64(), sizeof(double), "latency");
   result.latencies_ms.reserve(latencies);
   for (std::size_t i = 0; i < latencies; ++i) result.latencies_ms.push_back(r.f64());
   result.frames_completed = static_cast<std::size_t>(r.u64());
@@ -262,7 +286,7 @@ env::EpisodeResult get_result_body(WireReader& r) {
   result.ul_tb_err = r.i32();
   result.dl_tb_total = r.i32();
   result.dl_tb_err = r.i32();
-  const std::size_t traces = checked_count(r.u64(), sizeof(env::FrameTrace), "trace");
+  const std::size_t traces = checked_count(r, r.u64(), kTraceWireBytes, "trace");
   result.traces.reserve(traces);
   for (std::size_t i = 0; i < traces; ++i) result.traces.push_back(get_trace(r));
   return result;
@@ -270,7 +294,7 @@ env::EpisodeResult get_result_body(WireReader& r) {
 
 void put_backend_info(WireWriter& w, const env::WorkerBackendInfo& info) {
   w.str(info.name);
-  w.u8(info.kind == env::BackendKind::kOnline ? 1 : 0);
+  put_backend_kind(w, info.kind);
   w.f64(info.cost_hint);
   w.boolean(info.accepts_sim_params);
   w.u64(info.params_digest);
@@ -279,7 +303,7 @@ void put_backend_info(WireWriter& w, const env::WorkerBackendInfo& info) {
 env::WorkerBackendInfo get_backend_info(WireReader& r) {
   env::WorkerBackendInfo info;
   info.name = r.str();
-  info.kind = r.u8() == 1 ? env::BackendKind::kOnline : env::BackendKind::kOffline;
+  info.kind = get_backend_kind(r);
   info.cost_hint = r.f64();
   info.accepts_sim_params = r.boolean();
   info.params_digest = r.u64();
@@ -295,7 +319,7 @@ void put_memo_entry(WireWriter& w, const env::MemoEntrySnapshot& entry) {
 
 env::MemoEntrySnapshot get_memo_entry(WireReader& r) {
   env::MemoEntrySnapshot entry;
-  const std::size_t key_len = checked_count(r.u64(), sizeof(double), "memo key");
+  const std::size_t key_len = checked_count(r, r.u64(), sizeof(double), "memo key");
   entry.key.reserve(key_len);
   for (std::size_t i = 0; i < key_len; ++i) entry.key.push_back(r.f64());
   entry.cost = r.f64();
@@ -309,17 +333,16 @@ void put_memo_list(WireWriter& w, const std::vector<env::MemoEntrySnapshot>& mem
 }
 
 std::vector<env::MemoEntrySnapshot> get_memo_list(WireReader& r) {
-  // Element floor: key length + cost + result scalar block.
-  const std::size_t n = checked_count(r.u64(), 64, "memo entry");
+  const std::size_t n = checked_count(r, r.u64(), kMemoEntryMinBytes, "memo entry");
   std::vector<env::MemoEntrySnapshot> memo;
   memo.reserve(n);
   for (std::size_t i = 0; i < n; ++i) memo.push_back(get_memo_entry(r));
   return memo;
 }
 
-void put_backend_stats(WireWriter& w, const env::BackendStats& b, std::uint16_t version) {
+void put_backend_stats(WireWriter& w, const env::BackendStats& b) {
   w.str(b.name);
-  w.u8(b.kind == env::BackendKind::kOnline ? 1 : 0);
+  put_backend_kind(w, b.kind);
   w.u64(b.queries);
   w.u64(b.cache_hits);
   w.u64(b.cache_misses);
@@ -329,17 +352,15 @@ void put_backend_stats(WireWriter& w, const env::BackendStats& b, std::uint16_t 
   w.u64(b.rpc_retries);
   w.u64(b.rpc_failures);
   put_histogram(w, b.rpc_rtt_ns);
-  if (version >= 5) {
-    w.u64(b.shedded);
-    w.u64(b.deadline_rejected);
-    w.u64(b.rpc_reconnects);
-  }
+  w.u64(b.shedded);
+  w.u64(b.deadline_rejected);
+  w.u64(b.rpc_reconnects);
 }
 
-env::BackendStats get_backend_stats(WireReader& r, std::uint16_t version) {
+env::BackendStats get_backend_stats(WireReader& r) {
   env::BackendStats b;
   b.name = r.str();
-  b.kind = r.u8() == 1 ? env::BackendKind::kOnline : env::BackendKind::kOffline;
+  b.kind = get_backend_kind(r);
   b.queries = r.u64();
   b.cache_hits = r.u64();
   b.cache_misses = r.u64();
@@ -349,11 +370,9 @@ env::BackendStats get_backend_stats(WireReader& r, std::uint16_t version) {
   b.rpc_retries = r.u64();
   b.rpc_failures = r.u64();
   b.rpc_rtt_ns = get_histogram(r);
-  if (version >= 5) {
-    b.shedded = r.u64();
-    b.deadline_rejected = r.u64();
-    b.rpc_reconnects = r.u64();
-  }
+  b.shedded = r.u64();
+  b.deadline_rejected = r.u64();
+  b.rpc_reconnects = r.u64();
   return b;
 }
 
@@ -367,56 +386,50 @@ env::RejectReason get_reject_reason(WireReader& r) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_query(std::uint64_t request_id, const env::EnvQuery& query,
-                                       std::uint16_t version) {
+std::vector<std::uint8_t> encode_query(std::uint64_t request_id, const env::EnvQuery& query) {
   WireWriter w;
-  put_header(w, MsgType::kQuery, request_id, version);
+  put_header(w, MsgType::kQuery, request_id);
   w.u32(query.backend);
   put_slice_config(w, query.config);
   put_workload(w, query.workload);
   w.boolean(query.sim_params.has_value());
   if (query.sim_params) put_sim_params(w, *query.sim_params);
   w.boolean(query.crn);
-  if (version >= 5) {
-    w.f64(query.deadline_ms);
-    w.u8(static_cast<std::uint8_t>(query.priority));
-  }
+  w.f64(query.deadline_ms);
+  w.u8(static_cast<std::uint8_t>(query.priority));
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_result(std::uint64_t request_id,
-                                        const env::EpisodeResult& result,
-                                        std::uint16_t version) {
+                                        const env::EpisodeResult& result) {
   WireWriter w;
-  put_header(w, MsgType::kResult, request_id, version);
+  put_header(w, MsgType::kResult, request_id);
   put_result_body(w, result);
   // Rejection rides only on served results, never in memo snapshots — a
   // rejected query produced no episode, so nothing of it is ever memoized.
-  if (version >= 5) w.u8(static_cast<std::uint8_t>(result.rejected));
+  w.u8(static_cast<std::uint8_t>(result.rejected));
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_error(std::uint64_t request_id, const std::string& message,
-                                       std::uint16_t version) {
+std::vector<std::uint8_t> encode_error(std::uint64_t request_id, const std::string& message) {
   WireWriter w;
-  put_header(w, MsgType::kError, request_id, version);
+  put_header(w, MsgType::kError, request_id);
   w.str(message);
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_stats_request(std::uint64_t request_id, std::uint16_t version) {
+std::vector<std::uint8_t> encode_stats_request(std::uint64_t request_id) {
   WireWriter w;
-  put_header(w, MsgType::kStatsRequest, request_id, version);
+  put_header(w, MsgType::kStatsRequest, request_id);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_stats_snapshot(std::uint64_t request_id,
-                                                const env::EnvServiceStats& stats,
-                                                std::uint16_t version) {
+                                                const env::EnvServiceStats& stats) {
   WireWriter w;
-  put_header(w, MsgType::kStatsSnapshot, request_id, version);
+  put_header(w, MsgType::kStatsSnapshot, request_id);
   w.u32(static_cast<std::uint32_t>(stats.backends.size()));
-  for (const auto& backend : stats.backends) put_backend_stats(w, backend, version);
+  for (const auto& backend : stats.backends) put_backend_stats(w, backend);
   w.u64(stats.offline_queries);
   w.u64(stats.online_queries);
   w.u64(stats.cache_hits);
@@ -425,10 +438,8 @@ std::vector<std::uint8_t> encode_stats_snapshot(std::uint64_t request_id,
   put_histogram(w, stats.query_latency_ns);
   put_histogram(w, stats.queue_depth);
   put_histogram(w, stats.rpc_service_ns);
-  if (version >= 5) {
-    w.u64(stats.shed_total);
-    w.u64(stats.deadline_rejected);
-  }
+  w.u64(stats.shed_total);
+  w.u64(stats.deadline_rejected);
   return w.take();
 }
 
@@ -438,49 +449,41 @@ FrameHeader decode_header(WireReader& reader) {
     throw CodecError("rpc codec: bad frame magic");
   }
   const std::uint16_t version = reader.u16();
-  if (version < kMinWireVersion || version > kWireVersion) {
-    throw CodecError("rpc codec: wire version mismatch (got " + std::to_string(version) +
-                     ", speak " + std::to_string(kMinWireVersion) + ".." +
-                     std::to_string(kWireVersion) + ")");
+  if (version != kWireVersion) {
+    throw CodecError("rpc codec: wire version mismatch (got v" + std::to_string(version) +
+                     ", speak only v" + std::to_string(kWireVersion) + ")");
   }
   const std::uint16_t type = reader.u16();
   if (type < static_cast<std::uint16_t>(MsgType::kQuery) ||
       type > static_cast<std::uint16_t>(MsgType::kCancel)) {
     throw CodecError("rpc codec: unknown message type " + std::to_string(type));
   }
-  if (type >= kFirstV4MsgType && version < 4) {
-    throw CodecError("rpc codec: v4 message type " + std::to_string(type) +
-                     " on a v" + std::to_string(version) + " frame");
-  }
   FrameHeader header;
   header.type = static_cast<MsgType>(type);
   header.request_id = reader.u64();
-  header.version = version;
   return header;
 }
 
-env::EnvQuery decode_query_body(WireReader& reader, std::uint16_t version) {
+env::EnvQuery decode_query_body(WireReader& reader) {
   env::EnvQuery query;
   query.backend = reader.u32();
   query.config = get_slice_config(reader);
   query.workload = get_workload(reader);
   if (reader.boolean()) query.sim_params = get_sim_params(reader);
   query.crn = reader.boolean();
-  if (version >= 5) {
-    query.deadline_ms = reader.f64();
-    const std::uint8_t priority = reader.u8();
-    if (priority > static_cast<std::uint8_t>(env::QueryPriority::kNormal)) {
-      throw CodecError("rpc codec: bad query priority " + std::to_string(priority));
-    }
-    query.priority = static_cast<env::QueryPriority>(priority);
+  query.deadline_ms = reader.f64();
+  const std::uint8_t priority = reader.u8();
+  if (priority > static_cast<std::uint8_t>(env::QueryPriority::kNormal)) {
+    throw CodecError("rpc codec: bad query priority " + std::to_string(priority));
   }
+  query.priority = static_cast<env::QueryPriority>(priority);
   reader.expect_done();
   return query;
 }
 
-env::EpisodeResult decode_result_body(WireReader& reader, std::uint16_t version) {
+env::EpisodeResult decode_result_body(WireReader& reader) {
   env::EpisodeResult result = get_result_body(reader);
-  if (version >= 5) result.rejected = get_reject_reason(reader);
+  result.rejected = get_reject_reason(reader);
   reader.expect_done();
   return result;
 }
@@ -574,7 +577,8 @@ env::WorkerAnnounce decode_announce_body(WireReader& reader) {
   announce.wire_version = reader.u16();
   announce.threads = reader.u32();
   announce.cache_capacity = reader.u64();
-  const std::size_t backends = checked_count(reader.u32(), 32, "announced backend");
+  const std::size_t backends =
+      checked_count(reader, reader.u32(), kBackendInfoMinBytes, "announced backend");
   announce.backends.reserve(backends);
   for (std::size_t i = 0; i < backends; ++i) announce.backends.push_back(get_backend_info(reader));
   reader.expect_done();
@@ -620,13 +624,12 @@ env::InstallResult decode_install_ack_body(WireReader& reader) {
   return result;
 }
 
-env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader, std::uint16_t version) {
+env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader) {
   env::EnvServiceStats stats;
-  const std::size_t backends = checked_count(reader.u32(), 64, "backend stats");
+  const std::size_t backends =
+      checked_count(reader, reader.u32(), kBackendStatsMinBytes, "backend stats");
   stats.backends.reserve(backends);
-  for (std::size_t i = 0; i < backends; ++i) {
-    stats.backends.push_back(get_backend_stats(reader, version));
-  }
+  for (std::size_t i = 0; i < backends; ++i) stats.backends.push_back(get_backend_stats(reader));
   stats.offline_queries = reader.u64();
   stats.online_queries = reader.u64();
   stats.cache_hits = reader.u64();
@@ -635,10 +638,8 @@ env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader, std::uint16_
   stats.query_latency_ns = get_histogram(reader);
   stats.queue_depth = get_histogram(reader);
   stats.rpc_service_ns = get_histogram(reader);
-  if (version >= 5) {
-    stats.shed_total = reader.u64();
-    stats.deadline_rejected = reader.u64();
-  }
+  stats.shed_total = reader.u64();
+  stats.deadline_rejected = reader.u64();
   reader.expect_done();
   return stats;
 }

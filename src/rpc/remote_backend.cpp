@@ -260,8 +260,8 @@ env::EnvServiceStats RemoteBackend::fetch_worker_stats() const {
       [](std::uint64_t id) { return encode_stats_request(id); }, MsgType::kStatsSnapshot,
       "stats request");
   WireReader reader(frame);
-  const FrameHeader header = decode_header(reader);
-  return decode_stats_snapshot_body(reader, header.version);
+  (void)decode_header(reader);
+  return decode_stats_snapshot_body(reader);
 }
 
 env::WorkerAnnounce RemoteBackend::hello() const {
@@ -444,7 +444,7 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
       if (header.type != MsgType::kResult) {
         throw CodecError("rpc client: unexpected response type");
       }
-      env::EpisodeResult result = decode_result_body(reader, header.version);
+      env::EpisodeResult result = decode_result_body(reader);
       const auto rtt = std::chrono::steady_clock::now() - rtt_start;
       rtt_.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(rtt).count()));

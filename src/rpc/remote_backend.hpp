@@ -138,10 +138,10 @@ class RemoteBackend final : public env::EnvBackend {
   /// Scrape the WORKER's own serving stats (per-backend counters + service
   /// telemetry) over the live connection — the farm-wide view a router
   /// cannot compute from client-side counters alone. Throws RpcError on
-  /// timeout or a worker that predates wire v3.
+  /// timeout or a worker that speaks another wire version.
   env::EnvServiceStats fetch_worker_stats() const;
 
-  // ---- farm control plane (wire v4; all throw RpcError on failure) ----------
+  // ---- farm control plane (all throw RpcError on failure) -------------------
 
   /// Ask the worker who it is: build, wire version, capacity, backends.
   env::WorkerAnnounce hello() const;

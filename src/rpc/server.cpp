@@ -91,15 +91,11 @@ void EpisodeRpcServer::serve(Transport& transport) {
     if (!got) break;  // clean EOF
 
     std::uint64_t request_id = 0;
-    std::uint16_t version = kWireVersion;
     env::EnvQuery query;
     try {
       WireReader reader(frame);
       const FrameHeader header = decode_header(reader);
       request_id = header.request_id;
-      // Replies are stamped with the REQUESTER's version, so a v3 peer keeps
-      // decoding everything it asked for against this v4 server.
-      version = header.version;
       switch (header.type) {
         case MsgType::kStatsRequest: {
           // Answered inline on the read thread: a stats scrape must not queue
@@ -107,7 +103,7 @@ void EpisodeRpcServer::serve(Transport& transport) {
           reader.expect_done();
           env::EnvServiceStats stats = service_.stats();
           stats.rpc_service_ns = service_time_.snapshot();
-          write_frame(encode_stats_snapshot(request_id, stats, version));
+          write_frame(encode_stats_snapshot(request_id, stats));
           continue;
         }
         case MsgType::kHello: {
@@ -156,14 +152,16 @@ void EpisodeRpcServer::serve(Transport& transport) {
           continue;  // fire-and-forget: cancel frames are never answered
         }
         case MsgType::kQuery:
-          query = decode_query_body(reader, header.version);
+          query = decode_query_body(reader);
           break;
         default:
           throw CodecError("episode-rpc server: unexpected message type " +
                            std::to_string(static_cast<std::uint16_t>(header.type)));
       }
     } catch (const std::exception& e) {
-      write_frame(encode_error(request_id, e.what(), version));
+      // A frame from another wire version fails here too: the error names
+      // the version mismatch, and the connection stays up.
+      write_frame(encode_error(request_id, e.what()));
       continue;
     }
 
@@ -182,7 +180,7 @@ void EpisodeRpcServer::serve(Transport& transport) {
     try {
       service_.pool().submit(
         [this, &write_frame, &is_cancelled, &done_mutex, &done_cv, &outstanding, request_id,
-         version, dispatched, q = std::move(query)]() mutable {
+         dispatched, q = std::move(query)]() mutable {
           if (!is_cancelled(request_id)) {
             const auto start = std::chrono::steady_clock::now();
             std::vector<std::uint8_t> response;
@@ -208,27 +206,17 @@ void EpisodeRpcServer::serve(Transport& transport) {
               } else {
                 result = service_.run(q);
               }
-              if (result.is_rejected() && version < 5) {
-                // Pre-v5 peers have no rejection field; fail loudly instead
-                // of handing them an empty "successful" episode.
-                response = encode_error(request_id,
-                                        std::string("query rejected by worker: ") +
-                                            env::to_string(result.rejected),
-                                        version);
-              } else {
-                response = encode_result(request_id, result, version);
-              }
+              response = encode_result(request_id, result);
               if (response.size() > kMaxFrameBytes) {
                 // The client must learn WHY there is no result — a silently
                 // dropped oversized frame reads as a timeout and gets retried.
                 response = encode_error(
                     request_id, "episode result too large for one frame (" +
                                     std::to_string(response.size()) + " bytes > " +
-                                    std::to_string(kMaxFrameBytes) + "); shorten the episode",
-                    version);
+                                    std::to_string(kMaxFrameBytes) + "); shorten the episode");
               }
             } catch (const std::exception& e) {
-              response = encode_error(request_id, e.what(), version);
+              response = encode_error(request_id, e.what());
             }
             const auto elapsed = std::chrono::steady_clock::now() - start;
             service_time_.record(static_cast<std::uint64_t>(
@@ -263,7 +251,7 @@ void EpisodeRpcServer::serve(Transport& transport) {
         --in_flight_;
         drain_cv_.notify_all();
       }
-      write_frame(encode_error(request_id, "worker failed to enqueue the episode", version));
+      write_frame(encode_error(request_id, "worker failed to enqueue the episode"));
     }
   }
 

@@ -25,7 +25,7 @@ struct RemoteWorkerOptions {
   std::function<std::unique_ptr<Transport>()> transport_factory;
 };
 
-/// The wire-v4 adapter putting one remote episode worker behind the
+/// The wire adapter putting one remote episode worker behind the
 /// transport-agnostic `env::WorkerControl` contract the FarmController
 /// drives. Control traffic (hello / heartbeat / memo export / install) rides
 /// a dedicated RemoteBackend connection, so a worker drowning in episodes
@@ -54,7 +54,7 @@ class RemoteWorkerControl final : public env::WorkerControl {
   RemoteLiveness liveness() const { return control_->liveness(); }
 
   /// Scrape the worker's OWN serving stats (per-backend counters + service
-  /// telemetry) — the wire-v3 stats snapshot, for per-worker reporting.
+  /// telemetry) — the wire stats snapshot, for per-worker reporting.
   env::EnvServiceStats worker_stats() const { return control_->fetch_worker_stats(); }
 
  private:

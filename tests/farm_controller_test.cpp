@@ -24,15 +24,21 @@ namespace {
 
 /// Deterministic fake data plane: the "episode" is derived from the query
 /// seed, and the whole worker can be switched to failing (execute throws)
-/// via the shared flag — the same flag its heartbeats honor.
+/// via the shared flag — the same flag its heartbeats honor. The brown-out
+/// flag fails episodes only, while heartbeats keep answering.
 class FakeBackend final : public ae::EnvBackend {
  public:
   FakeBackend(std::string name, std::shared_ptr<std::atomic<bool>> failing,
+              std::shared_ptr<std::atomic<bool>> brownout,
               std::shared_ptr<std::atomic<std::uint64_t>> executed)
-      : name_(std::move(name)), failing_(std::move(failing)), executed_(std::move(executed)) {}
+      : name_(std::move(name)),
+        failing_(std::move(failing)),
+        brownout_(std::move(brownout)),
+        executed_(std::move(executed)) {}
 
   ae::EpisodeResult execute(const ae::EnvQuery& query) const override {
     if (failing_->load()) throw std::runtime_error(name_ + ": worker down");
+    if (brownout_->load()) throw std::runtime_error(name_ + ": episode failed");
     executed_->fetch_add(1);
     ae::EpisodeResult result;
     result.latencies_ms = {static_cast<double>(query.workload.seed)};
@@ -46,6 +52,7 @@ class FakeBackend final : public ae::EnvBackend {
  private:
   std::string name_;
   std::shared_ptr<std::atomic<bool>> failing_;
+  std::shared_ptr<std::atomic<bool>> brownout_;
   std::shared_ptr<std::atomic<std::uint64_t>> executed_;
 };
 
@@ -54,7 +61,7 @@ class FakeWorker final : public ae::WorkerControl {
   explicit FakeWorker(std::string address, std::vector<ae::WorkerBackendInfo> backends)
       : address_(std::move(address)) {
     announce_.build = "fake-worker";
-    announce_.wire_version = 4;
+    announce_.wire_version = 5;
     announce_.backends = std::move(backends);
   }
 
@@ -95,10 +102,11 @@ class FakeWorker final : public ae::WorkerControl {
                                                      ae::BackendId remote_backend) override {
     return std::make_shared<FakeBackend>(info.name + "@" + address_ + "#" +
                                              std::to_string(remote_backend),
-                                         failing, executed);
+                                         failing, brownout, executed);
   }
 
   std::shared_ptr<std::atomic<bool>> failing = std::make_shared<std::atomic<bool>>(false);
+  std::shared_ptr<std::atomic<bool>> brownout = std::make_shared<std::atomic<bool>>(false);
   std::shared_ptr<std::atomic<std::uint64_t>> executed =
       std::make_shared<std::atomic<std::uint64_t>>(0);
   std::vector<ae::MemoEntrySnapshot> memo;  ///< what export_memo returns
@@ -247,10 +255,49 @@ TEST(FarmController, FaultedEpisodeRedispatchesAndMarksWorkerSuspect) {
     EXPECT_EQ(result.latencies_ms, std::vector<double>{static_cast<double>(100 + seed)});
   }
   const auto view = farm.router.stats().farm;
-  EXPECT_GE(view.episodes_redispatched, 1u);
+  // Exactly one attempt hit a: the fault demoted it to suspect without
+  // waiting for a heartbeat, so every later query went to b first.
+  EXPECT_EQ(view.episodes_redispatched, 1u);
   EXPECT_EQ(b->executed->load(), 8u);
-  // The data-plane fault demoted the worker without waiting for a heartbeat.
   EXPECT_EQ(farm.controller.worker_state(wa), ae::WorkerState::kSuspect);
+  EXPECT_EQ(farm.controller.worker_state(wb), ae::WorkerState::kServing);
+}
+
+TEST(FarmController, BrownOutWorkerCostsOneRedispatchPerHeartbeat) {
+  // A brown-out worker fails its episodes but answers its heartbeats. The
+  // controller's health states are the only thing that shuns it: the first
+  // failed attempt of a round marks it suspect, and the heartbeat sweep
+  // between rounds returns it to serving. So it costs exactly one failed
+  // attempt, one re-dispatch, per sweep, and every result still comes from
+  // the healthy worker.
+  Farm farm;
+  auto a = std::make_shared<FakeWorker>("a:1", std::vector{sim_info(7)});
+  auto b = std::make_shared<FakeWorker>("b:2", std::vector{sim_info(7)});
+  const auto wa = farm.controller.add_worker(a);
+  const auto wb = farm.controller.add_worker(b);
+  const auto backend = farm.controller.worker_backends(wa).at(0);
+  a->brownout->store(true);
+
+  constexpr std::uint64_t kRounds = 4;
+  constexpr std::uint64_t kQueriesPerRound = 8;
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (std::uint64_t i = 0; i < kQueriesPerRound; ++i) {
+      const std::uint64_t seed = 1000 + round * kQueriesPerRound + i;
+      const auto result = farm.router.run(query_with_seed(backend, seed));
+      EXPECT_EQ(result.latencies_ms, std::vector<double>{static_cast<double>(seed)});
+    }
+    EXPECT_EQ(farm.controller.worker_state(wa), ae::WorkerState::kSuspect) << "round " << round;
+    EXPECT_EQ(farm.router.stats().farm.episodes_redispatched, round + 1) << "round " << round;
+    farm.controller.poll_once();
+    EXPECT_EQ(farm.controller.worker_state(wa), ae::WorkerState::kServing) << "round " << round;
+  }
+
+  const auto view = farm.router.stats().farm;
+  EXPECT_EQ(view.episodes_redispatched, kRounds);
+  EXPECT_EQ(view.heartbeats_missed, 0u);
+  EXPECT_EQ(view.workers_lost, 0u);
+  EXPECT_EQ(b->executed->load(), kRounds * kQueriesPerRound);
+  EXPECT_EQ(a->executed->load(), 0u);
   EXPECT_EQ(farm.controller.worker_state(wb), ae::WorkerState::kServing);
 }
 

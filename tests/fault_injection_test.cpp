@@ -271,7 +271,7 @@ TEST(FaultInjectingBackend, HangIsUnblockedByCancellation) {
   ae::FaultInjectingBackend faulty(std::make_shared<SeedEchoBackend>(), injector);
 
   // A cancelled hang is a hedge loser, not a fault: EpisodeCancelled, so the
-  // breaker/health machinery upstream leaves the replica alone.
+  // farm's health machinery upstream leaves the replica alone.
   ae::CancelToken cancel{false};
   std::atomic<bool> cancelled{false};
   std::thread hung([&] {

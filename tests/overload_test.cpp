@@ -1,10 +1,10 @@
 // Overload-protection behavior under deterministic pressure: watermark load
-// shedding, deadline admission, hedged dispatch, and per-replica circuit
-// breakers. Companion to fault_injection_test.cpp in the `chaos` ctest
-// label; every scenario here is engineered to be schedule-independent (gated
-// backends, one-sided races, huge cooldowns), and the reproducibility tests
-// run each scenario twice and require IDENTICAL counters — that is the
-// chaos harness's acceptance bar.
+// shedding, deadline admission, and hedged dispatch. Companion to
+// fault_injection_test.cpp in the `chaos` ctest label; every scenario here is
+// engineered to be schedule-independent (gated backends, one-sided races),
+// and the reproducibility test runs its scenario twice and requires
+// IDENTICAL counters — that is the chaos harness's acceptance bar. Replica
+// health under faults is farm_controller_test.cpp's subject.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <chrono>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -102,23 +101,6 @@ class ParkedBackend final : public ae::EnvBackend {
 
  private:
   std::string name_ = "parked";
-};
-
-/// Replica fake that always fails — drives the circuit breaker.
-class FailingBackend final : public ae::EnvBackend {
- public:
-  ae::EpisodeResult execute(const ae::EnvQuery&) const override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    throw std::runtime_error("replica down");
-  }
-  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
-  const std::string& name() const noexcept override { return name_; }
-
-  int calls() const noexcept { return calls_.load(std::memory_order_relaxed); }
-
- private:
-  std::string name_ = "failing";
-  mutable std::atomic<int> calls_{0};
 };
 
 std::shared_ptr<std::atomic<int>> serving_health() {
@@ -362,7 +344,7 @@ TEST(OverloadHedging, SlowPrimaryIsHedgedAndTheLoserCancelled) {
   ae::HedgePolicy hedge;
   hedge.enabled = true;
   hedge.fallback_delay_ms = 5.0;  // no RTT samples yet: hedge after 5 ms
-  ae::FailoverBackend backend(sim_descriptor(), farm, hedge, ae::BreakerPolicy{});
+  ae::FailoverBackend backend(sim_descriptor(), farm, hedge);
   backend.add_replica(std::make_shared<ParkedBackend>(), 0, serving_health());
   backend.add_replica(std::make_shared<TaggedBackend>(2.0), 1, serving_health());
 
@@ -370,7 +352,7 @@ TEST(OverloadHedging, SlowPrimaryIsHedgedAndTheLoserCancelled) {
 
   // Round-robin starts at replica 0 (the parked one). It outlives the hedge
   // delay, the secondary answers, the primary is cancelled — and a
-  // cancellation is NOT a fault: breakers stay closed, nothing redispatched.
+  // cancellation is NOT a fault: nothing is redispatched.
   const auto result = backend.execute(query(0, 11));
   ASSERT_EQ(result.latencies_ms.size(), 1u);
   EXPECT_DOUBLE_EQ(result.latencies_ms[0], 2.0);  // the secondary's tag
@@ -378,9 +360,6 @@ TEST(OverloadHedging, SlowPrimaryIsHedgedAndTheLoserCancelled) {
   EXPECT_EQ(farm->hedges.load(), 1u);
   EXPECT_EQ(farm->hedge_wins.load(), 1u);
   EXPECT_EQ(farm->episodes_redispatched.load(), 0u);
-  EXPECT_EQ(farm->breaker_trips.load(), 0u);
-  EXPECT_EQ(backend.breaker_state(0), 0);  // closed
-  EXPECT_EQ(backend.breaker_state(1), 0);
 }
 
 namespace {
@@ -418,7 +397,7 @@ TEST(OverloadHedging, IdleFarmRefreshesAStaleHedgeDelayByWallClock) {
   hedge.fallback_delay_ms = 5.0;
   hedge.min_samples = 4;
   hedge.refresh_interval_ms = 20.0;  // "idle" is cheap to reach in a test
-  ae::FailoverBackend backend(sim_descriptor(), farm, hedge, ae::BreakerPolicy{});
+  ae::FailoverBackend backend(sim_descriptor(), farm, hedge);
   const auto replica = std::make_shared<ScriptedRttBackend>();
   backend.add_replica(replica, 0, serving_health());
 
@@ -448,7 +427,7 @@ TEST(OverloadHedging, FastPrimaryNeverHedges) {
   ae::HedgePolicy hedge;
   hedge.enabled = true;
   hedge.fallback_delay_ms = 200.0;  // far longer than an instant reply
-  ae::FailoverBackend backend(sim_descriptor(), farm, hedge, ae::BreakerPolicy{});
+  ae::FailoverBackend backend(sim_descriptor(), farm, hedge);
   backend.add_replica(std::make_shared<TaggedBackend>(1.0), 0, serving_health());
   backend.add_replica(std::make_shared<TaggedBackend>(2.0), 1, serving_health());
 
@@ -457,114 +436,6 @@ TEST(OverloadHedging, FastPrimaryNeverHedges) {
   }
   EXPECT_EQ(farm->hedges.load(), 0u);
   EXPECT_EQ(farm->hedge_wins.load(), 0u);
-}
-
-// ---- circuit breakers ------------------------------------------------------
-
-namespace {
-
-struct BreakerOutcome {
-  std::uint64_t trips = 0;
-  std::uint64_t redispatched = 0;
-  int primary_calls = 0;
-  int primary_state = -2;
-  int secondary_state = -2;
-  std::size_t completed = 0;
-
-  bool operator==(const BreakerOutcome&) const = default;
-};
-
-/// One full breaker scenario: a dead-on-arrival primary behind a healthy
-/// secondary, hedging off, cooldown far past the test horizon (no half-open
-/// nondeterminism). Returns every observable counter so the reproducibility
-/// test can compare two runs wholesale.
-BreakerOutcome run_breaker_scenario() {
-  const auto farm = std::make_shared<ae::FarmState>();
-  ae::BreakerPolicy breaker;
-  breaker.failure_threshold = 3;
-  breaker.cooldown_ms = 60000.0;
-  ae::FailoverBackend backend(sim_descriptor(), farm, ae::HedgePolicy{}, breaker);
-  const auto failing = std::make_shared<FailingBackend>();
-  backend.add_replica(failing, 0, serving_health());
-  backend.add_replica(std::make_shared<TaggedBackend>(2.0), 1, serving_health());
-
-  BreakerOutcome outcome;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const auto result = backend.execute(query(0, seed));
-    if (result.latencies_ms.size() == 1 && result.latencies_ms[0] == 2.0) ++outcome.completed;
-  }
-  outcome.trips = farm->breaker_trips.load();
-  outcome.redispatched = farm->episodes_redispatched.load();
-  outcome.primary_calls = failing->calls();
-  outcome.primary_state = backend.breaker_state(0);
-  outcome.secondary_state = backend.breaker_state(1);
-  return outcome;
-}
-
-}  // namespace
-
-TEST(OverloadBreakers, ConsecutiveFailuresOpenTheBreakerAndTrafficRoutesAround) {
-  const auto outcome = run_breaker_scenario();
-
-  // Round-robin alternates which replica leads. The primary leads on calls
-  // 1/3/5 and fails each time; the third failure trips the breaker open, and
-  // from then on candidate selection skips it entirely.
-  EXPECT_EQ(outcome.completed, 10u);      // every episode still succeeded
-  EXPECT_EQ(outcome.trips, 1u);           // opened exactly once
-  EXPECT_EQ(outcome.primary_calls, 3);    // never probed again (cooldown 60 s)
-  EXPECT_EQ(outcome.redispatched, 3u);    // one redispatch per primary failure
-  EXPECT_EQ(outcome.primary_state, 1);    // open
-  EXPECT_EQ(outcome.secondary_state, 0);  // closed
-}
-
-TEST(OverloadBreakers, HalfOpenProbeClosesTheBreakerOnSuccess) {
-  const auto farm = std::make_shared<ae::FarmState>();
-  ae::BreakerPolicy breaker;
-  breaker.failure_threshold = 1;  // one failure trips it
-  breaker.cooldown_ms = 5.0;      // probe slot arms quickly
-  ae::FailoverBackend backend(sim_descriptor(), farm, ae::HedgePolicy{}, breaker);
-
-  // The "flaky" primary: fails once, then recovers. Modeled as a replica
-  // whose health cell we leave serving while the breaker does the shunning.
-  class RecoveringBackend final : public ae::EnvBackend {
-   public:
-    ae::EpisodeResult execute(const ae::EnvQuery&) const override {
-      if (calls_.fetch_add(1, std::memory_order_relaxed) == 0) {
-        throw std::runtime_error("transient failure");
-      }
-      ae::EpisodeResult result;
-      result.latencies_ms = {1.0};
-      return result;
-    }
-    ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
-    const std::string& name() const noexcept override { return name_; }
-
-   private:
-    std::string name_ = "recovering";
-    mutable std::atomic<int> calls_{0};
-  };
-  backend.add_replica(std::make_shared<RecoveringBackend>(), 0, serving_health());
-  backend.add_replica(std::make_shared<TaggedBackend>(2.0), 1, serving_health());
-
-  (void)backend.execute(query(0, 1));  // primary fails -> trips -> secondary answers
-  ASSERT_EQ(backend.breaker_state(0), 1);
-  EXPECT_EQ(farm->breaker_trips.load(), 1u);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // cooldown elapses
-
-  // Round-robin leads with the SECONDARY on this call, so replica 0 merely
-  // wins the half-open CAS (it becomes a candidate, but the secondary
-  // answers first and its probe never runs — the claimed-probe case).
-  (void)backend.execute(query(0, 2));
-  EXPECT_EQ(backend.breaker_state(0), 2);  // half-open, probe still owed
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // probe window re-arms
-
-  // Now replica 0 leads: the stale half-open cell re-arms, the probe
-  // actually executes, succeeds, and the breaker closes.
-  (void)backend.execute(query(0, 3));
-  EXPECT_EQ(backend.breaker_state(0), 0);
-  EXPECT_EQ(farm->breaker_trips.load(), 1u);  // recovery is not another trip
 }
 
 // ---- golden guard: idle features change nothing ----------------------------
@@ -610,7 +481,7 @@ std::vector<ae::EnvQuery> golden_queries(ae::BackendId backend) {
 
 TEST(OverloadGolden, IdleFeaturesLeaveEpisodeResultsBitIdentical) {
   // The whole overload layer — watermarks armed, deadlines stamped, hedging
-  // and breakers enabled — must be invisible when nothing triggers: every
+  // enabled — must be invisible when nothing triggers: every
   // result bit-identical to a plain service's. This is the guard that lets
   // deployments enable the features without re-validating their science.
 
@@ -638,7 +509,7 @@ TEST(OverloadGolden, IdleFeaturesLeaveEpisodeResultsBitIdentical) {
     }
   }
 
-  // Hedging + breakers over two healthy same-params replicas: episodes are
+  // Hedging over two healthy same-params replicas: episodes are
   // deterministic per seed, so WHICH replica answers cannot matter, and a
   // hedge delay far past a local episode's runtime means none ever fires.
   {
@@ -646,7 +517,7 @@ TEST(OverloadGolden, IdleFeaturesLeaveEpisodeResultsBitIdentical) {
     ae::HedgePolicy hedge;
     hedge.enabled = true;
     hedge.fallback_delay_ms = 1000.0;
-    ae::FailoverBackend failover(sim_descriptor(), farm, hedge, ae::BreakerPolicy{});
+    ae::FailoverBackend failover(sim_descriptor(), farm, hedge);
     const auto make_sim = [] {
       return std::make_shared<ae::LocalBackend>(std::make_shared<ae::Simulator>(), "sim-0",
                                                 ae::BackendKind::kOffline);
@@ -660,17 +531,10 @@ TEST(OverloadGolden, IdleFeaturesLeaveEpisodeResultsBitIdentical) {
       ++i;
     }
     EXPECT_EQ(farm->hedges.load(), 0u);
-    EXPECT_EQ(farm->breaker_trips.load(), 0u);
   }
 }
 
 // ---- same-seed reproducibility (the chaos acceptance bar) ------------------
-
-TEST(ChaosReproducibility, BreakerScenarioProducesIdenticalCountersTwice) {
-  const auto first = run_breaker_scenario();
-  const auto second = run_breaker_scenario();
-  EXPECT_EQ(first, second);
-}
 
 TEST(ChaosReproducibility, FaultedServiceRunsProduceIdenticalOutcomes) {
   // End to end: an EnvService fronting a fault-injected simulator. Which

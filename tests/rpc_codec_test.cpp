@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rpc/codec.hpp"
@@ -113,6 +117,172 @@ ae::EpisodeResult roundtrip_result(const ae::EpisodeResult& r, std::uint64_t id)
   return ar::decode_result_body(reader);
 }
 
+// ---- pinned corpus: one fixed, fully populated message per type --------------
+//
+// Every encoded field is set explicitly (no struct defaults), so the frames
+// depend on the codec alone. They pin the wire layout byte for byte and seed
+// the mutation test.
+
+ae::SimParams pinned_sim_params() {
+  return {.baseline_loss_db = 40.25, .enb_noise_figure_db = 4.5, .ue_noise_figure_db = 8.75,
+          .backhaul_bw_mbps = 12.0, .backhaul_delay_ms = 3.5, .compute_time_ms = 1.25,
+          .loading_time_ms = -0.0};
+}
+
+ae::EpisodeResult pinned_result() {
+  return {.latencies_ms = {41.25, 57.5, -0.0},
+          .frames_completed = 3,
+          .ul_tb_total = 1200,
+          .ul_tb_err = 7,
+          .dl_tb_total = 900,
+          .dl_tb_err = 2,
+          .traces = {{.id = 17, .created_ms = 0.5, .sent_ms = 4.0, .ul_done_ms = 11.0,
+                      .edge_in_ms = 12.5, .compute_start_ms = 13.0, .compute_done_ms = 30.0,
+                      .enb_dl_ms = 31.5, .completed_ms = 41.75}},
+          .rejected = ae::RejectReason::kNone};
+}
+
+ae::BackendStats pinned_backend_stats(std::string name, ae::BackendKind kind,
+                                      std::uint64_t base) {
+  atlas::telemetry::HistogramData rtt;
+  for (std::uint64_t s = 0; s < base; ++s) rtt.record(100000 + s * 7919);
+  return {.name = std::move(name), .kind = kind, .queries = base + 40, .cache_hits = base + 20,
+          .cache_misses = base + 19, .crn_hits = base + 13, .episodes = base + 19,
+          .shedded = base + 1, .deadline_rejected = base + 3, .cost_hint = 1000.0,
+          .rpc_retries = base + 2, .rpc_failures = base, .rpc_reconnects = base + 4,
+          .rpc_rtt_ns = std::move(rtt)};
+}
+
+ae::EnvServiceStats pinned_stats() {
+  ae::EnvServiceStats stats;
+  stats.backends = {pinned_backend_stats("sim-0", ae::BackendKind::kOffline, 0),
+                    pinned_backend_stats("real-0", ae::BackendKind::kOnline, 5)};
+  stats.offline_queries = 120;
+  stats.online_queries = 7;
+  stats.cache_hits = 60;
+  stats.cache_misses = 67;
+  stats.crn_hits = 41;
+  stats.shed_total = 4;
+  stats.deadline_rejected = 2;
+  for (std::uint64_t s = 0; s < 20; ++s) stats.query_latency_ns.record(1000 + s * 997);
+  for (std::uint64_t s = 0; s < 10; ++s) stats.queue_depth.record(s % 5);
+  for (std::uint64_t s = 0; s < 6; ++s) stats.rpc_service_ns.record(500000 + s);
+  return stats;
+}
+
+ae::WorkerAnnounce pinned_announce() {
+  return {.build = "atlas-episode-worker", .wire_version = 5, .threads = 8,
+          .cache_capacity = 65536,
+          .backends = {{.name = "sim-0", .kind = ae::BackendKind::kOffline, .cost_hint = 1000.0,
+                        .accepts_sim_params = true, .params_digest = 0xDEADBEEFCAFEF00Dull},
+                       {.name = "real-0", .kind = ae::BackendKind::kOnline, .cost_hint = 1.0,
+                        .accepts_sim_params = false, .params_digest = 0}}};
+}
+
+ae::MemoEntrySnapshot pinned_memo_entry() {
+  return {.key = {0.0, 42.0, 7.5}, .result = pinned_result(), .cost = 1000.0};
+}
+
+ae::BackendInstallRequest pinned_install() {
+  return {.target_backend = -1,
+          .descriptor = {.name = "sim-migrated", .kind = ae::BackendKind::kOffline,
+                         .cost_hint = 1000.0, .accepts_sim_params = true, .params_digest = 77},
+          .sim_params = pinned_sim_params(),
+          .memo = {pinned_memo_entry()}};
+}
+
+/// The corpus: `pinned_frames()[i]` is the frame of message type i + 1.
+std::vector<std::vector<std::uint8_t>> pinned_frames() {
+  ae::EnvQuery query{
+      .backend = 3,
+      .config = {.bandwidth_ul = 12.5, .bandwidth_dl = 30.0, .mcs_offset_ul = 2.0,
+                 .mcs_offset_dl = 1.0, .backhaul_mbps = 80.0, .cpu_ratio = 0.75},
+      .workload = {.traffic = 2, .duration_ms = 60000.0, .distance_m = 25.0, .random_walk = true,
+                   .extra_users = 4, .collect_traces = true, .seed = 0x9E3779B97F4A7C15ull},
+      .sim_params = pinned_sim_params(),
+      .crn = true,
+      .deadline_ms = 1500.0,
+      .priority = ae::QueryPriority::kSpeculative};
+  // The second memo entry is the smallest one: empty key, empty result.
+  const std::vector<ae::MemoEntrySnapshot> memo = {
+      pinned_memo_entry(), {.key = {}, .result = {}, .cost = 1.0}};
+  return {
+      ar::encode_query(101, query),
+      ar::encode_result(102, pinned_result()),
+      ar::encode_error(103, "no such backend: 99"),
+      ar::encode_stats_request(104),
+      ar::encode_stats_snapshot(105, pinned_stats()),
+      ar::encode_hello(106),
+      ar::encode_announce(107, pinned_announce()),
+      ar::encode_heartbeat(108),
+      ar::encode_heartbeat_ack(109, {.outstanding = 3, .cache_entries = 1234, .episodes = 98765}),
+      ar::encode_memo_export(110, 2),
+      ar::encode_memo_snapshot(111, memo),
+      ar::encode_install_backend(112, pinned_install()),
+      ar::encode_install_ack(113, {.backend = 5, .imported = 999}),
+      ar::encode_cancel(114),
+  };
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Decode `frame` the way a server or client would, then encode the decoded
+/// message again under the same request id. Throws CodecError on a
+/// malformed frame.
+std::vector<std::uint8_t> reencode(const std::vector<std::uint8_t>& frame) {
+  ar::WireReader reader(frame);
+  const ar::FrameHeader header = ar::decode_header(reader);
+  const std::uint64_t id = header.request_id;
+  switch (header.type) {
+    case ar::MsgType::kQuery: return ar::encode_query(id, ar::decode_query_body(reader));
+    case ar::MsgType::kResult: return ar::encode_result(id, ar::decode_result_body(reader));
+    case ar::MsgType::kError: return ar::encode_error(id, ar::decode_error_body(reader));
+    case ar::MsgType::kStatsRequest: reader.expect_done(); return ar::encode_stats_request(id);
+    case ar::MsgType::kStatsSnapshot:
+      return ar::encode_stats_snapshot(id, ar::decode_stats_snapshot_body(reader));
+    case ar::MsgType::kHello: reader.expect_done(); return ar::encode_hello(id);
+    case ar::MsgType::kAnnounce: return ar::encode_announce(id, ar::decode_announce_body(reader));
+    case ar::MsgType::kHeartbeat: reader.expect_done(); return ar::encode_heartbeat(id);
+    case ar::MsgType::kHeartbeatAck:
+      return ar::encode_heartbeat_ack(id, ar::decode_heartbeat_ack_body(reader));
+    case ar::MsgType::kMemoExport:
+      return ar::encode_memo_export(id, ar::decode_memo_export_body(reader));
+    case ar::MsgType::kMemoSnapshot:
+      return ar::encode_memo_snapshot(id, ar::decode_memo_snapshot_body(reader));
+    case ar::MsgType::kInstallBackend:
+      return ar::encode_install_backend(id, ar::decode_install_backend_body(reader));
+    case ar::MsgType::kInstallAck:
+      return ar::encode_install_ack(id, ar::decode_install_ack_body(reader));
+    case ar::MsgType::kCancel: reader.expect_done(); return ar::encode_cancel(id);
+  }
+  throw std::logic_error("decode_header returned an unknown message type");
+}
+
+/// The CodecError message decoding `frame` raises, or "accepted".
+std::string decode_error_of(const std::vector<std::uint8_t>& frame) {
+  try {
+    (void)reencode(frame);
+  } catch (const ar::CodecError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+/// Overwrite `width` bytes at `at` with `value`, little-endian.
+void put_le(std::vector<std::uint8_t>& bytes, std::size_t at, std::size_t width,
+            std::uint64_t value) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
 }  // namespace
 
 TEST(RpcCodec, QueryRoundTripsBitIdentically) {
@@ -173,15 +343,6 @@ TEST(RpcCodec, ResultRoundTripsBitIdentically) {
   }
 }
 
-TEST(RpcCodec, ErrorRoundTrips) {
-  const auto frame = ar::encode_error(77, "no such backend");
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.type, ar::MsgType::kError);
-  EXPECT_EQ(header.request_id, 77u);
-  EXPECT_EQ(ar::decode_error_body(reader), "no such backend");
-}
-
 TEST(RpcCodec, TruncatedFramesAreRejected) {
   std::mt19937_64 rng(3);
   const auto frame = ar::encode_query(1, random_query(rng));
@@ -209,11 +370,13 @@ TEST(RpcCodec, CorruptedHeadersAreRejected) {
     ar::WireReader reader(bad);
     EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
   }
-  {  // future wire version
+  // One wire version: every other stamp, older or newer, is rejected.
+  for (const unsigned version : {0u, 3u, 4u, ar::kWireVersion + 1u, 0x7Fu}) {
     auto bad = good;
-    bad[4] = 0x7F;
+    bad[4] = static_cast<std::uint8_t>(version);  // u16 version after the u32 magic
+    bad[5] = 0;
     ar::WireReader reader(bad);
-    EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
+    EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError) << "version " << version;
   }
   {  // unknown message type
     auto bad = good;
@@ -233,34 +396,9 @@ TEST(RpcCodec, TrailingGarbageIsRejected) {
 }
 
 TEST(RpcCodec, StatsSnapshotRoundTrips) {
-  // Wire v3: a worker's EnvServiceStats — counters, per-backend rows, and the
+  // A worker's EnvServiceStats — counters, per-backend rows, and the
   // sparse-encoded serving histograms — must survive the trip exactly.
-  ae::EnvServiceStats stats;
-  stats.offline_queries = 120;
-  stats.online_queries = 7;
-  stats.cache_hits = 60;
-  stats.cache_misses = 67;
-  stats.crn_hits = 41;
-  for (int i = 0; i < 3; ++i) {
-    ae::BackendStats b;
-    b.name = "backend-" + std::to_string(i);
-    b.kind = i == 2 ? ae::BackendKind::kOnline : ae::BackendKind::kOffline;
-    b.queries = 40 + static_cast<std::uint64_t>(i);
-    b.cache_hits = 20;
-    b.cache_misses = 20;
-    b.crn_hits = 13;
-    b.episodes = 27;
-    b.cost_hint = i == 0 ? 1.0 : 1000.0;
-    b.rpc_retries = static_cast<std::uint64_t>(i);
-    b.rpc_failures = 0;
-    if (i == 1) {
-      for (int s = 0; s < 50; ++s) b.rpc_rtt_ns.record(100000 + s * 7919);
-    }
-    stats.backends.push_back(std::move(b));
-  }
-  for (int s = 0; s < 200; ++s) stats.query_latency_ns.record(1000 + s * 997);
-  for (int s = 0; s < 40; ++s) stats.queue_depth.record(static_cast<std::uint64_t>(s % 5));
-  for (int s = 0; s < 30; ++s) stats.rpc_service_ns.record(500000 + s);
+  const ae::EnvServiceStats stats = pinned_stats();
 
   const auto frame = ar::encode_stats_snapshot(42, stats);
   ar::WireReader reader(frame);
@@ -302,107 +440,11 @@ TEST(RpcCodec, EmptyStatsSnapshotRoundTrips) {
   EXPECT_EQ(back.total_queries(), 0u);
 }
 
-TEST(RpcCodec, StatsRequestIsHeaderOnly) {
-  const auto frame = ar::encode_stats_request(9);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.type, ar::MsgType::kStatsRequest);
-  EXPECT_EQ(header.request_id, 9u);
-  EXPECT_EQ(reader.remaining(), 0u);
-}
-
-TEST(RpcCodec, ImplausibleElementCountsAreRejectedNotAllocated) {
-  // A corrupted latency count must throw before the decoder tries to
-  // reserve terabytes.
-  ar::WireWriter w;
-  w.u32(ar::kWireMagic);
-  w.u16(ar::kWireVersion);
-  w.u16(static_cast<std::uint16_t>(ar::MsgType::kResult));
-  w.u64(1);                        // request id
-  w.u64(0xFFFFFFFFFFFFFFFFull);    // latency count
-  const auto frame = w.take();
-  ar::WireReader reader(frame);
-  (void)ar::decode_header(reader);
-  EXPECT_THROW((void)ar::decode_result_body(reader), ar::CodecError);
-}
-
-// ---- wire v4: cross-version compatibility -----------------------------------
-
-TEST(RpcCodec, V3StampedFramesStillDecodeOnAV4Build) {
-  // A v3 peer's frames must decode unchanged: the v3 bodies are a strict
-  // subset of v4 (and of v5), and decode_header surfaces the sender's
-  // version so a server can echo it on the reply AND hand it to the body
-  // decoder (the v5 fields exist only at v5).
-  std::mt19937_64 rng(0x33u);
-  const ae::EnvQuery q = random_query(rng);
-  const auto frame = ar::encode_query(17, q, /*version=*/3);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.version, 3u);
-  EXPECT_EQ(header.type, ar::MsgType::kQuery);
-  const ae::EnvQuery back = ar::decode_query_body(reader, header.version);
-  EXPECT_EQ(back.workload.seed, q.workload.seed);
-  // A v3 body carries no overload fields; they come back as the defaults.
-  EXPECT_EQ(back.deadline_ms, 0.0);
-  EXPECT_EQ(back.priority, ae::QueryPriority::kNormal);
-
-  const ae::EpisodeResult r = random_result(rng);
-  const auto reply = ar::encode_result(17, r, /*version=*/3);  // server echoes v3
-  ar::WireReader reply_reader(reply);
-  const auto reply_header = ar::decode_header(reply_reader);
-  EXPECT_EQ(reply_header.version, 3u);
-  const ae::EpisodeResult back_r = ar::decode_result_body(reply_reader, reply_header.version);
-  ASSERT_EQ(back_r.latencies_ms.size(), r.latencies_ms.size());
-  for (std::size_t i = 0; i < r.latencies_ms.size(); ++i) {
-    EXPECT_TRUE(same_bits(back_r.latencies_ms[i], r.latencies_ms[i]));
-  }
-  EXPECT_FALSE(back_r.is_rejected());
-}
-
-TEST(RpcCodec, V4OnlyMessageTypesAreRejectedOnV3Frames) {
-  // A farm-control frame stamped v3 is a protocol violation: the message
-  // type does not exist at that version.
-  for (const auto& frame : {ar::encode_hello(1), ar::encode_heartbeat(2), ar::encode_cancel(3),
-                            ar::encode_memo_export(4, 0)}) {
-    auto bad = frame;
-    bad[4] = 3;  // version u16 lives after the u32 magic
-    bad[5] = 0;
-    ar::WireReader reader(bad);
-    EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
-  }
-  // The same frames decode fine with their native v4 stamp.
-  const auto good = ar::encode_hello(1);
-  ar::WireReader reader(good);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.type, ar::MsgType::kHello);
-  EXPECT_EQ(header.version, ar::kWireVersion);
-}
-
-TEST(RpcCodec, VersionsBelowTheCompatibilityWindowAreRejected) {
-  std::mt19937_64 rng(0x22u);
-  auto frame = ar::encode_query(5, random_query(rng));
-  frame[4] = static_cast<std::uint8_t>(ar::kMinWireVersion - 1);
-  frame[5] = 0;
-  ar::WireReader reader(frame);
-  EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
-}
+// ---- farm control plane -----------------------------------------------------
 
 TEST(RpcCodec, AnnounceRoundTrips) {
-  ae::WorkerAnnounce announce;
-  announce.build = "atlas-episode-worker";
-  announce.wire_version = ar::kWireVersion;
-  announce.threads = 8;
-  announce.cache_capacity = 65536;
-  ae::WorkerBackendInfo sim;
-  sim.name = "sim-0";
-  sim.kind = ae::BackendKind::kOffline;
-  sim.cost_hint = 1000.0;
-  sim.accepts_sim_params = true;
-  sim.params_digest = 0xDEADBEEFCAFEF00Dull;
-  ae::WorkerBackendInfo real;
-  real.name = "real-0";
-  real.kind = ae::BackendKind::kOnline;
-  announce.backends = {sim, real};
+  const ae::WorkerAnnounce announce = pinned_announce();
+  const ae::WorkerBackendInfo& sim = announce.backends[0];
 
   const auto frame = ar::encode_announce(42, announce);
   ar::WireReader reader(frame);
@@ -422,20 +464,6 @@ TEST(RpcCodec, AnnounceRoundTrips) {
   EXPECT_EQ(back.backends[0].params_digest, sim.params_digest);
   EXPECT_EQ(back.backends[0].equivalence_key(), sim.equivalence_key());
   EXPECT_EQ(back.backends[1].kind, ae::BackendKind::kOnline);
-}
-
-TEST(RpcCodec, HeartbeatAckRoundTrips) {
-  ae::WorkerHealth health;
-  health.outstanding = 3;
-  health.cache_entries = 1234;
-  health.episodes = 98765;
-  const auto frame = ar::encode_heartbeat_ack(7, health);
-  ar::WireReader reader(frame);
-  EXPECT_EQ(ar::decode_header(reader).type, ar::MsgType::kHeartbeatAck);
-  const ae::WorkerHealth back = ar::decode_heartbeat_ack_body(reader);
-  EXPECT_EQ(back.outstanding, 3u);
-  EXPECT_EQ(back.cache_entries, 1234u);
-  EXPECT_EQ(back.episodes, 98765u);
 }
 
 TEST(RpcCodec, MemoSnapshotRoundTripsBitIdentically) {
@@ -473,21 +501,8 @@ TEST(RpcCodec, MemoSnapshotRoundTripsBitIdentically) {
 }
 
 TEST(RpcCodec, InstallBackendRoundTrips) {
-  std::mt19937_64 rng(0x5555u);
-  ae::BackendInstallRequest request;
-  request.target_backend = -1;  // fresh install, not a memo-merge
-  request.descriptor.name = "sim-migrated";
-  request.descriptor.kind = ae::BackendKind::kOffline;
-  request.descriptor.accepts_sim_params = true;
-  request.descriptor.params_digest = 77;
-  ae::SimParams params;
-  params.backhaul_delay_ms = random_double(rng);
-  params.compute_time_ms = random_double(rng);
-  request.sim_params = params;
-  ae::MemoEntrySnapshot entry;
-  entry.key = {0.0, random_double(rng)};
-  entry.result = random_result(rng);
-  request.memo.push_back(std::move(entry));
+  const ae::BackendInstallRequest request = pinned_install();  // fresh install
+  const ae::SimParams& params = *request.sim_params;
 
   const auto frame = ar::encode_install_backend(11, request);
   ar::WireReader reader(frame);
@@ -514,21 +529,7 @@ TEST(RpcCodec, InstallBackendRoundTrips) {
   EXPECT_TRUE(merge_back.memo.empty());
 }
 
-TEST(RpcCodec, InstallAckAndMemoExportRoundTrip) {
-  const auto ack = ar::encode_install_ack(3, ae::InstallResult{.backend = 5, .imported = 999});
-  ar::WireReader ack_reader(ack);
-  EXPECT_EQ(ar::decode_header(ack_reader).type, ar::MsgType::kInstallAck);
-  const ae::InstallResult back = ar::decode_install_ack_body(ack_reader);
-  EXPECT_EQ(back.backend, 5u);
-  EXPECT_EQ(back.imported, 999u);
-
-  const auto exp = ar::encode_memo_export(4, 9);
-  ar::WireReader exp_reader(exp);
-  EXPECT_EQ(ar::decode_header(exp_reader).type, ar::MsgType::kMemoExport);
-  EXPECT_EQ(ar::decode_memo_export_body(exp_reader), 9u);
-}
-
-// ---- wire v5: overload-protection fields ------------------------------------
+// ---- overload-protection fields ---------------------------------------------
 
 TEST(RpcCodec, V5QueryCarriesDeadlineAndPriority) {
   std::mt19937_64 rng(0x5005u);
@@ -554,36 +555,10 @@ TEST(RpcCodec, V5ResultCarriesRejectReason) {
   // An out-of-range reject reason byte is a protocol violation, not UB.
   ae::EpisodeResult r;
   auto frame = ar::encode_result(3, r);
-  frame.back() = 0x7F;  // the reject-reason u8 is the final body byte at v5
+  frame.back() = 0x7F;  // the reject-reason u8 is the final body byte
   ar::WireReader reader(frame);
   (void)ar::decode_header(reader);
   EXPECT_THROW((void)ar::decode_result_body(reader), ar::CodecError);
-}
-
-TEST(RpcCodec, V4StampedFramesDecodeWithDefaultOverloadFields) {
-  // A v4 peer (previous release) sends shorter bodies; a v5 build must
-  // decode them with the overload fields defaulted, and must emit
-  // v4-truncated bodies when echoing that peer's version.
-  std::mt19937_64 rng(0x4455u);
-  ae::EnvQuery q = random_query(rng);
-  q.deadline_ms = 1234.5;                       // must NOT survive a v4 trip
-  q.priority = ae::QueryPriority::kSpeculative;  // ditto
-  const auto frame = ar::encode_query(21, q, /*version=*/4);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.version, 4u);
-  const ae::EnvQuery back = ar::decode_query_body(reader, header.version);
-  EXPECT_EQ(back.workload.seed, q.workload.seed);
-  EXPECT_EQ(back.deadline_ms, 0.0);
-  EXPECT_EQ(back.priority, ae::QueryPriority::kNormal);
-
-  const ae::EpisodeResult r = random_result(rng);
-  const auto reply = ar::encode_result(21, r, /*version=*/4);
-  ar::WireReader reply_reader(reply);
-  const auto reply_header = ar::decode_header(reply_reader);
-  const ae::EpisodeResult back_r = ar::decode_result_body(reply_reader, reply_header.version);
-  EXPECT_EQ(back_r.frames_completed, r.frames_completed);
-  EXPECT_FALSE(back_r.is_rejected());
 }
 
 TEST(RpcCodec, V5StatsSnapshotCarriesOverloadCounters) {
@@ -601,8 +576,8 @@ TEST(RpcCodec, V5StatsSnapshotCarriesOverloadCounters) {
 
   const auto frame = ar::encode_stats_snapshot(8, stats);
   ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  const ae::EnvServiceStats back = ar::decode_stats_snapshot_body(reader, header.version);
+  (void)ar::decode_header(reader);
+  const ae::EnvServiceStats back = ar::decode_stats_snapshot_body(reader);
   EXPECT_EQ(back.shed_total, 4u);
   EXPECT_EQ(back.deadline_rejected, 2u);
   ASSERT_EQ(back.backends.size(), 1u);
@@ -610,22 +585,214 @@ TEST(RpcCodec, V5StatsSnapshotCarriesOverloadCounters) {
   EXPECT_EQ(back.backends[0].deadline_rejected, 1u);
   EXPECT_EQ(back.backends[0].rpc_reconnects, 7u);
   EXPECT_EQ(back.backends[0].rejected(), 4u);
-
-  // The same snapshot at v4 drops the counters (shorter body, no garbage).
-  const auto v4_frame = ar::encode_stats_snapshot(8, stats, /*version=*/4);
-  ar::WireReader v4_reader(v4_frame);
-  const auto v4_header = ar::decode_header(v4_reader);
-  const ae::EnvServiceStats v4_back = ar::decode_stats_snapshot_body(v4_reader, v4_header.version);
-  EXPECT_EQ(v4_back.shed_total, 0u);
-  EXPECT_EQ(v4_back.backends[0].shedded, 0u);
-  EXPECT_EQ(v4_back.backends[0].queries, 10u);
 }
 
-TEST(RpcCodec, CancelIsHeaderOnly) {
-  const auto frame = ar::encode_cancel(0xABCDEF);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.type, ar::MsgType::kCancel);
-  EXPECT_EQ(header.request_id, 0xABCDEFu);
-  EXPECT_EQ(reader.remaining(), 0u);
+// ---- frame pins: the v5 layout, byte for byte --------------------------------
+
+TEST(RpcCodec, FrameBytesArePinnedForEveryMessageType) {
+  // FNV-1a of the corpus frame of each message type, in type order. The
+  // values were captured from the v5 encoder; a change here is a wire-format
+  // change and needs a kWireVersion bump. Each frame must also decode to a
+  // message that re-encodes to the same bytes: with the encoder pinned, that
+  // proves every decoded field lands where the encoder wrote it.
+  const std::vector<std::uint64_t> pinned = {
+      0x0457add6a8db7be8ull,  // kQuery
+      0x3b114cbe53939e7dull,  // kResult
+      0x03ca2cbf84ac200dull,  // kError
+      0x330ab8ce37ae247aull,  // kStatsRequest
+      0x38c126eb40be050cull,  // kStatsSnapshot
+      0xbd19895ebe9184aaull,  // kHello
+      0xb0281fa0737a136dull,  // kAnnounce
+      0xade27a8640907d92ull,  // kHeartbeat
+      0x16bb9aa5d88107acull,  // kHeartbeatAck
+      0xb420c780aa00e8c0ull,  // kMemoExport
+      0x8c6ae4f13bb9c5bbull,  // kMemoSnapshot
+      0xfdca707e20db4f8eull,  // kInstallBackend
+      0x4612a492f47bf691ull,  // kInstallAck
+      0xfcb5453db8e7d77aull,  // kCancel
+  };
+  const auto frames = pinned_frames();
+  ASSERT_EQ(frames.size(), pinned.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ar::WireReader reader(frames[i]);
+    EXPECT_EQ(static_cast<std::size_t>(ar::decode_header(reader).type), i + 1);
+    EXPECT_EQ(fnv1a(frames[i]), pinned[i]) << "message type " << i + 1 << " hashes to 0x"
+                                           << std::hex << fnv1a(frames[i]);
+    EXPECT_EQ(reencode(frames[i]), frames[i]) << "message type " << i + 1;
+  }
+}
+
+// ---- untrusted counts and enum bytes -----------------------------------------
+
+TEST(RpcCodec, ElementCountsAreBoundedByTheBytesLeftInTheFrame) {
+  // Frames of empty messages with one list count overwritten: each is a few
+  // dozen bytes but claims a list that would take tens of megabytes (or, for
+  // the last, exabytes) to hold. The count alone must reject it, before the
+  // decoder reserves anything.
+  struct Lie {
+    const char* what;
+    std::vector<std::uint8_t> frame;
+    std::size_t count_at;
+    std::size_t width;
+    std::uint64_t count;
+  };
+  // The install-backend, memo and announce counts are each frame's last field.
+  const auto install = ar::encode_install_backend(1, {});
+  const auto memo = ar::encode_memo_snapshot(1, {});
+  const auto announce = ar::encode_announce(1, {});
+  const std::vector<Lie> lies = {
+      {"install-backend memo", install, install.size() - 8, 8, 1u << 20},
+      {"memo snapshot", memo, memo.size() - 8, 8, 1u << 20},
+      {"announced backends", announce, announce.size() - 4, 4, 2u << 20},
+      {"stats snapshot rows", ar::encode_stats_snapshot(1, {}), 16, 4, 1u << 20},
+      {"result latencies", ar::encode_result(1, {}), 16, 8, 8u << 20},
+      {"result latencies", ar::encode_result(1, {}), 16, 8, ~0ull},
+  };
+  for (Lie lie : lies) {
+    put_le(lie.frame, lie.count_at, lie.width, lie.count);
+    const std::string error = decode_error_of(lie.frame);
+    EXPECT_NE(error.find("implausible"), std::string::npos)
+        << lie.what << " (" << lie.frame.size() << " bytes): " << error;
+  }
+}
+
+TEST(RpcCodec, SmallestListElementsStillRoundTrip) {
+  // The count bound divides by each element's smallest encoding, so elements
+  // of exactly that size must still decode: memo entries with an empty key
+  // and an empty result (56 bytes) and backends with an empty name (22).
+  const std::vector<ae::MemoEntrySnapshot> memo(3);
+  const auto memo_frame = ar::encode_memo_snapshot(1, memo);
+  EXPECT_EQ(memo_frame.size(), 16u + 8u + 3u * 56u);
+  EXPECT_EQ(reencode(memo_frame), memo_frame);
+
+  ae::WorkerAnnounce announce;
+  announce.backends.resize(4);
+  const auto announce_frame = ar::encode_announce(2, announce);
+  EXPECT_EQ(announce_frame.size(), 16u + 4u + 2u + 4u + 8u + 4u + 4u * 22u);
+  EXPECT_EQ(reencode(announce_frame), announce_frame);
+
+  ae::EnvServiceStats stats;
+  stats.backends.resize(2);
+  const auto stats_frame = ar::encode_stats_snapshot(3, stats);
+  EXPECT_EQ(reencode(stats_frame), stats_frame);
+}
+
+TEST(RpcCodec, UnknownBackendKindBytesAreRejected) {
+  // One flipped bit turns kind 1 (online) into 3. Read as offline, a metered
+  // real-network backend would be memoized like a simulator.
+  ae::WorkerAnnounce announce;
+  announce.backends.resize(1);
+  announce.backends[0].kind = ae::BackendKind::kOnline;
+  auto frame = ar::encode_announce(1, announce);
+  // Header, empty build, wire_version, threads, capacity, count, empty name.
+  const std::size_t announce_kind_at = 16 + 4 + 2 + 4 + 8 + 4 + 4;
+  ASSERT_EQ(frame.at(announce_kind_at), 1u);
+  frame[announce_kind_at] ^= 0x02;
+  EXPECT_NE(decode_error_of(frame).find("backend kind"), std::string::npos)
+      << decode_error_of(frame);
+
+  ae::EnvServiceStats stats;
+  stats.backends.resize(1);
+  stats.backends[0].kind = ae::BackendKind::kOnline;
+  auto stats_frame = ar::encode_stats_snapshot(2, stats);
+  const std::size_t row_kind_at = 16 + 4 + 4;  // header, row count, empty name
+  ASSERT_EQ(stats_frame.at(row_kind_at), 1u);
+  stats_frame[row_kind_at] ^= 0x02;
+  EXPECT_NE(decode_error_of(stats_frame).find("backend kind"), std::string::npos)
+      << decode_error_of(stats_frame);
+}
+
+// ---- deterministic wire mutation ---------------------------------------------
+
+namespace {
+
+/// Tally of decoding mutated frames. A decode must end in a CodecError or in
+/// a message whose re-encoding decodes back to the same bytes; anything else
+/// (another exception type, an unstable round trip) is a finding.
+struct MutationTally {
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  std::size_t findings = 0;
+  std::string first_finding;
+
+  void judge(const std::vector<std::uint8_t>& frame, std::size_t type, const char* kind,
+             std::size_t detail) {
+    std::string finding;
+    try {
+      const auto once = reencode(frame);
+      try {
+        if (reencode(once) == once) {
+          ++accepted;
+          return;
+        }
+        finding = "re-encoding does not round-trip";
+      } catch (const std::exception& e) {
+        finding = std::string("re-encoding fails to decode: ") + e.what();
+      }
+    } catch (const ar::CodecError&) {
+      ++rejected;
+      return;
+    } catch (const std::exception& e) {
+      finding = std::string("non-codec exception: ") + e.what();
+    }
+    if (findings++ == 0) {
+      first_finding = "type " + std::to_string(type) + ", " + kind + " " +
+                      std::to_string(detail) + ": " + finding;
+    }
+  }
+};
+
+/// Values a lying count or length field might carry, given `left` bytes from
+/// the field to the end of the frame.
+std::vector<std::uint64_t> length_lies(std::size_t left) {
+  return {0,          1,           0x7F,         0xFFFFFFFFFFFFFFFFull, 0x80000000ull,
+          1ull << 20, left,        left / 8 + 1, left / 4};
+}
+
+}  // namespace
+
+TEST(RpcCodec, SeededWireMutationsFailCleanlyOrRoundTrip) {
+  // The pinned frames as a seeded corpus: every proper prefix, every single
+  // bit flip, a lying 4- or 8-byte field at every offset, and seeded
+  // duplicated byte runs. Run under ASan+UBSan this also proves no mutation
+  // reads out of bounds or reserves an absurd buffer.
+  std::mt19937_64 rng(0x5EEDC0DEu);
+  MutationTally tally;
+  const auto corpus = pinned_frames();
+  for (std::size_t t = 0; t < corpus.size(); ++t) {
+    const std::vector<std::uint8_t>& seed = corpus[t];
+    const std::size_t type = t + 1;
+    const std::size_t n = seed.size();
+
+    for (std::size_t keep = 0; keep < n; ++keep) {
+      tally.judge({seed.begin(), seed.begin() + static_cast<std::ptrdiff_t>(keep)}, type,
+                  "truncation to", keep);
+    }
+    for (std::size_t bit = 0; bit < n * 8; ++bit) {
+      auto mutated = seed;
+      mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      tally.judge(mutated, type, "bit flip", bit);
+    }
+    for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
+      for (std::size_t at = 0; at + width <= n; ++at) {
+        for (const std::uint64_t lie : length_lies(n - at)) {
+          auto mutated = seed;
+          put_le(mutated, at, width, lie);
+          tally.judge(mutated, type, "length lie at", at);
+        }
+      }
+    }
+    for (std::size_t rep = 0; rep < 1000; ++rep) {
+      const std::size_t start = rng() % n;
+      const std::size_t len = 1 + rng() % std::min<std::size_t>(32, n - start);
+      auto mutated = seed;
+      const auto run = seed.begin() + static_cast<std::ptrdiff_t>(start);
+      mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(start + len), run,
+                     run + static_cast<std::ptrdiff_t>(len));
+      tally.judge(mutated, type, "duplicated run at", start);
+    }
+  }
+  EXPECT_EQ(tally.findings, 0u) << tally.first_finding;
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(tally.accepted, 0u);
 }

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <latch>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -122,7 +123,7 @@ TEST(RpcLoopback, RttHistogramAndWorkerStatsScrape) {
   EXPECT_EQ(stats.rpc_rtt_ns.count(), 4u);
   EXPECT_GT(stats.rpc_rtt_ns.quantile(0.5), 0u);
 
-  // Worker side: the wire-v3 stats scrape reports the worker's OWN metering —
+  // Worker side: the stats scrape reports the worker's OWN metering —
   // per-backend counters plus the server's service-time histogram.
   const ae::EnvServiceStats scraped = backend->fetch_worker_stats();
   ASSERT_EQ(scraped.backends.size(), 1u);
@@ -434,7 +435,7 @@ TEST(RpcShardRouter, MixesLocalAndRemoteShards) {
   EXPECT_EQ(stats.backends[1].rpc_failures, 0u);
 }
 
-// ---- wire v4: farm control plane over the full RPC path ---------------------
+// ---- farm control plane over the full RPC path -----------------------------
 
 TEST(RpcLoopback, ControlPlaneHelloHeartbeatAndMemoExport) {
   LoopbackWorker worker;
@@ -568,4 +569,47 @@ TEST(RpcLoopback, CancelledRequestIsDroppedWithoutAResponse) {
   serve.join();
   EXPECT_EQ(worker.server.cancelled_total(), 1u);
   EXPECT_EQ(worker.service.backend_stats(0).episodes, 1u) << "only request 8 executed";
+}
+
+TEST(RpcLoopback, OtherWireVersionIsRejectedAndTheConnectionKeepsServing) {
+  // A v4 peer's query: the v5 frame stamped version 4, without the 9 bytes v5
+  // appended (f64 deadline, u8 priority). The worker speaks v5 only, so it
+  // answers with an error naming the version instead of running the episode,
+  // and the next v5 query on the same connection is served as usual.
+  LoopbackWorker worker;
+  auto [client_end, server_end] = ar::make_loopback_pair();
+  std::shared_ptr<ar::Transport> remote{std::move(server_end)};
+  std::thread serve([&worker, remote] { worker.server.serve(*remote); });
+
+  auto v4_query = ar::encode_query(7, query(0, 70));
+  v4_query[4] = 4;  // u16 version after the u32 magic
+  v4_query[5] = 0;
+  v4_query.resize(v4_query.size() - 9);
+  client_end->send(v4_query);
+
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(client_end->recv(frame));
+  {
+    ar::WireReader reader(frame);
+    ASSERT_EQ(ar::decode_header(reader).type, ar::MsgType::kError);
+    const std::string message = ar::decode_error_body(reader);
+    EXPECT_NE(message.find("version"), std::string::npos) << message;
+    EXPECT_NE(message.find("v4"), std::string::npos) << message;
+  }
+
+  client_end->send(ar::encode_query(8, query(0, 80)));
+  ASSERT_TRUE(client_end->recv(frame));
+  {
+    ar::WireReader reader(frame);
+    const auto header = ar::decode_header(reader);
+    EXPECT_EQ(header.type, ar::MsgType::kResult);
+    EXPECT_EQ(header.request_id, 8u);
+    ae::Simulator direct;
+    EXPECT_EQ(ar::decode_result_body(reader).latencies_ms,
+              direct.run(ae::SliceConfig{}, query(0, 80).workload).latencies_ms);
+  }
+
+  client_end->close();
+  serve.join();
+  EXPECT_EQ(worker.service.backend_stats(0).episodes, 1u) << "only the v5 query executed";
 }

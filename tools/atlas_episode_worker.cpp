@@ -166,7 +166,7 @@ int run_worker(const WorkerOptions& options) {
   server_options.port = options.port;
   server_options.drain_timeout_ms = options.drain_timeout_ms;
   atlas::rpc::EpisodeRpcServer server(service, server_options);
-  // Announce the placement fingerprint (wire v4): same flags -> same digest
+  // Announce the placement fingerprint: same flags -> same digest
   // -> a FarmController groups this worker's simulators with its peers'.
   for (int i = 0; i < options.simulators; ++i) {
     server.set_backend_digest(static_cast<atlas::env::BackendId>(i),

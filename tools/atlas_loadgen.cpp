@@ -52,10 +52,10 @@
 // farm of --workers episode workers, wrap --faulty-fraction of them in a
 // FaultInjectingBackend driven by the (seeded, deterministic) FaultPlan, and
 // run the SAME load plan twice — fault-free and faulted — writing
-// BENCH_degradation.json with goodput, shed rate, hedge-win rate, breaker
-// trips, and latency quantiles for both, plus the goodput ratio. Hedging and
-// circuit breakers are enabled for both runs so the comparison measures the
-// overload machinery, not its absence.
+// BENCH_degradation.json with goodput, shed rate, hedge-win rate, re-dispatch
+// count, and latency quantiles for both, plus the goodput ratio. Hedging is
+// enabled for both runs so the comparison measures the overload machinery,
+// not its absence.
 //
 //   --fault-plan       FaultPlan spec, e.g. 'delay=0.35:40ms,error=0.08,
 //                      hang=0.02:800ms' (grammar: kind=prob[:dur][@after]).
@@ -787,7 +787,6 @@ void write_degradation_side_json(atlas::telemetry::JsonWriter& json,
   json.field("hedge_win_rate", farm.hedges == 0 ? 0.0
                                                 : static_cast<double>(farm.hedge_wins) /
                                                       static_cast<double>(farm.hedges));
-  json.field("breaker_trips", farm.breaker_trips);
   json.field("reconnects", farm.reconnects);
   json.field("episodes_redispatched", farm.episodes_redispatched);
   if (side.faults.total() > 0 || side.faulty_workers > 0) {
@@ -829,12 +828,12 @@ int run_degradation(const LoadgenOptions& options) {
       const atlas::env::FarmView& farm = faulted.final_stats.farm;
       std::printf("[degradation/faulted] goodput %8.1f qps  p99 %7.2f ms  "
                   "(%zu ok, %zu failed, %zu shed; %llu hedges, %llu wins, "
-                  "%llu breaker trips)\n",
+                  "%llu redispatched)\n",
                   faulted.goodput_qps(), faulted.result.latency_ns.quantile(0.99) / 1e6,
                   faulted.result.completed, faulted.result.failed, faulted.result.rejected,
                   static_cast<unsigned long long>(farm.hedges),
                   static_cast<unsigned long long>(farm.hedge_wins),
-                  static_cast<unsigned long long>(farm.breaker_trips));
+                  static_cast<unsigned long long>(farm.episodes_redispatched));
       std::fflush(stdout);
     }
   } catch (const std::exception& e) {
