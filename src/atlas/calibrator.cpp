@@ -5,9 +5,9 @@
 #include <stdexcept>
 
 #include "bo/acquisition.hpp"
+#include "bo/argmin.hpp"
 #include "bo/gp_bo.hpp"
 #include "bo/scan_tile.hpp"
-#include "bo/top_k.hpp"
 #include "common/log.hpp"
 #include "math/halton.hpp"
 #include "nn/optim.hpp"
@@ -158,7 +158,7 @@ CalibrationResult SimCalibrator::calibrate() {
       // scored one tile at a time.
       for (std::size_t q = 0; q < batch; ++q) {
         const nn::BnnSample draw = bnn.thompson(rng);
-        bo::TopK top(1);
+        bo::Argmin argmin;
         tile.scan(options_.candidates, [&](std::size_t) {
           for (std::size_t k = 0; k < tile.size(); ++k) {
             tile.points[k] = sample_candidate(rng);
@@ -167,10 +167,10 @@ CalibrationResult SimCalibrator::calibrate() {
           const Vec est_kl = draw.predict_batch(tile.inputs);
           for (std::size_t k = 0; k < tile.size(); ++k) {
             const Vec& x = tile.points[k];
-            top.offer(x, est_kl[k] + options_.alpha * space_.distance(x, x_hat));
+            argmin.offer(x, est_kl[k] + options_.alpha * space_.distance(x, x_hat));
           }
         });
-        queries.push_back(top.best());
+        queries.push_back(argmin.best());
       }
     }
 

@@ -5,10 +5,9 @@
 #include <memory>
 #include <stdexcept>
 
+#include "bo/argmin.hpp"
 #include "bo/scan_tile.hpp"
-#include "bo/top_k.hpp"
 #include "common/log.hpp"
-#include "env/speculation.hpp"
 #include "gp/gaussian_process.hpp"
 #include "nn/optim.hpp"
 
@@ -90,51 +89,18 @@ OfflineResult OfflineTrainer::train() {
                                 space_.normalize(config_raw));
   };
 
-  // Speculative prefetching (optimistic BO): mid-scan, the current top-K
-  // candidates' episodes are launched as kSpeculative queries under the SAME
-  // seed plan the committed query will use, so the commit usually coalesces
-  // onto an in-flight episode or hits the memo table outright. The planner
-  // never touches `rng`, so selection stays bit-identical with it on or off.
-  std::unique_ptr<env::SpeculationPlanner> prefetch;
-  if (options_.speculate_top_k > 0) {
-    prefetch = std::make_unique<env::SpeculationPlanner>(
-        service_, env::SpeculationOptions{.top_k = options_.speculate_top_k});
-  }
-
   // Overlapped querying: each selected configuration is submitted the moment
   // it is chosen, so episode execution on the service pool overlaps the
   // remaining acquisition work (Thompson draws, candidate scans) instead of
   // blocking on a whole-batch run_batch after selection finishes.
   std::vector<env::QueryHandle> handles;
-  auto make_query = [&](const Vec& config_raw, std::size_t iter, std::size_t slot) {
+  auto submit_query = [&](const Vec& config_raw, std::size_t iter, std::size_t slot) {
     env::EnvQuery q;
     q.backend = simulator_;
     q.config = env::SliceConfig::from_vec(config_raw);
     q.workload = options_.workload;
     seeds.apply(q, iter, slot);
-    return q;
-  };
-  auto submit_query = [&](const Vec& config_raw, std::size_t iter, std::size_t slot) {
-    env::EnvQuery q = make_query(config_raw, iter, slot);
-    if (prefetch) prefetch->note_commit(q);
     handles.push_back(service_.submit(std::move(q)));
-  };
-  // Mid-scan checkpoints: speculate once the ranking is half settled and
-  // again near the end (a late-scan overtake re-speculates the new leader;
-  // the displaced one just warms the cache).
-  auto speculate_top = [&](const bo::TopK& top, std::size_t iter, std::size_t slot) {
-    if (!prefetch) return;
-    for (const auto& entry : top.ranked()) {
-      if (prefetch->budget() == 0) break;
-      prefetch->speculate(make_query(entry.x, iter, slot));
-    }
-  };
-  const std::size_t check_half = options_.candidates / 2;
-  const std::size_t check_late = options_.candidates - options_.candidates / 20;
-  // Fires the checkpoints right after candidate c is offered, whatever the
-  // tiling.
-  auto checkpoint = [&](const bo::TopK& top, std::size_t c, std::size_t iter, std::size_t slot) {
-    if (c + 1 == check_half || c + 1 == check_late) speculate_top(top, iter, slot);
   };
 
   // Acquisition scans run one tile at a time (bo/scan_tile.hpp): sample the
@@ -161,10 +127,8 @@ OfflineResult OfflineTrainer::train() {
       // Lagrangian L = F(a) - lambda (Qhat(a) - E) per draw (Alg. 2).
       for (std::size_t q = 0; q < batch; ++q) {
         const nn::BnnSample draw = bnn->thompson(rng);
-        // Ranked top-K (bo/top_k.hpp): best() is bit-identical to the old
-        // running strict-< argmin; the rest of the ranking feeds speculation.
-        bo::TopK top(std::max<std::size_t>(1, options_.speculate_top_k));
-        tile.scan(options_.candidates, [&](std::size_t first) {
+        bo::Argmin argmin;
+        tile.scan(options_.candidates, [&](std::size_t) {
           sample_tile();
           const Vec q_hat = draw.predict_batch(tile.inputs);
           for (std::size_t k = 0; k < tile.size(); ++k) {
@@ -172,12 +136,11 @@ OfflineResult OfflineTrainer::train() {
             const double usage = env::SliceConfig::from_vec(a).resource_usage();
             const double lagrangian =
                 usage - lambda * (std::clamp(q_hat[k], 0.0, 1.0) - options_.sla.availability);
-            top.offer(a, lagrangian);
-            checkpoint(top, first + k, iter, q);
+            argmin.offer(a, lagrangian);
           }
         });
-        queries.push_back(top.best());
-        submit_query(top.best(), iter, q);  // episode q runs while draw q+1 scans candidates
+        queries.push_back(argmin.best());
+        submit_query(argmin.best(), iter, q);  // episode q runs while draw q+1 scans candidates
       }
     } else {
       // GP surrogate over QoE; acquisition evaluated on the Lagrangian whose
@@ -193,11 +156,10 @@ OfflineResult OfflineTrainer::train() {
                 .resource_usage();
         incumbent = std::min(incumbent, usage - lambda * (ys[i] - options_.sla.availability));
       }
-      // Maximizing scan: offer(-util) keeps best() bit-identical to the old
-      // running strict-> argmax (first-wins on ties in both).
-      bo::TopK top(std::max<std::size_t>(1, options_.speculate_top_k));
+      // Maximizing scan: offer(-util) keeps the first of equal utilities.
+      bo::Argmin argmin;
       const double beta = bo::gp_ucb_beta(iter + 1, options_.candidates);
-      tile.scan(options_.candidates, [&](std::size_t first) {
+      tile.scan(options_.candidates, [&](std::size_t) {
         sample_tile();
         const auto post = gp.predict_batch(tile.inputs);
         for (std::size_t k = 0; k < tile.size(); ++k) {
@@ -217,12 +179,11 @@ OfflineResult OfflineTrainer::train() {
               util = -bo::lower_confidence_bound(mean_l, std_l, beta);
               break;
           }
-          top.offer(a, -util);
-          checkpoint(top, first + k, iter, 0);
+          argmin.offer(a, -util);
         }
       });
-      queries.push_back(top.best());
-      submit_query(top.best(), iter, 0);
+      queries.push_back(argmin.best());
+      submit_query(argmin.best(), iter, 0);
     }
 
     // ---- Harvest the augmented-simulator episodes (submitted above) ---------
@@ -231,10 +192,6 @@ OfflineResult OfflineTrainer::train() {
       qoes[q] = handles[q].get().qoe(options_.sla.latency_threshold_ms);
     }
     handles.clear();
-    // Iteration closed: cancel still-queued mispredictions, settle the
-    // hit/cancelled/wasted buckets (completed mispredictions stay memoized
-    // as warm cache entries for later revisits).
-    if (prefetch) prefetch->close_iteration();
 
     // ---- Record, update dual multiplier, track incumbent --------------------
     double iter_usage = 0.0;

@@ -39,15 +39,6 @@ struct OfflineOptions {
   /// for paired comparisons and cross-iteration memo reuse.
   env::SeedPlanOptions seed_plan;
 
-  /// Speculative episode prefetching (env/speculation.hpp): while the
-  /// acquisition scan still runs, the current top-K candidates' episodes are
-  /// submitted as kSpeculative queries under the same seed plan, so the
-  /// committed configuration is usually already (being) memoized when the
-  /// iteration closes. 0 disables. Stage results are bit-identical either
-  /// way (golden_stage_test pins both) — speculation only changes WHEN
-  /// episodes run, never which results BO consumes.
-  std::size_t speculate_top_k = 0;
-
   /// Experience replay (paper §10, Adaptability): (configuration, QoE)
   /// transitions from a previous training run seed the surrogate's dataset
   /// before any new simulator query — e.g., after a configuration-space or

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
+#include "bo/argmin.hpp"
 #include "bo/scan_tile.hpp"
-#include "bo/top_k.hpp"
 #include "common/log.hpp"
-#include "env/speculation.hpp"
 #include "nn/optim.hpp"
 
 namespace atlas::core {
@@ -179,26 +177,6 @@ OnlineResult OnlineLearner::learn() {
   const env::SeedStream real_seeds = plan.stream(env::SeedDomain::kStage3RealOnline, 1);
   const env::SeedStream sim_seeds = plan.stream(env::SeedDomain::kStage3Sim, sim_reps);
 
-  // Speculative prefetching: the next iteration's simulator RESIDUAL episode
-  // (iter + 1, slot 0) is fully determined by the seed plan, so the final
-  // selection scan can prefetch it for the likely winners while this
-  // iteration is still thinking. Only the free simulator is speculated
-  // against — a speculative query on the metered real network would spend
-  // real SLA exposure on a guess.
-  std::unique_ptr<env::SpeculationPlanner> prefetch;
-  if (options_.speculate_top_k > 0) {
-    prefetch = std::make_unique<env::SpeculationPlanner>(
-        service_, env::SpeculationOptions{.top_k = options_.speculate_top_k});
-  }
-  auto sim_query_for = [&](const Vec& config_raw, std::size_t iter) {
-    env::EnvQuery q;
-    q.backend = simulator_;
-    q.config = env::SliceConfig::from_vec(config_raw);
-    q.workload = options_.workload;
-    sim_seeds.apply(q, iter, 0);
-    return q;
-  };
-
   for (std::size_t iter = 0; iter < options_.iterations; ++iter) {
     // ---- Apply the configuration to the real network -----------------------
     // The metered real-network episode and the simulator residual episode are
@@ -212,16 +190,16 @@ OnlineResult OnlineLearner::learn() {
     real_seeds.apply(real_q, iter, 0);
 
     // ---- Residual observation (one offline simulator episode) --------------
-    env::EnvQuery sim_q = sim_query_for(next_config, iter);
-    if (prefetch) prefetch->note_commit(sim_q);  // speculated last iteration?
+    env::EnvQuery sim_q;
+    sim_q.backend = simulator_;
+    sim_q.config = config;
+    sim_q.workload = options_.workload;
+    sim_seeds.apply(sim_q, iter, 0);
 
     auto real_handle = service_.submit(std::move(real_q));
     auto sim_handle = service_.submit(std::move(sim_q));
     const double qoe_real = real_handle.get().qoe(options_.sla.latency_threshold_ms);
     const double qoe_sim = sim_handle.get().qoe(options_.sla.latency_threshold_ms);
-    // The committed residual episode is harvested: settle last iteration's
-    // speculations (cancel mispredictions still queued, bucket the rest).
-    if (prefetch) prefetch->close_iteration();
 
     OnlineStep step;
     step.config = config;
@@ -293,11 +271,11 @@ OnlineResult OnlineLearner::learn() {
       // never touch the RNG: results are bit-identical to inline episodes.
       score_pool(offline_net);
       for (std::size_t n = 0; n < options_.inner_updates; ++n) {
-        bo::TopK top(1);
+        bo::Argmin argmin;
         for (const PoolCandidate& c : pool) {
-          top.offer(c.a, c.usage - lambda * (c.q - options_.sla.availability));
+          argmin.offer(c.a, c.usage - lambda * (c.q - options_.sla.availability));
         }
-        const Vec& greedy = top.best();
+        const Vec& greedy = argmin.best();
         const auto g = residual_posterior(space_.normalize(greedy));
         env::EnvQuery inner_q;
         inner_q.backend = simulator_;
@@ -342,20 +320,9 @@ OnlineResult OnlineLearner::learn() {
     incumbent = std::min(incumbent,
                          step.usage - lambda * (qoe_real - options_.sla.availability));
 
-    // Ranked top-K scan (bo/top_k.hpp): offer(-util) keeps best() identical
-    // to the old running strict-> argmax; the ranking feeds speculation of
-    // the next iteration's residual episode at the mid-scan checkpoints.
-    bo::TopK top(std::max<std::size_t>(1, options_.speculate_top_k));
-    const bool spec_this_iter = prefetch != nullptr && iter + 1 < options_.iterations;
-    const std::size_t check_half = options_.candidates / 2;
-    const std::size_t check_late = options_.candidates - options_.candidates / 20;
-    auto speculate_top = [&] {
-      for (const auto& entry : top.ranked()) {
-        if (prefetch->budget() == 0) break;
-        prefetch->speculate(sim_query_for(entry.x, iter + 1));
-      }
-    };
-    tile.scan(options_.candidates, [&](std::size_t first) {
+    // Maximizing scan: offer(-util) keeps the first of equal utilities.
+    bo::Argmin argmin;
+    tile.scan(options_.candidates, [&](std::size_t) {
       sample_tile();
       score_tile(offline_net);
       for (std::size_t k = 0; k < tile.size(); ++k) {
@@ -386,12 +353,10 @@ OnlineResult OnlineLearner::learn() {
             break;
           }
         }
-        top.offer(a, -util);
-        const std::size_t c = first + k;
-        if (spec_this_iter && (c + 1 == check_half || c + 1 == check_late)) speculate_top();
+        argmin.offer(a, -util);
       }
     });
-    next_config = top.best();
+    next_config = argmin.best();
 
     result.history.push_back(step);
     if ((iter + 1) % 20 == 0) {

@@ -41,14 +41,6 @@ struct OnlineOptions {
   /// updates); the metered real-network stream cannot replay randomness and
   /// is always sequenced fresh.
   env::SeedPlanOptions seed_plan;
-
-  /// Speculative episode prefetching (env/speculation.hpp): the final
-  /// action-selection scan speculates the NEXT iteration's simulator
-  /// residual episode (its seed is a pure function of the plan) for the
-  /// current top-K candidates. The metered real network is NEVER speculated
-  /// against — only free simulator capacity. 0 disables; stage results are
-  /// bit-identical either way.
-  std::size_t speculate_top_k = 0;
 };
 
 /// One online interaction.

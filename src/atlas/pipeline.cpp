@@ -12,53 +12,7 @@ AtlasPipeline::AtlasPipeline(env::EnvClient& service, env::BackendId real,
     options_.stage2.seed_plan = *options_.seed_plan;
     options_.stage3.seed_plan = *options_.seed_plan;
   }
-  if (options_.speculate_top_k) {
-    options_.stage2.speculate_top_k = *options_.speculate_top_k;
-    options_.stage3.speculate_top_k = *options_.speculate_top_k;
-  }
 }
-
-namespace {
-
-/// Counters accumulated since `start` — so re-running a pipeline on a shared
-/// (long-lived) service reports this run's queries, not the service's
-/// lifetime totals.
-env::EnvServiceStats stats_since(const env::EnvServiceStats& start,
-                                 env::EnvServiceStats now) {
-  for (std::size_t i = 0; i < start.backends.size() && i < now.backends.size(); ++i) {
-    now.backends[i].queries -= start.backends[i].queries;
-    now.backends[i].cache_hits -= start.backends[i].cache_hits;
-    now.backends[i].cache_misses -= start.backends[i].cache_misses;
-    now.backends[i].crn_hits -= start.backends[i].crn_hits;
-    now.backends[i].episodes -= start.backends[i].episodes;
-    now.backends[i].shedded -= start.backends[i].shedded;
-    now.backends[i].deadline_rejected -= start.backends[i].deadline_rejected;
-    now.backends[i].cancelled -= start.backends[i].cancelled;
-    now.backends[i].rpc_retries -= start.backends[i].rpc_retries;
-    now.backends[i].rpc_failures -= start.backends[i].rpc_failures;
-    now.backends[i].rpc_rtt_ns.subtract(start.backends[i].rpc_rtt_ns);
-  }
-  now.offline_queries -= start.offline_queries;
-  now.online_queries -= start.online_queries;
-  now.cache_hits -= start.cache_hits;
-  now.cache_misses -= start.cache_misses;
-  now.crn_hits -= start.crn_hits;
-  now.shed_total -= start.shed_total;
-  now.deadline_rejected -= start.deadline_rejected;
-  now.cancelled_total -= start.cancelled_total;
-  now.speculation.launched -= start.speculation.launched;
-  now.speculation.hits -= start.speculation.hits;
-  now.speculation.cancelled -= start.speculation.cancelled;
-  now.speculation.wasted -= start.speculation.wasted;
-  // Histogram buckets are monotonic counters too: the difference is this
-  // phase's latency/queue-depth distribution.
-  now.query_latency_ns.subtract(start.query_latency_ns);
-  now.queue_depth.subtract(start.queue_depth);
-  now.rpc_service_ns.subtract(start.rpc_service_ns);
-  return now;
-}
-
-}  // namespace
 
 PipelineResult AtlasPipeline::run(const PipelineCallback& progress) {
   PipelineResult result;
@@ -70,7 +24,7 @@ PipelineResult AtlasPipeline::run(const PipelineCallback& progress) {
     event.stage = stage;
     event.finished = finished;
     event.skipped = skipped;
-    event.env_stats = stats_since(start_stats, service_.stats());
+    event.env_stats = service_.stats().since(start_stats);
     progress(event);
   };
   auto stage_scope = [&](PipelineStage stage, bool enabled, auto&& body) {
@@ -134,7 +88,7 @@ PipelineResult AtlasPipeline::run(const PipelineCallback& progress) {
     emit(PipelineStage::kOnlineLearning, /*finished=*/true, /*skipped=*/true);
   }
 
-  result.env_stats = stats_since(start_stats, service_.stats());
+  result.env_stats = service_.stats().since(start_stats);
   return result;
 }
 

@@ -26,12 +26,6 @@ struct PipelineOptions {
   /// env/seed_plan.hpp). Unset: each stage block keeps its own setting
   /// (default `fresh`, the historical bit-identical sequencing).
   std::optional<env::SeedPlanOptions> seed_plan;
-
-  /// One knob for speculative episode prefetching (env/speculation.hpp):
-  /// when set, overrides stage 2's and stage 3's `speculate_top_k` (stage 1
-  /// has no acquisition scan to prefetch from). Unset: each stage block
-  /// keeps its own setting (default 0 = off).
-  std::optional<std::size_t> speculate_top_k;
 };
 
 /// Combined output of a full pipeline run.

@@ -10,7 +10,7 @@ namespace atlas::bo {
 
 /// One tile of an acquisition scan. A scan samples a tile's candidates in
 /// candidate order (all of its RNG work happens here), scores the whole tile
-/// with one batched surrogate call, then offers the scores to a TopK in
+/// with one batched surrogate call, then offers the scores to an Argmin in
 /// candidate order. Row k of `inputs` is the surrogate input of points[k].
 /// A scan reuses one tile throughout, so its scoring scratch is bounded by
 /// kSize candidates whatever the scan's size.

@@ -29,13 +29,13 @@ enum class BackendKind {
 using BackendId = std::uint32_t;
 
 /// Admission-control priority of one query. When a service's queue depth
-/// crosses the soft shed watermark, kSpeculative work goes first (optimistic
-/// prefetch episodes are just warm cache entries — dropping one costs
-/// nothing); past the hard watermark every offline query sheds. Metered
-/// (online) queries are NEVER shed: they are the paper's SLA-exposure
-/// currency and each one was deliberately spent.
+/// crosses the soft shed watermark, kSpeculative work goes first; past the
+/// hard watermark every offline query sheds. No in-tree code sends
+/// kSpeculative; it stays a wire value of the kQuery frame. Metered (online)
+/// queries are NEVER shed: they are the paper's SLA-exposure currency and
+/// each one was deliberately spent.
 enum class QueryPriority : std::uint8_t {
-  kSpeculative = 0,  ///< Optimistic/prefetch work: first to shed.
+  kSpeculative = 0,  ///< Optional work: first to shed.
   kNormal = 1,       ///< Regular stage/baseline queries.
 };
 
@@ -93,12 +93,9 @@ struct BackendStats {
   std::uint64_t episodes = 0;      ///< Environment executions.
   /// Queries answered with a typed rejection instead of an episode. For
   /// cacheable workloads the exact-accounting invariant extends to
-  /// `cache_hits + cache_misses + shedded + deadline_rejected + cancelled
-  /// == queries`.
+  /// `cache_hits + cache_misses + shedded + deadline_rejected == queries`.
   std::uint64_t shedded = 0;            ///< Load-shed at admission (watermark).
   std::uint64_t deadline_rejected = 0;  ///< Deadline elapsed before execution.
-  std::uint64_t cancelled = 0;          ///< Caller cancelled before/while executing
-                                        ///< (speculative prefetch abandoned).
   double cost_hint = 1.0;          ///< Relative episode recomputation cost.
   std::uint64_t rpc_retries = 0;   ///< Transport-level retries (remote backends only).
   std::uint64_t rpc_failures = 0;  ///< Queries that exhausted retries or hard-failed remotely.
@@ -107,8 +104,8 @@ struct BackendStats {
   /// backends only; empty for local ones). Filled by fill_stats.
   telemetry::HistogramData rpc_rtt_ns;
 
-  /// Total typed rejections (shed + deadline + cancelled).
-  std::uint64_t rejected() const noexcept { return shedded + deadline_rejected + cancelled; }
+  /// Total typed rejections (shed + deadline).
+  std::uint64_t rejected() const noexcept { return shedded + deadline_rejected; }
 };
 
 /// The polymorphic execution target behind a `BackendId`: an in-process

@@ -80,6 +80,55 @@ std::vector<double> EnvClient::measure_qoe_batch(std::span<const EnvQuery> queri
   return qoes;
 }
 
+void EnvServiceStats::add_backend(BackendStats backend) {
+  if (backend.kind == BackendKind::kOffline) {
+    offline_queries += backend.queries;
+  } else {
+    online_queries += backend.queries;
+  }
+  cache_hits += backend.cache_hits;
+  cache_misses += backend.cache_misses;
+  crn_hits += backend.crn_hits;
+  shed_total += backend.shedded;
+  deadline_rejected += backend.deadline_rejected;
+  // Watermark sheds only: deadline rejections have their own total.
+  farm.reconnects += backend.rpc_reconnects;
+  farm.shed_total += backend.shedded;
+  backends.push_back(std::move(backend));
+}
+
+EnvServiceStats EnvServiceStats::since(const EnvServiceStats& start) const {
+  EnvServiceStats delta = *this;
+  for (std::size_t i = 0; i < start.backends.size() && i < delta.backends.size(); ++i) {
+    BackendStats& b = delta.backends[i];
+    const BackendStats& s = start.backends[i];
+    b.queries -= s.queries;
+    b.cache_hits -= s.cache_hits;
+    b.cache_misses -= s.cache_misses;
+    b.crn_hits -= s.crn_hits;
+    b.episodes -= s.episodes;
+    b.shedded -= s.shedded;
+    b.deadline_rejected -= s.deadline_rejected;
+    b.rpc_retries -= s.rpc_retries;
+    b.rpc_failures -= s.rpc_failures;
+    b.rpc_reconnects -= s.rpc_reconnects;
+    b.rpc_rtt_ns.subtract(s.rpc_rtt_ns);
+  }
+  delta.offline_queries -= start.offline_queries;
+  delta.online_queries -= start.online_queries;
+  delta.cache_hits -= start.cache_hits;
+  delta.cache_misses -= start.cache_misses;
+  delta.crn_hits -= start.crn_hits;
+  delta.shed_total -= start.shed_total;
+  delta.deadline_rejected -= start.deadline_rejected;
+  // Histogram buckets are monotonic counters too: the difference is this
+  // phase's latency/queue-depth distribution.
+  delta.query_latency_ns.subtract(start.query_latency_ns);
+  delta.queue_depth.subtract(start.queue_depth);
+  delta.rpc_service_ns.subtract(start.rpc_service_ns);
+  return delta;
+}
+
 namespace {
 
 std::string quantile_ms(const telemetry::HistogramData& histogram, double q) {
@@ -135,22 +184,12 @@ common::Table EnvServiceStats::summary() const {
   }
   // Degradation visibility: only rendered once any overload/fault machinery
   // has fired, so quiet deployments keep the familiar table.
-  if (farm.hedges > 0 || farm.reconnects > 0 || shed_total > 0 || deadline_rejected > 0 ||
-      cancelled_total > 0) {
+  if (farm.hedges > 0 || farm.reconnects > 0 || shed_total > 0 || deadline_rejected > 0) {
     table.add_row({"overload", "hedges " + std::to_string(farm.hedges),
                    "hedge wins " + std::to_string(farm.hedge_wins),
                    "reconnects " + std::to_string(farm.reconnects),
                    "shed " + std::to_string(shed_total),
-                   "deadline " + std::to_string(deadline_rejected),
-                   "cancelled " + std::to_string(cancelled_total), "", "", "", "", ""});
-  }
-  if (speculation.active && speculation.launched > 0) {
-    table.add_row({"speculation", "launched " + std::to_string(speculation.launched),
-                   "hits " + std::to_string(speculation.hits),
-                   "cancelled " + std::to_string(speculation.cancelled),
-                   "wasted " + std::to_string(speculation.wasted),
-                   "hit rate " + common::fmt(speculation.hit_rate(), 2), "", "", "", "", "",
-                   ""});
+                   "deadline " + std::to_string(deadline_rejected), "", "", "", "", "", ""});
   }
   return table;
 }

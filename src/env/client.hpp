@@ -59,8 +59,8 @@ struct FarmView {
   std::uint64_t memo_entries_migrated = 0;  ///< worker-to-worker memo transfers
   std::uint64_t backends_migrated = 0;      ///< backends whose memo found a new shard
   // Overload / partial-failure counters. hedges/hedge_wins come from the
-  // FarmController; reconnects and shed_total are filled by
-  // ShardRouter::stats() from the backend rows so they cover non-farm remote
+  // FarmController; reconnects and shed_total are summed from the backend
+  // rows (EnvServiceStats::add_backend), so they cover non-farm remote
   // backends too.
   std::uint64_t hedges = 0;      ///< hedged second attempts launched
   std::uint64_t hedge_wins = 0;  ///< hedges whose SECOND attempt returned first
@@ -68,25 +68,8 @@ struct FarmView {
   std::uint64_t shed_total = 0;  ///< queries shed at admission watermarks
 };
 
+/// Declared only for EnvClient::attach_speculation, which pipebench overrides.
 class SpeculationState;
-
-/// Speculative-prefetch counters, filled when a SpeculationPlanner
-/// (env/speculation.hpp) is attached to the reporting client. Client-side
-/// bookkeeping — not part of the wire stats snapshot. Invariant, settled at
-/// every iteration close: launched == hits + cancelled + wasted.
-struct SpeculationView {
-  bool active = false;            ///< a SpeculationPlanner is (or was) attached
-  std::uint64_t launched = 0;     ///< speculative episodes submitted
-  std::uint64_t hits = 0;         ///< speculations BO later committed to
-  std::uint64_t cancelled = 0;    ///< abandoned before an episode ran (token
-                                  ///< cancel, watermark shed, or deadline)
-  std::uint64_t wasted = 0;       ///< executed but never committed (warm cache)
-
-  /// Fraction of launched speculations BO actually committed to.
-  double hit_rate() const noexcept {
-    return launched == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(launched);
-  }
-};
 
 /// Service-wide accounting snapshot.
 struct EnvServiceStats {
@@ -103,7 +86,6 @@ struct EnvServiceStats {
   /// hits + misses + rejections == queries stays exact for cacheable loads).
   std::uint64_t shed_total = 0;         ///< admission-watermark sheds
   std::uint64_t deadline_rejected = 0;  ///< deadlines that elapsed pre-execution
-  std::uint64_t cancelled_total = 0;    ///< caller-cancelled (abandoned speculations)
   /// Serving telemetry (src/telemetry/), merged across shards by ShardRouter:
   /// per-query service latency (cache hits and episode executions alike) and
   /// the queue depth observed at each submission/run, both always-on.
@@ -116,9 +98,15 @@ struct EnvServiceStats {
   /// Farm-membership counters; `farm.active` only when a FarmController is
   /// attached to the reporting router.
   FarmView farm;
-  /// Speculative-prefetch counters; `speculation.active` only when a
-  /// SpeculationPlanner is attached to the reporting client.
-  SpeculationView speculation;
+
+  /// Append one backend row and add its counters to the totals, to
+  /// farm.reconnects and to farm.shed_total.
+  void add_backend(BackendStats backend);
+
+  /// The counters accumulated between `start` and this snapshot, so a caller
+  /// on a long-lived client can report one phase's queries. Backend rows
+  /// pair up by index; the farm counters stay cumulative.
+  EnvServiceStats since(const EnvServiceStats& start) const;
 
   std::uint64_t total_queries() const noexcept { return offline_queries + online_queries; }
   double hit_rate() const noexcept {
@@ -185,13 +173,7 @@ class EnvClient {
   /// Enqueue one query on the owning pool and return a handle to its result.
   virtual QueryHandle submit(EnvQuery query) = 0;
 
-  /// Like submit, but the caller keeps a cancel token: flipping it before the
-  /// episode executes resolves the handle with a typed
-  /// RejectReason::kCancelled result (never memoized); flipping it mid-flight
-  /// reaches cancellable backends (remote episodes abort via the wire
-  /// kCancel). The speculative prefetcher uses this to abandon mispredicted
-  /// episodes still queued at iteration close. Default: token ignored (plain
-  /// submit) — clients without a cancellation path still run the query.
+  /// Ignores the token and submits. Kept only because pipebench overrides it.
   virtual QueryHandle submit_cancellable(EnvQuery query,
                                          std::shared_ptr<const CancelToken> cancel) {
     (void)cancel;
@@ -213,13 +195,11 @@ class EnvClient {
   virtual EnvServiceStats stats() const = 0;
   virtual void reset_stats() = 0;
 
-  /// Queries submitted but not yet resolved, summed across shards. The
-  /// speculation planner budgets prefetch depth against this (idle capacity
-  /// only). Default 0: clients without queue accounting never throttle.
+  /// Queries submitted but not yet resolved, summed across shards. Default 0:
+  /// clients without queue accounting.
   virtual std::size_t outstanding_queries() const { return 0; }
 
-  /// Attach a speculation planner's shared counter block so stats()
-  /// snapshots report it as EnvServiceStats::speculation. Default: ignored.
+  /// A no-op. Kept only because pipebench overrides it.
   virtual void attach_speculation(std::shared_ptr<const SpeculationState> speculation) {
     (void)speculation;
   }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/arena.hpp"
-#include "env/speculation.hpp"
 
 namespace atlas::env {
 
@@ -83,11 +82,6 @@ EnvService::EnvService(EnvServiceOptions options)
   arena_high_water_ = &metrics_.histogram("env.arena_high_water_bytes");
   shed_total_ = &metrics_.counter("env.shed_total");
   deadline_rejected_ = &metrics_.counter("env.deadline_rejected");
-  cancelled_total_ = &metrics_.counter("env.cancelled_total");
-}
-
-void EnvService::attach_speculation(std::shared_ptr<const SpeculationState> speculation) {
-  speculation_.store(std::move(speculation), std::memory_order_release);
 }
 
 bool EnvService::caching_enabled() const noexcept {
@@ -196,15 +190,12 @@ void EnvService::evict_locked(CacheShard& shard) {
 /// same key, or a duplicate inside the same batch — counts a hit and either
 /// copies the memo entry or waits on the in-flight future.
 ///
-/// Rejections are the leader's own: a leader whose token fires resolves
-/// everyone with a typed kCancelled result, and a backend may answer a leader
-/// with a typed rejection (a remote worker shed a speculative query at its
-/// soft watermark); neither memoizes anything. A waiter that receives a
-/// rejection was innocently coalesced onto a flight that never ran — unless
-/// its OWN token fired, it loops back, re-takes the lookup, and (usually as
-/// the new leader) runs the episode it still wants.
-EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& query,
-                                            const CancelToken* cancel) {
+/// A backend may answer a leader with a typed rejection (a remote worker shed
+/// the query, or its deadline died in the worker's queue); that memoizes
+/// nothing. A waiter that receives the rejection was innocently coalesced
+/// onto a flight that never ran: it loops back, re-takes the lookup, and
+/// (usually as the new leader) runs the episode it still wants.
+EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& query) {
   QueryKey key = make_key(query);
   const std::size_t hash = QueryKeyHash{}(key);
   CacheShard& shard = shard_for(hash);
@@ -239,55 +230,17 @@ EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& qu
       if (query.crn) backend.crn_hits.fetch_add(1, std::memory_order_relaxed);
       EpisodeResult shared = flight->future.get();
       if (!shared.is_rejected()) return shared;
-      // The leader's rejection (an abandoned or shed speculation) is not
-      // ours. Undo the provisional hit and either report our own
-      // cancellation or retry the lookup.
+      // The leader's rejection is not ours: undo the provisional hit and
+      // retry the lookup.
       backend.cache_hits.fetch_sub(1, std::memory_order_relaxed);
       if (query.crn) backend.crn_hits.fetch_sub(1, std::memory_order_relaxed);
-      if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
-        backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-        cancelled_total_->increment();
-        EpisodeResult abandoned;
-        abandoned.rejected = RejectReason::kCancelled;
-        return abandoned;
-      }
       continue;
-    }
-
-    // Leadership reached with the token already fired (it flipped while we
-    // queued for the stripe lock): resolve everyone, execute nothing.
-    if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
-      backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-      cancelled_total_->increment();
-      EpisodeResult abandoned;
-      abandoned.rejected = RejectReason::kCancelled;
-      {
-        std::scoped_lock lock(shard.mutex);
-        shard.in_flight.erase(key);
-      }
-      flight->promise.set_value(abandoned);
-      return abandoned;
     }
 
     backend.cache_misses.fetch_add(1, std::memory_order_relaxed);
     EpisodeResult result;
     try {
-      result = cancel != nullptr ? backend.impl->execute_cancellable(query, *cancel)
-                                 : backend.impl->execute(query);
-    } catch (const EpisodeCancelled&) {
-      // Our token fired mid-flight: a typed result, not a fault, and the miss
-      // we pre-counted never became an episode.
-      backend.cache_misses.fetch_sub(1, std::memory_order_relaxed);
-      backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-      cancelled_total_->increment();
-      EpisodeResult abandoned;
-      abandoned.rejected = RejectReason::kCancelled;
-      {
-        std::scoped_lock lock(shard.mutex);
-        shard.in_flight.erase(key);
-      }
-      flight->promise.set_value(abandoned);
-      return abandoned;
+      result = backend.impl->execute(query);
     } catch (...) {
       {
         std::scoped_lock lock(shard.mutex);
@@ -358,8 +311,7 @@ RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query
 }
 
 EpisodeResult EnvService::run_impl(const EnvQuery& query,
-                                   std::chrono::steady_clock::time_point arrival,
-                                   const CancelToken* cancel) {
+                                   std::chrono::steady_clock::time_point arrival) {
   Backend& backend = backend_at(query.backend);
   if (query.sim_params && !backend.impl->accepts_sim_params()) {
     // An override replaces the episode's profile wholesale; allowing it on a
@@ -370,17 +322,6 @@ EpisodeResult EnvService::run_impl(const EnvQuery& query,
                                 backend.impl->name() + "'");
   }
   backend.queries.fetch_add(1, std::memory_order_relaxed);
-
-  // A token that fired while the query sat in the submit queue: the caller
-  // (a speculation planner closing its iteration) stopped wanting this
-  // result before anything executed. Typed, counted, never cached.
-  if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
-    backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-    cancelled_total_->increment();
-    EpisodeResult abandoned;
-    abandoned.rejected = RejectReason::kCancelled;
-    return abandoned;
-  }
 
   // Overload protection: shed or deadline-expire BEFORE paying any execution
   // or cache cost. Rejections are typed results, never cached, and keep the
@@ -399,29 +340,18 @@ EpisodeResult EnvService::run_impl(const EnvQuery& query,
   const bool cacheable = caching_enabled() && backend.impl->kind() == BackendKind::kOffline &&
                          !query.workload.collect_traces;
   if (cacheable) {
-    return run_single_flight(backend, query, cancel);
+    return run_single_flight(backend, query);
   }
 
-  try {
-    EpisodeResult result = cancel != nullptr
-                               ? backend.impl->execute_cancellable(query, *cancel)
-                               : backend.impl->execute(query);
-    if (!result.is_rejected()) backend.episodes.fetch_add(1, std::memory_order_relaxed);
-    return result;
-  } catch (const EpisodeCancelled&) {
-    backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-    cancelled_total_->increment();
-    EpisodeResult abandoned;
-    abandoned.rejected = RejectReason::kCancelled;
-    return abandoned;
-  }
+  EpisodeResult result = backend.impl->execute(query);
+  if (!result.is_rejected()) backend.episodes.fetch_add(1, std::memory_order_relaxed);
+  return result;
 }
 
 EpisodeResult EnvService::run_timed(const EnvQuery& query,
-                                    std::chrono::steady_clock::time_point arrival,
-                                    const CancelToken* cancel) {
+                                    std::chrono::steady_clock::time_point arrival) {
   const auto start = std::chrono::steady_clock::now();
-  EpisodeResult result = run_impl(query, arrival, cancel);
+  EpisodeResult result = run_impl(query, arrival);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   query_latency_->record(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
@@ -439,16 +369,6 @@ EpisodeResult EnvService::run(const EnvQuery& query) {
 }
 
 QueryHandle EnvService::submit(EnvQuery query) {
-  return submit_impl(std::move(query), nullptr);
-}
-
-QueryHandle EnvService::submit_cancellable(EnvQuery query,
-                                           std::shared_ptr<const CancelToken> cancel) {
-  return submit_impl(std::move(query), std::move(cancel));
-}
-
-QueryHandle EnvService::submit_impl(EnvQuery query,
-                                    std::shared_ptr<const CancelToken> cancel) {
   // Validate the backend id on the submitting thread, so bad handles fail
   // fast instead of inside a worker.
   (void)backend_at(query.backend);
@@ -463,12 +383,12 @@ QueryHandle EnvService::submit_impl(EnvQuery query,
     // work counts against the budget, which is exactly the staleness a
     // deadline protects against.
     const auto arrival = std::chrono::steady_clock::now();
-    future = pool_.submit([this, arrival, q = std::move(query), c = std::move(cancel)] {
+    future = pool_.submit([this, arrival, q = std::move(query)] {
       struct Release {
         std::atomic<std::int64_t>* counter;
         ~Release() { counter->fetch_sub(1, std::memory_order_relaxed); }
       } release{&outstanding_};
-      return run_timed(q, arrival, c.get());
+      return run_timed(q, arrival);
     });
   } catch (...) {
     // The task never enqueued, so its Release will never run; a leaked
@@ -502,7 +422,6 @@ BackendStats EnvService::backend_stats(BackendId id) const {
   stats.episodes = backend.episodes.load(std::memory_order_relaxed);
   stats.shedded = backend.shedded.load(std::memory_order_relaxed);
   stats.deadline_rejected = backend.deadline_rejected.load(std::memory_order_relaxed);
-  stats.cancelled = backend.cancelled.load(std::memory_order_relaxed);
   stats.cost_hint = backend.impl->cost_hint();
   backend.impl->fill_stats(stats);  // rpc retries/failures for remote backends
   return stats;
@@ -513,33 +432,10 @@ EnvServiceStats EnvService::stats() const {
   const std::size_t n = backend_count();
   total.backends.reserve(n);
   for (std::size_t id = 0; id < n; ++id) {
-    BackendStats s = backend_stats(static_cast<BackendId>(id));
-    if (s.kind == BackendKind::kOffline) {
-      total.offline_queries += s.queries;
-    } else {
-      total.online_queries += s.queries;
-    }
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.crn_hits += s.crn_hits;
-    total.shed_total += s.shedded;
-    total.deadline_rejected += s.deadline_rejected;
-    total.cancelled_total += s.cancelled;
-    total.backends.push_back(std::move(s));
+    total.add_backend(backend_stats(static_cast<BackendId>(id)));
   }
   total.query_latency_ns = query_latency_->snapshot();
   total.queue_depth = queue_depth_->snapshot();
-  if (const auto speculation = speculation_.load(std::memory_order_acquire)) {
-    total.speculation = speculation->view();
-  }
-  // Same backend-row aggregation ShardRouter::stats() does, so a standalone
-  // service reports reconnect/shed activity in the overload summary row too.
-  // Watermark sheds ONLY: deadline rejections already have their own total,
-  // and folding s.rejected() in here counted each of them in two rows.
-  for (const BackendStats& s : total.backends) {
-    total.farm.reconnects += s.rpc_reconnects;
-    total.farm.shed_total += s.shedded;
-  }
   return total;
 }
 
@@ -553,7 +449,6 @@ void EnvService::reset_stats() {
     backend->episodes.store(0, std::memory_order_relaxed);
     backend->shedded.store(0, std::memory_order_relaxed);
     backend->deadline_rejected.store(0, std::memory_order_relaxed);
-    backend->cancelled.store(0, std::memory_order_relaxed);
     backend->impl->reset_stats();  // backend-owned counters (rpc retries/failures)
   }
   metrics_.reset();

@@ -32,9 +32,9 @@ struct EnvServiceOptions {
   /// Admission-control watermarks over outstanding_queries() (0 = shedding
   /// disabled — the default, so existing callers see no behavior change).
   /// At or above `shed_watermark`, kSpeculative offline queries are shed
-  /// with a typed RejectReason::kShedded result; at or above
-  /// `shed_hard_watermark` (0 = 2x the soft watermark), ALL offline queries
-  /// shed. Metered (online) queries are never shed.
+  /// with a typed RejectReason::kShedded result (no in-tree caller sends
+  /// them); at or above `shed_hard_watermark` (0 = 2x the soft watermark),
+  /// ALL offline queries shed. Metered (online) queries are never shed.
   std::size_t shed_watermark = 0;
   std::size_t shed_hard_watermark = 0;
 };
@@ -95,15 +95,6 @@ class EnvService final : public EnvClient {
 
   QueryHandle submit(EnvQuery query) override;
 
-  /// submit() with a caller-held cancel token (see EnvClient). A token that
-  /// fires before execution resolves the handle with a typed
-  /// RejectReason::kCancelled result and never memoizes; a token that fires
-  /// mid-flight reaches the backend's execute_cancellable (remote episodes
-  /// abort via the wire kCancel; local ones finish and memoize — cheaper to
-  /// complete than to interrupt, and then the entry is simply warm cache).
-  QueryHandle submit_cancellable(EnvQuery query,
-                                 std::shared_ptr<const CancelToken> cancel) override;
-
   /// Run a batch across the pool; results are positionally ordered. Safe to
   /// call from inside a pool worker (the caller-runs fallback in ThreadPool
   /// drains nested work instead of deadlocking the fixed-size pool).
@@ -146,12 +137,9 @@ class EnvService final : public EnvClient {
   std::size_t cache_shard_count() const noexcept { return shards_.size(); }
 
   /// Queries currently executing or queued via submit(). ShardRouter uses
-  /// this for least-loaded backend placement; the speculation planner budgets
-  /// prefetch depth against it.
+  /// this for least-loaded backend placement; admission shedding compares it
+  /// with the watermarks.
   std::size_t outstanding_queries() const noexcept override;
-
-  /// Attach a speculation planner's counter block (reported via stats()).
-  void attach_speculation(std::shared_ptr<const SpeculationState> speculation) override;
 
   std::size_t threads() const noexcept { return pool_.size(); }
   common::ThreadPool& pool() noexcept { return pool_; }
@@ -174,7 +162,6 @@ class EnvService final : public EnvClient {
     std::atomic<std::uint64_t> episodes{0};
     std::atomic<std::uint64_t> shedded{0};
     std::atomic<std::uint64_t> deadline_rejected{0};
-    std::atomic<std::uint64_t> cancelled{0};
   };
   /// Read-mostly registry snapshot: rebuilt on (rare) registration, loaded
   /// lock-free on every query. Backends live in a deque, so the pointers
@@ -222,21 +209,13 @@ class EnvService final : public EnvClient {
   static QueryKey make_key(const EnvQuery& query);
   /// Evict until `shard.entries.size() <= shard_capacity_` (mutex held).
   void evict_locked(CacheShard& shard);
-  EpisodeResult run_single_flight(Backend& backend, const EnvQuery& query,
-                                  const CancelToken* cancel);
+  EpisodeResult run_single_flight(Backend& backend, const EnvQuery& query);
   /// `arrival` is when the query entered the service (submission time for
   /// submit(), call time for run()): deadlines measure queueing delay from
-  /// there, and admission sheds before any execution cost is paid. `cancel`
-  /// (may be null) is the caller's token from submit_cancellable.
-  EpisodeResult run_impl(const EnvQuery& query,
-                         std::chrono::steady_clock::time_point arrival,
-                         const CancelToken* cancel = nullptr);
+  /// there, and admission sheds before any execution cost is paid.
+  EpisodeResult run_impl(const EnvQuery& query, std::chrono::steady_clock::time_point arrival);
   /// run_impl + telemetry: records service latency and samples queue depth.
-  EpisodeResult run_timed(const EnvQuery& query,
-                          std::chrono::steady_clock::time_point arrival,
-                          const CancelToken* cancel = nullptr);
-  /// Shared body of submit / submit_cancellable.
-  QueryHandle submit_impl(EnvQuery query, std::shared_ptr<const CancelToken> cancel);
+  EpisodeResult run_timed(const EnvQuery& query, std::chrono::steady_clock::time_point arrival);
   /// RejectReason::kNone when the query may proceed; otherwise the typed
   /// rejection to return (counters already bumped).
   RejectReason admission_check(Backend& backend, const EnvQuery& query,
@@ -262,10 +241,6 @@ class EnvService final : public EnvClient {
   telemetry::Histogram* arena_high_water_ = nullptr;
   telemetry::Counter* shed_total_ = nullptr;       ///< env.shed_total (owned by metrics_).
   telemetry::Counter* deadline_rejected_ = nullptr;  ///< env.deadline_rejected.
-  telemetry::Counter* cancelled_total_ = nullptr;    ///< env.cancelled_total.
-
-  /// Counter block of an attached SpeculationPlanner (null until attached).
-  std::atomic<std::shared_ptr<const SpeculationState>> speculation_;
 
   /// LAST member: destroyed first, so ~ThreadPool drains still-queued query
   /// tasks while the registry/shards they touch are alive.

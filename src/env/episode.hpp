@@ -31,24 +31,20 @@ enum class RejectReason : std::uint8_t {
   kNone = 0,              ///< Not rejected: a real episode result.
   kShedded = 1,           ///< Load-shed at admission (queue depth over watermark).
   kDeadlineExceeded = 2,  ///< The query's deadline elapsed before execution.
-  kCancelled = 3,         ///< The caller's cancel token fired (speculative
-                          ///< prefetch abandoned). Client-local: a worker never
-                          ///< produces this over the wire.
 };
 
 constexpr const char* to_string(RejectReason reason) noexcept {
   switch (reason) {
     case RejectReason::kShedded: return "shedded";
     case RejectReason::kDeadlineExceeded: return "deadline-exceeded";
-    case RejectReason::kCancelled: return "cancelled";
     case RejectReason::kNone: break;
   }
   return "none";
 }
 
-/// Thrown when a stage reads a measurement from a rejected result: a shed,
-/// deadline-expired or cancelled query ran no episode, so it has no QoE or
-/// latencies to learn from (an empty episode would read as QoE 0).
+/// Thrown when a stage reads a measurement from a rejected result: a shed or
+/// deadline-expired query ran no episode, so it has no QoE or latencies to
+/// learn from (an empty episode would read as QoE 0).
 class QueryRejected : public std::runtime_error {
  public:
   explicit QueryRejected(RejectReason reason)

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "env/farm_controller.hpp"
-#include "env/speculation.hpp"
 
 namespace atlas::env {
 
@@ -90,12 +89,6 @@ QueryHandle ShardRouter::submit(EnvQuery query) {
   return shards_[route.shard]->submit(to_local(query, route));
 }
 
-QueryHandle ShardRouter::submit_cancellable(EnvQuery query,
-                                            std::shared_ptr<const CancelToken> cancel) {
-  const Route route = route_at(query.backend);
-  return shards_[route.shard]->submit_cancellable(to_local(query, route), std::move(cancel));
-}
-
 std::size_t ShardRouter::outstanding_queries() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->outstanding_queries();
@@ -133,22 +126,16 @@ BackendStats ShardRouter::backend_stats(BackendId id) const {
 
 EnvServiceStats ShardRouter::stats() const {
   EnvServiceStats total;
+  // The farm view first: add_backend folds the backend rows' reconnects and
+  // sheds into it. The rows cover remote backends registered directly on a
+  // shard, not just farm-managed replicas.
+  if (const auto farm = farm_.load(std::memory_order_acquire)) {
+    total.farm = farm->view();
+  }
   const auto routes = routes_.load(std::memory_order_acquire);
   total.backends.reserve(routes->size());
   for (const Route& route : *routes) {
-    BackendStats s = shards_[route.shard]->backend_stats(route.local);
-    if (s.kind == BackendKind::kOffline) {
-      total.offline_queries += s.queries;
-    } else {
-      total.online_queries += s.queries;
-    }
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.crn_hits += s.crn_hits;
-    total.shed_total += s.shedded;
-    total.deadline_rejected += s.deadline_rejected;
-    total.cancelled_total += s.cancelled;
-    total.backends.push_back(std::move(s));
+    total.add_backend(shards_[route.shard]->backend_stats(route.local));
   }
   // Serving telemetry merges exactly (log-scale buckets sum), so the router
   // reports farm-wide latency/queue-depth quantiles, not per-shard ones.
@@ -158,30 +145,11 @@ EnvServiceStats ShardRouter::stats() const {
     total.queue_depth.merge(shard_stats.queue_depth);
     total.rpc_service_ns.merge(shard_stats.rpc_service_ns);
   }
-  if (const auto farm = farm_.load(std::memory_order_acquire)) {
-    total.farm = farm->view();
-  }
-  if (const auto speculation = speculation_.load(std::memory_order_acquire)) {
-    total.speculation = speculation->view();
-  }
-  // Reconnect/shed visibility rides on the backend rows (rpc::RemoteBackend
-  // fill_stats / service admission counters), so it covers remote backends
-  // registered directly on a shard, not just farm-managed replicas.
-  // Watermark sheds ONLY: deadline rejections already have their own total,
-  // and folding s.rejected() in here counted each of them in two rows.
-  for (const BackendStats& s : total.backends) {
-    total.farm.reconnects += s.rpc_reconnects;
-    total.farm.shed_total += s.shedded;
-  }
   return total;
 }
 
 void ShardRouter::attach_farm(std::shared_ptr<const FarmState> farm) {
   farm_.store(std::move(farm), std::memory_order_release);
-}
-
-void ShardRouter::attach_speculation(std::shared_ptr<const SpeculationState> speculation) {
-  speculation_.store(std::move(speculation), std::memory_order_release);
 }
 
 void ShardRouter::reset_stats() {

@@ -64,9 +64,6 @@ class ShardRouter final : public EnvClient {
   EpisodeResult run(const EnvQuery& query) override;
   /// Enqueue on the owning shard's pool; the handle is a plain EnvService one.
   QueryHandle submit(EnvQuery query) override;
-  /// Cancellable submit, delegated to the owning shard (see EnvService).
-  QueryHandle submit_cancellable(EnvQuery query,
-                                 std::shared_ptr<const CancelToken> cancel) override;
   /// Fan the batch out across the owning shards' pools; results are
   /// positionally ordered like EnvService::run_batch.
   std::vector<EpisodeResult> run_batch(std::span<const EnvQuery> queries) override;
@@ -87,10 +84,7 @@ class ShardRouter final : public EnvClient {
   /// the farm's history.
   void attach_farm(std::shared_ptr<const FarmState> farm);
 
-  /// Attach a speculation planner's counter block (reported via stats()).
-  void attach_speculation(std::shared_ptr<const SpeculationState> speculation) override;
-
-  /// Outstanding queries summed across shards (speculation budget input).
+  /// Outstanding queries summed across shards.
   std::size_t outstanding_queries() const override;
 
  private:
@@ -110,7 +104,6 @@ class ShardRouter final : public EnvClient {
   mutable std::mutex routes_mutex_;  ///< Serializes registrations only.
   std::atomic<std::shared_ptr<const RouteTable>> routes_;
   std::atomic<std::shared_ptr<const FarmState>> farm_;
-  std::atomic<std::shared_ptr<const SpeculationState>> speculation_;
 };
 
 }  // namespace atlas::env

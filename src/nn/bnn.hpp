@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "math/matrix.hpp"
@@ -100,11 +99,6 @@ class Bnn {
 
   /// Current total complexity cost KL[q(w|θ) || P(w)] (analytic prior only).
   double kl_to_prior() const;
-
-  /// Persistence (see nn/serialize.hpp): writes config + variational
-  /// parameters; `load` reconstructs a network with identical predictions.
-  void save(std::ostream& os) const;
-  static Bnn load(std::istream& is);
 
  private:
   struct Layer {

@@ -5,10 +5,10 @@
 #include <stdexcept>
 
 #include "bo/acquisition.hpp"
+#include "bo/argmin.hpp"
 #include "bo/gp_bo.hpp"
 #include "bo/scan_tile.hpp"
 #include "bo/space.hpp"
-#include "bo/top_k.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
 
@@ -198,62 +198,32 @@ TEST(GpBo, HistoryAndTellValidation) {
   EXPECT_DOUBLE_EQ(bo.result().best_y, 1.0);
 }
 
-TEST(TopK, NanNeverWinsAScan) {
+TEST(Argmin, NanNeverWinsAScan) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  ab::TopK top(1);
-  top.offer({0.0}, nan);
-  top.offer({1.0}, 5.0);
-  top.offer({2.0}, nan);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top.best(), am::Vec{1.0});
-  EXPECT_EQ(top.best_score(), 5.0);
-
-  ab::TopK three(3);
-  three.offer({0.0}, nan);
-  three.offer({1.0}, 2.0);
-  three.offer({2.0}, nan);
-  ASSERT_EQ(three.size(), 1u);
-  EXPECT_EQ(three.best(), am::Vec{1.0});
+  ab::Argmin argmin;
+  argmin.offer({0.0}, nan);
+  argmin.offer({1.0}, 5.0);
+  argmin.offer({2.0}, nan);
+  EXPECT_EQ(argmin.best(), am::Vec{1.0});
+  EXPECT_EQ(argmin.best_score(), 5.0);
 }
 
-TEST(TopK, TiesKeepTheFirstOffered) {
-  ab::TopK top(1);
-  top.offer({0.0}, 3.0);
-  top.offer({1.0}, 1.0);
-  top.offer({2.0}, 1.0);
-  EXPECT_EQ(top.best(), am::Vec{1.0});
-
-  ab::TopK three(3);
-  for (double id : {0.0, 1.0, 2.0, 3.0}) three.offer({id}, 7.0);
-  ASSERT_EQ(three.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(three.ranked()[i].x, am::Vec{static_cast<double>(i)});
-  }
+TEST(Argmin, TiesKeepTheFirstOffered) {
+  ab::Argmin argmin;
+  argmin.offer({0.0}, 3.0);
+  argmin.offer({1.0}, 1.0);
+  argmin.offer({2.0}, 1.0);
+  EXPECT_EQ(argmin.best(), am::Vec{1.0});
+  EXPECT_EQ(argmin.best_score(), 1.0);
 }
 
-TEST(TopK, RanksTheLowestThreeInOrder) {
-  ab::TopK top(3);
-  const std::vector<double> scores = {5.0, 2.0, 9.0, 2.0, -1.0, 4.0, 3.0};
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    top.offer({static_cast<double>(i)}, scores[i]);
-  }
-  ASSERT_EQ(top.size(), 3u);
-  // -1 (candidate 4), then the two 2s in offer order (candidates 1 and 3).
-  EXPECT_EQ(top.ranked()[0].x, am::Vec{4.0});
-  EXPECT_EQ(top.ranked()[1].x, am::Vec{1.0});
-  EXPECT_EQ(top.ranked()[2].x, am::Vec{3.0});
-  EXPECT_EQ(top.ranked()[0].score, -1.0);
-  EXPECT_EQ(top.ranked()[2].score, 2.0);
-  EXPECT_EQ(top.best(), am::Vec{4.0});
-}
-
-TEST(TopK, EmptyRankingHasNoBest) {
-  ab::TopK top(2);
-  EXPECT_THROW(top.best(), std::out_of_range);
-  EXPECT_THROW(top.best_score(), std::out_of_range);
-  top.offer({1.0}, std::numeric_limits<double>::quiet_NaN());
-  EXPECT_TRUE(top.empty());
-  EXPECT_THROW(top.best(), std::out_of_range);
+TEST(Argmin, EmptyScanHasNoBest) {
+  ab::Argmin argmin;
+  EXPECT_THROW(argmin.best(), std::out_of_range);
+  EXPECT_THROW(argmin.best_score(), std::out_of_range);
+  argmin.offer({1.0}, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(argmin.empty());
+  EXPECT_THROW(argmin.best(), std::out_of_range);
 }
 
 TEST(ScanTile, CoversTheScanInBoundedTiles) {

@@ -59,6 +59,36 @@ class GatedBackend final : public ae::EnvBackend {
   mutable std::atomic<bool> release_{false};
 };
 
+/// Offline backend whose first execute() parks until released and then
+/// answers with a typed kShedded, as a remote worker does when it sheds a
+/// query at its watermark. Every later call runs an episode.
+class ShedFirstBackend final : public ae::EnvBackend {
+ public:
+  ae::EpisodeResult execute(const ae::EnvQuery&) const override {
+    ae::EpisodeResult result;
+    if (calls_.fetch_add(1, std::memory_order_relaxed) == 0) {
+      release_.wait(false);
+      result.rejected = ae::RejectReason::kShedded;
+    } else {
+      result.latencies_ms = {1.0};
+    }
+    return result;
+  }
+  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
+  const std::string& name() const noexcept override { return name_; }
+
+  int calls() const noexcept { return calls_.load(std::memory_order_relaxed); }
+  void release() {
+    release_.store(true, std::memory_order_release);
+    release_.notify_all();
+  }
+
+ private:
+  std::string name_ = "shed-first";
+  mutable std::atomic<int> calls_{0};
+  mutable std::atomic<bool> release_{false};
+};
+
 /// Replica fake whose result identifies which replica answered.
 class TaggedBackend final : public ae::EnvBackend {
  public:
@@ -174,7 +204,7 @@ TEST(OverloadShedding, SpeculativeShedsAtSoftWatermarkNormalAtHard) {
   const auto totals = service.stats();
   EXPECT_EQ(totals.shed_total, 2u);
   EXPECT_EQ(totals.cache_hits + totals.cache_misses + totals.shed_total +
-                totals.deadline_rejected + totals.cancelled_total,
+                totals.deadline_rejected,
             totals.total_queries());
   EXPECT_EQ(totals.farm.shed_total, totals.shed_total);
 
@@ -248,6 +278,36 @@ TEST(OverloadShedding, OnlineQueriesAreNeverShed) {
   const auto result = service.run(query(real, 9, ae::QueryPriority::kSpeculative));
   EXPECT_FALSE(result.is_rejected());
   EXPECT_EQ(service.backend_stats(real).shedded, 0u);
+}
+
+TEST(OverloadShedding, WaiterCoalescedOntoAShedLeaderStillRuns) {
+  // The backend sheds the leader. The identical query that coalesced onto
+  // that flight was never shed itself: it undoes its provisional hit,
+  // retries the lookup and runs its episode.
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto backend = std::make_shared<ShedFirstBackend>();
+  const auto id = service.register_backend(backend);
+
+  auto leader = service.submit(query(id, 41));
+  while (backend->calls() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  auto waiter = service.submit(query(id, 41));
+  // A waiter counts its provisional hit before it blocks on the flight.
+  while (service.backend_stats(id).cache_hits < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  backend->release();
+
+  EXPECT_EQ(leader.get().rejected, ae::RejectReason::kShedded);
+  const auto ran = waiter.get();
+  EXPECT_FALSE(ran.is_rejected());
+  EXPECT_EQ(ran.latencies_ms.size(), 1u);
+
+  const auto stats = service.backend_stats(id);
+  EXPECT_EQ(stats.queries, 2u);
+  EXPECT_EQ(stats.episodes, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u) << "the waiter's provisional hit is undone";
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(service.cache_size(), 1u) << "only the executed episode memoizes";
 }
 
 // ---- deadlines -------------------------------------------------------------
@@ -334,7 +394,7 @@ TEST(OverloadDeadlines, ShedAndDeadlineRejectionsStayInTheirOwnTotals) {
   EXPECT_EQ(stats.farm.shed_total, 1u) << "a deadline rejection is not a shed";
   std::uint64_t rejected_sum = 0;
   for (const auto& b : stats.backends) rejected_sum += b.rejected();
-  EXPECT_EQ(rejected_sum, stats.shed_total + stats.deadline_rejected + stats.cancelled_total);
+  EXPECT_EQ(rejected_sum, stats.shed_total + stats.deadline_rejected);
 }
 
 // ---- hedged dispatch -------------------------------------------------------

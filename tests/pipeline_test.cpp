@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "env/env_service.hpp"
 #include "atlas/pipeline.hpp"
 
@@ -32,6 +35,19 @@ ac::PipelineOptions tiny_pipeline() {
   return po;
 }
 
+/// Offline backend whose stats report 5 reconnects, like a remote backend
+/// that reconnected before the pipeline started.
+class ReconnectedBackend final : public ae::EnvBackend {
+ public:
+  ae::EpisodeResult execute(const ae::EnvQuery&) const override { return {}; }
+  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
+  const std::string& name() const noexcept override { return name_; }
+  void fill_stats(ae::BackendStats& stats) const override { stats.rpc_reconnects = 5; }
+
+ private:
+  std::string name_ = "reconnected";
+};
+
 }  // namespace
 
 TEST(Pipeline, FullRunProducesAllTraces) {
@@ -62,6 +78,21 @@ TEST(Pipeline, RepeatedRunsReportPerRunStats) {
   const auto second = pipeline.run();
   EXPECT_EQ(first.env_stats.online_queries, first.online.history.size());
   EXPECT_EQ(second.env_stats.online_queries, second.online.history.size());
+}
+
+TEST(Pipeline, RunStatsExcludeEarlierReconnects) {
+  // The reconnects happened before the run, so this run's stats show none.
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto real = service.add_real_network();
+  const auto remote = service.register_backend(std::make_shared<ReconnectedBackend>());
+  auto po = tiny_pipeline();
+  po.run_stage1 = false;
+  po.run_stage2 = false;
+  po.run_stage3 = false;
+  ac::AtlasPipeline pipeline(service, real, po);
+  const auto result = pipeline.run();
+  ASSERT_GT(result.env_stats.backends.size(), remote);
+  EXPECT_EQ(result.env_stats.backends[remote].rpc_reconnects, 0u);
 }
 
 TEST(Pipeline, ProgressCallbackSeesEveryStage) {

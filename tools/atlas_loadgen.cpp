@@ -12,7 +12,7 @@
 //                 [--clients N] [--threads N] [--shards N]
 //                 [--cache-capacity N] [--mix-revisit F] [--mix-online F]
 //                 [--mix-trace F] [--episode-ms MS] [--incumbents N]
-//                 [--speculate K] [--seed N] [--out PATH] [--smoke] [--quiet]
+//                 [--seed N] [--out PATH] [--smoke] [--quiet]
 //
 //   --topology        Which serving stacks to drive (default inproc; remote
 //                     and both need --port of a running atlas_episode_worker
@@ -38,12 +38,6 @@
 //   --extra-users     Background-slice UEs per episode (default 0): stresses
 //                     the vectorized SoA background tier behind the serving
 //                     layers instead of foreground-only episodes.
-//   --speculate       Speculative prefetch depth K (default 0 = off): before
-//                     each load point, up to 4K of its CRN revisit episodes
-//                     are prefetched through a SpeculationPlanner as
-//                     kSpeculative queries, so the point's revisits land on a
-//                     warm memo table. Per-point hit/cancelled/wasted
-//                     accounting rides along in the JSON `speculation` block.
 //   --smoke           CI preset: tiny duration/episodes, two fixed points.
 //   --out             Output path (default BENCH_serving.json; also
 //                     ATLAS_BENCH_SERVING_OUT / ATLAS_BENCH_OUT_DIR).
@@ -92,7 +86,6 @@
 #include "env/fault_injection.hpp"
 #include "env/loadgen.hpp"
 #include "env/shard_router.hpp"
-#include "env/speculation.hpp"
 #include "rpc/remote_backend.hpp"
 #include "rpc/server.hpp"
 #include "rpc/worker_control.hpp"
@@ -117,7 +110,6 @@ struct LoadgenOptions {
   atlas::env::LoadMix mix;
   double episode_ms = 40.0;
   int extra_users = 0;
-  std::size_t speculate = 0;  ///< Prefetch depth K (0 = no speculation).
   std::size_t incumbents = 16;
   std::uint64_t seed = 7;
   std::string out;
@@ -140,7 +132,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "          [--sweep-factor F] [--sweep-max-steps N] [--duration S]\n"
                "          [--clients N] [--threads N] [--shards N] [--cache-capacity N]\n"
                "          [--mix-revisit F] [--mix-online F] [--mix-trace F]\n"
-               "          [--episode-ms MS] [--extra-users N] [--speculate K]\n"
+               "          [--episode-ms MS] [--extra-users N]\n"
                "          [--incumbents N] [--seed N] [--out PATH]\n"
                "          [--smoke] [--quiet]\n"
                "          [--fault-plan SPEC] [--faulty-fraction F] [--rpc-timeout-ms MS]\n"
@@ -230,8 +222,6 @@ LoadgenOptions parse_args(int argc, char** argv) {
       options.episode_ms = parse_double(argv[0], flag, next());
     } else if (flag == "--extra-users") {
       options.extra_users = static_cast<int>(parse_double(argv[0], flag, next()));
-    } else if (flag == "--speculate") {
-      options.speculate = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
     } else if (flag == "--incumbents") {
       options.incumbents = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
     } else if (flag == "--seed") {
@@ -290,7 +280,6 @@ LoadgenOptions parse_args(int argc, char** argv) {
 struct PointRow {
   atlas::env::LoadPlan plan;
   atlas::env::LoadPointResult result;
-  atlas::env::SpeculationView speculation;  ///< active only with --speculate
 };
 
 struct WorkerRow {
@@ -359,25 +348,7 @@ TopologyReport drive(const LoadgenOptions& options, const std::string& name,
     plan_options.seed = options.seed + i * 101;
     PointRow row;
     row.plan = atlas::env::build_load_plan(plan_options);
-    // --speculate K: prefetch the point's CRN revisit working set (the part
-    // of the plan a planner CAN predict) as kSpeculative queries before the
-    // open-loop clock starts; each prefetched episode the point actually
-    // replays settles as a hit, abandoned ones as warm cache entries.
-    std::unique_ptr<atlas::env::SpeculationPlanner> prefetch;
-    if (options.speculate > 0) {
-      prefetch = std::make_unique<atlas::env::SpeculationPlanner>(
-          client, atlas::env::SpeculationOptions{.top_k = options.speculate});
-      for (const atlas::env::LoadEvent& event : row.plan.events) {
-        if (event.kind != atlas::env::LoadKind::kRevisit) continue;
-        if (prefetch->budget() == 0) break;
-        if (prefetch->speculate(event.query)) prefetch->note_commit(event.query);
-      }
-    }
     row.result = atlas::env::run_load_point(client, row.plan, run_options);
-    if (prefetch) {
-      prefetch->close_iteration();
-      row.speculation = prefetch->view();
-    }
 
     // Compare against the rate the Poisson draw actually REALIZED, not the
     // nominal one: a horizon short enough to draw 15% under its mean must not
@@ -546,16 +517,6 @@ void write_point_json(atlas::telemetry::JsonWriter& json, const PointRow& row) {
   json.field("episodes_per_sec", episodes_per_sec(row));
   json.field("cache_hit_rate", row.result.stats.hit_rate());
   json.field("crn_hit_rate", row.result.stats.crn_hit_rate());
-  if (row.speculation.active) {
-    json.key("speculation");
-    json.begin_object();
-    json.field("launched", row.speculation.launched);
-    json.field("hits", row.speculation.hits);
-    json.field("cancelled", row.speculation.cancelled);
-    json.field("wasted", row.speculation.wasted);
-    json.field("hit_rate", row.speculation.hit_rate());
-    json.end_object();
-  }
   json.key("mix");
   json.begin_object();
   json.field("revisit", static_cast<std::uint64_t>(row.plan.revisits));
