@@ -1,39 +1,45 @@
 #include "des/event_queue.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace atlas::des {
 
 bool EventQueue::step_one(TimeMs until) {
   // Earliest armed stepper by (time, seq). Episodes register at most a few
-  // (TTI + mobility), so a linear scan beats any indexed structure.
-  std::size_t si = steppers_.size();
-  for (std::size_t i = 0; i < steppers_.size(); ++i) {
-    if (si == steppers_.size() || steppers_[i].next_time < steppers_[si].next_time ||
-        (steppers_[i].next_time == steppers_[si].next_time &&
-         steppers_[i].seq < steppers_[si].seq)) {
-      si = i;
+  // (TTI + mobility), so a linear scan beats any indexed structure. It walks
+  // by reference: each deque index costs a division, on every fire.
+  Stepper* first = nullptr;
+  for (Stepper& s : steppers_) {
+    if (first == nullptr || s.next_time < first->next_time ||
+        (s.next_time == first->next_time && s.seq < first->seq)) {
+      first = &s;
     }
   }
 
-  const bool have_stepper = si < steppers_.size();
   const bool have_event = !heap_.empty();
   const bool stepper_first =
-      have_stepper &&
-      (!have_event || steppers_[si].next_time < heap_.front().time ||
-       (steppers_[si].next_time == heap_.front().time && steppers_[si].seq < heap_.front().seq));
+      first != nullptr &&
+      (!have_event || first->next_time < heap_.front().time ||
+       (first->next_time == heap_.front().time && first->seq < heap_.front().seq));
 
   if (stepper_first) {
-    if (steppers_[si].next_time > until) return false;
-    now_ = steppers_[si].next_time;
     // steppers_ is a deque so this reference (and the executing callable)
     // stays valid even if the callback registers further steppers. Re-arm at
     // fire time + period with a fresh sequence number AFTER the callback,
     // exactly as if it had ended with schedule_in(period, itself).
-    Stepper& s = steppers_[si];
-    s.invoke(s.storage);
+    Stepper& s = *first;
+    if (s.next_time > until) return false;
+    if (s.next_time < quiet_until_ && &s == quiet_stepper_) {
+      skip_quiet_fires(s, until);
+      return true;
+    }
+    now_ = s.next_time;
+    const TimeMs quiet_until = s.invoke(s.storage);
     s.next_time += s.period;
     s.seq = next_seq_++;
+    quiet_stepper_ = &s;
+    quiet_until_ = quiet_until;
     return true;
   }
 
@@ -45,6 +51,7 @@ bool EventQueue::step_one(TimeMs until) {
   Entry e = heap_.back();
   heap_.pop_back();
   now_ = e.time;
+  quiet_until_ = kNoHint;  // another source fires: the hint no longer holds
   struct DropGuard {
     Entry* e;
     ~DropGuard() {
@@ -53,6 +60,26 @@ bool EventQueue::step_one(TimeMs until) {
   } guard{&e};
   e.invoke(e.storage);
   return true;
+}
+
+void EventQueue::skip_quiet_fires(Stepper& s, TimeMs until) {
+  // The earliest other source bounds the skip: when it comes due first it
+  // fires, and its fire revokes the hint. Nothing runs during the skip, so
+  // the bound is fixed for the whole loop. The first fire is known to come
+  // first; every later one carries a fresh sequence number, larger than any
+  // pending source's, so it loses ties and must be strictly earlier.
+  TimeMs bound = quiet_until_;
+  if (!heap_.empty()) bound = std::min(bound, heap_.front().time);
+  for (const Stepper& other : steppers_) {
+    if (&other != &s) bound = std::min(bound, other.next_time);
+  }
+  // Each skipped fire replays an invoked fire's arithmetic exactly, so the
+  // clock and the sequence counter end where the no-op fires would leave them.
+  do {
+    now_ = s.next_time;
+    s.next_time += s.period;
+    s.seq = next_seq_++;
+  } while (s.next_time < bound && s.next_time <= until);
 }
 
 void EventQueue::run_until(TimeMs until) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <type_traits>
@@ -22,8 +23,8 @@ using TimeMs = double;
 /// (sequence-number tie-break), which keeps episodes fully deterministic for
 /// a given seed.
 ///
-/// Two throughput-critical design points (this queue is popped ~120k times
-/// per simulated minute):
+/// Three throughput-critical design points (a 60 s simulator episode is
+/// 60,000 TTI fires, most of which do nothing):
 ///
 ///  * **No heap allocation per event.** Entries live in a reusable
 ///    vector-backed binary heap, and callables up to kInlineEventBytes that
@@ -42,6 +43,16 @@ using TimeMs = double;
 ///    with heap events bit-identical to the self-rescheduling formulation
 ///    they replace.
 ///
+///  * **Quiet steppers skip their no-op fires.** A stepper callable may
+///    return a TimeMs *quiet hint* instead of void: "my fires before this
+///    time do nothing, unless another source fires first". step_one() then
+///    advances that stepper through those fires in a tight loop without
+///    invoking it, consuming exactly the clock values and sequence numbers
+///    the no-op fires would have, so the (time, seq) order of every other
+///    event is unchanged. The fire of any other source revokes the hint (one
+///    slot in the queue, overwritten on every fire), and the earliest other
+///    source bounds each skip. A void callable gives no hint.
+///
 /// One EventQueue instance drives one episode; instances are independent, so
 /// parallel Thompson-sampling queries can run episodes concurrently (one per
 /// thread) without sharing state.
@@ -51,6 +62,9 @@ class EventQueue {
   /// destructible are stored inline (no allocation). Episode callbacks are
   /// written as {context pointer, frame id} captures and fit comfortably.
   static constexpr std::size_t kInlineEventBytes = 48;
+
+  /// A stepper's return value for "no quiet hint": it lies before every fire.
+  static constexpr TimeMs kNoHint = -std::numeric_limits<TimeMs>::infinity();
 
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
@@ -64,10 +78,10 @@ class EventQueue {
     }
   }
 
-  /// Schedule `fn` at absolute time `at` (must be >= now()).
+  /// Schedule `fn` at absolute time `at` (must be >= now(); NaN is rejected).
   template <typename F>
   void schedule_at(TimeMs at, F&& fn) {
-    if (at < now_) throw std::invalid_argument("EventQueue: cannot schedule in the past");
+    if (!(at >= now_)) throw std::invalid_argument("EventQueue: cannot schedule in the past");
     push_entry(at, std::forward<F>(fn));
   }
 
@@ -82,6 +96,11 @@ class EventQueue {
   /// every `period` ms, for the lifetime of the queue. Equivalent to (and
   /// ordered exactly like) an event that ends its callback with
   /// schedule_in(period, itself), but never touches the heap.
+  ///
+  /// `fn` returns void or a TimeMs quiet hint: the fires it would make
+  /// strictly before that time, until another source fires, are no-ops the
+  /// queue may skip instead of invoking (kNoHint, or any time not after the
+  /// next fire, skips nothing).
   template <typename F>
   void add_stepper(TimeMs period, F fn) {
     if (period <= 0.0) throw std::invalid_argument("EventQueue: stepper period must be > 0");
@@ -141,7 +160,7 @@ class EventQueue {
     TimeMs period = 0.0;
     TimeMs next_time = 0.0;
     std::uint64_t seq = 0;
-    void (*invoke)(void* storage) = nullptr;
+    TimeMs (*invoke)(void* storage) = nullptr;  ///< Returns the quiet hint.
     void (*drop)(void* storage) = nullptr;
     alignas(std::max_align_t) unsigned char storage[kInlineEventBytes];
   };
@@ -154,28 +173,41 @@ class EventQueue {
     return s;
   }
 
+  /// Call `fn` for an invoke thunk returning R: an event (R = void) drops
+  /// any result, and a stepper (R = TimeMs) whose callable returns void
+  /// reports kNoHint.
+  template <typename R, typename Fn>
+  static R call(Fn& fn) {
+    if constexpr (std::is_void_v<R> || !std::is_void_v<std::invoke_result_t<Fn&>>) {
+      return static_cast<R>(fn());
+    } else {
+      fn();
+      return kNoHint;
+    }
+  }
+
   /// Install `fn` into a 48-byte slot shared by Entry and Stepper: inline
   /// placement for small trivially-copyable/destructible callables (invoked
   /// through a plain function pointer, no allocation), heap box otherwise.
   /// Strongly exception-safe: on throw the slot is untouched — callers
   /// pop the just-emplaced slot and rethrow.
-  template <typename F>
-  static void install_callable(unsigned char* storage, void (*&invoke)(void*),
+  template <typename R, typename F>
+  static void install_callable(unsigned char* storage, R (*&invoke)(void*),
                                void (*&drop)(void*), F&& fn) {
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineEventBytes && std::is_trivially_copyable_v<Fn> &&
                   std::is_trivially_destructible_v<Fn> &&
                   alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(storage)) Fn(std::forward<F>(fn));  // trivial: cannot throw
-      invoke = [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); };
+      invoke = [](void* s) -> R { return call<R>(*std::launder(reinterpret_cast<Fn*>(s))); };
       drop = nullptr;
     } else {
       Fn* box = new Fn(std::forward<F>(fn));  // may throw: nothing installed yet
       std::memcpy(static_cast<void*>(storage), &box, sizeof(box));
-      invoke = [](void* s) {
+      invoke = [](void* s) -> R {
         Fn* b;
         std::memcpy(&b, s, sizeof(b));
-        (*b)();
+        return call<R>(*b);
       };
       drop = [](void* s) {
         Fn* b;
@@ -200,8 +232,13 @@ class EventQueue {
   }
 
   /// Run the earliest pending source (stepper or heap event) if it is due at
-  /// or before `until`; returns whether anything ran.
+  /// or before `until`; returns whether anything ran. A quiet stepper's run
+  /// of skipped fires counts as one step.
   bool step_one(TimeMs until);
+
+  /// Advance `s` (the earliest source, due by `until` and before
+  /// quiet_until_) through its no-op fires without invoking it.
+  void skip_quiet_fires(Stepper& s, TimeMs until);
 
   std::vector<Entry> heap_;
   /// Deque, not vector: references stay valid when a stepper callback
@@ -210,6 +247,11 @@ class EventQueue {
   std::deque<Stepper> steppers_;
   TimeMs now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  /// The one quiet hint in force: *quiet_stepper_ may skip its fires before
+  /// quiet_until_. Every fire overwrites the slot (a heap event with
+  /// kNoHint), which is what revokes a hint when another source fires.
+  const Stepper* quiet_stepper_ = nullptr;
+  TimeMs quiet_until_ = kNoHint;
 };
 
 }  // namespace atlas::des

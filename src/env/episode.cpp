@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -169,7 +170,8 @@ struct EpisodeState {
     frame_app.on_result(id);
   }
 
-  void tti_tick() {
+  /// One TTI; returns the event queue's quiet hint (see quiet_until()).
+  des::TimeMs tti_tick() {
     // Fading order is part of the determinism contract: foreground UE first,
     // then the background batch (which draws per-UE innovations in ascending
     // index order) — exactly the scalar engine's step sequence.
@@ -220,6 +222,23 @@ struct EpisodeState {
       result.dl_tb_total += bg_stats.tb_total;
       result.dl_tb_err += bg_stats.tb_err;
     }
+    return fg_dl_active ? des::EventQueue::kNoHint : quiet_until();
+  }
+
+  /// Until when the coming ticks are provably no-ops: with fading off and no
+  /// background UEs, a tick draws nothing and touches nothing unless a queue
+  /// has schedulable data, and data only arrives through heap events, which
+  /// revoke the hint. So the hint is the earliest access-delay deadline of
+  /// queued data (+inf when both queues are empty). A disabled fading process
+  /// keeps its value at 0, so the CQI history a skipped tick would extend
+  /// holds the same constant. Real-network and background-UE episodes tick
+  /// every TTI.
+  des::TimeMs quiet_until() const {
+    if (slice_ue.fading_enabled() || !background.empty()) return des::EventQueue::kNoHint;
+    const lte::RadioQueue& ul = slice_ue.ul_queue();
+    const lte::RadioQueue& dl = slice_ue.dl_queue();
+    if (ul.has_data(events.now()) || dl.has_data(events.now())) return des::EventQueue::kNoHint;
+    return std::min(ul.schedulable_at(), dl.schedulable_at());
   }
 
   void mobility_step() {
@@ -236,7 +255,7 @@ struct EpisodeState {
     if (workload.random_walk) {
       events.add_stepper(100.0, [s = this] { s->mobility_step(); });
     }
-    events.add_stepper(lte::kTtiMs, [s = this] { s->tti_tick(); });
+    events.add_stepper(lte::kTtiMs, [s = this] { return s->tti_tick(); });
   }
 };
 
@@ -244,6 +263,10 @@ struct EpisodeState {
 
 EpisodeResult run_episode(const NetworkProfile& profile, const SliceConfig& raw_config,
                           const Workload& workload) {
+  // run_until(NaN or +inf) would tick forever.
+  if (!(std::isfinite(workload.duration_ms) && workload.duration_ms > 0.0)) {
+    throw std::invalid_argument("run_episode: duration_ms must be finite and > 0");
+  }
   // Per-worker episode arena: EnvService::run_batch fans episodes out over
   // stable pool threads, so each worker's thread_slot() slab is warm after
   // its first episode and per-episode setup performs no global allocation.

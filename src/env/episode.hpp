@@ -81,6 +81,7 @@ struct EpisodeResult {
 /// Run one end-to-end episode: frames flow UE -> RAN(UL) -> switch -> SPGW-U
 /// -> edge compute -> SPGW-U -> switch -> RAN(DL) -> UE under the given
 /// profile, slice configuration, and workload. Deterministic per seed.
+/// Throws std::invalid_argument unless workload.duration_ms is finite and > 0.
 EpisodeResult run_episode(const NetworkProfile& profile, const SliceConfig& config,
                           const Workload& workload);
 

@@ -37,6 +37,10 @@ struct SliceRuntime {
 MultiSliceResult run_multi_slice_episode(const NetworkProfile& profile,
                                          const std::vector<SliceSpec>& specs,
                                          double duration_ms, std::uint64_t seed) {
+  // run_until(NaN or +inf) would tick forever.
+  if (!(std::isfinite(duration_ms) && duration_ms > 0.0)) {
+    throw std::invalid_argument("run_multi_slice_episode: duration_ms must be finite and > 0");
+  }
   des::EventQueue events;
   Rng master(seed);
   app::AppTrafficModel traffic_model;

@@ -23,9 +23,10 @@ struct MultiSliceResult {
   std::vector<EpisodeResult> per_slice;
 };
 
-/// Run all slices concurrently on one physical network for `duration_ms`.
-/// Deterministic per seed. Slices whose PRB caps sum beyond the carrier are
-/// served in declaration order (earlier slices have scheduling priority).
+/// Run all slices concurrently on one physical network for `duration_ms`
+/// (finite and > 0, or std::invalid_argument). Deterministic per seed.
+/// Slices whose PRB caps sum beyond the carrier are served in declaration
+/// order (earlier slices have scheduling priority).
 ///
 /// This is the substrate for the paper's scalability argument (§10): one
 /// Atlas instance per slice can be trained independently because the

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "lte/phy.hpp"
@@ -36,6 +37,13 @@ class RadioQueue {
   bool has_data(double now) const noexcept {
     if (full_buffer_) return true;
     return !sdus_.empty() && now >= schedulable_at_;
+  }
+
+  /// The earliest time has_data() can turn true before the next push, for a
+  /// queue not in full-buffer mode: when queued data clears its access
+  /// delay, or +inf for an empty queue.
+  double schedulable_at() const noexcept {
+    return sdus_.empty() ? std::numeric_limits<double>::infinity() : schedulable_at_;
   }
 
   /// Total queued bits. O(1): maintained incrementally in push/drain (the
@@ -121,6 +129,8 @@ class UeRadio {
   }
   void set_distance(double d) noexcept;
   double distance() const noexcept { return distance_m_; }
+  /// False under the simulator profile: step_fading then draws nothing.
+  bool fading_enabled() const noexcept { return fading_.enabled(); }
 
   RadioQueue& ul_queue() noexcept { return ul_queue_; }
   RadioQueue& dl_queue() noexcept { return dl_queue_; }

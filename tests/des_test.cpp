@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "des/event_queue.hpp"
+#include "math/rng.hpp"
 
 namespace ad = atlas::des;
 
@@ -73,6 +77,10 @@ TEST(EventQueue, RejectsPastAndNegative) {
   q.run_until(5.0);
   EXPECT_THROW(q.schedule_at(4.0, [] {}), std::invalid_argument);
   EXPECT_THROW(q.schedule_in(-1.0, [] {}), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(q.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(nan, [] {}), std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
@@ -251,5 +259,106 @@ TEST(EventQueue, ManySameInstantEventsKeepFifoUnderHeapChurn) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
     EXPECT_EQ(order[static_cast<std::size_t>(200 + i)], 1000 + i);
+  }
+}
+
+namespace {
+
+/// A 1-ms server stepper over a job queue, driven by a seeded random
+/// schedule: heap events at random times and exactly on the 1-ms grid push
+/// jobs, and some schedule further events, as served jobs do; a 100-ms
+/// stepper pushes jobs too. A job pushed into an empty queue waits out an access delay
+/// (grid-aligned, zero or arbitrary), like an uplink scheduling request.
+/// With `hints`, the server returns a quiet hint while it has nothing to
+/// serve: +inf when the queue is empty, else the end of the access delay.
+/// Every fire that does something is logged as (time, source), and so is
+/// the clock after each run_until.
+struct QuietServerRun {
+  ad::EventQueue q;
+  atlas::math::Rng rng;
+  bool hints;
+  std::deque<int> jobs;
+  double ready_at = 0.0;
+  int next_job = 0;
+  std::size_t server_calls = 0;
+  std::vector<std::pair<double, int>> log;
+
+  QuietServerRun(std::uint64_t seed, bool with_hints) : rng(seed), hints(with_hints) {}
+
+  double random_delay() {
+    switch (rng.uniform_int(0, 3)) {
+      case 0: return 0.0;
+      case 1: return static_cast<double>(rng.uniform_int(1, 30));
+      default: return rng.uniform(0.0, 30.0);
+    }
+  }
+
+  void push_job() {
+    if (jobs.empty()) ready_at = q.now() + random_delay();
+    jobs.push_back(next_job++);
+  }
+
+  void schedule_arrival(double at, int source) {
+    q.schedule_at(at, [this, source] {
+      log.emplace_back(q.now(), source);
+      push_job();
+      if (rng.bernoulli(0.25)) schedule_arrival(q.now() + random_delay(), -5);
+    });
+  }
+
+  ad::TimeMs serve() {
+    ++server_calls;
+    if (!jobs.empty() && q.now() >= ready_at) {
+      log.emplace_back(q.now(), jobs.front());
+      jobs.pop_front();
+      if (rng.bernoulli(0.5)) schedule_arrival(q.now() + random_delay(), -2);
+      return ad::EventQueue::kNoHint;
+    }
+    if (!hints) return ad::EventQueue::kNoHint;
+    return jobs.empty() ? std::numeric_limits<double>::infinity() : ready_at;
+  }
+
+  std::vector<std::pair<double, int>> drive(const std::vector<double>& arrivals,
+                                            const std::vector<double>& stops) {
+    for (double at : arrivals) schedule_arrival(at, -1);
+    q.add_stepper(100.0, [this] {
+      log.emplace_back(q.now(), -3);
+      if (rng.bernoulli(0.5)) push_job();
+    });
+    q.add_stepper(1.0, [this] { return serve(); });
+    for (double until : stops) {
+      q.run_until(until);
+      log.emplace_back(q.now(), -4);
+    }
+    return log;
+  }
+};
+
+}  // namespace
+
+TEST(EventQueue, QuietHintsSkipOnlyNoOpFires) {
+  // Equivalence property of the quiet-stepper contract: the same schedule
+  // with and without hints yields the same (time, source) log, and so the
+  // same clock after every run_until, including stops that land mid-skip.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    atlas::math::Rng plan(seed);
+    std::vector<double> arrivals;
+    for (int i = 0; i < 60; ++i) {
+      arrivals.push_back(plan.bernoulli(0.5) ? static_cast<double>(plan.uniform_int(0, 2000))
+                                             : plan.uniform(0.0, 2000.0));
+    }
+    std::vector<double> stops;
+    for (double t = 0.0; t < 2000.0;) {
+      t += plan.bernoulli(0.5) ? static_cast<double>(plan.uniform_int(1, 90))
+                               : plan.uniform(0.0, 90.0);
+      stops.push_back(t);
+    }
+    QuietServerRun hinted(seed, /*with_hints=*/true);
+    QuietServerRun plain(seed, /*with_hints=*/false);
+    const auto hinted_log = hinted.drive(arrivals, stops);
+    const auto plain_log = plain.drive(arrivals, stops);
+    ASSERT_EQ(hinted_log, plain_log) << "seed " << seed;
+    EXPECT_EQ(hinted.q.now(), plain.q.now()) << "seed " << seed;
+    EXPECT_LT(hinted.server_calls, plain.server_calls / 2) << "seed " << seed << ": no skip";
   }
 }

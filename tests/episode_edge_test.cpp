@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "env/environment.hpp"
+#include "env/multi_slice.hpp"
 
 namespace ae = atlas::env;
 
@@ -110,4 +114,35 @@ TEST(EpisodeEdge, FractionalPrbConfigsRound) {
   ae::Workload wl;
   wl.duration_ms = 6000.0;
   EXPECT_GT(sim.run(frac, wl).frames_completed, 10u);
+}
+
+TEST(EpisodeEdge, NonFiniteOrNonPositiveDurationIsRejected) {
+  // run_until(NaN or +inf) never returns, and the wire decoder passes the
+  // duration through unchecked: an unchecked episode would hold a worker's
+  // pool thread for good.
+  ae::Simulator sim;
+  const std::vector<ae::SliceSpec> slices(2);
+  for (const double duration : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    ae::Workload wl;
+    wl.duration_ms = duration;
+    EXPECT_THROW((void)sim.run(ae::SliceConfig{}, wl), std::invalid_argument) << duration;
+    EXPECT_THROW((void)ae::run_multi_slice_episode(ae::simulator_profile(), slices, duration, 1),
+                 std::invalid_argument)
+        << duration;
+  }
+}
+
+TEST(EpisodeEdge, NanConfigFieldEndsInATypedError) {
+  // SliceConfig::clamped() passes NaN through; the first event scheduled at
+  // a NaN time must fail cleanly instead of ordering the heap by NaN.
+  ae::Simulator sim;
+  ae::Workload wl;
+  wl.duration_ms = 5000.0;
+  ae::SliceConfig nan_backhaul;
+  nan_backhaul.backhaul_mbps = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)sim.run(nan_backhaul, wl), std::invalid_argument);
+  ae::SliceConfig nan_cpu;
+  nan_cpu.cpu_ratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)sim.run(nan_cpu, wl), std::invalid_argument);
 }

@@ -108,6 +108,12 @@ const GoldenCase kGolden[] = {
     {"sim_bg16_t2", false, 30, 30, 0, 0, 100, 1.0, 2, 5000, false, false, 16, 29, 0xdca8c07238cd8555ULL},
     {"sim_bg64_t2", false, 30, 30, 0, 0, 100, 1.0, 2, 5000, false, false, 64, 37, 0x01e699f761d4dfbbULL},
     {"real_bg16_t2", true, 30, 30, 0, 0, 100, 1.0, 2, 5000, false, false, 16, 31, 0xbc9efe162451db01ULL},
+    // 60-s guard cases for quiet TTI skipping, captured before the event
+    // queue learned to skip a stepper's no-op fires: a starved slice whose
+    // RAN idles while frames wait at the edge, and the default slice with a
+    // 100-ms mobility stepper that lands inside quiet stretches.
+    {"sim_starved_60s_t1", false, 6, 3, 10, 10, 5, 0.1, 1, 60000, false, false, 0, 41, 0x82b424ddc2e99742ULL},
+    {"sim_walk_traces_60s_t1", false, 50, 50, 0, 0, 100, 1.0, 1, 60000, true, true, 0, 43, 0x91bec9750c5d2d48ULL},
 };
 
 ae::EpisodeResult run_case(const GoldenCase& c) {

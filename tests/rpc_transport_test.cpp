@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -260,6 +261,30 @@ TEST(RpcLoopback, WorkerErrorsSurfaceAsRpcErrorWithoutRetry) {
   client.reset_stats();
   EXPECT_EQ(client.backend_stats(remote).rpc_failures, 0u)
       << "reset_stats must clear backend-owned counters too";
+}
+
+TEST(RpcLoopback, NanDurationIsAnRpcErrorAndTheWorkerKeepsServing) {
+  // One worker pool thread: a NaN-duration episode used to tick forever on
+  // it, so the valid query after it was never served.
+  LoopbackWorker worker(/*threads=*/1);
+
+  ae::EnvService client(ae::EnvServiceOptions{.threads = 1});
+  ar::RemoteBackendOptions options;
+  options.remote_backend = worker.sim;
+  options.transport_factory = worker.factory();
+  auto backend = std::make_shared<ar::RemoteBackend>(options);
+  const auto remote = client.register_backend(backend);
+
+  ae::EnvQuery nan_query = query(remote, 1);
+  nan_query.workload.duration_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)client.run(nan_query), ar::RpcError);
+  EXPECT_EQ(backend->rpc_retries(), 0u) << "semantic errors are deterministic: no retry";
+  EXPECT_EQ(backend->rpc_failures(), 1u);
+
+  const auto served = client.run(query(remote, 1));
+  EXPECT_GT(served.frames_completed, 0u);
+  EXPECT_EQ(backend->rpc_failures(), 1u);
+  EXPECT_EQ(worker.service.backend_stats(worker.sim).episodes, 1u);
 }
 
 TEST(RpcLoopback, TimeoutsRetryThenFailWithAccounting) {
