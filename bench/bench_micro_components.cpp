@@ -11,6 +11,7 @@
 #include "math/linalg.hpp"
 #include "math/rng.hpp"
 #include "nn/bnn.hpp"
+#include "nn/dense_kernel.hpp"
 #include "nn/optim.hpp"
 
 using namespace atlas;
@@ -123,6 +124,37 @@ static void BM_BnnThompsonScore2k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BnnThompsonScore2k)->Unit(benchmark::kMillisecond);
+
+// The dense kernel alone, at each lane count this CPU runs: one Thompson draw
+// of an 8-64-64-1 network over a scan tile of 256 rows.
+static void BM_BnnPredictTile(benchmark::State& state) {
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRows = 256;
+  math::Rng rng(8);
+  nn::BnnConfig cfg;
+  cfg.sizes = {8, 64, 64, 1};
+  nn::Bnn bnn(cfg, rng);
+  const nn::BnnSample draw = bnn.thompson(rng);
+  math::Matrix tile(kRows, 8);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t j = 0; j < 8; ++j) tile(i, j) = rng.uniform(0, 1);
+  }
+  math::Vec out(kRows);
+  for (auto _ : state) {
+    nn::dense_kernel::predict_rows(lanes, draw, tile.data(), kRows, 8, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(kRows),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(lanes == nn::dense_kernel::dispatched_lanes() ? "dispatched" : "");
+}
+BENCHMARK(BM_BnnPredictTile)->Apply([](benchmark::internal::Benchmark* b) {
+  for (std::size_t lanes : nn::dense_kernel::kLaneCounts) {
+    if (nn::dense_kernel::supported(lanes)) b->Arg(static_cast<std::int64_t>(lanes));
+  }
+});
 
 static void BM_KlDivergence(benchmark::State& state) {
   math::Rng rng(6);

@@ -22,6 +22,7 @@ namespace {
 
 CalibrationOptions checked(CalibrationOptions options) {
   if (options.candidates == 0) throw std::invalid_argument("SimCalibrator: candidates must be > 0");
+  if (options.parallel == 0) throw std::invalid_argument("SimCalibrator: parallel must be > 0");
   return options;
 }
 
@@ -116,7 +117,7 @@ CalibrationResult SimCalibrator::calibrate() {
   bo::GpBoMinimizer gp_bo(space_, gp_opts);
 
   const bool use_gp = options_.surrogate == CalibratorSurrogate::kGpEi;
-  const std::size_t batch = use_gp ? 1 : std::max<std::size_t>(1, options_.parallel);
+  const std::size_t batch = use_gp ? 1 : options_.parallel;
   bo::ScanTile tile(space_.dim());
 
   double best_weighted = std::numeric_limits<double>::infinity();

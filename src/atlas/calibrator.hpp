@@ -84,7 +84,8 @@ class SimCalibrator {
   /// online collection D_r. Simulator evaluations run batched through the
   /// service against a private offline backend with per-query Table 3
   /// parameter overrides (and profit from its memoization + accounting).
-  /// Throws std::invalid_argument for an empty candidate pool.
+  /// Throws std::invalid_argument for an empty candidate pool or
+  /// `parallel == 0`.
   SimCalibrator(env::EnvClient& service, env::BackendId real, CalibrationOptions options);
 
   /// Run the search (Alg. 1) and return the calibration.

@@ -41,6 +41,9 @@ OfflineTrainer::OfflineTrainer(env::EnvClient& service, env::BackendId simulator
   if (options_.candidates == 0) {
     throw std::invalid_argument("OfflineTrainer: candidates must be > 0");
   }
+  if (options_.parallel == 0) {
+    throw std::invalid_argument("OfflineTrainer: parallel must be > 0");
+  }
   if (options_.bnn.sizes.empty()) {
     options_.bnn.sizes = {2 + space_.dim(), 64, 64, 1};
     options_.bnn.noise_sigma = 0.07;  // QoE estimates carry ~0.02-0.05 sampling noise
@@ -70,7 +73,7 @@ OfflineResult OfflineTrainer::train() {
                                       space_.normalize(config.clamped().to_vec())));
     ys.push_back(qoe);
   }
-  const std::size_t batch = use_gp ? 1 : std::max<std::size_t>(1, options_.parallel);
+  const std::size_t batch = use_gp ? 1 : options_.parallel;
 
   double lambda = 0.0;
   double best_score = std::numeric_limits<double>::infinity();

@@ -95,7 +95,7 @@ class OfflineTrainer {
  public:
   /// `simulator` names the (augmented) offline backend inside `service`;
   /// parallel QoE queries run batched through the service. Throws
-  /// std::invalid_argument for an empty candidate pool.
+  /// std::invalid_argument for an empty candidate pool or `parallel == 0`.
   OfflineTrainer(env::EnvClient& service, env::BackendId simulator, OfflineOptions options);
 
   OfflineResult train();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <stdexcept>
 
@@ -47,6 +48,13 @@ class OutstandingGuard {
  private:
   std::atomic<std::int64_t>* counter_;
 };
+
+/// NaN never equals itself, so an entry stored under a key holding one could
+/// never be found, evicted (eviction looks entries up by their LRU key) or
+/// erased from the in-flight table again. Such keys stay out of both.
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
+}
 
 }  // namespace
 
@@ -197,6 +205,14 @@ void EnvService::evict_locked(CacheShard& shard) {
 /// (usually as the new leader) runs the episode it still wants.
 EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& query) {
   QueryKey key = make_key(query);
+  if (!all_finite(key.values)) {
+    // Uncacheable: run it alone, as a miss, so hits + misses + rejected ==
+    // queries still holds.
+    backend.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    EpisodeResult result = backend.impl->execute(query);
+    if (!result.is_rejected()) backend.episodes.fetch_add(1, std::memory_order_relaxed);
+    return result;
+  }
   const std::size_t hash = QueryKeyHash{}(key);
   CacheShard& shard = shard_for(hash);
 
@@ -478,7 +494,8 @@ std::size_t EnvService::import_memo(BackendId id, std::span<const MemoEntrySnaps
   if (!caching_enabled()) return 0;
   std::size_t imported = 0;
   for (const auto& snapshot : memo) {
-    if (snapshot.key.empty()) continue;  // key[0] is the (rewritten) backend id
+    // key[0] is the (rewritten) backend id.
+    if (snapshot.key.empty() || !all_finite(snapshot.key)) continue;
     QueryKey key;
     key.backend = id;
     key.values.assign(snapshot.key.begin() + 1, snapshot.key.end());

@@ -66,6 +66,8 @@ struct EnvServiceOptions {
 ///    episode); every coalesced waiter counts a cache hit, so the invariants
 ///    `cache_misses == episodes` and `cache_hits + cache_misses == queries`
 ///    hold for purely-cacheable workloads.
+///  * A query whose key holds a NaN or infinity (say, a NaN bandwidth off the
+///    wire) is neither memoized nor coalesced: it runs alone and counts a miss.
 ///  * Online (metered) backends are NEVER cached or coalesced:
 ///    `episodes == queries` reproduces the paper's per-interaction
 ///    SLA-exposure bookkeeping.
@@ -120,7 +122,8 @@ class EnvService final : public EnvClient {
   /// Install migrated memo entries under backend `id`, as if this service had
   /// executed them: inserted at the warm end of each stripe's LRU with the
   /// snapshot's recompute cost, normal capacity eviction applies. Entries
-  /// already present are left untouched. Returns how many were inserted.
+  /// already present are left untouched, and so are snapshots whose key holds
+  /// a NaN or infinity. Returns how many were inserted.
   std::size_t import_memo(BackendId id, std::span<const MemoEntrySnapshot> memo);
 
   /// Registry metadata pass-throughs, used to build a WorkerAnnounce.

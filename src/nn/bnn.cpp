@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
+#include "nn/dense_kernel.hpp"
 #include "nn/mlp.hpp"
 
 namespace atlas::nn {
@@ -23,137 +23,18 @@ double log_normal_pdf(double x, double mu, double sigma) {
   return -0.5 * z * z - std::log(sigma) - 0.918938533204672742;  // log(sqrt(2*pi))
 }
 
-/// Rows per register block of the dense kernel.
-constexpr std::size_t kRowBlock = 4;
-
-/// Two doubles in one SSE2 register (a GCC/Clang vector type). Each lane is
-/// an ordinary IEEE double operation.
-using Lanes = double __attribute__((vector_size(2 * sizeof(double))));
-
-/// Running sums of four consecutive outputs of one row.
-struct Acc4 {
-  static constexpr std::size_t kWidth = 4;
-  Lanes lo;
-  Lanes hi;
-
-  static Acc4 load(const double* p) {
-    Acc4 a{};
-    std::memcpy(&a.lo, p, sizeof(Lanes));
-    std::memcpy(&a.hi, p + 2, sizeof(Lanes));
-    return a;
-  }
-  void add(const Acc4& w, double h) {
-    lo += w.lo * h;
-    hi += w.hi * h;
-  }
-  void store(bool relu, double* y) const {
-    for (std::size_t c = 0; c < 2; ++c) {
-      y[c] = (relu && lo[c] < 0.0) ? 0.0 : lo[c];
-      y[c + 2] = (relu && hi[c] < 0.0) ? 0.0 : hi[c];
-    }
-  }
-};
-
-/// The running sum of one output: the columns left over after the Acc4
-/// blocks (e.g. the scalar output layer).
-struct Acc1 {
-  static constexpr std::size_t kWidth = 1;
-  double v;
-
-  static Acc1 load(const double* p) { return Acc1{*p}; }
-  void add(const Acc1& w, double h) { v += w.v * h; }
-  void store(bool relu, double* y) const { y[0] = (relu && v < 0.0) ? 0.0 : v; }
-};
-
-/// y[r][o0 + c] = act(b[o0 + c] + sum_i h[r][i] w[i][o0 + c]) for R (1 or
-/// kRowBlock) rows and the A::kWidth outputs from o0 of one input-major
-/// (in x out) layer. Each sum runs over i in order, exactly as a scalar
-/// dot-product loop would; the vectorization is across outputs, never
-/// across i. The accumulators are named, not an array, so they stay in
-/// registers.
-template <std::size_t R, typename A>
-void dense_block(const Matrix& w, const Vec& b, bool relu, std::size_t o0, const double* h,
-                 std::size_t h_stride, double* y, std::size_t y_stride) {
-  static_assert(R == 1 || R == kRowBlock);
-  const std::size_t in = w.rows();
-  const std::size_t out = w.cols();
-  const double* h1 = h + (R > 1 ? h_stride : 0);
-  const double* h2 = h + (R > 1 ? 2 * h_stride : 0);
-  const double* h3 = h + (R > 1 ? 3 * h_stride : 0);
-  A a0 = A::load(b.data() + o0);
-  A a1 = a0;
-  A a2 = a0;
-  A a3 = a0;
-  for (std::size_t i = 0; i < in; ++i) {
-    const A wi = A::load(w.data() + i * out + o0);
-    a0.add(wi, h[i]);
-    if constexpr (R > 1) {
-      a1.add(wi, h1[i]);
-      a2.add(wi, h2[i]);
-      a3.add(wi, h3[i]);
-    }
-  }
-  a0.store(relu, y + o0);
-  if constexpr (R > 1) {
-    a1.store(relu, y + y_stride + o0);
-    a2.store(relu, y + 2 * y_stride + o0);
-    a3.store(relu, y + 3 * y_stride + o0);
-  }
-}
-
-/// All layers for R consecutive rows of `x`; `scratch` holds two R x width
-/// activation buffers.
-template <std::size_t R>
-void forward_rows(const BnnSample& s, const double* x, std::size_t x_stride, double* scratch,
-                  std::size_t width, double* out) {
-  const double* h = x;
-  std::size_t h_stride = x_stride;
-  double* y = scratch;
-  for (std::size_t l = 0; l < s.weights.size(); ++l) {
-    const Matrix& w = s.weights[l];
-    const bool relu = l + 1 < s.weights.size();
-    std::size_t o = 0;
-    for (; o + Acc4::kWidth <= w.cols(); o += Acc4::kWidth) {
-      dense_block<R, Acc4>(w, s.biases[l], relu, o, h, h_stride, y, width);
-    }
-    for (; o < w.cols(); ++o) dense_block<R, Acc1>(w, s.biases[l], relu, o, h, h_stride, y, width);
-    h = y;
-    h_stride = width;
-    y = y == scratch ? scratch + R * width : scratch;
-  }
-  for (std::size_t r = 0; r < R; ++r) out[r] = h[r * h_stride];
-}
-
-/// Predictions for `rows` rows of `x` (row stride `x_stride`), kRowBlock at
-/// a time, the remainder one by one.
-void predict_rows(const BnnSample& s, const double* x, std::size_t rows, std::size_t x_stride,
-                  double* out) {
-  if (s.weights.empty() || x_stride != s.weights.front().rows()) {
-    throw std::invalid_argument("BnnSample: input width does not match the network");
-  }
-  std::size_t width = 0;
-  for (const auto& w : s.weights) width = std::max(width, w.cols());
-  std::vector<double> scratch(2 * std::min(rows, kRowBlock) * width);
-  std::size_t n = 0;
-  for (; n + kRowBlock <= rows; n += kRowBlock) {
-    forward_rows<kRowBlock>(s, x + n * x_stride, x_stride, scratch.data(), width, out + n);
-  }
-  for (; n < rows; ++n) {
-    forward_rows<1>(s, x + n * x_stride, x_stride, scratch.data(), width, out + n);
-  }
-}
-
 }  // namespace
 
 double BnnSample::predict(const Vec& x) const {
   double y = 0.0;
-  predict_rows(*this, x.data(), 1, x.size(), &y);
+  dense_kernel::predict_rows(dense_kernel::dispatched_lanes(), *this, x.data(), 1, x.size(), &y);
   return y;
 }
 
 Vec BnnSample::predict_batch(const Matrix& x) const {
   Vec out(x.rows());
-  predict_rows(*this, x.data(), x.rows(), x.cols(), out.data());
+  dense_kernel::predict_rows(dense_kernel::dispatched_lanes(), *this, x.data(), x.rows(),
+                             x.cols(), out.data());
   return out;
 }
 

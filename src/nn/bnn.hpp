@@ -36,11 +36,12 @@ struct BnnConfig {
 /// Thompson sampling hands to each parallel query ("infer the BNN only once",
 /// §4.2 of the paper).
 ///
-/// Weights are stored input-major so the batched kernel vectorizes across a
-/// layer's outputs. Every output is still summed as
-/// bias + w_0 h_0 + w_1 h_1 + ... in input order, so predict_batch, predict
-/// and Bnn::predict_at_mean agree bit for bit (no reassociation; see the
-/// README's "batched surrogate scoring" for the FMA caveat).
+/// Weights are stored input-major so the batched kernel (nn/dense_kernel.hpp)
+/// vectorizes across a layer's outputs, at the widest lane count the CPU
+/// runs. Every output is still summed as bias + w_0 h_0 + w_1 h_1 + ... in
+/// input order, so predict_batch, predict and Bnn::predict_at_mean agree bit
+/// for bit at every width (no reassociation; see the README's "batched
+/// surrogate scoring" for the FMA caveat).
 struct BnnSample {
   std::vector<atlas::math::Matrix> weights;  ///< One (in x out) matrix per layer.
   std::vector<atlas::math::Vec> biases;

@@ -75,6 +75,14 @@ TEST(Stage1, RejectsEmptyCandidatePool) {
   EXPECT_THROW(ac::SimCalibrator(service, real, opts), std::invalid_argument);
 }
 
+TEST(Stage1, RejectsZeroParallelQueries) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto real = service.add_real_network();
+  auto opts = fast_options();
+  opts.parallel = 0;
+  EXPECT_THROW(ac::SimCalibrator(service, real, opts), std::invalid_argument);
+}
+
 TEST(Stage1, GpSurrogateVariantRuns) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto real = service.add_real_network();

@@ -97,6 +97,14 @@ TEST(Stage2, RejectsEmptyCandidatePool) {
   EXPECT_THROW(ac::OfflineTrainer(service, sim, opts), std::invalid_argument);
 }
 
+TEST(Stage2, RejectsZeroParallelQueries) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  const auto sim = service.add_simulator();
+  auto opts = fast_options();
+  opts.parallel = 0;
+  EXPECT_THROW(ac::OfflineTrainer(service, sim, opts), std::invalid_argument);
+}
+
 TEST(Stage2, GpSurrogateVariantsRun) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto sim = service.add_simulator();

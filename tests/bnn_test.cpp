@@ -3,11 +3,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "math/rng.hpp"
 #include "math/stats.hpp"
 #include "nn/bnn.hpp"
+#include "nn/dense_kernel.hpp"
 #include "nn/optim.hpp"
 
 namespace am = atlas::math;
@@ -39,6 +41,31 @@ double reference_predict(const an::BnnSample& s, const am::Vec& x) {
     h = std::move(next);
   }
   return h[0];
+}
+
+/// A network of the given shape after a few training steps, which move the
+/// posterior-mean biases off zero.
+an::Bnn trained_bnn(const std::vector<std::size_t>& sizes, am::Rng& rng) {
+  an::BnnConfig cfg;
+  cfg.sizes = sizes;
+  an::Bnn bnn(cfg, rng);
+  am::Matrix tx(32, sizes[0]);
+  am::Vec ty(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    for (std::size_t j = 0; j < sizes[0]; ++j) tx(i, j) = rng.uniform(-1.0, 1.0);
+    ty[i] = rng.uniform(0.0, 1.0);
+  }
+  an::Adadelta opt(1.0);
+  bnn.train(tx, ty, 2, 8, opt, nullptr, rng);
+  return bnn;
+}
+
+am::Matrix random_rows(std::size_t rows, std::size_t cols, am::Rng& rng) {
+  am::Matrix x(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) x(i, j) = rng.uniform(-1.0, 1.0);
+  }
+  return x;
 }
 
 }  // namespace
@@ -75,25 +102,11 @@ TEST(Bnn, BatchPredictMatchesScalarPredict) {
       {6, 64, 64, 1}, {8, 64, 64, 1}, {5, 7, 3, 1}};
   for (const auto& sizes : shapes) {
     am::Rng rng(4);
-    an::BnnConfig cfg;
-    cfg.sizes = sizes;
-    an::Bnn bnn(cfg, rng);
-    // A few steps move the posterior-mean biases off zero.
-    am::Matrix tx(32, sizes[0]);
-    am::Vec ty(32);
-    for (std::size_t i = 0; i < 32; ++i) {
-      for (std::size_t j = 0; j < sizes[0]; ++j) tx(i, j) = rng.uniform(-1.0, 1.0);
-      ty[i] = rng.uniform(0.0, 1.0);
-    }
-    an::Adadelta opt(1.0);
-    bnn.train(tx, ty, 2, 8, opt, nullptr, rng);
+    const an::Bnn bnn = trained_bnn(sizes, rng);
     const an::BnnSample draw = bnn.thompson(rng);
     const an::BnnSample mean = bnn.mean_sample();
     for (std::size_t rows : {0, 1, 3, 4, 5, 255, 256, 257}) {
-      am::Matrix x(rows, sizes[0]);
-      for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < sizes[0]; ++j) x(i, j) = rng.uniform(-1.0, 1.0);
-      }
+      const am::Matrix x = random_rows(rows, sizes[0], rng);
       const am::Vec drawn = draw.predict_batch(x);
       const am::Vec at_mean = mean.predict_batch(x);
       ASSERT_EQ(drawn.size(), rows);
@@ -107,6 +120,64 @@ TEST(Bnn, BatchPredictMatchesScalarPredict) {
       }
     }
   }
+}
+
+/// Every lane count of the dense kernel that this CPU runs gives the 2-lane
+/// kernel's bits, and the 2-lane kernel gives the scalar reference's. CI runs
+/// the golden suites without their pinned hashes, so this is its check that a
+/// dispatched width matches the reference.
+class BnnKernelWidth : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BnnKernelWidth, MatchesTheTwoLaneKernelBitForBit) {
+  const std::size_t lanes = GetParam();
+  if (!an::dense_kernel::supported(lanes)) {
+    GTEST_SKIP() << "this CPU has no " << lanes << "-lane kernel";
+  }
+  // The scoring networks of stages 1-3 (8-64-64-1), kBnnResidual's
+  // (6-48-48-1), and odd widths that leave remainder outputs at every width.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {8, 64, 64, 1}, {6, 48, 48, 1}, {7, 63, 5, 1}};
+  for (const auto& sizes : shapes) {
+    am::Rng rng(11);
+    const an::Bnn bnn = trained_bnn(sizes, rng);
+    for (const an::BnnSample& s : {bnn.thompson(rng), bnn.mean_sample()}) {
+      for (std::size_t rows : {0, 1, 3, 4, 5, 255, 256, 257}) {
+        const am::Matrix x = random_rows(rows, sizes[0], rng);
+        am::Vec got(rows);
+        am::Vec want(rows);
+        an::dense_kernel::predict_rows(lanes, s, x.data(), rows, sizes[0], got.data());
+        an::dense_kernel::predict_rows(2, s, x.data(), rows, sizes[0], want.data());
+        for (std::size_t i = 0; i < rows; ++i) {
+          ASSERT_EQ(bits(got[i]), bits(want[i]))
+              << lanes << " lanes, input width " << sizes[0] << ", rows " << rows << " row " << i;
+          ASSERT_EQ(bits(want[i]), bits(reference_predict(s, x.row(i))))
+              << "input width " << sizes[0] << ", rows " << rows << " row " << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, BnnKernelWidth,
+                         ::testing::ValuesIn(an::dense_kernel::kLaneCounts),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "lanes" + std::to_string(info.param);
+                         });
+
+TEST(Bnn, DispatchesTheWidestSupportedKernel) {
+  const std::size_t dispatched = an::dense_kernel::dispatched_lanes();
+  EXPECT_TRUE(an::dense_kernel::supported(dispatched));
+  for (std::size_t lanes : an::dense_kernel::kLaneCounts) {
+    if (lanes > dispatched) {
+      EXPECT_FALSE(an::dense_kernel::supported(lanes)) << lanes;
+    }
+  }
+  am::Rng rng(12);
+  const an::Bnn bnn = trained_bnn({8, 64, 64, 1}, rng);
+  const an::BnnSample draw = bnn.thompson(rng);
+  am::Vec out(1);
+  EXPECT_THROW(an::dense_kernel::predict_rows(3, draw, out.data(), 0, 8, out.data()),
+               std::invalid_argument);
 }
 
 TEST(Bnn, PredictRejectsWrongInputWidth) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -208,6 +209,61 @@ TEST(EnvService, LruEvictionBoundsTheCache) {
   EXPECT_EQ(service.cache_size(), 2u);
   (void)service.run(query(sim, 1));  // A must re-execute
   EXPECT_EQ(service.backend_stats(sim).episodes, 4u);
+}
+
+TEST(EnvService, NonFiniteKeysBypassTheMemo) {
+  // NaN never equals itself: memoized under such a key, an entry could never
+  // be found again, and eviction, which looks entries up by key, would throw.
+  ae::EnvServiceOptions options;
+  options.threads = 1;
+  options.cache_capacity = 4;
+  ae::EnvService service(options);
+  const auto sim = service.add_simulator();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  ae::SliceConfig nan_bandwidth;
+  nan_bandwidth.bandwidth_ul = nan;
+  (void)service.run(query(sim, 1, nan_bandwidth));
+  (void)service.run(query(sim, 1, nan_bandwidth));  // runs again: nothing to hit
+  EXPECT_EQ(service.cache_size(), 0u);
+  auto nan_duration = query(sim, 2);
+  nan_duration.workload.duration_ms = nan;
+  EXPECT_THROW((void)service.run(nan_duration), std::invalid_argument);
+
+  for (std::uint64_t seed = 3; seed < 43; ++seed) {
+    ASSERT_NO_THROW((void)service.run(query(sim, seed))) << "seed " << seed;
+  }
+  EXPECT_EQ(service.cache_size(), 4u);
+  const auto stats = service.backend_stats(sim);
+  EXPECT_EQ(stats.queries, 43u);
+  EXPECT_EQ(stats.cache_misses, 43u);
+  EXPECT_EQ(stats.episodes, 42u);  // the NaN-duration episode threw
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.rejected(), stats.queries);
+}
+
+TEST(EnvService, ImportSkipsNonFiniteKeys) {
+  ae::EnvServiceOptions options;
+  options.threads = 1;
+  options.cache_capacity = 4;
+  ae::EnvService source(options);
+  const auto source_sim = source.add_simulator();
+  (void)source.run(query(source_sim, 1));
+  const auto memo = source.export_memo(source_sim);
+  ASSERT_EQ(memo.size(), 1u);
+  auto nan_key = memo[0];
+  nan_key.key[1] = std::numeric_limits<double>::quiet_NaN();  // the first config value
+  auto inf_key = memo[0];
+  inf_key.key[2] = std::numeric_limits<double>::infinity();
+
+  ae::EnvService service(options);
+  const auto sim = service.add_simulator();
+  EXPECT_EQ(service.import_memo(sim, std::vector{nan_key, inf_key}), 0u);
+  EXPECT_EQ(service.cache_size(), 0u);
+  EXPECT_EQ(service.import_memo(sim, memo), 1u);
+  for (std::uint64_t seed = 2; seed < 12; ++seed) {
+    ASSERT_NO_THROW((void)service.run(query(sim, seed))) << "seed " << seed;
+  }
+  EXPECT_EQ(service.cache_size(), 4u);
 }
 
 TEST(EnvService, LruEvictionKeepsRecentlyTouchedEntries) {
