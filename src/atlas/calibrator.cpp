@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "atlas/option_checks.hpp"
 #include "bo/acquisition.hpp"
 #include "bo/argmin.hpp"
 #include "bo/gp_bo.hpp"
@@ -23,6 +24,7 @@ namespace {
 CalibrationOptions checked(CalibrationOptions options) {
   if (options.candidates == 0) throw std::invalid_argument("SimCalibrator: candidates must be > 0");
   if (options.parallel == 0) throw std::invalid_argument("SimCalibrator: parallel must be > 0");
+  check_workload("SimCalibrator", options.workload);
   return options;
 }
 

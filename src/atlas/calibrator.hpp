@@ -84,8 +84,9 @@ class SimCalibrator {
   /// online collection D_r. Simulator evaluations run batched through the
   /// service against a private offline backend with per-query Table 3
   /// parameter overrides (and profit from its memoization + accounting).
-  /// Throws std::invalid_argument for an empty candidate pool or
-  /// `parallel == 0`.
+  /// Throws std::invalid_argument for an empty candidate pool,
+  /// `parallel == 0` or an episode duration that is not finite and > 0,
+  /// before any episode runs.
   SimCalibrator(env::EnvClient& service, env::BackendId real, CalibrationOptions options);
 
   /// Run the search (Alg. 1) and return the calibration.

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "atlas/option_checks.hpp"
 #include "bo/argmin.hpp"
 #include "bo/scan_tile.hpp"
 #include "common/log.hpp"
@@ -44,6 +45,8 @@ OfflineTrainer::OfflineTrainer(env::EnvClient& service, env::BackendId simulator
   if (options_.parallel == 0) {
     throw std::invalid_argument("OfflineTrainer: parallel must be > 0");
   }
+  check_dual("OfflineTrainer", options_.epsilon, options_.sla);
+  check_workload("OfflineTrainer", options_.workload);
   if (options_.bnn.sizes.empty()) {
     options_.bnn.sizes = {2 + space_.dim(), 64, 64, 1};
     options_.bnn.noise_sigma = 0.07;  // QoE estimates carry ~0.02-0.05 sampling noise

@@ -95,7 +95,9 @@ class OfflineTrainer {
  public:
   /// `simulator` names the (augmented) offline backend inside `service`;
   /// parallel QoE queries run batched through the service. Throws
-  /// std::invalid_argument for an empty candidate pool or `parallel == 0`.
+  /// std::invalid_argument for an empty candidate pool, `parallel == 0`, an
+  /// `epsilon` that is not finite and >= 0, a non-finite SLA availability,
+  /// and a latency threshold or episode duration that is not finite and > 0.
   OfflineTrainer(env::EnvClient& service, env::BackendId simulator, OfflineOptions options);
 
   OfflineResult train();

@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "atlas/option_checks.hpp"
 #include "bo/argmin.hpp"
 #include "bo/scan_tile.hpp"
 #include "common/log.hpp"
@@ -16,6 +17,20 @@ namespace atlas::core {
 using atlas::math::Matrix;
 using atlas::math::Rng;
 using atlas::math::Vec;
+
+double dual_step(double lambda, double qoe, double epsilon, double availability) {
+  return std::max(0.0, lambda - epsilon * (qoe - availability));
+}
+
+LambdaBracket lambda_bracket(double lambda, std::size_t depth, double epsilon,
+                             double availability) {
+  LambdaBracket b{lambda, lambda};
+  for (std::size_t d = 0; d < depth; ++d) {
+    b.lo = dual_step(b.lo, 1.0, epsilon, availability);
+    b.hi = dual_step(b.hi, 0.0, epsilon, availability);
+  }
+  return b;
+}
 
 OnlineLearner::OnlineLearner(const OfflinePolicy* policy, env::EnvClient& service,
                              env::BackendId simulator, env::BackendId real,
@@ -36,6 +51,8 @@ OnlineLearner::OnlineLearner(const OfflinePolicy* policy, env::EnvClient& servic
     throw std::invalid_argument(
         "OnlineLearner: offline acceleration scans candidates / 4 actions; need candidates >= 4");
   }
+  check_dual("OnlineLearner", options_.epsilon, options_.sla);
+  check_workload("OnlineLearner", options_.workload);
 }
 
 double OnlineLearner::offline_qoe_estimate(const Vec& config_norm) const {
@@ -142,14 +159,17 @@ OnlineResult OnlineLearner::learn() {
 
   // An inner update's pool, sampled and scored before lambda is known: each
   // candidate's action a, its usage F(a) and its combined QoE estimate
-  // clamp(Q_s(a) + G(a) mean). One buffer is reused for every pool.
+  // clamp(Q_s(a) + G(a) mean). Every inner update has its own buffer.
   struct PoolCandidate {
     Vec a;
     double usage = 0.0;
     double q = 0.0;
   };
-  std::vector<PoolCandidate> pool(options_.candidates / 4);
-  auto score_pool = [&](const std::optional<nn::BnnSample>& offline_net) {
+  using Pool = std::vector<PoolCandidate>;
+  const bool accelerated = options_.offline_acceleration && options_.inner_updates > 0;
+  const std::size_t inner_updates = accelerated ? options_.inner_updates : 0;
+  std::vector<Pool> pools(inner_updates, Pool(options_.candidates / 4));
+  auto score_pool = [&](Pool& pool, const std::optional<nn::BnnSample>& offline_net) {
     tile.scan(pool.size(), [&](std::size_t first) {
       sample_tile();
       score_tile(offline_net);
@@ -172,10 +192,51 @@ OnlineResult OnlineLearner::learn() {
   // follows the plan's policy. Under `fresh` it reproduces the historical
   // pre-incremented `seed * 32452843 + n` counter bit-identically.
   const env::SeedPlan plan(options_.seed, options_.seed_plan);
-  const bool accelerated = options_.offline_acceleration && options_.inner_updates > 0;
-  const std::size_t sim_reps = 1 + (accelerated ? options_.inner_updates : 0);
   const env::SeedStream real_seeds = plan.stream(env::SeedDomain::kStage3RealOnline, 1);
-  const env::SeedStream sim_seeds = plan.stream(env::SeedDomain::kStage3Sim, sim_reps);
+  const env::SeedStream sim_seeds = plan.stream(env::SeedDomain::kStage3Sim, 1 + inner_updates);
+
+  // bo::Argmin's rule by index: the first candidate of lowest Lagrangian
+  // F(a) - lambda (Q(a) - E), NaN scores skipped. Throws like Argmin when
+  // every score is NaN, which no lambda can change.
+  auto greedy_pick = [&](const Pool& pool, double lam) {
+    std::size_t best = pool.size();
+    double best_score = 0.0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const double score = pool[i].usage - lam * (pool[i].q - options_.sla.availability);
+      if (std::isnan(score)) continue;
+      if (best == pool.size() || score < best_score) {
+        best = i;
+        best_score = score;
+      }
+    }
+    if (best == pool.size()) throw std::out_of_range("Argmin: nothing was offered");
+    return best;
+  };
+
+  // An inner update's episode in flight: the pool index of its action and
+  // the online model's posterior there.
+  struct Flight {
+    env::QueryHandle episode;
+    std::size_t pick = 0;
+    gp::Posterior g;
+  };
+  std::vector<Flight> flights(inner_updates);
+  auto launch = [&](std::size_t iter, std::size_t m, std::size_t pick) {
+    Flight& f = flights[m];
+    const Vec& greedy = pools[m][pick].a;
+    f.pick = pick;
+    f.g = residual_posterior(space_.normalize(greedy));
+    env::EnvQuery q;
+    q.backend = simulator_;
+    q.config = env::SliceConfig::from_vec(greedy);
+    q.workload = options_.workload;
+    sim_seeds.apply(q, iter, 1 + m);  // slot 0 is the residual episode
+    f.episode = service_.submit(std::move(q));
+  };
+  // kBnnResidual's posterior at the greedy action draws from the RNG between
+  // two pools, so it cannot be redrawn at a corrected action: that model
+  // launches update n only once lambda_n is known.
+  const std::size_t max_depth = options_.model == OnlineModel::kBnnResidual ? 0 : inner_updates;
 
   for (std::size_t iter = 0; iter < options_.iterations; ++iter) {
     // ---- Apply the configuration to the real network -----------------------
@@ -264,33 +325,46 @@ OnlineResult OnlineLearner::learn() {
       // argmin of the Lagrangian under the combined estimate
       // Q(a) = Q_s(a) + G(a) (Eq. 12).
       //
-      // No pool depends on lambda or on any episode, so while update n's
-      // episode runs on the service pool this thread scores pool n + 1. The
-      // only RNG draw between two pools, kBnnResidual's posterior at the
-      // greedy action, still precedes the next pool's sampling, and episodes
-      // never touch the RNG: results are bit-identical to inline episodes.
-      score_pool(offline_net);
-      for (std::size_t n = 0; n < options_.inner_updates; ++n) {
-        bo::Argmin argmin;
-        for (const PoolCandidate& c : pool) {
-          argmin.offer(c.a, c.usage - lambda * (c.q - options_.sla.availability));
+      // No pool depends on lambda, and update m's episode is fully determined
+      // by its action and seed slot 1 + m. While update n waits for its
+      // episode, lambda_m for m > n lies in lambda_bracket(lambda_n, m - n),
+      // so once pool m's greedy action is the same at both ends its episode
+      // launches on the service pool. Pools are scored and episodes launched
+      // in order, stopping at the first uncertain update; a pool is scored
+      // only after every earlier update has launched, which keeps the RNG
+      // order of the pools' sampling. Each commit recomputes the pick with
+      // the true lambda, and a pick that differs (rounding between the ends)
+      // replaces its flight, so results never depend on the lookahead.
+      std::size_t scored = 0;
+      std::size_t launched = 0;
+      try {
+        for (std::size_t n = 0; n < inner_updates; ++n) {
+          for (; launched < inner_updates; ++launched) {
+            if (scored == launched) score_pool(pools[scored++], offline_net);
+            const std::size_t depth = launched - n;
+            if (depth > max_depth) break;
+            const LambdaBracket b =
+                lambda_bracket(lambda, depth, options_.epsilon, options_.sla.availability);
+            const std::size_t pick = greedy_pick(pools[launched], b.lo);
+            if (depth > 0 && greedy_pick(pools[launched], b.hi) != pick) break;
+            launch(iter, launched, pick);
+          }
+          Flight& f = flights[n];  // launched at depth 0 at the latest
+          if (const std::size_t pick = greedy_pick(pools[n], lambda); pick != f.pick) {
+            f.episode.wait();
+            launch(iter, n, pick);
+          }
+          const double qs = f.episode.get().qoe(options_.sla.latency_threshold_ms);
+          lambda = dual_step(lambda, std::clamp(qs + f.g.mean, 0.0, 1.0), options_.epsilon,
+                             options_.sla.availability);
         }
-        const Vec& greedy = argmin.best();
-        const auto g = residual_posterior(space_.normalize(greedy));
-        env::EnvQuery inner_q;
-        inner_q.backend = simulator_;
-        inner_q.config = env::SliceConfig::from_vec(greedy);
-        inner_q.workload = options_.workload;
-        sim_seeds.apply(inner_q, iter, 1 + n);  // slot 0 was the residual episode
-        env::QueryHandle episode = service_.submit(std::move(inner_q));
-        if (n + 1 < options_.inner_updates) score_pool(offline_net);
-        const double qs = episode.get().qoe(options_.sla.latency_threshold_ms);
-        const double q_est = std::clamp(qs + g.mean, 0.0, 1.0);
-        lambda = std::max(0.0, lambda - options_.epsilon * (q_est - options_.sla.availability));
+      } catch (...) {
+        for (const Flight& f : flights) f.episode.wait();  // leave no episode running
+        throw;
       }
     } else {
       // Single online update (the "No Offline Acc." ablation).
-      lambda = std::max(0.0, lambda - options_.epsilon * (qoe_real - options_.sla.availability));
+      lambda = dual_step(lambda, qoe_real, options_.epsilon, options_.sla.availability);
     }
 
     // ---- Select the next online action --------------------------------------

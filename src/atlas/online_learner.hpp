@@ -60,6 +60,22 @@ struct OnlineResult {
   double final_lambda = 0.0;
 };
 
+/// One dual (multiplier) update of Alg. 3: lambda' = max(0, lambda - epsilon
+/// (qoe - availability)). For epsilon >= 0 every operation in it is monotone
+/// in IEEE arithmetic: lambda' never falls as lambda rises or as qoe falls.
+double dual_step(double lambda, double qoe, double epsilon, double availability);
+
+/// Where lambda can be after `depth` more dual steps from `lambda` whose QoE
+/// estimates lie in [0, 1]: `lo` takes every step at QoE 1 and `hi` every
+/// step at QoE 0. By dual_step's monotonicity (epsilon >= 0) the lambda that
+/// any such steps reach lies in [lo, hi] exactly, with no rounding slack.
+struct LambdaBracket {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+LambdaBracket lambda_bracket(double lambda, std::size_t depth, double epsilon,
+                             double availability);
+
 /// Stage 3 — safe online learning in the real network (paper §6): a Gaussian
 /// process learns only the sim-to-real QoE difference on top of the offline
 /// BNN, configurations are selected by a conservative clipped randomized
@@ -72,7 +88,9 @@ class OnlineLearner {
   /// observations and offline acceleration; `real` names the metered live
   /// network. Every real query is accounted by the service as SLA exposure.
   /// Throws std::invalid_argument for an empty candidate pool, or one under
-  /// 4 with offline acceleration on (its inner scans use candidates / 4).
+  /// 4 with offline acceleration on (its inner scans use candidates / 4), for
+  /// an `epsilon` that is not finite and >= 0, a non-finite SLA availability,
+  /// and a latency threshold or episode duration that is not finite and > 0.
   OnlineLearner(const OfflinePolicy* policy, env::EnvClient& service,
                 env::BackendId simulator, env::BackendId real, OnlineOptions options);
 

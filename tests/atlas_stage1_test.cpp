@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "env/env_service.hpp"
 #include "atlas/calibrator.hpp"
 
@@ -81,6 +84,19 @@ TEST(Stage1, RejectsZeroParallelQueries) {
   auto opts = fast_options();
   opts.parallel = 0;
   EXPECT_THROW(ac::SimCalibrator(service, real, opts), std::invalid_argument);
+}
+
+TEST(Stage1, RejectsDegenerateDurationBeforeAnyEpisode) {
+  for (const double duration : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+    const auto real = service.add_real_network();
+    auto opts = fast_options();
+    opts.workload.duration_ms = duration;
+    EXPECT_THROW(ac::SimCalibrator(service, real, opts), std::invalid_argument) << duration;
+    // The construction collects D_r from the real network; a bad duration
+    // must stop it before that first episode.
+    EXPECT_EQ(service.stats().total_queries(), 0u) << duration;
+  }
 }
 
 TEST(Stage1, GpSurrogateVariantRuns) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+
 #include "env/env_service.hpp"
 #include "atlas/offline_trainer.hpp"
 
@@ -20,6 +24,23 @@ ac::OfflineOptions fast_options() {
   opts.train_epochs = 4;
   opts.seed = 7;
   return opts;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Whether the trainer's constructor rejects `fast_options()` as changed by
+/// `change` with std::invalid_argument.
+bool rejects(const std::function<void(ac::OfflineOptions&)>& change) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 1});
+  const auto sim = service.add_simulator();
+  auto opts = fast_options();
+  change(opts);
+  try {
+    ac::OfflineTrainer trainer(service, sim, opts);
+  } catch (const std::invalid_argument&) {
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -103,6 +124,36 @@ TEST(Stage2, RejectsZeroParallelQueries) {
   auto opts = fast_options();
   opts.parallel = 0;
   EXPECT_THROW(ac::OfflineTrainer(service, sim, opts), std::invalid_argument);
+}
+
+TEST(Stage2, RejectsEpsilonThatIsNotFiniteAndNonNegative) {
+  for (const double epsilon : {-0.1, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OfflineOptions& o) { o.epsilon = epsilon; })) << epsilon;
+  }
+  EXPECT_FALSE(rejects([](ac::OfflineOptions& o) { o.epsilon = 0.0; }));
+}
+
+TEST(Stage2, RejectsNonFiniteAvailability) {
+  for (const double availability : {std::nan(""), kInf, -kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OfflineOptions& o) { o.sla.availability = availability; }))
+        << availability;
+  }
+  // LambdaRisesWhileInfeasible runs an SLA no QoE can meet.
+  EXPECT_FALSE(rejects([](ac::OfflineOptions& o) { o.sla.availability = 1.01; }));
+}
+
+TEST(Stage2, RejectsLatencyThresholdThatIsNotFiniteAndPositive) {
+  for (const double threshold : {0.0, -300.0, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OfflineOptions& o) { o.sla.latency_threshold_ms = threshold; }))
+        << threshold;
+  }
+}
+
+TEST(Stage2, RejectsDurationThatIsNotFiniteAndPositive) {
+  for (const double duration : {0.0, -1.0, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OfflineOptions& o) { o.workload.duration_ms = duration; }))
+        << duration;
+  }
 }
 
 TEST(Stage2, GpSurrogateVariantsRun) {

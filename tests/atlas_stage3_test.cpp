@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "env/env_service.hpp"
@@ -48,6 +55,19 @@ class Stage3Test : public ::testing::Test {
     return opts;
   }
 
+  /// Whether the learner's constructor rejects `fast_online()` as changed by
+  /// `change` with std::invalid_argument.
+  static bool rejects(const std::function<void(ac::OnlineOptions&)>& change) {
+    auto opts = fast_online();
+    change(opts);
+    try {
+      ac::OnlineLearner learner(&offline_->policy, *service_, sim_, real_, opts);
+    } catch (const std::invalid_argument&) {
+      return true;
+    }
+    return false;
+  }
+
   static ae::EnvService* service_;
   static ae::BackendId sim_;
   static ae::BackendId real_;
@@ -83,6 +103,62 @@ class SheddingSimulator final : public ae::EnvBackend {
   mutable std::atomic<std::size_t> calls_{0};
   std::string name_ = "shedding-sim";
 };
+
+/// The oracle-calibrated simulator, recording how many queries the service
+/// has outstanding as each inner-update episode starts. Stage 3 sends it
+/// 1 + inner_updates queries an iteration, the residual episode first. It
+/// holds the first inner-update episode until another query arrives, or
+/// for at most `hold`, so a learner that waits on that episode before
+/// launching the next one is slowed down, never hung.
+class GatedSimulator final : public ae::EnvBackend {
+ public:
+  GatedSimulator(const ae::EnvClient& service, std::size_t inner_updates,
+                 std::chrono::milliseconds hold)
+      : service_(service), inner_updates_(inner_updates), hold_(hold) {}
+
+  ae::EpisodeResult execute(const ae::EnvQuery& query) const override {
+    {
+      std::unique_lock lock(mu_);
+      const std::size_t call = calls_++;
+      arrived_.notify_all();
+      if (call % (1 + inner_updates_) != 0) {
+        max_inner_outstanding_ = std::max(max_inner_outstanding_, service_.outstanding_queries());
+      }
+      if (call == 1) {
+        released_by_arrival_ = arrived_.wait_for(lock, hold_, [&] { return calls_ > 2; });
+      }
+    }
+    return sim_.execute(query);
+  }
+  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
+  const std::string& name() const noexcept override { return name_; }
+
+  /// The most queries outstanding when an inner-update episode started.
+  std::size_t max_inner_outstanding() const {
+    std::lock_guard lock(mu_);
+    return max_inner_outstanding_;
+  }
+  /// Whether another query arrived while the first inner episode was held.
+  bool released_by_arrival() const {
+    std::lock_guard lock(mu_);
+    return released_by_arrival_;
+  }
+
+ private:
+  ae::LocalBackend sim_{std::make_shared<ae::Simulator>(ae::oracle_calibration()), "sim",
+                        ae::BackendKind::kOffline};
+  const ae::EnvClient& service_;
+  std::size_t inner_updates_;
+  std::chrono::milliseconds hold_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable arrived_;
+  mutable std::size_t calls_ = 0;
+  mutable std::size_t max_inner_outstanding_ = 0;
+  mutable bool released_by_arrival_ = false;
+  std::string name_ = "gated-sim";
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -182,8 +258,8 @@ TEST_F(Stage3Test, AccountsEveryInnerUpdateQuery) {
 }
 
 TEST_F(Stage3Test, ShedInnerUpdateFailsTheStage) {
-  // The simulator's third query is iteration 0's second inner update, whose
-  // episode runs while the third pool is scored.
+  // The simulator's third query is one of iteration 0's inner updates, with
+  // others possibly in flight beside it.
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto sim = service.register_backend(std::make_shared<SheddingSimulator>(3));
   const auto real = service.add_real_network();
@@ -196,6 +272,108 @@ TEST_F(Stage3Test, ShedInnerUpdateFailsTheStage) {
     FAIL() << "stage 3 learned from a shed inner update";
   } catch (const ae::QueryRejected& e) {
     EXPECT_EQ(e.reason(), ae::RejectReason::kShedded);
+  }
+  EXPECT_EQ(service.outstanding_queries(), 0u);  // no episode left running
+}
+
+// With a zero dual step lambda cannot move, so every pool's lambda bracket is
+// one point and every greedy action is certain, on any toolchain: update 1's
+// episode must launch while update 0's is still held.
+TEST_F(Stage3Test, LaunchesInnerEpisodesAheadOfTheirLambda) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  auto opts = fast_online();
+  opts.iterations = 2;
+  opts.epsilon = 0.0;
+  auto gated = std::make_shared<GatedSimulator>(service, opts.inner_updates,
+                                                std::chrono::seconds(10));
+  const auto sim = service.register_backend(gated);
+  const auto real = service.add_real_network();
+  ac::OnlineLearner learner(&offline_->policy, service, sim, real, opts);
+  EXPECT_EQ(learner.learn().history.size(), opts.iterations);
+  EXPECT_TRUE(gated->released_by_arrival()) << "the second inner episode waited on the first";
+  EXPECT_GE(gated->max_inner_outstanding(), 2u);
+  EXPECT_EQ(service.backend_stats(sim).queries, opts.iterations * (1 + opts.inner_updates));
+  EXPECT_EQ(service.outstanding_queries(), 0u);
+}
+
+// kBnnResidual's posterior at each greedy action draws from the learner's
+// RNG between two pools, so it launches one inner episode at a time, even
+// when, as here, every greedy action is certain.
+TEST_F(Stage3Test, BnnResidualKeepsOneInnerEpisodeOutstanding) {
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+  auto opts = fast_online();
+  opts.iterations = 2;
+  opts.epsilon = 0.0;
+  opts.model = ac::OnlineModel::kBnnResidual;
+  auto gated = std::make_shared<GatedSimulator>(service, opts.inner_updates,
+                                                std::chrono::milliseconds(300));
+  const auto sim = service.register_backend(gated);
+  const auto real = service.add_real_network();
+  ac::OnlineLearner learner(&offline_->policy, service, sim, real, opts);
+  EXPECT_EQ(learner.learn().history.size(), opts.iterations);
+  EXPECT_FALSE(gated->released_by_arrival());
+  EXPECT_EQ(gated->max_inner_outstanding(), 1u);
+  EXPECT_EQ(service.backend_stats(sim).queries, opts.iterations * (1 + opts.inner_updates));
+  EXPECT_EQ(service.outstanding_queries(), 0u);
+}
+
+TEST_F(Stage3Test, RejectsEpsilonThatIsNotFiniteAndNonNegative) {
+  for (const double epsilon : {-0.1, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OnlineOptions& o) { o.epsilon = epsilon; })) << epsilon;
+  }
+  EXPECT_FALSE(rejects([](ac::OnlineOptions& o) { o.epsilon = 0.0; }));
+}
+
+TEST_F(Stage3Test, RejectsNonFiniteAvailability) {
+  for (const double availability : {std::nan(""), kInf, -kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OnlineOptions& o) { o.sla.availability = availability; }))
+        << availability;
+  }
+  EXPECT_FALSE(rejects([](ac::OnlineOptions& o) { o.sla.availability = 1.01; }));
+}
+
+TEST_F(Stage3Test, RejectsLatencyThresholdThatIsNotFiniteAndPositive) {
+  for (const double threshold : {0.0, -300.0, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OnlineOptions& o) { o.sla.latency_threshold_ms = threshold; }))
+        << threshold;
+  }
+}
+
+TEST_F(Stage3Test, RejectsDurationThatIsNotFiniteAndPositive) {
+  for (const double duration : {0.0, -1.0, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OnlineOptions& o) { o.workload.duration_ms = duration; }))
+        << duration;
+  }
+}
+
+// Any dual steps whose QoE estimates lie in [0, 1] end inside the bracket the
+// learner launches by, compared exactly; the all-1 and all-0 paths reach its
+// ends bit for bit.
+TEST(DualStep, BracketHoldsEveryPathBitForBit) {
+  atlas::math::Rng rng(19);
+  const double edges[] = {0.0, 1.0, std::nextafter(1.0, 0.0), 0x1p-60};
+  for (int trial = 0; trial < 4000; ++trial) {
+    const double lambda0 = trial % 7 == 0 ? 0.0 : rng.uniform(0.0, 4.0);
+    const double epsilon = trial % 11 == 0 ? 0.0 : rng.uniform(0.0, 0.6);
+    const double availability = trial % 13 == 0 ? 1.01 : rng.uniform(0.0, 1.0);
+    const std::size_t depth = static_cast<std::size_t>(trial % 24);
+    const ac::LambdaBracket b = ac::lambda_bracket(lambda0, depth, epsilon, availability);
+    ASSERT_LE(b.lo, b.hi);
+    double lambda = lambda0;
+    double at_one = lambda0;
+    double at_zero = lambda0;
+    for (std::size_t d = 0; d < depth; ++d) {
+      // Half the estimates sit on or next to the clamp's ends.
+      const double q = rng.uniform() < 0.5 ? edges[rng.next_u64() % 4] : rng.uniform();
+      lambda = ac::dual_step(lambda, q, epsilon, availability);
+      at_one = ac::dual_step(at_one, 1.0, epsilon, availability);
+      at_zero = ac::dual_step(at_zero, 0.0, epsilon, availability);
+      ASSERT_GE(lambda, 0.0);
+    }
+    ASSERT_LE(b.lo, lambda) << "trial " << trial;
+    ASSERT_LE(lambda, b.hi) << "trial " << trial;
+    ASSERT_EQ(at_one, b.lo);
+    ASSERT_EQ(at_zero, b.hi);
   }
 }
 

@@ -278,6 +278,16 @@ ac::OnlineOptions stage3_wide_pools(ac::OnlineModel model, std::size_t inner_upd
   return o;
 }
 
+// The shipped inner-update count (the OnlineOptions default) over
+// 100-candidate inner pools.
+ac::OnlineOptions stage3_shipped_updates(ac::OnlineModel model) {
+  ac::OnlineOptions o = stage3_model(model);
+  o.iterations = 2;
+  o.candidates = 400;
+  o.inner_updates = 20;
+  return o;
+}
+
 ac::OfflineOptions stage2_surrogate(ac::OfflineSurrogate surrogate) {
   ac::OfflineOptions o = stage2_options();
   o.surrogate = surrogate;
@@ -375,6 +385,17 @@ const StageCase kGoldenVariants[] = {
     {"stage3_wide_one_update_gp_whole",
      [] { return hash_stage3_with(stage3_wide_pools(ac::OnlineModel::kGpWhole, 1), false); },
      0xb528dcea03ffdc5bULL},
+    // The shipped 20 inner updates, so inner pools are scored and their
+    // episodes launched many updates ahead of the lambda that commits them.
+    // Captured before inner-update episodes launched ahead of their lambda.
+    {"stage3_shipped_updates_gp_residual",
+     [] { return hash_stage3_with(stage3_shipped_updates(ac::OnlineModel::kGpResidual), true); },
+     0x169200911bb1ac41ULL},
+    {"stage3_shipped_updates_bnn_continued",
+     [] {
+       return hash_stage3_with(stage3_shipped_updates(ac::OnlineModel::kBnnContinued), true);
+     },
+     0x22350c5cb2df09e3ULL},
 };
 
 bool print_mode() { return std::getenv("ATLAS_GOLDEN_PRINT") != nullptr; }
