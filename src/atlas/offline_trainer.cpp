@@ -18,6 +18,10 @@ using atlas::math::Matrix;
 using atlas::math::Rng;
 using atlas::math::Vec;
 
+double dual_step(double lambda, double qoe, double epsilon, double availability) {
+  return std::max(0.0, lambda - epsilon * (qoe - availability));
+}
+
 math::Vec OfflinePolicy::input(int traffic, double threshold_ms, const Vec& config_norm) {
   Vec x;
   x.reserve(2 + config_norm.size());
@@ -231,7 +235,7 @@ OfflineResult OfflineTrainer::train() {
     result.trace.avg_qoe.push_back(iter_qoe);
 
     // Dual update from the batch average (Alg. 2, Eq. 9).
-    lambda = std::max(0.0, lambda - options_.epsilon * (iter_qoe - options_.sla.availability));
+    lambda = dual_step(lambda, iter_qoe, options_.epsilon, options_.sla.availability);
     result.trace.lambda.push_back(lambda);
 
     // ---- Update the surrogate ------------------------------------------------

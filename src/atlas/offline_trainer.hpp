@@ -13,6 +13,12 @@
 
 namespace atlas::core {
 
+/// One dual (multiplier) update of Alg. 2 and Alg. 3 (Eq. 9): lambda' =
+/// max(0, lambda - epsilon (qoe - availability)). For epsilon >= 0 every
+/// operation in it is monotone in IEEE arithmetic: lambda' never falls as
+/// lambda rises or as qoe falls.
+double dual_step(double lambda, double qoe, double epsilon, double availability);
+
 /// Surrogate / acquisition used for offline policy training. kBnnPts is
 /// Atlas; the GP variants are the paper's Fig. 17 comparison points.
 enum class OfflineSurrogate { kBnnPts, kGpEi, kGpPi, kGpUcb };

@@ -18,10 +18,6 @@ using atlas::math::Matrix;
 using atlas::math::Rng;
 using atlas::math::Vec;
 
-double dual_step(double lambda, double qoe, double epsilon, double availability) {
-  return std::max(0.0, lambda - epsilon * (qoe - availability));
-}
-
 LambdaBracket lambda_bracket(double lambda, std::size_t depth, double epsilon,
                              double availability) {
   LambdaBracket b{lambda, lambda};

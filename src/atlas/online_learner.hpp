@@ -60,11 +60,6 @@ struct OnlineResult {
   double final_lambda = 0.0;
 };
 
-/// One dual (multiplier) update of Alg. 3: lambda' = max(0, lambda - epsilon
-/// (qoe - availability)). For epsilon >= 0 every operation in it is monotone
-/// in IEEE arithmetic: lambda' never falls as lambda rises or as qoe falls.
-double dual_step(double lambda, double qoe, double epsilon, double availability);
-
 /// Where lambda can be after `depth` more dual steps from `lambda` whose QoE
 /// estimates lie in [0, 1]: `lo` takes every step at QoE 1 and `hi` every
 /// step at QoE 0. By dual_step's monotonicity (epsilon >= 0) the lambda that

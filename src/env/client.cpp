@@ -91,9 +91,6 @@ void EnvServiceStats::add_backend(BackendStats backend) {
   crn_hits += backend.crn_hits;
   shed_total += backend.shedded;
   deadline_rejected += backend.deadline_rejected;
-  // Watermark sheds only: deadline rejections have their own total.
-  farm.reconnects += backend.rpc_reconnects;
-  farm.shed_total += backend.shedded;
   backends.push_back(std::move(backend));
 }
 
@@ -153,12 +150,14 @@ common::Table EnvServiceStats::summary() const {
   std::uint64_t rejected = 0;
   std::uint64_t retries = 0;
   std::uint64_t failures = 0;
+  std::uint64_t reconnects = 0;
   telemetry::HistogramData rtt;
   for (const BackendStats& b : backends) {
     episodes += b.episodes;
     rejected += b.rejected();
     retries += b.rpc_retries;
     failures += b.rpc_failures;
+    reconnects += b.rpc_reconnects;
     rtt.merge(b.rpc_rtt_ns);
   }
   table.add_row({"TOTAL", "", "", std::to_string(total_queries()), std::to_string(cache_hits),
@@ -184,10 +183,10 @@ common::Table EnvServiceStats::summary() const {
   }
   // Degradation visibility: only rendered once any overload/fault machinery
   // has fired, so quiet deployments keep the familiar table.
-  if (farm.hedges > 0 || farm.reconnects > 0 || shed_total > 0 || deadline_rejected > 0) {
+  if (farm.hedges > 0 || reconnects > 0 || shed_total > 0 || deadline_rejected > 0) {
     table.add_row({"overload", "hedges " + std::to_string(farm.hedges),
                    "hedge wins " + std::to_string(farm.hedge_wins),
-                   "reconnects " + std::to_string(farm.reconnects),
+                   "reconnects " + std::to_string(reconnects),
                    "shed " + std::to_string(shed_total),
                    "deadline " + std::to_string(deadline_rejected), "", "", "", "", "", ""});
   }

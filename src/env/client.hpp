@@ -43,9 +43,11 @@ class QueryHandle {
   std::future<EpisodeResult> future_;
 };
 
-/// Farm-membership counters, filled when a FarmController is attached to the
+/// The FarmController's own counters (FarmState: membership, re-dispatches,
+/// memo migration, hedges), filled when a controller is attached to the
 /// reporting ShardRouter (env/farm_controller.hpp). Client-side bookkeeping —
-/// not part of the wire stats snapshot.
+/// not part of the wire stats snapshot. Reconnects and sheds are counted in
+/// the backend rows only.
 struct FarmView {
   bool active = false;  ///< a FarmController is (or was) attached
   std::uint64_t workers = 0;          ///< workers ever admitted
@@ -58,14 +60,8 @@ struct FarmView {
   std::uint64_t episodes_redispatched = 0;  ///< re-run on a replica after a worker fault
   std::uint64_t memo_entries_migrated = 0;  ///< worker-to-worker memo transfers
   std::uint64_t backends_migrated = 0;      ///< backends whose memo found a new shard
-  // Overload / partial-failure counters. hedges/hedge_wins come from the
-  // FarmController; reconnects and shed_total are summed from the backend
-  // rows (EnvServiceStats::add_backend), so they cover non-farm remote
-  // backends too.
   std::uint64_t hedges = 0;      ///< hedged second attempts launched
   std::uint64_t hedge_wins = 0;  ///< hedges whose SECOND attempt returned first
-  std::uint64_t reconnects = 0;  ///< remote connections re-established
-  std::uint64_t shed_total = 0;  ///< queries shed at admission watermarks
 };
 
 /// Declared only for EnvClient::attach_speculation, which pipebench overrides.
@@ -99,8 +95,7 @@ struct EnvServiceStats {
   /// attached to the reporting router.
   FarmView farm;
 
-  /// Append one backend row and add its counters to the totals, to
-  /// farm.reconnects and to farm.shed_total.
+  /// Append one backend row and add its counters to the totals.
   void add_backend(BackendStats backend);
 
   /// The counters accumulated between `start` and this snapshot, so a caller

@@ -6,8 +6,6 @@
 #include <functional>
 #include <stdexcept>
 
-#include "common/arena.hpp"
-
 namespace atlas::env {
 
 namespace {
@@ -23,7 +21,7 @@ constexpr std::size_t kMinEntriesPerShard = 64;
 constexpr std::size_t kEvictionScan = 8;
 
 std::size_t resolve_shard_count(const EnvServiceOptions& options) {
-  if (!options.cache_episodes || options.cache_capacity == 0) return 1;
+  if (options.cache_capacity == 0) return 1;
   if (options.cache_shards != 0) {
     return std::min(options.cache_shards, options.cache_capacity);
   }
@@ -84,16 +82,6 @@ EnvService::EnvService(EnvServiceOptions options)
                                                        : options_.shed_watermark * 2;
   }
   registry_.store(std::make_shared<const RegistrySnapshot>(), std::memory_order_release);
-  // Hot paths hold the metric pointers; the registry is only consulted here.
-  query_latency_ = &metrics_.histogram("env.query_latency_ns");
-  queue_depth_ = &metrics_.histogram("env.queue_depth");
-  arena_high_water_ = &metrics_.histogram("env.arena_high_water_bytes");
-  shed_total_ = &metrics_.counter("env.shed_total");
-  deadline_rejected_ = &metrics_.counter("env.deadline_rejected");
-}
-
-bool EnvService::caching_enabled() const noexcept {
-  return options_.cache_episodes && options_.cache_capacity > 0;
 }
 
 std::size_t EnvService::outstanding_queries() const noexcept {
@@ -306,7 +294,6 @@ RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query
             .count();
     if (waited_ms >= query.deadline_ms) {
       backend.deadline_rejected.fetch_add(1, std::memory_order_relaxed);
-      deadline_rejected_->increment();
       return RejectReason::kDeadlineExceeded;
     }
   }
@@ -319,7 +306,6 @@ RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query
                        query.priority == QueryPriority::kSpeculative);
     if (shed) {
       backend.shedded.fetch_add(1, std::memory_order_relaxed);
-      shed_total_->increment();
       return RejectReason::kShedded;
     }
   }
@@ -369,18 +355,14 @@ EpisodeResult EnvService::run_timed(const EnvQuery& query,
   const auto start = std::chrono::steady_clock::now();
   EpisodeResult result = run_impl(query, arrival);
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  query_latency_->record(static_cast<std::uint64_t>(
+  query_latency_.record(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  // This worker thread's episode-arena high-water mark: the distribution
-  // over workers shows whether the per-worker slabs have warmed up to the
-  // biggest episode each one serves (run_batch reuses them across queries).
-  arena_high_water_->record(common::Arena::thread_slot().high_water());
   return result;
 }
 
 EpisodeResult EnvService::run(const EnvQuery& query) {
   OutstandingGuard guard(outstanding_);
-  queue_depth_->record(outstanding_queries());
+  queue_depth_.record(outstanding_queries());
   return run_timed(query, std::chrono::steady_clock::now());
 }
 
@@ -392,7 +374,7 @@ QueryHandle EnvService::submit(EnvQuery query) {
   // Count the query as outstanding from submission (queued work is load the
   // router's placement must see), not just from execution start.
   outstanding_.fetch_add(1, std::memory_order_relaxed);
-  queue_depth_->record(outstanding_queries());
+  queue_depth_.record(outstanding_queries());
   std::future<EpisodeResult> future;
   try {
     // Deadlines are measured from SUBMISSION: time spent queued behind other
@@ -450,8 +432,8 @@ EnvServiceStats EnvService::stats() const {
   for (std::size_t id = 0; id < n; ++id) {
     total.add_backend(backend_stats(static_cast<BackendId>(id)));
   }
-  total.query_latency_ns = query_latency_->snapshot();
-  total.queue_depth = queue_depth_->snapshot();
+  total.query_latency_ns = query_latency_.snapshot();
+  total.queue_depth = queue_depth_.snapshot();
   return total;
 }
 
@@ -467,7 +449,8 @@ void EnvService::reset_stats() {
     backend->deadline_rejected.store(0, std::memory_order_relaxed);
     backend->impl->reset_stats();  // backend-owned counters (rpc retries/failures)
   }
-  metrics_.reset();
+  query_latency_.reset();
+  queue_depth_.reset();
 }
 
 std::vector<MemoEntrySnapshot> EnvService::export_memo(BackendId id) const {

@@ -16,13 +16,12 @@
 #include "common/thread_pool.hpp"
 #include "env/client.hpp"
 #include "env/farm_types.hpp"
-#include "telemetry/registry.hpp"
+#include "telemetry/histogram.hpp"
 
 namespace atlas::env {
 
 struct EnvServiceOptions {
   std::size_t threads = 0;  ///< Worker threads (0 = ThreadPool default).
-  bool cache_episodes = true;          ///< Memoize offline-backend episodes.
   std::size_t cache_capacity = 65536;  ///< Entries kept (0 disables caching AND single-flight).
   /// Lock stripes over the memo/in-flight tables. 0 = auto: enough power-of-2
   /// shards (up to 16) that each stripe still holds >= 64 entries, so small
@@ -131,11 +130,10 @@ class EnvService final : public EnvClient {
   bool backend_accepts_sim_params(BackendId id) const;
   std::size_t cache_capacity() const noexcept { return options_.cache_capacity; }
 
-  /// Whether offline episodes are memoized at all (cache_episodes &&
-  /// cache_capacity > 0). When false, no cache lock is taken and no hit/miss
-  /// counter moves — capacity 0 means "caching disabled", not "a cache that
-  /// misses forever".
-  bool caching_enabled() const noexcept;
+  /// Whether offline episodes are memoized at all (cache_capacity > 0). When
+  /// false, no cache lock is taken and no hit/miss counter moves — capacity 0
+  /// means "caching disabled", not "a cache that misses forever".
+  bool caching_enabled() const noexcept { return options_.cache_capacity > 0; }
   /// Number of lock stripes over the memo/in-flight tables.
   std::size_t cache_shard_count() const noexcept { return shards_.size(); }
 
@@ -146,14 +144,6 @@ class EnvService final : public EnvClient {
 
   std::size_t threads() const noexcept { return pool_.size(); }
   common::ThreadPool& pool() noexcept { return pool_; }
-
-  /// Always-on serving telemetry (src/telemetry/): `env.query_latency_ns`
-  /// (per-query service time, hits and executions alike) and
-  /// `env.queue_depth` (outstanding queries sampled at every arrival).
-  /// Components may register additional metrics here; snapshots also ride in
-  /// stats().query_latency_ns / .queue_depth.
-  telemetry::MetricRegistry& metrics() noexcept { return metrics_; }
-  const telemetry::MetricRegistry& metrics() const noexcept { return metrics_; }
 
  private:
   struct Backend {
@@ -217,7 +207,7 @@ class EnvService final : public EnvClient {
   /// submit(), call time for run()): deadlines measure queueing delay from
   /// there, and admission sheds before any execution cost is paid.
   EpisodeResult run_impl(const EnvQuery& query, std::chrono::steady_clock::time_point arrival);
-  /// run_impl + telemetry: records service latency and samples queue depth.
+  /// run_impl + the service-latency histogram.
   EpisodeResult run_timed(const EnvQuery& query, std::chrono::steady_clock::time_point arrival);
   /// RejectReason::kNone when the query may proceed; otherwise the typed
   /// rejection to return (counters already bumped).
@@ -237,13 +227,11 @@ class EnvService final : public EnvClient {
   std::atomic<std::uint64_t> next_query_id_{0};
   std::atomic<std::int64_t> outstanding_{0};
 
-  telemetry::MetricRegistry metrics_;
-  telemetry::Histogram* query_latency_ = nullptr;  ///< Owned by metrics_.
-  telemetry::Histogram* queue_depth_ = nullptr;    ///< Owned by metrics_.
-  /// env.arena_high_water_bytes: per-worker episode-arena footprint.
-  telemetry::Histogram* arena_high_water_ = nullptr;
-  telemetry::Counter* shed_total_ = nullptr;       ///< env.shed_total (owned by metrics_).
-  telemetry::Counter* deadline_rejected_ = nullptr;  ///< env.deadline_rejected.
+  /// Always-on serving telemetry, read through stats() and zeroed by
+  /// reset_stats(): per-query service time (hits and executions alike) and
+  /// the outstanding queries sampled at every arrival.
+  telemetry::Histogram query_latency_;
+  telemetry::Histogram queue_depth_;
 
   /// LAST member: destroyed first, so ~ThreadPool drains still-queued query
   /// tasks while the registry/shards they touch are alive.

@@ -9,6 +9,15 @@
 
 namespace atlas::env {
 
+namespace {
+
+/// The learned hedge delay: this quantile of the replicas' RTTs, clamped.
+constexpr double kHedgeQuantile = 0.95;
+constexpr double kHedgeMinDelayMs = 1.0;
+constexpr double kHedgeMaxDelayMs = 1000.0;
+
+}  // namespace
+
 std::uint64_t params_digest(const SimParams& params) {
   std::uint64_t h = 1469598103934665603ull;
   for (const double value : params.to_vec()) {
@@ -151,8 +160,8 @@ double FailoverBackend::hedge_delay_ms() const {
     }
     double delay_ms = hedge_.fallback_delay_ms;
     if (rtt.count() >= hedge_.min_samples) {
-      delay_ms = std::clamp(static_cast<double>(rtt.quantile(hedge_.quantile)) / 1e6,
-                            hedge_.min_delay_ms, hedge_.max_delay_ms);
+      delay_ms = std::clamp(static_cast<double>(rtt.quantile(kHedgeQuantile)) / 1e6,
+                            kHedgeMinDelayMs, kHedgeMaxDelayMs);
     }
     hedge_delay_cache_ms_.store(delay_ms, std::memory_order_relaxed);
   }
@@ -330,49 +339,6 @@ FarmController::~FarmController() {
   state_->controller_ = nullptr;
 }
 
-void FarmController::publish_metrics() const {
-  if (options_.metrics == nullptr) return;
-  // Mirror the counters into telemetry (reset+add: these are low-rate
-  // control-plane events, not hot-path increments).
-  const auto mirror = [&](const char* name, std::uint64_t value) {
-    auto& counter = options_.metrics->counter(name);
-    counter.reset();
-    counter.add(value);
-  };
-  const FarmView view = state_->view();
-  mirror("farm.workers_serving", view.workers_serving);
-  mirror("farm.workers_suspect", view.workers_suspect);
-  mirror("farm.workers_joined", view.workers_joined);
-  mirror("farm.workers_lost", view.workers_lost);
-  mirror("farm.workers_drained", view.workers_drained);
-  mirror("farm.heartbeats_missed", view.heartbeats_missed);
-  mirror("farm.episodes_redispatched", view.episodes_redispatched);
-  mirror("farm.memo_entries_migrated", view.memo_entries_migrated);
-  mirror("farm.backends_migrated", view.backends_migrated);
-  mirror("farm.hedges", view.hedges);
-  mirror("farm.hedge_wins", view.hedge_wins);
-  // Reconnect/shed totals live on the backend rows / services, not in
-  // FarmState; sum them across this controller's failover backends so the
-  // registry carries the whole overload story in one place.
-  std::uint64_t reconnects = 0;
-  std::uint64_t shed = 0;
-  for (const auto& [global, failover] : failover_backends_) {
-    BackendStats stats;
-    failover->fill_stats(stats);
-    reconnects += stats.rpc_reconnects;
-    (void)global;
-  }
-  for (std::size_t i = 0; i < router_.shard_count(); ++i) {
-    const EnvServiceStats shard = router_.shard(i).stats();
-    // Watermark sheds only: deadline rejections are already published as
-    // env.deadline_rejected, and folding them in here counted one rejection
-    // under two telemetry names.
-    shed += shard.shed_total;
-  }
-  mirror("farm.reconnects", reconnects);
-  mirror("farm.shed_total", shed);
-}
-
 void FarmController::set_state_locked(Worker& worker, WorkerState next) {
   const WorkerState prev = worker.state;
   if (prev == next) return;
@@ -435,7 +401,6 @@ std::uint32_t FarmController::add_worker(std::shared_ptr<WorkerControl> control)
   state_->workers_total.fetch_add(1, std::memory_order_relaxed);
   state_->workers_joined.fetch_add(1, std::memory_order_relaxed);
   set_state_locked(workers_.back(), WorkerState::kServing);
-  publish_metrics();
   return index;
 }
 
@@ -511,7 +476,6 @@ void FarmController::drain_worker(std::uint32_t index) {
     }
     set_state_locked(worker, WorkerState::kDead);
     state_->workers_drained.fetch_add(1, std::memory_order_relaxed);
-    publish_metrics();
   }
 }
 
@@ -533,7 +497,6 @@ void FarmController::report_fault(std::uint32_t index) {
   // Demote on data-plane evidence; the next heartbeat sweep either clears
   // the suspicion (transient blip) or escalates to dead.
   set_state_locked(worker, WorkerState::kSuspect);
-  publish_metrics();
 }
 
 void FarmController::poll_once() {
@@ -581,8 +544,6 @@ void FarmController::poll_once() {
       set_state_locked(worker, WorkerState::kSuspect);
     }
   }
-  std::scoped_lock lock(mutex_);
-  publish_metrics();
 }
 
 void FarmController::start() {

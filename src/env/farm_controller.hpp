@@ -13,7 +13,6 @@
 #include "env/backend.hpp"
 #include "env/farm_types.hpp"
 #include "env/shard_router.hpp"
-#include "telemetry/registry.hpp"
 
 namespace atlas::env {
 
@@ -69,14 +68,11 @@ struct HedgePolicy {
   bool enabled = false;
   /// The hedge delay is learned from the replicas' observed rpc_rtt_ns
   /// distribution: once `min_samples` RTTs exist, an attempt that outlives
-  /// this quantile of past episodes is probably stuck, and a second attempt
-  /// is launched on the next candidate replica (first response wins; the
-  /// loser is cancelled via the wire kCancel).
-  double quantile = 0.95;
+  /// the 95th percentile of past episodes is probably stuck, and a second
+  /// attempt is launched on the next candidate replica (first response wins;
+  /// the loser is cancelled via the wire kCancel). The learned delay is
+  /// clamped to [1 ms, 1000 ms].
   std::uint64_t min_samples = 32;
-  /// Clamp on the learned delay.
-  double min_delay_ms = 1.0;
-  double max_delay_ms = 1000.0;
   /// Delay used BEFORE min_samples RTTs exist. 0 = don't hedge until the
   /// distribution is learned; tests and loadgen set it explicitly.
   double fallback_delay_ms = 0.0;
@@ -210,9 +206,6 @@ struct FarmControllerOptions {
   std::uint32_t dead_after_misses = 3;
   /// Tail-latency hedging for every FailoverBackend this controller creates.
   HedgePolicy hedge;
-  /// Mirror farm counters into this registry as `farm.*` telemetry counters
-  /// (e.g. a shard's metrics(), so JSON reports include the farm view).
-  telemetry::MetricRegistry* metrics = nullptr;
 };
 
 /// The farm's registry and health authority, attached to a ShardRouter.
@@ -274,7 +267,6 @@ class FarmController {
   void set_state_locked(Worker& worker, WorkerState next);
   void mark_dead_locked(std::uint32_t index);
   void report_fault(std::uint32_t worker);  // via FarmState
-  void publish_metrics() const;
 
   friend class FarmState;
 

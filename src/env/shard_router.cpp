@@ -126,9 +126,6 @@ BackendStats ShardRouter::backend_stats(BackendId id) const {
 
 EnvServiceStats ShardRouter::stats() const {
   EnvServiceStats total;
-  // The farm view first: add_backend folds the backend rows' reconnects and
-  // sheds into it. The rows cover remote backends registered directly on a
-  // shard, not just farm-managed replicas.
   if (const auto farm = farm_.load(std::memory_order_acquire)) {
     total.farm = farm->view();
   }

@@ -162,12 +162,10 @@ std::shared_ptr<RemoteBackend::MuxConnection> RemoteBackend::connection() const 
       conn_ = std::make_shared<MuxConnection>(options_.transport_factory());
     } catch (...) {
       ++connect_failures_;
-      connect_failure_streak_.store(connect_failures_, std::memory_order_relaxed);
       next_connect_attempt_ = std::chrono::steady_clock::now() + backoff_delay(connect_failures_);
       throw;
     }
     connect_failures_ = 0;
-    connect_failure_streak_.store(0, std::memory_order_relaxed);
     if (ever_connected_) {
       reconnects_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -189,34 +187,6 @@ void RemoteBackend::fill_stats(env::BackendStats& stats) const {
   stats.rpc_rtt_ns = rtt_.snapshot();
 }
 
-void RemoteBackend::note_success() const {
-  consecutive_timeouts_.store(0, std::memory_order_relaxed);
-  last_success_ns_.store(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count(),
-      std::memory_order_relaxed);
-}
-
-RemoteLiveness RemoteBackend::liveness() const {
-  RemoteLiveness view;
-  {
-    std::scoped_lock lock(conn_mutex_);
-    view.connected = conn_ != nullptr && !conn_->dead();
-  }
-  view.consecutive_timeouts = consecutive_timeouts_.load(std::memory_order_relaxed);
-  view.consecutive_connect_failures = connect_failure_streak_.load(std::memory_order_relaxed);
-  view.rpc_failures = failures_.load(std::memory_order_relaxed);
-  const std::int64_t last = last_success_ns_.load(std::memory_order_relaxed);
-  if (last >= 0) {
-    const auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now().time_since_epoch())
-                         .count();
-    view.since_last_success_ms = static_cast<double>(now - last) / 1e6;
-  }
-  return view;
-}
-
 std::vector<std::uint8_t> RemoteBackend::control_roundtrip(
     const std::function<std::vector<std::uint8_t>(std::uint64_t)>& encode, MsgType expect,
     const char* what) const {
@@ -230,7 +200,6 @@ std::vector<std::uint8_t> RemoteBackend::control_roundtrip(
     auto future = conn->send_request(request_id, encode(request_id));
     if (future.wait_for(timeout) != std::future_status::ready) {
       conn->forget(request_id);
-      consecutive_timeouts_.fetch_add(1, std::memory_order_relaxed);
       throw RpcError("remote backend '" + options_.name + "': " + what +
                      " timed out after " + std::to_string(options_.control_timeout_ms) + " ms");
     }
@@ -244,7 +213,6 @@ std::vector<std::uint8_t> RemoteBackend::control_roundtrip(
     if (header.type != expect) {
       throw CodecError(std::string("rpc client: unexpected ") + what + " response type");
     }
-    note_success();
     return frame;
   } catch (const TransportError& e) {
     if (conn != nullptr) drop_connection(conn);
@@ -426,7 +394,6 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
           // out — a typed rejection, not a worker health signal.
           return deadline_rejection();
         }
-        consecutive_timeouts_.fetch_add(1, std::memory_order_relaxed);
         last_fault = "timed out after " + std::to_string(options_.timeout_ms) + " ms";
         if (metered) metered_abort(last_fault);
         continue;
@@ -448,7 +415,6 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
       const auto rtt = std::chrono::steady_clock::now() - rtt_start;
       rtt_.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(rtt).count()));
-      note_success();
       return result;
     } catch (const TransportError& e) {
       if (conn != nullptr) drop_connection(conn);

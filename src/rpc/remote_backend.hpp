@@ -72,28 +72,17 @@ struct RemoteBackendOptions {
   std::function<std::unique_ptr<Transport>()> transport_factory;
 };
 
-/// Client-side health view of one remote worker, surfaced instead of burying
-/// failures in retry counters; the FarmController reads this (plus heartbeat
-/// round-trips) to decide suspect/dead transitions.
-struct RemoteLiveness {
-  bool connected = false;                  ///< a live multiplexed connection exists
-  std::uint64_t consecutive_timeouts = 0;  ///< deadline misses since the last success
-  std::uint64_t consecutive_connect_failures = 0;
-  std::uint64_t rpc_failures = 0;
-  /// Milliseconds since the last successful round-trip (episode, stats, or
-  /// heartbeat); negative when nothing has succeeded yet.
-  double since_last_success_ms = -1.0;
-};
-
 /// An episode-RPC worker behind the `EnvBackend` contract: `execute`
 /// serializes the query (bit-identical wire codec), sends it over a
 /// multiplexed connection, and blocks for the tagged response. Many service
 /// pool threads call `execute` concurrently; all share one connection whose
 /// reader thread demultiplexes responses by request id.
 ///
-/// Failures surface two ways: counters (`rpc_retries` / `rpc_failures`,
-/// visible in `BackendStats` via `fill_stats`) and, once retries are
-/// exhausted, an `RpcError` thrown to the caller.
+/// Failures surface two ways: counters (`rpc_retries`, `rpc_failures`,
+/// `rpc_reconnects` and the RTT histogram, read through `fill_stats` into
+/// this backend's `BackendStats` row) and, once retries are exhausted, an
+/// `RpcError` thrown to the caller. Worker health is the FarmController's
+/// call, from heartbeat() round-trips and data-plane faults.
 class RemoteBackend final : public env::EnvBackend {
  public:
   explicit RemoteBackend(RemoteBackendOptions options);
@@ -131,10 +120,6 @@ class RemoteBackend final : public env::EnvBackend {
     return reconnects_.load(std::memory_order_relaxed);
   }
 
-  /// Round-trip latency (send -> decoded result) of every successful episode
-  /// RPC; also exported through `fill_stats` as `BackendStats::rpc_rtt_ns`.
-  telemetry::HistogramData rpc_rtt() const { return rtt_.snapshot(); }
-
   /// Scrape the WORKER's own serving stats (per-backend counters + service
   /// telemetry) over the live connection — the farm-wide view a router
   /// cannot compute from client-side counters alone. Throws RpcError on
@@ -145,15 +130,12 @@ class RemoteBackend final : public env::EnvBackend {
 
   /// Ask the worker who it is: build, wire version, capacity, backends.
   env::WorkerAnnounce hello() const;
-  /// One liveness round-trip; a success also refreshes `liveness()`.
+  /// One liveness round-trip: the worker's health gauges.
   env::WorkerHealth heartbeat() const;
   /// Pull the worker's memo entries for one WORKER-side backend id.
   std::vector<env::MemoEntrySnapshot> export_memo(env::BackendId remote_backend) const;
   /// Push a backend (and/or memo snapshot) into the worker's registry.
   env::InstallResult install_backend(const env::BackendInstallRequest& request) const;
-
-  /// Current health view; cheap (atomics only), callable from any thread.
-  RemoteLiveness liveness() const;
 
  private:
   class MuxConnection;
@@ -170,7 +152,6 @@ class RemoteBackend final : public env::EnvBackend {
   std::vector<std::uint8_t> control_roundtrip(
       const std::function<std::vector<std::uint8_t>(std::uint64_t)>& encode, MsgType expect,
       const char* what) const;
-  void note_success() const;
   /// Shared body of execute / execute_cancellable (`cancel` may be null).
   env::EpisodeResult execute_impl(const env::EnvQuery& query,
                                   const env::CancelToken* cancel) const;
@@ -186,10 +167,8 @@ class RemoteBackend final : public env::EnvBackend {
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> failures_{0};
   mutable std::atomic<std::uint64_t> reconnects_{0};
-  mutable std::atomic<std::uint64_t> consecutive_timeouts_{0};
-  mutable std::atomic<std::uint64_t> connect_failure_streak_{0};
-  /// steady_clock nanos of the last successful round-trip; -1 = never.
-  mutable std::atomic<std::int64_t> last_success_ns_{-1};
+  /// Round-trip latency (send -> decoded result) of every successful episode
+  /// RPC, exported through `fill_stats` as `BackendStats::rpc_rtt_ns`.
   mutable telemetry::Histogram rtt_;
 };
 

@@ -49,10 +49,6 @@ class RemoteWorkerControl final : public env::WorkerControl {
   std::shared_ptr<const env::EnvBackend> make_backend(const env::WorkerBackendInfo& info,
                                                       env::BackendId remote_backend) override;
 
-  /// Client-side health of the control connection (reconnect backoff state,
-  /// consecutive timeouts) — what heartbeat() failures look like from here.
-  RemoteLiveness liveness() const { return control_->liveness(); }
-
   /// Scrape the worker's OWN serving stats (per-backend counters + service
   /// telemetry) — the wire stats snapshot, for per-worker reporting.
   env::EnvServiceStats worker_stats() const { return control_->fetch_worker_stats(); }

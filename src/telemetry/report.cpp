@@ -134,21 +134,4 @@ void write_histogram_json(JsonWriter& json, const HistogramData& histogram,
       .end_object();
 }
 
-void write_report(std::ostream& os, const MetricsSnapshot& snapshot) {
-  JsonWriter json(os);
-  json.begin_object();
-  json.key("counters").begin_object();
-  for (const auto& [name, value] : snapshot.counters) json.field(name, value);
-  json.end_object();
-  json.key("histograms").begin_object();
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    const bool nanos = name.size() > 3 && name.compare(name.size() - 3, 3, "_ns") == 0;
-    json.key(nanos ? name.substr(0, name.size() - 3) + "_ms" : name);
-    write_histogram_json(json, histogram, nanos ? 1e6 : 1.0);
-  }
-  json.end_object();
-  json.end_object();
-  os << "\n";
-}
-
 }  // namespace atlas::telemetry

@@ -3,16 +3,17 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "telemetry/registry.hpp"
+#include "telemetry/histogram.hpp"
 
 namespace atlas::telemetry {
 
 /// Minimal streaming JSON writer: tracks nesting and comma placement so the
 /// BENCH_*.json emitters stop hand-interleaving separators. Strings are
 /// escaped; doubles print with enough digits to round-trip. Not a general
-/// serializer — exactly what the telemetry reports and bench outputs need.
+/// serializer — exactly what the bench and loadgen reports need.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& os) : os_(os) {}
@@ -53,10 +54,5 @@ class JsonWriter {
 /// (1e6 turns recorded nanoseconds into milliseconds).
 void write_histogram_json(JsonWriter& json, const HistogramData& histogram,
                           double unit_divisor = 1.0);
-
-/// Full snapshot report: {"counters": {...}, "histograms": {name: {...}}}.
-/// Histograms whose names end in "_ns" are additionally reported in
-/// milliseconds (suffix "_ms") for human consumption.
-void write_report(std::ostream& os, const MetricsSnapshot& snapshot);
 
 }  // namespace atlas::telemetry

@@ -197,16 +197,12 @@ TEST(OverloadShedding, SpeculativeShedsAtSoftWatermarkNormalAtHard) {
             sim_stats.queries);
   EXPECT_EQ(sim_stats.episodes, 1u);  // only the admitted query ran
 
-  // The same invariant at SUMMARY level: totals must balance exactly, and
-  // the farm fold must count each watermark shed once (it used to fold
-  // rejected() = shed + deadline on top of the dedicated totals, so one
-  // rejection showed up under two telemetry names).
+  // The same invariant at SUMMARY level: totals must balance exactly.
   const auto totals = service.stats();
   EXPECT_EQ(totals.shed_total, 2u);
   EXPECT_EQ(totals.cache_hits + totals.cache_misses + totals.shed_total +
                 totals.deadline_rejected,
             totals.total_queries());
-  EXPECT_EQ(totals.farm.shed_total, totals.shed_total);
 
   // Rejected queries release their outstanding slot: the gauge returns to 0,
   // so placement does not see phantom load.
@@ -360,11 +356,10 @@ TEST(OverloadDeadlines, ZeroDeadlineMeansNoDeadline) {
 }
 
 TEST(OverloadDeadlines, ShedAndDeadlineRejectionsStayInTheirOwnTotals) {
-  // Regression: the farm fold in stats() used to add rejected() (= shedded +
-  // deadline_rejected) into farm.shed_total, which ALREADY sums the shedded
-  // counters — every deadline rejection was double-reported as a shed, and
-  // sheds were counted twice across the two telemetry names. Each rejection
-  // must appear exactly once, under its own name.
+  // Regression: a farm-level shed total once folded rejected() (= shedded +
+  // deadline_rejected) on top of the shedded counters, so every deadline
+  // rejection was reported as a shed too. Each rejection must appear exactly
+  // once, under its own total.
   ae::EnvServiceOptions options;
   options.threads = 1;
   options.shed_watermark = 2;
@@ -389,9 +384,8 @@ TEST(OverloadDeadlines, ShedAndDeadlineRejectionsStayInTheirOwnTotals) {
   EXPECT_EQ(doomed.get().rejected, ae::RejectReason::kDeadlineExceeded);
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.shed_total, 1u);
+  EXPECT_EQ(stats.shed_total, 1u) << "a deadline rejection is not a shed";
   EXPECT_EQ(stats.deadline_rejected, 1u);
-  EXPECT_EQ(stats.farm.shed_total, 1u) << "a deadline rejection is not a shed";
   std::uint64_t rejected_sum = 0;
   for (const auto& b : stats.backends) rejected_sum += b.rejected();
   EXPECT_EQ(rejected_sum, stats.shed_total + stats.deadline_rejected);
@@ -473,7 +467,7 @@ TEST(OverloadHedging, IdleFarmRefreshesAStaleHedgeDelayByWallClock) {
   // recompute from the recorded distribution instead.
   const double refreshed = backend.hedge_delay_ms();
   EXPECT_GT(refreshed, 50.0) << "first post-idle hedge delay must reflect the slow RTTs";
-  EXPECT_LE(refreshed, hedge.max_delay_ms);
+  EXPECT_LE(refreshed, 1000.0);  // the learned delay's upper clamp
 
   // Within the staleness window the cache serves without rescanning: the
   // regime shifts again but the interval has not elapsed and the call count

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "env/env_service.hpp"
@@ -93,6 +94,11 @@ TEST(Pipeline, RunStatsExcludeEarlierReconnects) {
   const auto result = pipeline.run();
   ASSERT_GT(result.env_stats.backends.size(), remote);
   EXPECT_EQ(result.env_stats.backends[remote].rpc_reconnects, 0u);
+  // The printed report agrees with its rows: with no reconnect, shed, hedge
+  // or deadline rejection in the run, it has no overload row.
+  std::ostringstream report;
+  result.env_stats.summary().print(report);
+  EXPECT_EQ(report.str().find("overload"), std::string::npos) << report.str();
 }
 
 TEST(Pipeline, ProgressCallbackSeesEveryStage) {

@@ -495,12 +495,6 @@ TEST(RpcLoopback, ControlPlaneHelloHeartbeatAndMemoExport) {
   ae::Simulator direct;
   EXPECT_EQ(memo[0].result.latencies_ms,
             direct.run(ae::SliceConfig{}, query(0, 21).workload).latencies_ms);
-
-  // Liveness reflects the successful round-trips.
-  const ar::RemoteLiveness live = backend.liveness();
-  EXPECT_TRUE(live.connected);
-  EXPECT_EQ(live.consecutive_timeouts, 0u);
-  EXPECT_GE(live.since_last_success_ms, 0.0);
 }
 
 TEST(RpcLoopback, MemoMigrationSkipsRecomputationOnTheTargetWorker) {

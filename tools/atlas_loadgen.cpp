@@ -748,7 +748,11 @@ void write_degradation_side_json(atlas::telemetry::JsonWriter& json,
   json.field("hedge_win_rate", farm.hedges == 0 ? 0.0
                                                 : static_cast<double>(farm.hedge_wins) /
                                                       static_cast<double>(farm.hedges));
-  json.field("reconnects", farm.reconnects);
+  std::uint64_t reconnects = 0;
+  for (const atlas::env::BackendStats& b : side.final_stats.backends) {
+    reconnects += b.rpc_reconnects;
+  }
+  json.field("reconnects", reconnects);
   json.field("episodes_redispatched", farm.episodes_redispatched);
   if (side.faults.total() > 0 || side.faulty_workers > 0) {
     json.key("faults_injected");
