@@ -91,51 +91,6 @@ int main() {
     bench::emit(c, opts);
   }
 
-  // Duplicate-heavy batch: the same key repeated inside ONE batch. Pre-PR,
-  // duplicates raced past the memo table and every copy executed; with
-  // single-flight they coalesce onto one episode per unique key. The
-  // dedup-off run (capacity 0 disables the memo AND in-flight tables)
-  // reproduces the execute-every-duplicate behavior for comparison.
-  {
-    const std::size_t unique = 4;
-    const std::size_t dup_batch = batch_size;  // 32 queries, 8 copies of each key
-    auto make_dup_batch = [&](env::BackendId sim) {
-      std::vector<env::EnvQuery> batch(dup_batch);
-      for (std::size_t i = 0; i < dup_batch; ++i) {
-        batch[i].backend = sim;
-        batch[i].workload = wl;
-        batch[i].workload.seed = opts.seed * 2000 + (i % unique);
-      }
-      return batch;
-    };
-
-    auto time_run = [&](bool dedup) {
-      env::EnvServiceOptions so;
-      so.threads = 8;
-      if (!dedup) so.cache_capacity = 0;
-      env::EnvService service(so);
-      const auto sim = service.add_simulator();
-      const auto batch = make_dup_batch(sim);
-      const auto t0 = clock::now();
-      (void)service.run_batch(batch);
-      const double ms = ms_since(t0);
-      return std::make_pair(ms, service.backend_stats(sim).episodes);
-    };
-
-    const auto [naive_ms, naive_episodes] = time_run(false);
-    const auto [dedup_ms, dedup_episodes] = time_run(true);
-
-    common::Table d({"mode", "batch wall (ms)", "episodes run", "speedup"});
-    d.add_row({"execute every duplicate", common::fmt(naive_ms, 1),
-               std::to_string(naive_episodes), "1.00x"});
-    d.add_row({"single-flight dedup", common::fmt(dedup_ms, 1),
-               std::to_string(dedup_episodes),
-               common::fmt(naive_ms / dedup_ms, 2) + "x"});
-    std::cout << "Duplicate-heavy batch (" << dup_batch << " queries, " << unique
-              << " unique keys):\n";
-    bench::emit(d, opts);
-  }
-
   // Sharded contention: every query is a cache HIT, so the memo-table lock is
   // the entire cost. One stripe serializes all workers on one mutex; 16
   // stripes let hits on different keys proceed independently (the win grows

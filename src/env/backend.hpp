@@ -28,17 +28,6 @@ enum class BackendKind {
 /// Opaque handle to a registered backend. Index into a service registry.
 using BackendId = std::uint32_t;
 
-/// Admission-control priority of one query. When a service's queue depth
-/// crosses the soft shed watermark, kSpeculative work goes first; past the
-/// hard watermark every offline query sheds. No in-tree code sends
-/// kSpeculative; it stays a wire value of the kQuery frame. Metered (online)
-/// queries are NEVER shed: they are the paper's SLA-exposure currency and
-/// each one was deliberately spent.
-enum class QueryPriority : std::uint8_t {
-  kSpeculative = 0,  ///< Optional work: first to shed.
-  kNormal = 1,       ///< Regular stage/baseline queries.
-};
-
 /// Cooperative cancellation token for hedged execution: the owner flips it,
 /// a cancellable backend observes it mid-wait and abandons the attempt by
 /// throwing EpisodeCancelled.
@@ -74,9 +63,6 @@ struct EnvQuery {
   /// already-dead queries from ITS queue too. Like `crn`, not part of the
   /// memoization key — it shapes serving, not the episode.
   double deadline_ms = 0.0;
-  /// Shed ordering under overload; see QueryPriority. Not part of the
-  /// memoization key.
-  QueryPriority priority = QueryPriority::kNormal;
 };
 
 /// Per-backend accounting. `queries` counts everything routed through the
@@ -86,8 +72,8 @@ struct BackendStats {
   std::string name;
   BackendKind kind = BackendKind::kOffline;
   std::uint64_t queries = 0;       ///< Queries answered (hit or executed).
-  std::uint64_t cache_hits = 0;    ///< Served from the memo table or a coalesced in-flight episode.
-  std::uint64_t cache_misses = 0;  ///< Unique executions of cacheable queries.
+  std::uint64_t cache_hits = 0;    ///< Served from the memo table.
+  std::uint64_t cache_misses = 0;  ///< Cacheable queries the memo did not answer.
   std::uint64_t crn_hits = 0;      ///< Subset of cache_hits on CRN-planned queries:
                                    ///< episodes saved by cross-iteration seed reuse.
   std::uint64_t episodes = 0;      ///< Environment executions.

@@ -118,6 +118,13 @@ EnvServiceStats EnvServiceStats::since(const EnvServiceStats& start) const {
   delta.crn_hits -= start.crn_hits;
   delta.shed_total -= start.shed_total;
   delta.deadline_rejected -= start.deadline_rejected;
+  FarmView& farm = delta.farm;
+  farm.workers_joined -= start.farm.workers_joined;
+  farm.workers_lost -= start.farm.workers_lost;
+  farm.heartbeats_missed -= start.farm.heartbeats_missed;
+  farm.episodes_redispatched -= start.farm.episodes_redispatched;
+  farm.hedges -= start.farm.hedges;
+  farm.hedge_wins -= start.farm.hedge_wins;
   // Histogram buckets are monotonic counters too: the difference is this
   // phase's latency/queue-depth distribution.
   delta.query_latency_ns.subtract(start.query_latency_ns);
@@ -176,10 +183,8 @@ common::Table EnvServiceStats::summary() const {
                    "suspect " + std::to_string(farm.workers_suspect),
                    "joined " + std::to_string(farm.workers_joined),
                    "lost " + std::to_string(farm.workers_lost),
-                   "drained " + std::to_string(farm.workers_drained),
-                   "redispatched " + std::to_string(farm.episodes_redispatched),
-                   "memo migrated " + std::to_string(farm.memo_entries_migrated),
-                   "backends migrated " + std::to_string(farm.backends_migrated), "", "", ""});
+                   "redispatched " + std::to_string(farm.episodes_redispatched), "", "", "", "",
+                   "", ""});
   }
   // Degradation visibility: only rendered once any overload/fault machinery
   // has fired, so quiet deployments keep the familiar table.

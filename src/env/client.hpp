@@ -44,9 +44,9 @@ class QueryHandle {
 };
 
 /// The FarmController's own counters (FarmState: membership, re-dispatches,
-/// memo migration, hedges), filled when a controller is attached to the
-/// reporting ShardRouter (env/farm_controller.hpp). Client-side bookkeeping —
-/// not part of the wire stats snapshot. Reconnects and sheds are counted in
+/// hedges), filled when a controller is attached to the reporting
+/// ShardRouter (env/farm_controller.hpp). Client-side bookkeeping — not part
+/// of the wire stats snapshot. Reconnects and sheds are counted in
 /// the backend rows only.
 struct FarmView {
   bool active = false;  ///< a FarmController is (or was) attached
@@ -55,11 +55,8 @@ struct FarmView {
   std::uint64_t workers_suspect = 0;  ///< gauge: missed heartbeats, not yet dead
   std::uint64_t workers_joined = 0;
   std::uint64_t workers_lost = 0;     ///< declared dead (missed-heartbeat limit)
-  std::uint64_t workers_drained = 0;  ///< gracefully removed, memo migrated
   std::uint64_t heartbeats_missed = 0;
   std::uint64_t episodes_redispatched = 0;  ///< re-run on a replica after a worker fault
-  std::uint64_t memo_entries_migrated = 0;  ///< worker-to-worker memo transfers
-  std::uint64_t backends_migrated = 0;      ///< backends whose memo found a new shard
   std::uint64_t hedges = 0;      ///< hedged second attempts launched
   std::uint64_t hedge_wins = 0;  ///< hedges whose SECOND attempt returned first
 };
@@ -100,7 +97,9 @@ struct EnvServiceStats {
 
   /// The counters accumulated between `start` and this snapshot, so a caller
   /// on a long-lived client can report one phase's queries. Backend rows
-  /// pair up by index; the farm counters stay cumulative.
+  /// pair up by index. The farm's event counters are subtracted too; its
+  /// gauges (`workers`, `workers_serving`, `workers_suspect`) keep this
+  /// snapshot's values.
   EnvServiceStats since(const EnvServiceStats& start) const;
 
   std::uint64_t total_queries() const noexcept { return offline_queries + online_queries; }

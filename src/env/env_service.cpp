@@ -48,8 +48,8 @@ class OutstandingGuard {
 };
 
 /// NaN never equals itself, so an entry stored under a key holding one could
-/// never be found, evicted (eviction looks entries up by their LRU key) or
-/// erased from the in-flight table again. Such keys stay out of both.
+/// never be found or evicted (eviction looks entries up by their LRU key).
+/// Such keys stay out of the memo.
 bool all_finite(std::span<const double> values) {
   return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
 }
@@ -77,10 +77,6 @@ EnvService::EnvService(EnvServiceOptions options)
     shards_.push_back(std::make_unique<CacheShard>());
   }
   shard_capacity_ = std::max<std::size_t>(1, options_.cache_capacity / shard_count);
-  if (options_.shed_watermark > 0) {
-    hard_watermark_ = options_.shed_hard_watermark > 0 ? options_.shed_hard_watermark
-                                                       : options_.shed_watermark * 2;
-  }
   registry_.store(std::make_shared<const RegistrySnapshot>(), std::memory_order_release);
 }
 
@@ -179,109 +175,49 @@ void EnvService::evict_locked(CacheShard& shard) {
   }
 }
 
-/// Cacheable path. Exactly one caller per key becomes the leader: it counts
-/// the miss, executes the episode on its own thread (so waiters can never
-/// starve it of a pool slot), publishes the result to the memo table, and
-/// fulfils the shared future. Everyone else — a later thread racing on the
-/// same key, or a duplicate inside the same batch — counts a hit and either
-/// copies the memo entry or waits on the in-flight future.
+/// Cacheable path: a hit copies the memo entry; a miss executes the episode
+/// on the calling thread and memoizes its result. Two identical queries that
+/// miss at the same time both execute and both count a miss; the later insert
+/// finds the entry present and leaves it (backends are deterministic per
+/// seed, so both results are bit-identical).
 ///
-/// A backend may answer a leader with a typed rejection (a remote worker shed
-/// the query, or its deadline died in the worker's queue); that memoizes
-/// nothing. A waiter that receives the rejection was innocently coalesced
-/// onto a flight that never ran: it loops back, re-takes the lookup, and
-/// (usually as the new leader) runs the episode it still wants.
-EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& query) {
+/// A backend may answer with a typed rejection (a remote worker shed the
+/// query, or its deadline died in the worker's queue): no episode ran, and
+/// memoizing it would replay the rejection to every future asker.
+EpisodeResult EnvService::run_memoized(Backend& backend, const EnvQuery& query) {
   QueryKey key = make_key(query);
-  if (!all_finite(key.values)) {
-    // Uncacheable: run it alone, as a miss, so hits + misses + rejected ==
-    // queries still holds.
-    backend.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    EpisodeResult result = backend.impl->execute(query);
-    if (!result.is_rejected()) backend.episodes.fetch_add(1, std::memory_order_relaxed);
-    return result;
-  }
-  const std::size_t hash = QueryKeyHash{}(key);
-  CacheShard& shard = shard_for(hash);
-
-  for (;;) {
-    std::shared_ptr<InFlight> flight;
-    bool leader = false;
-    {
-      std::scoped_lock lock(shard.mutex);
-      const auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        backend.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        if (query.crn) backend.crn_hits.fetch_add(1, std::memory_order_relaxed);
-        // Touch: move to the front of the stripe's LRU order.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-        return it->second.result;
-      }
-      const auto in_flight_it = shard.in_flight.find(key);
-      if (in_flight_it != shard.in_flight.end()) {
-        flight = in_flight_it->second;
-      } else {
-        flight = std::make_shared<InFlight>();
-        shard.in_flight.emplace(key, flight);
-        leader = true;
-      }
-    }
-
-    if (!leader) {
-      // Coalesced onto the leader's execution: account as a hit — the episode
-      // meter must count unique executions, not unique askers.
+  // A key holding a NaN or infinity is neither looked up nor stored; it still
+  // counts a miss, so hits + misses + rejected == queries holds.
+  CacheShard* shard = nullptr;
+  if (all_finite(key.values)) {
+    shard = &shard_for(QueryKeyHash{}(key));
+    std::scoped_lock lock(shard->mutex);
+    const auto it = shard->entries.find(key);
+    if (it != shard->entries.end()) {
       backend.cache_hits.fetch_add(1, std::memory_order_relaxed);
       if (query.crn) backend.crn_hits.fetch_add(1, std::memory_order_relaxed);
-      EpisodeResult shared = flight->future.get();
-      if (!shared.is_rejected()) return shared;
-      // The leader's rejection is not ours: undo the provisional hit and
-      // retry the lookup.
-      backend.cache_hits.fetch_sub(1, std::memory_order_relaxed);
-      if (query.crn) backend.crn_hits.fetch_sub(1, std::memory_order_relaxed);
-      continue;
+      // Touch: move to the front of the stripe's LRU order.
+      shard->lru.splice(shard->lru.begin(), shard->lru, it->second.lru_it);
+      return it->second.result;
     }
-
-    backend.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    EpisodeResult result;
-    try {
-      result = backend.impl->execute(query);
-    } catch (...) {
-      {
-        std::scoped_lock lock(shard.mutex);
-        shard.in_flight.erase(key);
-      }
-      // Waiters rethrow; the key stays uncached so a later query retries.
-      flight->promise.set_exception(std::current_exception());
-      throw;
-    }
-    // A backend may itself answer with a typed rejection (a remote worker
-    // shed the query or its deadline died in the worker's queue): no episode
-    // ran, and memoizing it would replay the rejection to every future asker.
-    if (result.is_rejected()) {
-      {
-        std::scoped_lock lock(shard.mutex);
-        shard.in_flight.erase(key);
-      }
-      flight->promise.set_value(result);
-      return result;
-    }
-    backend.episodes.fetch_add(1, std::memory_order_relaxed);
-
-    {
-      std::scoped_lock lock(shard.mutex);
-      const auto [it, inserted] = shard.entries.try_emplace(key);
-      if (inserted) {
-        shard.lru.push_front(it->first);
-        it->second.result = result;
-        it->second.cost = backend.impl->cost_hint();
-        it->second.lru_it = shard.lru.begin();
-        evict_locked(shard);
-      }
-      shard.in_flight.erase(key);
-    }
-    flight->promise.set_value(result);
-    return result;
   }
+
+  backend.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  EpisodeResult result = backend.impl->execute(query);
+  if (result.is_rejected()) return result;
+  backend.episodes.fetch_add(1, std::memory_order_relaxed);
+  if (shard != nullptr) {
+    std::scoped_lock lock(shard->mutex);
+    const auto [it, inserted] = shard->entries.try_emplace(std::move(key));
+    if (inserted) {
+      shard->lru.push_front(it->first);
+      it->second.result = result;
+      it->second.cost = backend.impl->cost_hint();
+      it->second.lru_it = shard->lru.begin();
+      evict_locked(*shard);
+    }
+  }
+  return result;
 }
 
 RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query,
@@ -299,15 +235,10 @@ RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query
   }
   // Watermark shedding applies to offline work only: metered queries were
   // deliberately spent and must reach the network.
-  if (options_.shed_watermark > 0 && backend.impl->kind() == BackendKind::kOffline) {
-    const std::size_t depth = outstanding_queries();
-    const bool shed = depth >= hard_watermark_ ||
-                      (depth >= options_.shed_watermark &&
-                       query.priority == QueryPriority::kSpeculative);
-    if (shed) {
-      backend.shedded.fetch_add(1, std::memory_order_relaxed);
-      return RejectReason::kShedded;
-    }
+  if (options_.shed_watermark > 0 && backend.impl->kind() == BackendKind::kOffline &&
+      outstanding_queries() >= options_.shed_watermark) {
+    backend.shedded.fetch_add(1, std::memory_order_relaxed);
+    return RejectReason::kShedded;
   }
   return RejectReason::kNone;
 }
@@ -342,7 +273,7 @@ EpisodeResult EnvService::run_impl(const EnvQuery& query,
   const bool cacheable = caching_enabled() && backend.impl->kind() == BackendKind::kOffline &&
                          !query.workload.collect_traces;
   if (cacheable) {
-    return run_single_flight(backend, query);
+    return run_memoized(backend, query);
   }
 
   EpisodeResult result = backend.impl->execute(query);
@@ -451,50 +382,6 @@ void EnvService::reset_stats() {
   }
   query_latency_.reset();
   queue_depth_.reset();
-}
-
-std::vector<MemoEntrySnapshot> EnvService::export_memo(BackendId id) const {
-  (void)backend_at(id);  // validate before walking the stripes
-  std::vector<MemoEntrySnapshot> memo;
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard->mutex);
-    for (const auto& [key, entry] : shard->entries) {
-      if (key.backend != id) continue;
-      MemoEntrySnapshot snapshot;
-      snapshot.key.reserve(key.values.size() + 1);
-      snapshot.key.push_back(static_cast<double>(key.backend));
-      snapshot.key.insert(snapshot.key.end(), key.values.begin(), key.values.end());
-      snapshot.result = entry.result;
-      snapshot.cost = entry.cost;
-      memo.push_back(std::move(snapshot));
-    }
-  }
-  return memo;
-}
-
-std::size_t EnvService::import_memo(BackendId id, std::span<const MemoEntrySnapshot> memo) {
-  (void)backend_at(id);
-  if (!caching_enabled()) return 0;
-  std::size_t imported = 0;
-  for (const auto& snapshot : memo) {
-    // key[0] is the (rewritten) backend id.
-    if (snapshot.key.empty() || !all_finite(snapshot.key)) continue;
-    QueryKey key;
-    key.backend = id;
-    key.values.assign(snapshot.key.begin() + 1, snapshot.key.end());
-    const std::size_t hash = QueryKeyHash{}(key);
-    CacheShard& shard = shard_for(hash);
-    std::scoped_lock lock(shard.mutex);
-    const auto [it, inserted] = shard.entries.try_emplace(std::move(key));
-    if (!inserted) continue;  // local entry wins: it is already bit-identical
-    shard.lru.push_front(it->first);
-    it->second.result = snapshot.result;
-    it->second.cost = snapshot.cost;
-    it->second.lru_it = shard.lru.begin();
-    evict_locked(shard);
-    ++imported;
-  }
-  return imported;
 }
 
 double EnvService::backend_cost_hint(BackendId id) const {

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -15,27 +14,23 @@
 
 #include "common/thread_pool.hpp"
 #include "env/client.hpp"
-#include "env/farm_types.hpp"
 #include "telemetry/histogram.hpp"
 
 namespace atlas::env {
 
 struct EnvServiceOptions {
   std::size_t threads = 0;  ///< Worker threads (0 = ThreadPool default).
-  std::size_t cache_capacity = 65536;  ///< Entries kept (0 disables caching AND single-flight).
-  /// Lock stripes over the memo/in-flight tables. 0 = auto: enough power-of-2
+  std::size_t cache_capacity = 65536;  ///< Entries kept (0 disables caching).
+  /// Lock stripes over the memo table. 0 = auto: enough power-of-2
   /// shards (up to 16) that each stripe still holds >= 64 entries, so small
   /// caches keep exact per-stripe LRU eviction while large ones stop
   /// serializing every lookup on one mutex.
   std::size_t cache_shards = 0;
-  /// Admission-control watermarks over outstanding_queries() (0 = shedding
-  /// disabled — the default, so existing callers see no behavior change).
-  /// At or above `shed_watermark`, kSpeculative offline queries are shed
-  /// with a typed RejectReason::kShedded result (no in-tree caller sends
-  /// them); at or above `shed_hard_watermark` (0 = 2x the soft watermark),
-  /// ALL offline queries shed. Metered (online) queries are never shed.
+  /// Admission-control watermark over outstanding_queries() (0 = shedding
+  /// disabled, the default). At or above it, every offline query is shed
+  /// with a typed RejectReason::kShedded result. Metered (online) queries
+  /// are never shed.
   std::size_t shed_watermark = 0;
-  std::size_t shed_hard_watermark = 0;
 };
 
 /// The environment-query service every Atlas component talks to (instead of
@@ -48,8 +43,8 @@ struct EnvServiceOptions {
 ///
 /// The registry holds polymorphic `EnvBackend`s: in-process environments
 /// (via `LocalBackend`), remote episode-RPC workers (`rpc::RemoteBackend`),
-/// or any custom implementation — the service's memoization, single-flight,
-/// and accounting are identical across them.
+/// or any custom implementation — the service's memoization and accounting
+/// are identical across them.
 ///
 /// Guarantees:
 ///  * `run_batch` returns results positionally matching its input span.
@@ -59,15 +54,15 @@ struct EnvServiceOptions {
 ///  * Eviction is per-stripe LRU, weighted by the backend's recomputation
 ///    cost hint: among the least-recently-used entries, cheap (simulator)
 ///    episodes are evicted before expensive (remote / testbed) ones.
-///  * Single-flight: concurrent identical offline queries — racing threads or
-///    duplicates inside one batch — coalesce onto ONE episode execution whose
-///    result is shared. Exactly one of them counts a cache miss (and an
-///    episode); every coalesced waiter counts a cache hit, so the invariants
-///    `cache_misses == episodes` and `cache_hits + cache_misses == queries`
-///    hold for purely-cacheable workloads.
+///  * Identical offline queries that miss at the same time (racing threads,
+///    or duplicates inside one batch) each execute and each count a miss;
+///    the memo keeps one entry per key. Backends are deterministic per seed,
+///    so their results are bit-identical, and `cache_misses == episodes` and
+///    `cache_hits + cache_misses == queries` hold for purely-cacheable
+///    workloads.
 ///  * A query whose key holds a NaN or infinity (say, a NaN bandwidth off the
-///    wire) is neither memoized nor coalesced: it runs alone and counts a miss.
-///  * Online (metered) backends are NEVER cached or coalesced:
+///    wire) is never memoized: it runs and counts a miss.
+///  * Online (metered) backends are NEVER cached:
 ///    `episodes == queries` reproduces the paper's per-interaction
 ///    SLA-exposure bookkeeping.
 ///  * The service owns its thread pool; all methods are thread-safe. Lookups
@@ -110,21 +105,6 @@ class EnvService final : public EnvClient {
   std::size_t cache_size() const override;
   void clear_cache() override;
 
-  // ---- memo migration (farm control plane) -----------------------------------
-
-  /// Snapshot every memoized episode belonging to `id`, as flattened
-  /// key-values + bit-exact results (entry.key[0] is the backend id — the
-  /// importer rewrites it). Does not disturb LRU order. Empty when caching is
-  /// off or the backend has no entries.
-  std::vector<MemoEntrySnapshot> export_memo(BackendId id) const;
-
-  /// Install migrated memo entries under backend `id`, as if this service had
-  /// executed them: inserted at the warm end of each stripe's LRU with the
-  /// snapshot's recompute cost, normal capacity eviction applies. Entries
-  /// already present are left untouched, and so are snapshots whose key holds
-  /// a NaN or infinity. Returns how many were inserted.
-  std::size_t import_memo(BackendId id, std::span<const MemoEntrySnapshot> memo);
-
   /// Registry metadata pass-throughs, used to build a WorkerAnnounce.
   double backend_cost_hint(BackendId id) const;
   bool backend_accepts_sim_params(BackendId id) const;
@@ -134,12 +114,12 @@ class EnvService final : public EnvClient {
   /// false, no cache lock is taken and no hit/miss counter moves — capacity 0
   /// means "caching disabled", not "a cache that misses forever".
   bool caching_enabled() const noexcept { return options_.cache_capacity > 0; }
-  /// Number of lock stripes over the memo/in-flight tables.
+  /// Number of lock stripes over the memo table.
   std::size_t cache_shard_count() const noexcept { return shards_.size(); }
 
   /// Queries currently executing or queued via submit(). ShardRouter uses
   /// this for least-loaded backend placement; admission shedding compares it
-  /// with the watermarks.
+  /// with the watermark.
   std::size_t outstanding_queries() const noexcept override;
 
   std::size_t threads() const noexcept { return pool_.size(); }
@@ -171,14 +151,6 @@ class EnvService final : public EnvClient {
     std::size_t operator()(const QueryKey& key) const noexcept;
   };
 
-  /// One coalesced execution: the leader fulfils the promise, waiters share
-  /// the future. Kept in the owning shard's in-flight table until done.
-  struct InFlight {
-    InFlight() : future(promise.get_future().share()) {}
-    std::promise<EpisodeResult> promise;
-    std::shared_future<EpisodeResult> future;
-  };
-
   /// One memoized episode plus its position in the stripe's LRU list and the
   /// backend-provided recomputation cost that weights its eviction.
   struct MemoEntry {
@@ -187,14 +159,13 @@ class EnvService final : public EnvClient {
     std::list<QueryKey>::iterator lru_it;
   };
 
-  /// One lock stripe: memo entries, their LRU order (front = most recent),
-  /// and the in-flight table, all for keys hashing onto this stripe. Padded
-  /// so stripes do not false-share.
+  /// One lock stripe: memo entries and their LRU order (front = most
+  /// recent), for keys hashing onto this stripe. Padded so stripes do not
+  /// false-share.
   struct alignas(64) CacheShard {
     std::mutex mutex;
     std::unordered_map<QueryKey, MemoEntry, QueryKeyHash> entries;
     std::list<QueryKey> lru;  ///< Eviction order; hits splice to the front.
-    std::unordered_map<QueryKey, std::shared_ptr<InFlight>, QueryKeyHash> in_flight;
   };
 
   Backend& backend_at(BackendId id) const;
@@ -202,7 +173,7 @@ class EnvService final : public EnvClient {
   static QueryKey make_key(const EnvQuery& query);
   /// Evict until `shard.entries.size() <= shard_capacity_` (mutex held).
   void evict_locked(CacheShard& shard);
-  EpisodeResult run_single_flight(Backend& backend, const EnvQuery& query);
+  EpisodeResult run_memoized(Backend& backend, const EnvQuery& query);
   /// `arrival` is when the query entered the service (submission time for
   /// submit(), call time for run()): deadlines measure queueing delay from
   /// there, and admission sheds before any execution cost is paid.
@@ -215,7 +186,6 @@ class EnvService final : public EnvClient {
                                std::chrono::steady_clock::time_point arrival);
 
   EnvServiceOptions options_;
-  std::size_t hard_watermark_ = 0;  ///< Resolved shed_hard_watermark (0 = off).
 
   mutable std::mutex registry_mutex_;  ///< Serializes writers only.
   std::deque<Backend> backends_;       ///< deque: stable references across growth.

@@ -37,7 +37,6 @@ const char* to_string(WorkerState state) noexcept {
     case WorkerState::kServing: return "serving";
     case WorkerState::kSuspect: return "suspect";
     case WorkerState::kDead: return "dead";
-    case WorkerState::kDraining: return "draining";
   }
   return "unknown";
 }
@@ -52,11 +51,8 @@ FarmView FarmState::view() const {
   view.workers_suspect = workers_suspect.load(std::memory_order_relaxed);
   view.workers_joined = workers_joined.load(std::memory_order_relaxed);
   view.workers_lost = workers_lost.load(std::memory_order_relaxed);
-  view.workers_drained = workers_drained.load(std::memory_order_relaxed);
   view.heartbeats_missed = heartbeats_missed.load(std::memory_order_relaxed);
   view.episodes_redispatched = episodes_redispatched.load(std::memory_order_relaxed);
-  view.memo_entries_migrated = memo_entries_migrated.load(std::memory_order_relaxed);
-  view.backends_migrated = backends_migrated.load(std::memory_order_relaxed);
   view.hedges = hedges.load(std::memory_order_relaxed);
   view.hedge_wins = hedge_wins.load(std::memory_order_relaxed);
   return view;
@@ -97,17 +93,9 @@ void FailoverBackend::remove_worker(std::uint32_t worker) {
 
 std::size_t FailoverBackend::replica_count() const { return snapshot()->size(); }
 
-std::vector<std::uint32_t> FailoverBackend::replica_workers() const {
-  const auto replicas = snapshot();
-  std::vector<std::uint32_t> workers;
-  workers.reserve(replicas->size());
-  for (const Replica& r : *replicas) workers.push_back(r.worker);
-  return workers;
-}
-
 std::vector<std::size_t> FailoverBackend::candidate_order(const ReplicaList& replicas) const {
   // Serving replicas first, round-robin rotated so load spreads; then
-  // joining/suspect/draining as fallback; dead replicas are skipped outright —
+  // joining/suspect as fallback; dead replicas are skipped outright —
   // unless that leaves nothing, in which case everyone gets one last chance
   // (a stale health cell beats failing the episode). Each cell is read once,
   // so a replica changing state mid-scan lands in exactly one tier.
@@ -365,14 +353,13 @@ std::uint32_t FarmController::add_worker(std::shared_ptr<WorkerControl> control)
   // The admission round-trip happens before any bookkeeping: a worker that
   // cannot answer hello() is not admitted (and this throw is the caller's
   // signal).
-  WorkerAnnounce announce = control->hello();
+  const WorkerAnnounce announce = control->hello();
 
   std::scoped_lock lock(mutex_);
   const auto index = static_cast<std::uint32_t>(workers_.size());
   Worker worker;
   worker.control = control;
   worker.health = std::make_shared<std::atomic<int>>(static_cast<int>(WorkerState::kJoining));
-  worker.announce = announce;
 
   for (std::size_t i = 0; i < announce.backends.size(); ++i) {
     const WorkerBackendInfo& info = announce.backends[i];
@@ -402,81 +389,6 @@ std::uint32_t FarmController::add_worker(std::shared_ptr<WorkerControl> control)
   state_->workers_joined.fetch_add(1, std::memory_order_relaxed);
   set_state_locked(workers_.back(), WorkerState::kServing);
   return index;
-}
-
-void FarmController::drain_worker(std::uint32_t index) {
-  std::shared_ptr<WorkerControl> control;
-  std::vector<std::pair<BackendId, BackendId>> hosted;
-  {
-    std::scoped_lock lock(mutex_);
-    if (index >= workers_.size()) {
-      throw std::out_of_range("FarmController: unknown worker " + std::to_string(index));
-    }
-    Worker& worker = workers_[index];
-    if (worker.state == WorkerState::kDead || worker.state == WorkerState::kDraining) return;
-    set_state_locked(worker, WorkerState::kDraining);
-    control = worker.control;
-    hosted = worker.hosted;
-  }
-
-  // Memo migration runs OUTSIDE the controller lock: it is a sequence of
-  // network round-trips, and the data plane (fault reports, heartbeats)
-  // must not stall behind it.
-  for (const auto& [global, remote_local] : hosted) {
-    std::vector<MemoEntrySnapshot> memo;
-    try {
-      memo = control->export_memo(remote_local);
-    } catch (const std::exception&) {
-      continue;  // worker already sick: its entries will be recomputed
-    }
-    if (memo.empty()) continue;
-
-    // Target: another worker serving a replica of the SAME global backend —
-    // its memo keys are interchangeable by construction (equivalence key).
-    std::shared_ptr<WorkerControl> target_control;
-    BackendId target_local = 0;
-    {
-      std::scoped_lock lock(mutex_);
-      const auto it = failover_backends_.find(global);
-      if (it == failover_backends_.end()) continue;
-      for (const std::uint32_t candidate : it->second->replica_workers()) {
-        if (candidate == index || candidate >= workers_.size()) continue;
-        const Worker& other = workers_[candidate];
-        if (other.state != WorkerState::kServing) continue;
-        for (const auto& [other_global, other_local] : other.hosted) {
-          if (other_global == global) {
-            target_control = other.control;
-            target_local = other_local;
-            break;
-          }
-        }
-        if (target_control != nullptr) break;
-      }
-    }
-    if (target_control == nullptr) continue;  // no equivalent home: recompute on demand
-
-    try {
-      BackendInstallRequest request;
-      request.target_backend = static_cast<std::int32_t>(target_local);
-      request.memo = std::move(memo);
-      const InstallResult result = target_control->install_backend(request);
-      state_->memo_entries_migrated.fetch_add(result.imported, std::memory_order_relaxed);
-      state_->backends_migrated.fetch_add(1, std::memory_order_relaxed);
-    } catch (const std::exception&) {
-      // Migration is best-effort; the entries die with the drain.
-    }
-  }
-
-  {
-    std::scoped_lock lock(mutex_);
-    Worker& worker = workers_[index];
-    for (const auto& [global, remote_local] : worker.hosted) {
-      const auto it = failover_backends_.find(global);
-      if (it != failover_backends_.end()) it->second->remove_worker(index);
-    }
-    set_state_locked(worker, WorkerState::kDead);
-    state_->workers_drained.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 void FarmController::mark_dead_locked(std::uint32_t index) {
@@ -527,7 +439,7 @@ void FarmController::poll_once() {
     std::scoped_lock lock(mutex_);
     Worker& worker = workers_[probe.index];
     if (worker.state != WorkerState::kServing && worker.state != WorkerState::kSuspect) {
-      continue;  // drained/died while we were probing
+      continue;  // died while we were probing
     }
     if (alive) {
       worker.missed = 0;

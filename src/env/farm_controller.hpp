@@ -19,7 +19,6 @@ namespace atlas::env {
 /// Worker lifecycle (README "Farm control plane"):
 ///
 ///   joining -> serving <-> suspect -> dead
-///                  \-> draining -> dead (graceful, memo migrated)
 ///
 /// `serving` answers heartbeats and takes traffic; `suspect` missed one (or a
 /// data-plane fault was reported) and is deprioritized but not abandoned;
@@ -31,7 +30,6 @@ enum class WorkerState : std::uint8_t {
   kServing = 1,
   kSuspect = 2,
   kDead = 3,
-  kDraining = 4,
 };
 
 const char* to_string(WorkerState state) noexcept;
@@ -50,8 +48,6 @@ class WorkerControl {
 
   virtual WorkerAnnounce hello() = 0;
   virtual WorkerHealth heartbeat() = 0;
-  virtual std::vector<MemoEntrySnapshot> export_memo(BackendId remote_backend) = 0;
-  virtual InstallResult install_backend(const BackendInstallRequest& request) = 0;
 
   /// Data-plane executor for one of this worker's announced backends
   /// (`remote_backend` = index in the announce). The FarmController wraps
@@ -95,11 +91,8 @@ class FarmState {
   std::atomic<std::uint64_t> workers_suspect{0};
   std::atomic<std::uint64_t> workers_joined{0};
   std::atomic<std::uint64_t> workers_lost{0};
-  std::atomic<std::uint64_t> workers_drained{0};
   std::atomic<std::uint64_t> heartbeats_missed{0};
   std::atomic<std::uint64_t> episodes_redispatched{0};
-  std::atomic<std::uint64_t> memo_entries_migrated{0};
-  std::atomic<std::uint64_t> backends_migrated{0};
   std::atomic<std::uint64_t> hedges{0};
   std::atomic<std::uint64_t> hedge_wins{0};
 
@@ -152,7 +145,6 @@ class FailoverBackend final : public EnvBackend {
   void remove_worker(std::uint32_t worker);
 
   std::size_t replica_count() const;
-  std::vector<std::uint32_t> replica_workers() const;
 
   /// Current hedge delay in ms (<= 0 when hedging is off or not yet armed);
   /// exposed for tests.
@@ -212,9 +204,7 @@ struct FarmControllerOptions {
 /// Replaces flags-frozen placement: workers join at runtime (add_worker),
 /// their announced backends enter the LIVE BackendId space as FailoverBackend
 /// replicas (same equivalence key -> same global id), missed heartbeats
-/// demote them suspect -> dead (poll_once / the start() monitor thread), and
-/// graceful removal (drain_worker) migrates worker-side memo entries to an
-/// equivalent replica before the worker goes.
+/// demote them suspect -> dead (poll_once / the start() monitor thread).
 ///
 /// Thread-safe; poll_once may be driven manually (tests) or by start().
 class FarmController {
@@ -230,12 +220,6 @@ class FarmController {
   /// with the router (new global id). Returns the worker's farm index.
   /// Throws if hello() fails — a worker that cannot announce is not admitted.
   std::uint32_t add_worker(std::shared_ptr<WorkerControl> control);
-
-  /// Graceful removal: export each hosted backend's memo entries and install
-  /// them on a serving worker with an equivalent backend (counted in
-  /// memo_entries_migrated / backends_migrated), then drop the worker's
-  /// replicas. Memo that finds no equivalent home is recomputed on demand.
-  void drain_worker(std::uint32_t worker);
 
   /// One heartbeat sweep over serving/suspect workers. Success clears
   /// suspicion; failure escalates serving -> suspect -> dead per options.
@@ -258,7 +242,6 @@ class FarmController {
     WorkerState state = WorkerState::kJoining;
     /// Shared with this worker's replicas in every FailoverBackend.
     std::shared_ptr<std::atomic<int>> health;
-    WorkerAnnounce announce;
     std::uint32_t missed = 0;
     /// (global FailoverBackend id, worker-local backend id) per hosted backend.
     std::vector<std::pair<BackendId, BackendId>> hosted;

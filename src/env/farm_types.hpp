@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "env/backend.hpp"
-#include "env/episode.hpp"
 
 namespace atlas::env {
 
@@ -15,7 +13,7 @@ namespace atlas::env {
 /// farm *membership* — what a worker hosts and how healthy it is — as plain
 /// data, so the registry protocol stays transport-agnostic.
 
-/// One backend a worker advertises (or is asked to install). `params_digest`
+/// One backend a worker advertises. `params_digest`
 /// is a caller-chosen fingerprint of the simulator parameterization; two
 /// backends are interchangeable for placement/failover only when kind,
 /// accepts_sim_params, and digest all match.
@@ -27,7 +25,7 @@ struct WorkerBackendInfo {
   std::uint64_t params_digest = 0;
 
   /// Placement-equivalence key: workers advertising the same key can absorb
-  /// each other's traffic (and memo entries) without changing results.
+  /// each other's traffic without changing results.
   std::uint64_t equivalence_key() const noexcept {
     std::uint64_t h = params_digest * 0x9e3779b97f4a7c15ull;
     h ^= static_cast<std::uint64_t>(kind == BackendKind::kOnline ? 2 : 1) << 62;
@@ -57,33 +55,6 @@ struct WorkerHealth {
   std::uint64_t outstanding = 0;    ///< episodes currently queued or running
   std::uint64_t cache_entries = 0;  ///< memo entries resident across stripes
   std::uint64_t episodes = 0;       ///< episodes executed since start
-};
-
-/// One memo-table entry in transit between shards. The key is the flattened
-/// QueryKey double vector (key[0] is the worker-local backend id — rewritten
-/// on install); the result is the bit-exact EpisodeResult. Costs ride along
-/// so the receiving cache ranks the entry correctly for eviction.
-struct MemoEntrySnapshot {
-  std::vector<double> key;
-  EpisodeResult result;
-  double cost = 1.0;
-};
-
-/// Push-a-backend request (kInstallBackend): either install into an existing
-/// worker-local backend (`target_backend >= 0`, memo-merge only) or register
-/// a fresh backend built from `descriptor` (+ optional simulator params).
-struct BackendInstallRequest {
-  std::int32_t target_backend = -1;
-  WorkerBackendInfo descriptor;
-  std::optional<SimParams> sim_params;
-  std::vector<MemoEntrySnapshot> memo;
-};
-
-/// kInstallAck: where the backend landed and how many entries were accepted
-/// (capacity-bounded — the receiver may evict rather than grow unboundedly).
-struct InstallResult {
-  std::uint32_t backend = 0;
-  std::uint64_t imported = 0;
 };
 
 }  // namespace atlas::env

@@ -24,11 +24,11 @@ class FarmState;  // env/farm_controller.hpp
 /// Placement is least-loaded: a new backend goes to the shard with the
 /// fewest outstanding queries at registration time (ties: fewest registered
 /// backends, then lowest index — so an idle router places round-robin).
-/// Each shard is a full EnvService (own thread pool, own sharded
-/// memo/in-flight tables, own accounting); the router only translates ids
-/// and aggregates. All guarantees of EnvService (ordered batches,
-/// single-flight, exact accounting, metered online backends) hold per shard
-/// and therefore globally:
+/// Each shard is a full EnvService (own thread pool, own striped memo
+/// table, own accounting); the router only translates ids and aggregates.
+/// All guarantees of EnvService (ordered batches, memoization, exact
+/// accounting, metered online backends) hold per shard and therefore
+/// globally:
 ///
 ///   ShardRouter router(/*shards=*/8);
 ///   for (auto& tenant : tenants) ids.push_back(router.add_simulator(tenant.params));

@@ -198,8 +198,6 @@ env::FrameTrace get_trace(WireReader& r) {
 // costs its u32/u64 length field alone.
 constexpr std::size_t kHistogramBucketWireBytes = 4 + 8;  // u32 index, u64 count
 constexpr std::size_t kTraceWireBytes = 8 + 8 * 8;        // u64 id, 8 f64 stamps
-constexpr std::size_t kResultBodyMinBytes = 8 + 8 + 4 * 4 + 8;  // empty latency/trace lists
-constexpr std::size_t kMemoEntryMinBytes = 8 + 8 + kResultBodyMinBytes;  // empty key, cost
 constexpr std::size_t kBackendInfoMinBytes = 4 + 1 + 8 + 1 + 8;  // empty name
 constexpr std::size_t kHistogramMinBytes = 4 + 8;                // no buckets, sum
 constexpr std::size_t kBackendStatsMinBytes =
@@ -262,36 +260,6 @@ telemetry::HistogramData get_histogram(WireReader& r) {
   return telemetry::HistogramData::from_counts(std::move(counts), r.u64());
 }
 
-/// EpisodeResult body, shared by kResult frames and memo-entry snapshots —
-/// one layout so a migrated memo entry round-trips exactly like a served one.
-void put_result_body(WireWriter& w, const env::EpisodeResult& result) {
-  w.u64(result.latencies_ms.size());
-  for (double v : result.latencies_ms) w.f64(v);
-  w.u64(result.frames_completed);
-  w.i32(result.ul_tb_total);
-  w.i32(result.ul_tb_err);
-  w.i32(result.dl_tb_total);
-  w.i32(result.dl_tb_err);
-  w.u64(result.traces.size());
-  for (const auto& t : result.traces) put_trace(w, t);
-}
-
-env::EpisodeResult get_result_body(WireReader& r) {
-  env::EpisodeResult result;
-  const std::size_t latencies = checked_count(r, r.u64(), sizeof(double), "latency");
-  result.latencies_ms.reserve(latencies);
-  for (std::size_t i = 0; i < latencies; ++i) result.latencies_ms.push_back(r.f64());
-  result.frames_completed = static_cast<std::size_t>(r.u64());
-  result.ul_tb_total = r.i32();
-  result.ul_tb_err = r.i32();
-  result.dl_tb_total = r.i32();
-  result.dl_tb_err = r.i32();
-  const std::size_t traces = checked_count(r, r.u64(), kTraceWireBytes, "trace");
-  result.traces.reserve(traces);
-  for (std::size_t i = 0; i < traces; ++i) result.traces.push_back(get_trace(r));
-  return result;
-}
-
 void put_backend_info(WireWriter& w, const env::WorkerBackendInfo& info) {
   w.str(info.name);
   put_backend_kind(w, info.kind);
@@ -308,36 +276,6 @@ env::WorkerBackendInfo get_backend_info(WireReader& r) {
   info.accepts_sim_params = r.boolean();
   info.params_digest = r.u64();
   return info;
-}
-
-void put_memo_entry(WireWriter& w, const env::MemoEntrySnapshot& entry) {
-  w.u64(entry.key.size());
-  for (double v : entry.key) w.f64(v);
-  w.f64(entry.cost);
-  put_result_body(w, entry.result);
-}
-
-env::MemoEntrySnapshot get_memo_entry(WireReader& r) {
-  env::MemoEntrySnapshot entry;
-  const std::size_t key_len = checked_count(r, r.u64(), sizeof(double), "memo key");
-  entry.key.reserve(key_len);
-  for (std::size_t i = 0; i < key_len; ++i) entry.key.push_back(r.f64());
-  entry.cost = r.f64();
-  entry.result = get_result_body(r);
-  return entry;
-}
-
-void put_memo_list(WireWriter& w, const std::vector<env::MemoEntrySnapshot>& memo) {
-  w.u64(memo.size());
-  for (const auto& entry : memo) put_memo_entry(w, entry);
-}
-
-std::vector<env::MemoEntrySnapshot> get_memo_list(WireReader& r) {
-  const std::size_t n = checked_count(r, r.u64(), kMemoEntryMinBytes, "memo entry");
-  std::vector<env::MemoEntrySnapshot> memo;
-  memo.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) memo.push_back(get_memo_entry(r));
-  return memo;
 }
 
 void put_backend_stats(WireWriter& w, const env::BackendStats& b) {
@@ -396,7 +334,6 @@ std::vector<std::uint8_t> encode_query(std::uint64_t request_id, const env::EnvQ
   if (query.sim_params) put_sim_params(w, *query.sim_params);
   w.boolean(query.crn);
   w.f64(query.deadline_ms);
-  w.u8(static_cast<std::uint8_t>(query.priority));
   return w.take();
 }
 
@@ -404,9 +341,15 @@ std::vector<std::uint8_t> encode_result(std::uint64_t request_id,
                                         const env::EpisodeResult& result) {
   WireWriter w;
   put_header(w, MsgType::kResult, request_id);
-  put_result_body(w, result);
-  // Rejection rides only on served results, never in memo snapshots — a
-  // rejected query produced no episode, so nothing of it is ever memoized.
+  w.u64(result.latencies_ms.size());
+  for (double v : result.latencies_ms) w.f64(v);
+  w.u64(result.frames_completed);
+  w.i32(result.ul_tb_total);
+  w.i32(result.ul_tb_err);
+  w.i32(result.dl_tb_total);
+  w.i32(result.dl_tb_err);
+  w.u64(result.traces.size());
+  for (const auto& t : result.traces) put_trace(w, t);
   w.u8(static_cast<std::uint8_t>(result.rejected));
   return w.take();
 }
@@ -472,17 +415,23 @@ env::EnvQuery decode_query_body(WireReader& reader) {
   if (reader.boolean()) query.sim_params = get_sim_params(reader);
   query.crn = reader.boolean();
   query.deadline_ms = reader.f64();
-  const std::uint8_t priority = reader.u8();
-  if (priority > static_cast<std::uint8_t>(env::QueryPriority::kNormal)) {
-    throw CodecError("rpc codec: bad query priority " + std::to_string(priority));
-  }
-  query.priority = static_cast<env::QueryPriority>(priority);
   reader.expect_done();
   return query;
 }
 
 env::EpisodeResult decode_result_body(WireReader& reader) {
-  env::EpisodeResult result = get_result_body(reader);
+  env::EpisodeResult result;
+  const std::size_t latencies = checked_count(reader, reader.u64(), sizeof(double), "latency");
+  result.latencies_ms.reserve(latencies);
+  for (std::size_t i = 0; i < latencies; ++i) result.latencies_ms.push_back(reader.f64());
+  result.frames_completed = static_cast<std::size_t>(reader.u64());
+  result.ul_tb_total = reader.i32();
+  result.ul_tb_err = reader.i32();
+  result.dl_tb_total = reader.i32();
+  result.dl_tb_err = reader.i32();
+  const std::size_t traces = checked_count(reader, reader.u64(), kTraceWireBytes, "trace");
+  result.traces.reserve(traces);
+  for (std::size_t i = 0; i < traces; ++i) result.traces.push_back(get_trace(reader));
   result.rejected = get_reject_reason(reader);
   reader.expect_done();
   return result;
@@ -529,42 +478,6 @@ std::vector<std::uint8_t> encode_heartbeat_ack(std::uint64_t request_id,
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_memo_export(std::uint64_t request_id, env::BackendId backend) {
-  WireWriter w;
-  put_header(w, MsgType::kMemoExport, request_id);
-  w.u32(backend);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_memo_snapshot(std::uint64_t request_id,
-                                               const std::vector<env::MemoEntrySnapshot>& memo) {
-  WireWriter w;
-  put_header(w, MsgType::kMemoSnapshot, request_id);
-  put_memo_list(w, memo);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_install_backend(std::uint64_t request_id,
-                                                 const env::BackendInstallRequest& request) {
-  WireWriter w;
-  put_header(w, MsgType::kInstallBackend, request_id);
-  w.i32(request.target_backend);
-  put_backend_info(w, request.descriptor);
-  w.boolean(request.sim_params.has_value());
-  if (request.sim_params) put_sim_params(w, *request.sim_params);
-  put_memo_list(w, request.memo);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_install_ack(std::uint64_t request_id,
-                                             const env::InstallResult& result) {
-  WireWriter w;
-  put_header(w, MsgType::kInstallAck, request_id);
-  w.u32(result.backend);
-  w.u64(result.imported);
-  return w.take();
-}
-
 std::vector<std::uint8_t> encode_cancel(std::uint64_t request_id) {
   WireWriter w;
   put_header(w, MsgType::kCancel, request_id);
@@ -592,36 +505,6 @@ env::WorkerHealth decode_heartbeat_ack_body(WireReader& reader) {
   health.episodes = reader.u64();
   reader.expect_done();
   return health;
-}
-
-env::BackendId decode_memo_export_body(WireReader& reader) {
-  const env::BackendId backend = reader.u32();
-  reader.expect_done();
-  return backend;
-}
-
-std::vector<env::MemoEntrySnapshot> decode_memo_snapshot_body(WireReader& reader) {
-  std::vector<env::MemoEntrySnapshot> memo = get_memo_list(reader);
-  reader.expect_done();
-  return memo;
-}
-
-env::BackendInstallRequest decode_install_backend_body(WireReader& reader) {
-  env::BackendInstallRequest request;
-  request.target_backend = reader.i32();
-  request.descriptor = get_backend_info(reader);
-  if (reader.boolean()) request.sim_params = get_sim_params(reader);
-  request.memo = get_memo_list(reader);
-  reader.expect_done();
-  return request;
-}
-
-env::InstallResult decode_install_ack_body(WireReader& reader) {
-  env::InstallResult result;
-  result.backend = reader.u32();
-  result.imported = reader.u64();
-  reader.expect_done();
-  return result;
 }
 
 env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader) {

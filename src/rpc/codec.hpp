@@ -12,7 +12,7 @@
 
 namespace atlas::rpc {
 
-/// Episode-RPC wire format, version `kWireVersion` (5).
+/// Episode-RPC wire format, version `kWireVersion` (6).
 ///
 /// Every frame payload is:
 ///
@@ -30,7 +30,7 @@ namespace atlas::rpc {
 /// builds fail loudly instead of misreading; any layout change bumps
 /// `kWireVersion`.
 inline constexpr std::uint32_t kWireMagic = 0x41544c53u;  // "ATLS"
-inline constexpr std::uint16_t kWireVersion = 5;
+inline constexpr std::uint16_t kWireVersion = 6;
 
 /// Upper bound on one frame payload; a length prefix beyond this is treated
 /// as a corrupted stream, not an allocation request.
@@ -47,11 +47,7 @@ enum class MsgType : std::uint16_t {
   kAnnounce = 7,        ///< worker -> controller: WorkerAnnounce (capacity + backends)
   kHeartbeat = 8,       ///< controller -> worker: are you alive? (empty body)
   kHeartbeatAck = 9,    ///< worker -> controller: WorkerHealth gauges
-  kMemoExport = 10,     ///< controller -> worker: export memo entries for one backend (u32 id)
-  kMemoSnapshot = 11,   ///< worker -> controller: MemoEntrySnapshot list
-  kInstallBackend = 12, ///< controller -> worker: BackendInstallRequest (backend + memo push)
-  kInstallAck = 13,     ///< worker -> controller: InstallResult
-  kCancel = 14,         ///< client -> worker: drop the named request if still queued (no reply)
+  kCancel = 10,         ///< client -> worker: drop the named request if still queued (no reply)
 };
 
 /// Malformed frame: bad magic/version/type, truncated body, trailing bytes.
@@ -136,13 +132,6 @@ std::vector<std::uint8_t> encode_announce(std::uint64_t request_id,
 std::vector<std::uint8_t> encode_heartbeat(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_heartbeat_ack(std::uint64_t request_id,
                                                const env::WorkerHealth& health);
-std::vector<std::uint8_t> encode_memo_export(std::uint64_t request_id, env::BackendId backend);
-std::vector<std::uint8_t> encode_memo_snapshot(std::uint64_t request_id,
-                                               const std::vector<env::MemoEntrySnapshot>& memo);
-std::vector<std::uint8_t> encode_install_backend(std::uint64_t request_id,
-                                                 const env::BackendInstallRequest& request);
-std::vector<std::uint8_t> encode_install_ack(std::uint64_t request_id,
-                                             const env::InstallResult& result);
 std::vector<std::uint8_t> encode_cancel(std::uint64_t request_id);
 
 /// Validates magic, version (exactly `kWireVersion`) and message type and
@@ -160,9 +149,5 @@ std::string decode_error_body(WireReader& reader);
 env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader);
 env::WorkerAnnounce decode_announce_body(WireReader& reader);
 env::WorkerHealth decode_heartbeat_ack_body(WireReader& reader);
-env::BackendId decode_memo_export_body(WireReader& reader);
-std::vector<env::MemoEntrySnapshot> decode_memo_snapshot_body(WireReader& reader);
-env::BackendInstallRequest decode_install_backend_body(WireReader& reader);
-env::InstallResult decode_install_ack_body(WireReader& reader);
 
 }  // namespace atlas::rpc

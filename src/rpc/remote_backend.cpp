@@ -248,26 +248,6 @@ env::WorkerHealth RemoteBackend::heartbeat() const {
   return decode_heartbeat_ack_body(reader);
 }
 
-std::vector<env::MemoEntrySnapshot> RemoteBackend::export_memo(
-    env::BackendId remote_backend) const {
-  const auto frame = control_roundtrip(
-      [remote_backend](std::uint64_t id) { return encode_memo_export(id, remote_backend); },
-      MsgType::kMemoSnapshot, "memo export");
-  WireReader reader(frame);
-  (void)decode_header(reader);
-  return decode_memo_snapshot_body(reader);
-}
-
-env::InstallResult RemoteBackend::install_backend(
-    const env::BackendInstallRequest& request) const {
-  const auto frame = control_roundtrip(
-      [&request](std::uint64_t id) { return encode_install_backend(id, request); },
-      MsgType::kInstallAck, "backend install");
-  WireReader reader(frame);
-  (void)decode_header(reader);
-  return decode_install_ack_body(reader);
-}
-
 env::EpisodeResult RemoteBackend::execute(const env::EnvQuery& query) const {
   return execute_impl(query, nullptr);
 }
@@ -306,9 +286,8 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
   // At-most-once for metered backends: once a query is on the wire the
   // worker may be executing (or have executed) a REAL interaction — retrying
   // it would duplicate live SLA exposure while the client meters one
-  // episode. Offline episodes retry freely: deterministic per seed, and at
-  // worst (caching disabled worker, collect_traces query) a retry recomputes
-  // the identical result.
+  // episode. Offline episodes retry freely: deterministic per seed, so at
+  // worst a retry recomputes the identical result on the worker.
   const bool metered = options_.kind == env::BackendKind::kOnline;
   const auto metered_abort = [&](const std::string& fault) {
     failures_.fetch_add(1, std::memory_order_relaxed);

@@ -36,9 +36,9 @@ struct RemoteBackendOptions {
   /// response is dropped by the multiplexer, and a best-effort kCancel tells
   /// the worker to skip the episode if still queued) and retried.
   double timeout_ms = 30000.0;
-  /// Deadline for control-plane round-trips (hello / heartbeat / stats /
-  /// memo export / install). Much shorter than an episode: these answer on
-  /// the worker's read thread, so a slow answer means a sick worker.
+  /// Deadline for control-plane round-trips (hello / heartbeat / stats).
+  /// Much shorter than an episode: these answer on the worker's read
+  /// thread, so a slow answer means a sick worker.
   double control_timeout_ms = 5000.0;
   /// Reconnect backoff: FAILED connect attempts (the transport factory
   /// throwing) are spaced out exponentially with deterministic jitter, so a
@@ -50,10 +50,9 @@ struct RemoteBackendOptions {
   /// Additional attempts after the first, for timeouts and transport faults.
   /// Worker-reported errors (bad query) are NOT retried — they are
   /// deterministic. Offline episodes retry safely: results are
-  /// deterministic per seed, and a cacheable retry coalesces onto its
-  /// still-running twin via the worker's single-flight (a worker running
-  /// with caching disabled, or a collect_traces query, may compute the
-  /// episode twice — identical result, wasted cycles, never wrong). A
+  /// deterministic per seed, so a retry that runs the episode a second time
+  /// on the worker (say, while the timed-out first attempt is still running)
+  /// returns an identical result — wasted cycles, never wrong. A
   /// kOnline backend is at-most-once: after the query is on the wire, any
   /// fault fails with RpcError instead of re-running a metered live
   /// interaction the worker may already have executed. Connect/send
@@ -132,10 +131,6 @@ class RemoteBackend final : public env::EnvBackend {
   env::WorkerAnnounce hello() const;
   /// One liveness round-trip: the worker's health gauges.
   env::WorkerHealth heartbeat() const;
-  /// Pull the worker's memo entries for one WORKER-side backend id.
-  std::vector<env::MemoEntrySnapshot> export_memo(env::BackendId remote_backend) const;
-  /// Push a backend (and/or memo snapshot) into the worker's registry.
-  env::InstallResult install_backend(const env::BackendInstallRequest& request) const;
 
  private:
   class MuxConnection;

@@ -122,25 +122,6 @@ void EpisodeRpcServer::serve(Transport& transport) {
           write_frame(encode_heartbeat_ack(request_id, health));
           continue;
         }
-        case MsgType::kMemoExport: {
-          const env::BackendId backend = decode_memo_export_body(reader);
-          auto memo = service_.export_memo(backend);
-          auto snapshot = encode_memo_snapshot(request_id, memo);
-          // Migration is an optimization: a snapshot too big for one frame
-          // ships its warmest-hashing half rather than failing the drain
-          // (dropped entries are just recomputed on the new shard).
-          while (snapshot.size() > kMaxFrameBytes && !memo.empty()) {
-            memo.resize(memo.size() / 2);
-            snapshot = encode_memo_snapshot(request_id, memo);
-          }
-          write_frame(snapshot);
-          continue;
-        }
-        case MsgType::kInstallBackend: {
-          const env::BackendInstallRequest request = decode_install_backend_body(reader);
-          write_frame(encode_install_ack(request_id, handle_install(request)));
-          continue;
-        }
         case MsgType::kCancel: {
           reader.expect_done();
           {
@@ -291,33 +272,6 @@ void EpisodeRpcServer::set_backend_digest(env::BackendId id, std::uint64_t diges
 std::uint64_t EpisodeRpcServer::backend_digest(env::BackendId id) const {
   std::scoped_lock lock(digests_mutex_);
   return id < digests_.size() ? digests_[id] : 0;
-}
-
-env::InstallResult EpisodeRpcServer::handle_install(const env::BackendInstallRequest& request) {
-  env::InstallResult result;
-  if (request.target_backend >= 0) {
-    // Memo-merge into a backend this worker already hosts.
-    result.backend = static_cast<env::BackendId>(request.target_backend);
-    result.imported = service_.import_memo(result.backend, request.memo);
-    return result;
-  }
-  // Fresh registration from the descriptor. Only backend shapes a worker can
-  // construct from data are installable: parameterized simulators and the
-  // real-network surrogate. Anything else must be wired at worker startup.
-  const auto& d = request.descriptor;
-  if (d.kind == env::BackendKind::kOffline && d.accepts_sim_params) {
-    result.backend = service_.add_simulator(
-        request.sim_params.value_or(env::SimParams::defaults()), d.name);
-  } else if (d.kind == env::BackendKind::kOnline && !d.accepts_sim_params) {
-    result.backend = service_.add_real_network(d.name);
-  } else {
-    throw RpcError("episode-rpc server: backend '" + d.name +
-                   "' is not installable from a descriptor");
-  }
-  set_backend_digest(result.backend, d.params_digest);
-  installs_total_.fetch_add(1, std::memory_order_relaxed);
-  result.imported = service_.import_memo(result.backend, request.memo);
-  return result;
 }
 
 void EpisodeRpcServer::stop() {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "env/env_service.hpp"
+#include "env/farm_types.hpp"
 #include "rpc/transport.hpp"
 #include "telemetry/histogram.hpp"
 
@@ -65,18 +66,14 @@ class EpisodeRpcServer {
   env::WorkerAnnounce announce() const;
 
   /// Record the parameterization fingerprint for a backend (the worker binary
-  /// digests its SimParams at startup; runtime installs carry their own).
-  /// Backends without a digest announce 0 — equivalent only to other
+  /// digests its SimParams at startup). Backends without a digest
+  /// announce 0 — equivalent only to other
   /// digest-0 backends of the same kind.
   void set_backend_digest(env::BackendId id, std::uint64_t digest);
 
   /// Queries dropped (pre-execution or pre-response) by kCancel frames.
   std::uint64_t cancelled_total() const noexcept {
     return cancelled_total_.load(std::memory_order_relaxed);
-  }
-  /// Backends pushed into the registry at runtime via kInstallBackend.
-  std::uint64_t installs_total() const noexcept {
-    return installs_total_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -88,7 +85,6 @@ class EpisodeRpcServer {
 
   void accept_loop();
   std::uint64_t backend_digest(env::BackendId id) const;
-  env::InstallResult handle_install(const env::BackendInstallRequest& request);
 
   env::EnvService& service_;
   RpcServerOptions options_;
@@ -102,7 +98,6 @@ class EpisodeRpcServer {
   mutable std::mutex digests_mutex_;
   std::vector<std::uint64_t> digests_;  ///< Indexed by BackendId; 0 = unset.
   std::atomic<std::uint64_t> cancelled_total_{0};
-  std::atomic<std::uint64_t> installs_total_{0};
   /// Episodes dispatched onto the pool whose responses have not been written
   /// yet, across ALL connections — what stop() waits on before hard-closing.
   std::mutex drain_mutex_;

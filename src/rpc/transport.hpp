@@ -84,7 +84,7 @@ class TcpListener {
 };
 
 /// In-process channel pair: frames sent on one endpoint arrive at the other.
-/// Used by tests (single-flight over RPC without sockets) and by the
+/// Used by tests (the full RPC path without sockets) and by the
 /// loopback bench. Either endpoint's close() EOFs the peer after any queued
 /// frames drain.
 std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> make_loopback_pair();

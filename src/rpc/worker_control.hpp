@@ -17,7 +17,7 @@ struct RemoteWorkerOptions {
   std::uint16_t port = 0;
   /// Per-episode deadline for data-plane backends built via make_backend.
   double timeout_ms = 30000.0;
-  /// Deadline for hello / heartbeat / memo-export / install round-trips.
+  /// Deadline for hello / heartbeat round-trips.
   double control_timeout_ms = 5000.0;
   int max_retries = 2;
   /// Test seam shared by the control connection AND every data-plane
@@ -27,7 +27,7 @@ struct RemoteWorkerOptions {
 
 /// The wire adapter putting one remote episode worker behind the
 /// transport-agnostic `env::WorkerControl` contract the FarmController
-/// drives. Control traffic (hello / heartbeat / memo export / install) rides
+/// drives. Control traffic (hello / heartbeat) rides
 /// a dedicated RemoteBackend connection, so a worker drowning in episodes
 /// still answers heartbeats from its read thread; each announced backend
 /// gets its own data-plane RemoteBackend via make_backend.
@@ -39,12 +39,6 @@ class RemoteWorkerControl final : public env::WorkerControl {
 
   env::WorkerAnnounce hello() override { return control_->hello(); }
   env::WorkerHealth heartbeat() override { return control_->heartbeat(); }
-  std::vector<env::MemoEntrySnapshot> export_memo(env::BackendId remote_backend) override {
-    return control_->export_memo(remote_backend);
-  }
-  env::InstallResult install_backend(const env::BackendInstallRequest& request) override {
-    return control_->install_backend(request);
-  }
 
   std::shared_ptr<const env::EnvBackend> make_backend(const env::WorkerBackendInfo& info,
                                                       env::BackendId remote_backend) override;

@@ -125,12 +125,11 @@ TEST(Stage1, DiscrepancyOfIsDeterministicPerSeed) {
 }
 
 TEST(Stage1, ShedEpisodesFailTheStageInsteadOfScoringKl) {
-  // Both watermarks at 1: every simulator query is shed (the metered real
+  // Watermark 1: every simulator query is shed (the metered real
   // collection never is). A shed query has no latencies to compare to D_r.
   ae::EnvServiceOptions service_options;
   service_options.threads = 2;
   service_options.shed_watermark = 1;
-  service_options.shed_hard_watermark = 1;
   ae::EnvService service(service_options);
   const auto real = service.add_real_network();
   auto opts = fast_options();

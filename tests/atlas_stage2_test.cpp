@@ -187,12 +187,11 @@ TEST(Stage2, LambdaRisesWhileInfeasible) {
 }
 
 TEST(Stage2, ShedEpisodesFailTheStageInsteadOfScoringZero) {
-  // Both watermarks at 1: a query counts itself, so every offline query is
-  // shed. A shed query ran no episode, so it has no QoE to learn from.
+  // Watermark 1: a query counts itself, so every offline query is shed. A
+  // shed query ran no episode, so it has no QoE to learn from.
   ae::EnvServiceOptions service_options;
   service_options.threads = 2;
   service_options.shed_watermark = 1;
-  service_options.shed_hard_watermark = 1;
   ae::EnvService service(service_options);
   const auto sim = service.add_simulator();
   auto opts = fast_options();

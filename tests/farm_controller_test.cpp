@@ -1,6 +1,6 @@
 // FarmController unit suite: registry grouping, heartbeat-driven state
-// transitions, data-plane failover/redispatch, memo migration on drain, and
-// the farm view in router stats — all driven through in-process fake
+// transitions, data-plane failover/redispatch, and the farm view in router
+// stats — all driven through in-process fake
 // WorkerControls (no sockets), with poll_once() stepped manually so every
 // transition is deterministic.
 
@@ -81,23 +81,6 @@ class FakeWorker final : public ae::WorkerControl {
     return health;
   }
 
-  std::vector<ae::MemoEntrySnapshot> export_memo(ae::BackendId remote_backend) override {
-    if (failing->load()) throw std::runtime_error(address_ + ": export failed");
-    exported_from.push_back(remote_backend);
-    return memo;
-  }
-
-  ae::InstallResult install_backend(const ae::BackendInstallRequest& request) override {
-    if (failing->load()) throw std::runtime_error(address_ + ": install failed");
-    installs.push_back(request);
-    ae::InstallResult result;
-    result.backend = request.target_backend >= 0
-                         ? static_cast<std::uint32_t>(request.target_backend)
-                         : static_cast<std::uint32_t>(announce_.backends.size());
-    result.imported = request.memo.size();
-    return result;
-  }
-
   std::shared_ptr<const ae::EnvBackend> make_backend(const ae::WorkerBackendInfo& info,
                                                      ae::BackendId remote_backend) override {
     return std::make_shared<FakeBackend>(info.name + "@" + address_ + "#" +
@@ -109,9 +92,6 @@ class FakeWorker final : public ae::WorkerControl {
   std::shared_ptr<std::atomic<bool>> brownout = std::make_shared<std::atomic<bool>>(false);
   std::shared_ptr<std::atomic<std::uint64_t>> executed =
       std::make_shared<std::atomic<std::uint64_t>>(0);
-  std::vector<ae::MemoEntrySnapshot> memo;  ///< what export_memo returns
-  std::vector<ae::BackendInstallRequest> installs;
-  std::vector<ae::BackendId> exported_from;
   int hellos = 0;
   int heartbeats = 0;
 
@@ -135,14 +115,6 @@ ae::EnvQuery query_with_seed(ae::BackendId backend, std::uint64_t seed) {
   q.workload.duration_ms = 1000.0;
   q.workload.seed = seed;
   return q;
-}
-
-ae::MemoEntrySnapshot memo_entry(double backend, double seed) {
-  ae::MemoEntrySnapshot entry;
-  entry.key = {backend, seed};
-  entry.result.latencies_ms = {seed};
-  entry.result.frames_completed = 1;
-  return entry;
 }
 
 struct Farm {
@@ -299,55 +271,6 @@ TEST(FarmController, BrownOutWorkerCostsOneRedispatchPerHeartbeat) {
   EXPECT_EQ(b->executed->load(), kRounds * kQueriesPerRound);
   EXPECT_EQ(a->executed->load(), 0u);
   EXPECT_EQ(farm.controller.worker_state(wb), ae::WorkerState::kServing);
-}
-
-TEST(FarmController, DrainMigratesMemoToAnEquivalentReplica) {
-  Farm farm;
-  auto a = std::make_shared<FakeWorker>("a:1", std::vector{sim_info(7)});
-  auto b = std::make_shared<FakeWorker>("b:2", std::vector{sim_info(7)});
-  const auto wa = farm.controller.add_worker(a);
-  const auto wb = farm.controller.add_worker(b);
-  a->memo = {memo_entry(0.0, 11.0), memo_entry(0.0, 12.0), memo_entry(0.0, 13.0)};
-
-  farm.controller.drain_worker(wa);
-
-  // a's memo was exported from its local backend 0 and installed into b's
-  // equivalent local backend (memo-merge: target_backend >= 0).
-  ASSERT_EQ(a->exported_from.size(), 1u);
-  EXPECT_EQ(a->exported_from[0], 0u);
-  ASSERT_EQ(b->installs.size(), 1u);
-  EXPECT_EQ(b->installs[0].target_backend, 0);
-  EXPECT_EQ(b->installs[0].memo.size(), 3u);
-
-  EXPECT_EQ(farm.controller.worker_state(wa), ae::WorkerState::kDead);
-  const auto view = farm.router.stats().farm;
-  EXPECT_EQ(view.workers_drained, 1u);
-  EXPECT_EQ(view.workers_lost, 0u);  // graceful, not lost
-  EXPECT_EQ(view.memo_entries_migrated, 3u);
-  EXPECT_EQ(view.backends_migrated, 1u);
-
-  // The drained worker serves nothing; b carries the backend alone.
-  const auto backend = farm.controller.worker_backends(wa).at(0);
-  (void)farm.router.run(query_with_seed(backend, 9));
-  EXPECT_EQ(a->executed->load(), 0u);
-  EXPECT_EQ(b->executed->load(), 1u);
-
-  // Draining again is a no-op (idempotent on a dead worker).
-  farm.controller.drain_worker(wa);
-  EXPECT_EQ(a->exported_from.size(), 1u);
-}
-
-TEST(FarmController, DrainWithoutAnEquivalentHomeDropsTheMemo) {
-  Farm farm;
-  auto a = std::make_shared<FakeWorker>("a:1", std::vector{sim_info(7)});
-  const auto wa = farm.controller.add_worker(a);
-  a->memo = {memo_entry(0.0, 11.0)};
-
-  farm.controller.drain_worker(wa);  // nowhere to put it: best-effort no-op
-  const auto view = farm.router.stats().farm;
-  EXPECT_EQ(view.workers_drained, 1u);
-  EXPECT_EQ(view.memo_entries_migrated, 0u);
-  EXPECT_EQ(view.backends_migrated, 0u);
 }
 
 TEST(FarmController, FarmCountersSurviveControllerDestruction) {

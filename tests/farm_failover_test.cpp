@@ -203,38 +203,3 @@ TEST(FarmFailover, KilledWorkerMidBatchRedispatchesBitIdentically) {
   EXPECT_EQ(final_view.workers_lost, 1u);
   EXPECT_EQ(final_view.workers_serving, 1u);
 }
-
-TEST(FarmFailover, DrainMigratesWorkerMemoAcrossProcesses) {
-  OwnedWorker a;
-  OwnedWorker b;
-  if (!a.start(0) || !b.start(1)) {
-    GTEST_SKIP() << "set ATLAS_WORKER_BIN to run the farm failover test";
-  }
-
-  ae::ShardRouter router(2, ae::EnvServiceOptions{.threads = 2});
-  ae::FarmController controller(router);
-  const auto wa = controller.add_worker(control_for(a.port()));
-  controller.add_worker(control_for(b.port()));
-  const ae::BackendId sim = controller.worker_backends(wa).at(0);
-
-  // Warm A's worker-side memo. With B admitted later, round-robin spreads
-  // the batch, but every episode that LANDED on A is memoized there.
-  const auto batch = batch_with_seeds(sim, 24);
-  (void)router.run_batch(batch);
-
-  controller.drain_worker(wa);
-  const auto view = router.stats().farm;
-  EXPECT_EQ(view.workers_drained, 1u);
-  EXPECT_EQ(controller.worker_state(wa), ae::WorkerState::kDead);
-  // A executed at least one episode, so at least one entry crossed over.
-  EXPECT_GE(view.backends_migrated, 1u);
-  EXPECT_GE(view.memo_entries_migrated, 1u);
-
-  // The farm still serves the same address space bit-identically.
-  const auto replay = router.run_batch(batch);
-  ae::EnvService reference(ae::EnvServiceOptions{.threads = 2});
-  const auto ref_results = reference.run_batch(batch_with_seeds(reference.add_simulator(), 24));
-  for (std::size_t i = 0; i < replay.size(); ++i) {
-    EXPECT_EQ(replay[i].latencies_ms, ref_results[i].latencies_ms) << "slot " << i;
-  }
-}

@@ -176,13 +176,12 @@ TEST(LoadPoint, RunsAPlanAgainstAServiceAndMetersReuse) {
 }
 
 TEST(LoadPoint, TypedRejectionsAreCountedApartFromGoodputAndFailures) {
-  // shed_hard_watermark = 1: depth counts the probing query itself, so EVERY
+  // shed_watermark = 1: depth counts the probing query itself, so EVERY
   // offline query sheds — deterministically — while online (metered) queries
   // are untouchable. Splits the result three ways with no timing dependence.
   env::EnvServiceOptions service_options;
   service_options.threads = 2;
   service_options.shed_watermark = 1;
-  service_options.shed_hard_watermark = 1;
   env::EnvService service(service_options);
   const env::BackendId sim = service.add_simulator();
   const env::BackendId real = service.add_real_network();

@@ -23,13 +23,11 @@ namespace ae = atlas::env;
 
 namespace {
 
-ae::EnvQuery query(ae::BackendId backend, std::uint64_t seed,
-                   ae::QueryPriority priority = ae::QueryPriority::kNormal) {
+ae::EnvQuery query(ae::BackendId backend, std::uint64_t seed) {
   ae::EnvQuery q;
   q.backend = backend;
   q.workload.duration_ms = 500.0;
   q.workload.seed = seed;
-  q.priority = priority;
   return q;
 }
 
@@ -56,36 +54,6 @@ class GatedBackend final : public ae::EnvBackend {
  private:
   std::string name_ = "gated";
   mutable std::atomic<int> started_{0};
-  mutable std::atomic<bool> release_{false};
-};
-
-/// Offline backend whose first execute() parks until released and then
-/// answers with a typed kShedded, as a remote worker does when it sheds a
-/// query at its watermark. Every later call runs an episode.
-class ShedFirstBackend final : public ae::EnvBackend {
- public:
-  ae::EpisodeResult execute(const ae::EnvQuery&) const override {
-    ae::EpisodeResult result;
-    if (calls_.fetch_add(1, std::memory_order_relaxed) == 0) {
-      release_.wait(false);
-      result.rejected = ae::RejectReason::kShedded;
-    } else {
-      result.latencies_ms = {1.0};
-    }
-    return result;
-  }
-  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
-  const std::string& name() const noexcept override { return name_; }
-
-  int calls() const noexcept { return calls_.load(std::memory_order_relaxed); }
-  void release() {
-    release_.store(true, std::memory_order_release);
-    release_.notify_all();
-  }
-
- private:
-  std::string name_ = "shed-first";
-  mutable std::atomic<int> calls_{0};
   mutable std::atomic<bool> release_{false};
 };
 
@@ -148,58 +116,46 @@ ae::WorkerBackendInfo sim_descriptor() {
 
 // ---- watermark shedding ----------------------------------------------------
 
-TEST(OverloadShedding, SpeculativeShedsAtSoftWatermarkNormalAtHard) {
-  // Soft watermark 2, hard 4 (the 2x default). Depth counts the probing
-  // query itself, so with two gated queries parked the service sits at
-  // depth 3 during a sync run().
+TEST(OverloadShedding, OfflineQueriesShedAtTheWatermark) {
+  // Watermark 3. Depth counts the probing query itself, so a sync run()
+  // behind one parked query sits at depth 2 and runs; behind two it sits at
+  // depth 3 and sheds.
   ae::EnvServiceOptions options;
   options.threads = 2;
-  options.shed_watermark = 2;
+  options.shed_watermark = 3;
   ae::EnvService service(options);
   const auto gated_backend = std::make_shared<GatedBackend>();
   const auto gate = service.register_backend(gated_backend);
   const auto sim = service.add_simulator();
 
   auto h1 = service.submit(query(gate, 1));
+  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto ran = service.run(query(sim, 100));
+  EXPECT_FALSE(ran.is_rejected());
+
   auto h2 = service.submit(query(gate, 2));
   while (gated_backend->started() < 2) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-  // Depth 3 >= soft(2): speculative work sheds; >= hard(4) is not reached,
-  // so normal-priority work still runs.
-  const auto shed = service.run(query(sim, 100, ae::QueryPriority::kSpeculative));
+  const auto shed = service.run(query(sim, 101));
   EXPECT_TRUE(shed.is_rejected());
   EXPECT_EQ(shed.rejected, ae::RejectReason::kShedded);
   EXPECT_TRUE(shed.latencies_ms.empty());  // a rejection carries no measurements
 
-  const auto ran = service.run(query(sim, 101, ae::QueryPriority::kNormal));
-  EXPECT_FALSE(ran.is_rejected());
-
-  // Park a third query: depth 4 >= hard(4) sheds EVERYTHING offline.
-  auto h3 = service.submit(query(gate, 3));
-  while (gated_backend->started() < 2 || service.outstanding_queries() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  const auto hard_shed = service.run(query(sim, 102, ae::QueryPriority::kNormal));
-  EXPECT_TRUE(hard_shed.is_rejected());
-  EXPECT_EQ(hard_shed.rejected, ae::RejectReason::kShedded);
-
   gated_backend->release();
   (void)h1.get();
   (void)h2.get();
-  (void)h3.get();
 
   // Accounting: rejections are counted per backend and in the service
   // totals, and the exact invariant extends to hits+misses+rejected==queries.
   const auto sim_stats = service.backend_stats(sim);
-  EXPECT_EQ(sim_stats.shedded, 2u);
-  EXPECT_EQ(sim_stats.queries, 3u);
+  EXPECT_EQ(sim_stats.shedded, 1u);
+  EXPECT_EQ(sim_stats.queries, 2u);
   EXPECT_EQ(sim_stats.cache_hits + sim_stats.cache_misses + sim_stats.rejected(),
             sim_stats.queries);
   EXPECT_EQ(sim_stats.episodes, 1u);  // only the admitted query ran
 
   // The same invariant at SUMMARY level: totals must balance exactly.
   const auto totals = service.stats();
-  EXPECT_EQ(totals.shed_total, 2u);
+  EXPECT_EQ(totals.shed_total, 1u);
   EXPECT_EQ(totals.cache_hits + totals.cache_misses + totals.shed_total +
                 totals.deadline_rejected,
             totals.total_queries());
@@ -210,20 +166,27 @@ TEST(OverloadShedding, SpeculativeShedsAtSoftWatermarkNormalAtHard) {
 }
 
 TEST(OverloadShedding, RejectionsAreNeverMemoized) {
+  // Watermark 2 with one gated query parked: a sync run() sits at depth 2
+  // and sheds. Once the gate drains, the same key runs at depth 1.
   ae::EnvServiceOptions options;
   options.threads = 2;
-  options.shed_watermark = 1;  // depth counts self: every offline query >= 1
+  options.shed_watermark = 2;
   ae::EnvService service(options);
+  const auto gated_backend = std::make_shared<GatedBackend>();
+  const auto gate = service.register_backend(gated_backend);
   const auto sim = service.add_simulator();
 
-  // With watermark 1 a lone speculative query sheds on its own footprint.
-  const auto shed = service.run(query(sim, 500, ae::QueryPriority::kSpeculative));
+  auto blocker = service.submit(query(gate, 1));
+  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto shed = service.run(query(sim, 500));
   ASSERT_EQ(shed.rejected, ae::RejectReason::kShedded);
   EXPECT_EQ(service.cache_size(), 0u);  // the rejection did NOT enter the memo
+  gated_backend->release();
+  (void)blocker.get();
 
   // The same (config, seed) later, under no pressure: a genuine execution —
   // a cached rejection would have been returned as a phantom "hit" here.
-  const auto ran = service.run(query(sim, 500, ae::QueryPriority::kNormal));
+  const auto ran = service.run(query(sim, 500));
   EXPECT_FALSE(ran.is_rejected());
   ae::Simulator direct;
   ae::Workload wl;
@@ -245,13 +208,19 @@ TEST(OverloadShedding, CapacityZeroKeepsRejectionAccountingExact) {
   ae::EnvServiceOptions options;
   options.threads = 2;
   options.cache_capacity = 0;
-  options.shed_watermark = 1;
+  options.shed_watermark = 2;
   ae::EnvService service(options);
+  const auto gated_backend = std::make_shared<GatedBackend>();
+  const auto gate = service.register_backend(gated_backend);
   const auto sim = service.add_simulator();
 
-  const auto shed = service.run(query(sim, 1, ae::QueryPriority::kSpeculative));
+  auto blocker = service.submit(query(gate, 1));
+  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto shed = service.run(query(sim, 1));
   EXPECT_EQ(shed.rejected, ae::RejectReason::kShedded);
-  const auto ran = service.run(query(sim, 2, ae::QueryPriority::kNormal));
+  gated_backend->release();
+  (void)blocker.get();
+  const auto ran = service.run(query(sim, 2));
   EXPECT_FALSE(ran.is_rejected());
 
   const auto stats = service.backend_stats(sim);
@@ -271,39 +240,9 @@ TEST(OverloadShedding, OnlineQueriesAreNeverShed) {
   ae::EnvService service(options);
   const auto real = service.add_real_network();
 
-  const auto result = service.run(query(real, 9, ae::QueryPriority::kSpeculative));
+  const auto result = service.run(query(real, 9));
   EXPECT_FALSE(result.is_rejected());
   EXPECT_EQ(service.backend_stats(real).shedded, 0u);
-}
-
-TEST(OverloadShedding, WaiterCoalescedOntoAShedLeaderStillRuns) {
-  // The backend sheds the leader. The identical query that coalesced onto
-  // that flight was never shed itself: it undoes its provisional hit,
-  // retries the lookup and runs its episode.
-  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
-  const auto backend = std::make_shared<ShedFirstBackend>();
-  const auto id = service.register_backend(backend);
-
-  auto leader = service.submit(query(id, 41));
-  while (backend->calls() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  auto waiter = service.submit(query(id, 41));
-  // A waiter counts its provisional hit before it blocks on the flight.
-  while (service.backend_stats(id).cache_hits < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  backend->release();
-
-  EXPECT_EQ(leader.get().rejected, ae::RejectReason::kShedded);
-  const auto ran = waiter.get();
-  EXPECT_FALSE(ran.is_rejected());
-  EXPECT_EQ(ran.latencies_ms.size(), 1u);
-
-  const auto stats = service.backend_stats(id);
-  EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.episodes, 1u);
-  EXPECT_EQ(stats.cache_hits, 0u) << "the waiter's provisional hit is undone";
-  EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_EQ(service.cache_size(), 1u) << "only the executed episode memoizes";
 }
 
 // ---- deadlines -------------------------------------------------------------
@@ -371,9 +310,8 @@ TEST(OverloadDeadlines, ShedAndDeadlineRejectionsStayInTheirOwnTotals) {
   auto blocker = service.submit(query(gate, 1));
   while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-  // Depth 2 >= soft(2): one speculative shed.
-  EXPECT_EQ(service.run(query(sim, 10, ae::QueryPriority::kSpeculative)).rejected,
-            ae::RejectReason::kShedded);
+  // Depth 2 >= watermark 2: one shed.
+  EXPECT_EQ(service.run(query(sim, 10)).rejected, ae::RejectReason::kShedded);
   // One deadline rejection: queued behind the gate with a 1 ms budget.
   auto doomed_query = query(sim, 11);
   doomed_query.deadline_ms = 1.0;
@@ -557,7 +495,6 @@ TEST(OverloadGolden, IdleFeaturesLeaveEpisodeResultsBitIdentical) {
     std::size_t i = 0;
     for (auto q : golden_queries(sim)) {
       q.deadline_ms = 60000.0;
-      q.priority = (i % 2 == 0) ? ae::QueryPriority::kSpeculative : ae::QueryPriority::kNormal;
       EXPECT_EQ(hash_result(service.run(q)), baseline[i]) << "query " << i;
       ++i;
     }

@@ -101,6 +101,37 @@ TEST(Pipeline, RunStatsExcludeEarlierReconnects) {
   EXPECT_EQ(report.str().find("overload"), std::string::npos) << report.str();
 }
 
+TEST(Pipeline, RunStatsExcludeEarlierFarmEvents) {
+  // The hedges and the re-dispatch happened before the phase began, so the
+  // phase's delta shows none of them; the gauges keep the end snapshot's
+  // values.
+  ae::EnvServiceStats start;
+  start.farm.active = true;
+  start.farm.workers = 2;
+  start.farm.workers_serving = 2;
+  start.farm.workers_joined = 2;
+  start.farm.hedges = 3;
+  start.farm.hedge_wins = 2;
+  start.farm.episodes_redispatched = 4;
+  ae::EnvServiceStats end = start;
+  end.farm.workers_serving = 1;
+  end.farm.workers_suspect = 1;
+  end.farm.heartbeats_missed = 1;
+
+  const ae::EnvServiceStats delta = end.since(start);
+  EXPECT_EQ(delta.farm.hedges, 0u);
+  EXPECT_EQ(delta.farm.hedge_wins, 0u);
+  EXPECT_EQ(delta.farm.episodes_redispatched, 0u);
+  EXPECT_EQ(delta.farm.workers_joined, 0u);
+  EXPECT_EQ(delta.farm.heartbeats_missed, 1u);
+  EXPECT_EQ(delta.farm.workers, 2u);
+  EXPECT_EQ(delta.farm.workers_serving, 1u);
+  EXPECT_EQ(delta.farm.workers_suspect, 1u);
+  std::ostringstream report;
+  delta.summary().print(report);
+  EXPECT_EQ(report.str().find("overload"), std::string::npos) << report.str();
+}
+
 TEST(Pipeline, ProgressCallbackSeesEveryStage) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto real = service.add_real_network();

@@ -171,24 +171,12 @@ ae::EnvServiceStats pinned_stats() {
 }
 
 ae::WorkerAnnounce pinned_announce() {
-  return {.build = "atlas-episode-worker", .wire_version = 5, .threads = 8,
+  return {.build = "atlas-episode-worker", .wire_version = 6, .threads = 8,
           .cache_capacity = 65536,
           .backends = {{.name = "sim-0", .kind = ae::BackendKind::kOffline, .cost_hint = 1000.0,
                         .accepts_sim_params = true, .params_digest = 0xDEADBEEFCAFEF00Dull},
                        {.name = "real-0", .kind = ae::BackendKind::kOnline, .cost_hint = 1.0,
                         .accepts_sim_params = false, .params_digest = 0}}};
-}
-
-ae::MemoEntrySnapshot pinned_memo_entry() {
-  return {.key = {0.0, 42.0, 7.5}, .result = pinned_result(), .cost = 1000.0};
-}
-
-ae::BackendInstallRequest pinned_install() {
-  return {.target_backend = -1,
-          .descriptor = {.name = "sim-migrated", .kind = ae::BackendKind::kOffline,
-                         .cost_hint = 1000.0, .accepts_sim_params = true, .params_digest = 77},
-          .sim_params = pinned_sim_params(),
-          .memo = {pinned_memo_entry()}};
 }
 
 /// The corpus: `pinned_frames()[i]` is the frame of message type i + 1.
@@ -201,11 +189,7 @@ std::vector<std::vector<std::uint8_t>> pinned_frames() {
                    .extra_users = 4, .collect_traces = true, .seed = 0x9E3779B97F4A7C15ull},
       .sim_params = pinned_sim_params(),
       .crn = true,
-      .deadline_ms = 1500.0,
-      .priority = ae::QueryPriority::kSpeculative};
-  // The second memo entry is the smallest one: empty key, empty result.
-  const std::vector<ae::MemoEntrySnapshot> memo = {
-      pinned_memo_entry(), {.key = {}, .result = {}, .cost = 1.0}};
+      .deadline_ms = 1500.0};
   return {
       ar::encode_query(101, query),
       ar::encode_result(102, pinned_result()),
@@ -216,11 +200,7 @@ std::vector<std::vector<std::uint8_t>> pinned_frames() {
       ar::encode_announce(107, pinned_announce()),
       ar::encode_heartbeat(108),
       ar::encode_heartbeat_ack(109, {.outstanding = 3, .cache_entries = 1234, .episodes = 98765}),
-      ar::encode_memo_export(110, 2),
-      ar::encode_memo_snapshot(111, memo),
-      ar::encode_install_backend(112, pinned_install()),
-      ar::encode_install_ack(113, {.backend = 5, .imported = 999}),
-      ar::encode_cancel(114),
+      ar::encode_cancel(110),
   };
 }
 
@@ -252,14 +232,6 @@ std::vector<std::uint8_t> reencode(const std::vector<std::uint8_t>& frame) {
     case ar::MsgType::kHeartbeat: reader.expect_done(); return ar::encode_heartbeat(id);
     case ar::MsgType::kHeartbeatAck:
       return ar::encode_heartbeat_ack(id, ar::decode_heartbeat_ack_body(reader));
-    case ar::MsgType::kMemoExport:
-      return ar::encode_memo_export(id, ar::decode_memo_export_body(reader));
-    case ar::MsgType::kMemoSnapshot:
-      return ar::encode_memo_snapshot(id, ar::decode_memo_snapshot_body(reader));
-    case ar::MsgType::kInstallBackend:
-      return ar::encode_install_backend(id, ar::decode_install_backend_body(reader));
-    case ar::MsgType::kInstallAck:
-      return ar::encode_install_ack(id, ar::decode_install_ack_body(reader));
     case ar::MsgType::kCancel: reader.expect_done(); return ar::encode_cancel(id);
   }
   throw std::logic_error("decode_header returned an unknown message type");
@@ -371,18 +343,21 @@ TEST(RpcCodec, CorruptedHeadersAreRejected) {
     EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
   }
   // One wire version: every other stamp, older or newer, is rejected.
-  for (const unsigned version : {0u, 3u, 4u, ar::kWireVersion + 1u, 0x7Fu}) {
+  for (const unsigned version : {0u, 3u, 4u, 5u, ar::kWireVersion + 1u, 0x7Fu}) {
     auto bad = good;
     bad[4] = static_cast<std::uint8_t>(version);  // u16 version after the u32 magic
     bad[5] = 0;
     ar::WireReader reader(bad);
     EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError) << "version " << version;
   }
-  {  // unknown message type
+  // Unknown message types. Since v6 kCancel is type 10, and 11-14 (v5's
+  // memo-snapshot, install, install-ack and cancel ids) are retired.
+  for (const unsigned type : {0u, 11u, 12u, 13u, 14u, 0x63u}) {
     auto bad = good;
-    bad[6] = 0x63;
+    bad[6] = static_cast<std::uint8_t>(type);  // u16 type after the version
+    bad[7] = 0;
     ar::WireReader reader(bad);
-    EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
+    EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError) << "type " << type;
   }
 }
 
@@ -466,80 +441,15 @@ TEST(RpcCodec, AnnounceRoundTrips) {
   EXPECT_EQ(back.backends[1].kind, ae::BackendKind::kOnline);
 }
 
-TEST(RpcCodec, MemoSnapshotRoundTripsBitIdentically) {
-  // Migrated memo entries must survive the trip EXACTLY — a migrated entry
-  // that differs by one bit would break result determinism on revisit.
-  std::mt19937_64 rng(0x4444u);
-  std::vector<ae::MemoEntrySnapshot> memo;
-  for (int i = 0; i < 16; ++i) {
-    ae::MemoEntrySnapshot entry;
-    const std::size_t keys = 1 + rng() % 12;
-    for (std::size_t k = 0; k < keys; ++k) entry.key.push_back(random_double(rng));
-    entry.result = random_result(rng);
-    entry.cost = random_double(rng);
-    memo.push_back(std::move(entry));
-  }
-
-  const auto frame = ar::encode_memo_snapshot(9, memo);
-  ar::WireReader reader(frame);
-  EXPECT_EQ(ar::decode_header(reader).type, ar::MsgType::kMemoSnapshot);
-  const auto back = ar::decode_memo_snapshot_body(reader);
-  ASSERT_EQ(back.size(), memo.size());
-  for (std::size_t i = 0; i < memo.size(); ++i) {
-    ASSERT_EQ(back[i].key.size(), memo[i].key.size());
-    for (std::size_t k = 0; k < memo[i].key.size(); ++k) {
-      EXPECT_TRUE(same_bits(back[i].key[k], memo[i].key[k])) << "entry " << i << " key " << k;
-    }
-    EXPECT_TRUE(same_bits(back[i].cost, memo[i].cost));
-    ASSERT_EQ(back[i].result.latencies_ms.size(), memo[i].result.latencies_ms.size());
-    for (std::size_t k = 0; k < memo[i].result.latencies_ms.size(); ++k) {
-      EXPECT_TRUE(same_bits(back[i].result.latencies_ms[k], memo[i].result.latencies_ms[k]));
-    }
-    EXPECT_EQ(back[i].result.frames_completed, memo[i].result.frames_completed);
-    EXPECT_EQ(back[i].result.traces.size(), memo[i].result.traces.size());
-  }
-}
-
-TEST(RpcCodec, InstallBackendRoundTrips) {
-  const ae::BackendInstallRequest request = pinned_install();  // fresh install
-  const ae::SimParams& params = *request.sim_params;
-
-  const auto frame = ar::encode_install_backend(11, request);
-  ar::WireReader reader(frame);
-  EXPECT_EQ(ar::decode_header(reader).type, ar::MsgType::kInstallBackend);
-  const ae::BackendInstallRequest back = ar::decode_install_backend_body(reader);
-  EXPECT_EQ(back.target_backend, -1);
-  EXPECT_EQ(back.descriptor.name, "sim-migrated");
-  EXPECT_EQ(back.descriptor.params_digest, 77u);
-  ASSERT_TRUE(back.sim_params.has_value());
-  EXPECT_TRUE(same_bits(back.sim_params->backhaul_delay_ms, params.backhaul_delay_ms));
-  EXPECT_TRUE(same_bits(back.sim_params->compute_time_ms, params.compute_time_ms));
-  ASSERT_EQ(back.memo.size(), 1u);
-  EXPECT_TRUE(same_bits(back.memo[0].key[1], request.memo[0].key[1]));
-
-  // Memo-merge form: target >= 0, no params.
-  ae::BackendInstallRequest merge;
-  merge.target_backend = 2;
-  const auto merge_frame = ar::encode_install_backend(12, merge);
-  ar::WireReader merge_reader(merge_frame);
-  (void)ar::decode_header(merge_reader);
-  const auto merge_back = ar::decode_install_backend_body(merge_reader);
-  EXPECT_EQ(merge_back.target_backend, 2);
-  EXPECT_FALSE(merge_back.sim_params.has_value());
-  EXPECT_TRUE(merge_back.memo.empty());
-}
-
 // ---- overload-protection fields ---------------------------------------------
 
-TEST(RpcCodec, V5QueryCarriesDeadlineAndPriority) {
+TEST(RpcCodec, V5QueryCarriesDeadline) {
   std::mt19937_64 rng(0x5005u);
   for (int rep = 0; rep < 100; ++rep) {
     ae::EnvQuery q = random_query(rng);
     q.deadline_ms = rng() % 2 == 0 ? 0.0 : random_double(rng);
-    q.priority = rng() % 2 == 0 ? ae::QueryPriority::kSpeculative : ae::QueryPriority::kNormal;
     const ae::EnvQuery back = roundtrip_query(q, rng());
     EXPECT_TRUE(same_bits(back.deadline_ms, q.deadline_ms));
-    EXPECT_EQ(back.priority, q.priority);
   }
 }
 
@@ -587,29 +497,25 @@ TEST(RpcCodec, V5StatsSnapshotCarriesOverloadCounters) {
   EXPECT_EQ(back.backends[0].rejected(), 4u);
 }
 
-// ---- frame pins: the v5 layout, byte for byte --------------------------------
+// ---- frame pins: the v6 layout, byte for byte --------------------------------
 
 TEST(RpcCodec, FrameBytesArePinnedForEveryMessageType) {
   // FNV-1a of the corpus frame of each message type, in type order. The
-  // values were captured from the v5 encoder; a change here is a wire-format
+  // values were captured from the v6 encoder; a change here is a wire-format
   // change and needs a kWireVersion bump. Each frame must also decode to a
   // message that re-encodes to the same bytes: with the encoder pinned, that
   // proves every decoded field lands where the encoder wrote it.
   const std::vector<std::uint64_t> pinned = {
-      0x0457add6a8db7be8ull,  // kQuery
-      0x3b114cbe53939e7dull,  // kResult
-      0x03ca2cbf84ac200dull,  // kError
-      0x330ab8ce37ae247aull,  // kStatsRequest
-      0x38c126eb40be050cull,  // kStatsSnapshot
-      0xbd19895ebe9184aaull,  // kHello
-      0xb0281fa0737a136dull,  // kAnnounce
-      0xade27a8640907d92ull,  // kHeartbeat
-      0x16bb9aa5d88107acull,  // kHeartbeatAck
-      0xb420c780aa00e8c0ull,  // kMemoExport
-      0x8c6ae4f13bb9c5bbull,  // kMemoSnapshot
-      0xfdca707e20db4f8eull,  // kInstallBackend
-      0x4612a492f47bf691ull,  // kInstallAck
-      0xfcb5453db8e7d77aull,  // kCancel
+      0xc6bab39f776cc377ull,  // kQuery
+      0xc79a8752bc68030cull,  // kResult
+      0x09ece03e9121cb4cull,  // kError
+      0x3dc7352ddcdfebc9ull,  // kStatsRequest
+      0x88b3e2ca5c8522b9ull,  // kStatsSnapshot
+      0xae7f6da84546ac99ull,  // kHello
+      0x599034d66471e8cdull,  // kAnnounce
+      0xecfea8f06c92a891ull,  // kHeartbeat
+      0xc16188e2dbfbda57ull,  // kHeartbeatAck
+      0xa43e161d29dcc021ull,  // kCancel
   };
   const auto frames = pinned_frames();
   ASSERT_EQ(frames.size(), pinned.size());
@@ -636,13 +542,9 @@ TEST(RpcCodec, ElementCountsAreBoundedByTheBytesLeftInTheFrame) {
     std::size_t width;
     std::uint64_t count;
   };
-  // The install-backend, memo and announce counts are each frame's last field.
-  const auto install = ar::encode_install_backend(1, {});
-  const auto memo = ar::encode_memo_snapshot(1, {});
+  // The announce count is its frame's last field.
   const auto announce = ar::encode_announce(1, {});
   const std::vector<Lie> lies = {
-      {"install-backend memo", install, install.size() - 8, 8, 1u << 20},
-      {"memo snapshot", memo, memo.size() - 8, 8, 1u << 20},
       {"announced backends", announce, announce.size() - 4, 4, 2u << 20},
       {"stats snapshot rows", ar::encode_stats_snapshot(1, {}), 16, 4, 1u << 20},
       {"result latencies", ar::encode_result(1, {}), 16, 8, 8u << 20},
@@ -658,13 +560,8 @@ TEST(RpcCodec, ElementCountsAreBoundedByTheBytesLeftInTheFrame) {
 
 TEST(RpcCodec, SmallestListElementsStillRoundTrip) {
   // The count bound divides by each element's smallest encoding, so elements
-  // of exactly that size must still decode: memo entries with an empty key
-  // and an empty result (56 bytes) and backends with an empty name (22).
-  const std::vector<ae::MemoEntrySnapshot> memo(3);
-  const auto memo_frame = ar::encode_memo_snapshot(1, memo);
-  EXPECT_EQ(memo_frame.size(), 16u + 8u + 3u * 56u);
-  EXPECT_EQ(reencode(memo_frame), memo_frame);
-
+  // of exactly that size must still decode: backends with an empty name (22
+  // bytes) and stats rows with an empty name and empty histograms.
   ae::WorkerAnnounce announce;
   announce.backends.resize(4);
   const auto announce_frame = ar::encode_announce(2, announce);

@@ -5,7 +5,8 @@
 // Usage:
 //   atlas_episode_worker [--port N] [--port-file PATH] [--threads N]
 //                        [--cache-capacity N] [--simulators N]
-//                        [--real-networks N] [--drain-timeout-ms N] [--quiet]
+//                        [--real-networks N] [--shed-watermark N]
+//                        [--drain-timeout-ms N] [--quiet]
 //
 //   --port N            TCP port on 127.0.0.1 (default 0 = ephemeral; the
 //                       chosen port is printed and written to --port-file).
@@ -18,10 +19,9 @@
 //                       carry per-query SimParams overrides, so one default
 //                       simulator serves a whole calibration sweep.
 //   --real-networks N   Register N testbed surrogates after the simulators.
-//   --shed-watermark N  Queue-depth admission watermark: past N outstanding
-//                       queries, speculative offline work is shed with a
-//                       typed rejection; past 2N everything offline sheds
-//                       (default 0 = never shed).
+//   --shed-watermark N  Queue-depth admission watermark: at N or more
+//                       outstanding queries, every offline query is shed
+//                       with a typed rejection (default 0 = never shed).
 //   --drain-timeout-ms N  On SIGINT/SIGTERM, wait up to N ms for in-flight
 //                       episodes to finish and flush before closing
 //                       connections (default 5000; 0 = hard close).
@@ -40,10 +40,13 @@
 #include <string>
 
 #include "env/env_service.hpp"
+#include "flag_parse.hpp"
 #include "rpc/codec.hpp"
 #include "rpc/server.hpp"
 
 namespace {
+
+using atlas::tools::parse_integer;
 
 struct WorkerOptions {
   std::uint16_t port = 0;
@@ -71,15 +74,6 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::exit(2);
 }
 
-long parse_long(const char* argv0, const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < 0) {
-    usage_error(argv0, flag + " expects a non-negative integer, got '" + value + "'");
-  }
-  return parsed;
-}
-
 WorkerOptions parse_args(int argc, char** argv) {
   WorkerOptions options;
   for (int i = 1; i < argc; ++i) {
@@ -89,23 +83,21 @@ WorkerOptions parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--port") {
-      const long port = parse_long(argv[0], flag, next());
-      if (port > 65535) usage_error(argv[0], "--port must be <= 65535");
-      options.port = static_cast<std::uint16_t>(port);
+      options.port = parse_integer<std::uint16_t>(flag, next());
     } else if (flag == "--port-file") {
       options.port_file = next();
     } else if (flag == "--threads") {
-      options.threads = static_cast<std::size_t>(parse_long(argv[0], flag, next()));
+      options.threads = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--cache-capacity") {
-      options.cache_capacity = static_cast<std::size_t>(parse_long(argv[0], flag, next()));
+      options.cache_capacity = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--simulators") {
-      options.simulators = static_cast<int>(parse_long(argv[0], flag, next()));
+      options.simulators = parse_integer<int>(flag, next());
     } else if (flag == "--real-networks") {
-      options.real_networks = static_cast<int>(parse_long(argv[0], flag, next()));
+      options.real_networks = parse_integer<int>(flag, next());
     } else if (flag == "--shed-watermark") {
-      options.shed_watermark = static_cast<std::size_t>(parse_long(argv[0], flag, next()));
+      options.shed_watermark = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--drain-timeout-ms") {
-      options.drain_timeout_ms = static_cast<std::uint32_t>(parse_long(argv[0], flag, next()));
+      options.drain_timeout_ms = parse_integer<std::uint32_t>(flag, next());
     } else if (flag == "--quiet") {
       options.quiet = true;
     } else if (flag == "--help" || flag == "-h") {
@@ -115,7 +107,7 @@ WorkerOptions parse_args(int argc, char** argv) {
       usage_error(argv[0], "unknown flag '" + flag + "'");
     }
   }
-  if (options.simulators + options.real_networks == 0) {
+  if (options.simulators == 0 && options.real_networks == 0) {
     usage_error(argv[0], "at least one backend is required");
   }
   return options;
@@ -202,7 +194,12 @@ int run_worker(const WorkerOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const WorkerOptions options = parse_args(argc, argv);
+  WorkerOptions options;
+  try {
+    options = parse_args(argc, argv);
+  } catch (const atlas::tools::FlagError& e) {
+    usage_error(argv[0], e.what());
+  }
   try {
     return run_worker(options);
   } catch (const std::exception& e) {

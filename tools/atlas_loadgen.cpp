@@ -58,8 +58,9 @@
 //   --rpc-timeout-ms   Per-episode RPC deadline in this mode (default 250).
 //   --hedge-ms         Hedge fallback delay before RTTs are learned
 //                      (default 25).
-//   --shed-watermark   Router-side queue-depth shed watermark (default 512;
-//                      0 disables shedding).
+//   --shed-watermark   Router-side queue-depth shed watermark: at or above
+//                      it every offline query sheds (default 1024; 0
+//                      disables shedding).
 //   --deadline-ms      Stamp this deadline budget on every query (default 0
 //                      = none).
 //   --wall-limit       Hard wall-clock guard per load point in seconds
@@ -86,12 +87,17 @@
 #include "env/fault_injection.hpp"
 #include "env/loadgen.hpp"
 #include "env/shard_router.hpp"
+#include "flag_parse.hpp"
 #include "rpc/remote_backend.hpp"
 #include "rpc/server.hpp"
 #include "rpc/worker_control.hpp"
 #include "telemetry/report.hpp"
 
 namespace {
+
+using atlas::tools::FlagError;
+using atlas::tools::parse_double;
+using atlas::tools::parse_integer;
 
 struct LoadgenOptions {
   std::string topology = "inproc";
@@ -120,7 +126,7 @@ struct LoadgenOptions {
   double faulty_fraction = 0.25;
   double rpc_timeout_ms = 250.0;
   double hedge_ms = 25.0;
-  std::size_t shed_watermark = 512;
+  std::size_t shed_watermark = 1024;
   double deadline_ms = 0.0;
   double wall_limit_s = 0.0;  ///< 0 = derive from the horizon.
 };
@@ -147,22 +153,13 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::exit(2);
 }
 
-double parse_double(const char* argv0, const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value || *end != '\0' || parsed < 0.0) {
-    usage_error(argv0, flag + " expects a non-negative number, got '" + value + "'");
-  }
-  return parsed;
-}
-
-std::vector<double> parse_qps_list(const char* argv0, const char* value) {
+std::vector<double> parse_qps_list(const char* value) {
   std::vector<double> points;
   std::string token;
   for (const char* p = value;; ++p) {
     if (*p == ',' || *p == '\0') {
       if (!token.empty()) {
-        points.push_back(parse_double(argv0, "--qps", token.c_str()));
+        points.push_back(parse_double("--qps", token.c_str()));
         token.clear();
       }
       if (*p == '\0') break;
@@ -170,7 +167,7 @@ std::vector<double> parse_qps_list(const char* argv0, const char* value) {
       token.push_back(*p);
     }
   }
-  if (points.empty()) usage_error(argv0, "--qps expects at least one rate");
+  if (points.empty()) throw FlagError("--qps expects at least one rate");
   return points;
 }
 
@@ -191,58 +188,58 @@ LoadgenOptions parse_args(int argc, char** argv) {
     } else if (flag == "--host") {
       options.host = next();
     } else if (flag == "--port") {
-      options.port = static_cast<std::uint16_t>(parse_double(argv[0], flag, next()));
+      options.port = parse_integer<std::uint16_t>(flag, next());
     } else if (flag == "--qps") {
-      options.qps = parse_qps_list(argv[0], next());
+      options.qps = parse_qps_list(next());
     } else if (flag == "--sweep-start") {
-      options.sweep_start = parse_double(argv[0], flag, next());
+      options.sweep_start = parse_double(flag, next());
     } else if (flag == "--sweep-factor") {
-      options.sweep_factor = parse_double(argv[0], flag, next());
+      options.sweep_factor = parse_double(flag, next());
     } else if (flag == "--sweep-max-steps") {
-      options.sweep_max_steps = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.sweep_max_steps = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--duration") {
-      options.duration_s = parse_double(argv[0], flag, next());
+      options.duration_s = parse_double(flag, next());
     } else if (flag == "--clients") {
-      options.clients = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.clients = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--workers") {
-      options.workers = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.workers = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--threads") {
-      options.threads = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.threads = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--shards") {
-      options.shards = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.shards = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--cache-capacity") {
-      options.cache_capacity = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.cache_capacity = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--mix-revisit") {
-      options.mix.revisit = parse_double(argv[0], flag, next());
+      options.mix.revisit = parse_double(flag, next());
     } else if (flag == "--mix-online") {
-      options.mix.online = parse_double(argv[0], flag, next());
+      options.mix.online = parse_double(flag, next());
     } else if (flag == "--mix-trace") {
-      options.mix.trace = parse_double(argv[0], flag, next());
+      options.mix.trace = parse_double(flag, next());
     } else if (flag == "--episode-ms") {
-      options.episode_ms = parse_double(argv[0], flag, next());
+      options.episode_ms = parse_double(flag, next());
     } else if (flag == "--extra-users") {
-      options.extra_users = static_cast<int>(parse_double(argv[0], flag, next()));
+      options.extra_users = parse_integer<int>(flag, next());
     } else if (flag == "--incumbents") {
-      options.incumbents = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.incumbents = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--seed") {
-      options.seed = static_cast<std::uint64_t>(parse_double(argv[0], flag, next()));
+      options.seed = parse_integer<std::uint64_t>(flag, next());
     } else if (flag == "--out") {
       options.out = next();
     } else if (flag == "--fault-plan") {
       options.fault_plan = next();
     } else if (flag == "--faulty-fraction") {
-      options.faulty_fraction = parse_double(argv[0], flag, next());
+      options.faulty_fraction = parse_double(flag, next());
       if (options.faulty_fraction > 1.0) usage_error(argv[0], "--faulty-fraction must be <= 1");
     } else if (flag == "--rpc-timeout-ms") {
-      options.rpc_timeout_ms = parse_double(argv[0], flag, next());
+      options.rpc_timeout_ms = parse_double(flag, next());
     } else if (flag == "--hedge-ms") {
-      options.hedge_ms = parse_double(argv[0], flag, next());
+      options.hedge_ms = parse_double(flag, next());
     } else if (flag == "--shed-watermark") {
-      options.shed_watermark = static_cast<std::size_t>(parse_double(argv[0], flag, next()));
+      options.shed_watermark = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--deadline-ms") {
-      options.deadline_ms = parse_double(argv[0], flag, next());
+      options.deadline_ms = parse_double(flag, next());
     } else if (flag == "--wall-limit") {
-      options.wall_limit_s = parse_double(argv[0], flag, next());
+      options.wall_limit_s = parse_double(flag, next());
     } else if (flag == "--smoke") {
       options.smoke = true;
     } else if (flag == "--quiet") {
@@ -549,11 +546,8 @@ void write_topology_json(atlas::telemetry::JsonWriter& json, const TopologyRepor
     json.field("workers_suspect", farm.workers_suspect);
     json.field("workers_joined", farm.workers_joined);
     json.field("workers_lost", farm.workers_lost);
-    json.field("workers_drained", farm.workers_drained);
     json.field("heartbeats_missed", farm.heartbeats_missed);
     json.field("episodes_redispatched", farm.episodes_redispatched);
-    json.field("memo_entries_migrated", farm.memo_entries_migrated);
-    json.field("backends_migrated", farm.backends_migrated);
     json.end_object();
   }
   if (!report.workers.empty()) {
@@ -848,7 +842,12 @@ int run_degradation(const LoadgenOptions& options) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const LoadgenOptions options = parse_args(argc, argv);
+  LoadgenOptions options;
+  try {
+    options = parse_args(argc, argv);
+  } catch (const FlagError& e) {
+    usage_error(argv[0], e.what());
+  }
   if (!options.fault_plan.empty()) return run_degradation(options);
 
   std::vector<TopologyReport> reports;
