@@ -1,6 +1,7 @@
 #include "atlas/calibrator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -24,6 +25,12 @@ namespace {
 CalibrationOptions checked(CalibrationOptions options) {
   if (options.candidates == 0) throw std::invalid_argument("SimCalibrator: candidates must be > 0");
   if (options.parallel == 0) throw std::invalid_argument("SimCalibrator: parallel must be > 0");
+  if (!(std::isfinite(options.ball_radius) && options.ball_radius > 0.0)) {
+    throw std::invalid_argument("SimCalibrator: ball_radius must be finite and > 0");
+  }
+  if (!std::isfinite(options.alpha)) {
+    throw std::invalid_argument("SimCalibrator: alpha must be finite");
+  }
   check_workload("SimCalibrator", options.workload);
   return options;
 }
@@ -88,17 +95,30 @@ CalibrationResult SimCalibrator::calibrate() {
       options_.search_center ? options_.search_center->to_vec() : x_hat;
 
   math::HaltonSequence halton(space_.dim(), rng);
-  auto sample_candidate = [&](Rng& r) {
+  const bo::BoxSpace::Ball ball = space_.ball(center, options_.ball_radius);
+  // Writes a candidate's raw parameters to x and their normalized
+  // coordinates (the surrogate's input) to u.
+  auto sample_candidate = [&](Rng& r, double* x, double* u) {
     if (options_.sampler == CandidateSampler::kHalton) {
       // Low-discrepancy draw mapped into the box; rejection keeps it inside
       // the parameter ball (falls back to a uniform ball sample).
       for (int t = 0; t < 16; ++t) {
-        const Vec x = space_.denormalize(halton.next());
-        if (space_.distance(x, center) <= options_.ball_radius) return x;
+        halton.next(u);
+        space_.denormalize(u, x);
+        space_.normalize(x, u);
+        if (space_.normalized_distance(u, ball.center.data()) <= ball.radius) return;
       }
     }
-    return space_.sample_in_ball(center, options_.ball_radius, r);
+    space_.sample_in_ball(ball, r, x, u);
   };
+  auto new_candidate = [&](Rng& r) {
+    Vec x(space_.dim());
+    Vec u(space_.dim());
+    sample_candidate(r, x.data(), u.data());
+    return x;
+  };
+  // The distance term of the weighted objective reads x_hat normalized.
+  const Vec x_hat_norm = space_.normalize(x_hat);
 
   CalibrationResult result;
   result.original_kl =
@@ -120,7 +140,7 @@ CalibrationResult SimCalibrator::calibrate() {
 
   const bool use_gp = options_.surrogate == CalibratorSurrogate::kGpEi;
   const std::size_t batch = use_gp ? 1 : options_.parallel;
-  bo::ScanTile tile(space_.dim());
+  bo::ScanTile tile(space_.dim(), space_.dim());
 
   double best_weighted = std::numeric_limits<double>::infinity();
 
@@ -148,29 +168,29 @@ CalibrationResult SimCalibrator::calibrate() {
     std::vector<Vec> queries;
     if (use_gp) {
       queries.push_back(gp_bo.observations() < options_.init_iterations
-                            ? sample_candidate(rng)
+                            ? new_candidate(rng)
                             : space_.clamp(gp_bo.ask(rng)));
     } else if (iter < options_.init_iterations) {
       for (std::size_t q = 0; q < batch; ++q) {
-        queries.push_back(sample_candidate(rng));
+        queries.push_back(new_candidate(rng));
       }
     } else {
       // Parallel Thompson sampling: each parallel query draws ONE frozen
       // network from the BNN posterior and minimizes the weighted
       // discrepancy estimate over a fresh candidate set (Alg. 1, lines 3-5),
-      // scored one tile at a time.
+      // scored one tile at a time. Each candidate is sampled straight into
+      // the tile, and its distance to x_hat read from its normalized row.
       for (std::size_t q = 0; q < batch; ++q) {
         const nn::BnnSample draw = bnn.thompson(rng);
         bo::Argmin argmin;
         tile.scan(options_.candidates, [&](std::size_t) {
           for (std::size_t k = 0; k < tile.size(); ++k) {
-            tile.points[k] = sample_candidate(rng);
-            tile.inputs.set_row(k, space_.normalize(tile.points[k]));
+            sample_candidate(rng, tile.point(k).data(), tile.input(k));
           }
           const Vec est_kl = draw.predict_batch(tile.inputs);
           for (std::size_t k = 0; k < tile.size(); ++k) {
-            const Vec& x = tile.points[k];
-            argmin.offer(x, est_kl[k] + options_.alpha * space_.distance(x, x_hat));
+            const double distance = space_.normalized_distance(tile.input(k), x_hat_norm.data());
+            argmin.offer(tile.point(k), est_kl[k] + options_.alpha * distance);
           }
         });
         queries.push_back(argmin.best());

@@ -85,7 +85,8 @@ class SimCalibrator {
   /// service against a private offline backend with per-query Table 3
   /// parameter overrides (and profit from its memoization + accounting).
   /// Throws std::invalid_argument for an empty candidate pool,
-  /// `parallel == 0` or an episode duration that is not finite and > 0,
+  /// `parallel == 0`, a `ball_radius` that is not finite and > 0, a
+  /// non-finite `alpha` or an episode duration that is not finite and > 0,
   /// before any episode runs.
   SimCalibrator(env::EnvClient& service, env::BackendId real, CalibrationOptions options);
 

@@ -23,12 +23,16 @@ double dual_step(double lambda, double qoe, double epsilon, double availability)
 }
 
 math::Vec OfflinePolicy::input(int traffic, double threshold_ms, const Vec& config_norm) {
-  Vec x;
-  x.reserve(2 + config_norm.size());
-  x.push_back(static_cast<double>(traffic) / 4.0);
-  x.push_back(threshold_ms / 600.0);
-  x.insert(x.end(), config_norm.begin(), config_norm.end());
+  Vec x(2 + config_norm.size());
+  input(traffic, threshold_ms, config_norm.data(), config_norm.size(), x.data());
   return x;
+}
+
+void OfflinePolicy::input(int traffic, double threshold_ms, const double* config_norm,
+                          std::size_t dim, double* row) {
+  row[0] = static_cast<double>(traffic) / 4.0;
+  row[1] = threshold_ms / 600.0;
+  std::copy(config_norm, config_norm + dim, row + 2);
 }
 
 double OfflinePolicy::predict_qoe(const env::SliceConfig& config) const {
@@ -114,13 +118,17 @@ OfflineResult OfflineTrainer::train() {
   };
 
   // Acquisition scans run one tile at a time (bo/scan_tile.hpp): sample the
-  // tile's candidates in RNG order, score them with one surrogate call, then
-  // offer them in candidate order.
-  bo::ScanTile tile(2 + space_.dim());
+  // tile's candidates in RNG order straight into the tile, score them with
+  // one surrogate call, then offer them in candidate order.
+  bo::ScanTile tile(space_.dim(), 2 + space_.dim());
+  Vec an(space_.dim());  // one candidate's normalized coordinates
   auto sample_tile = [&] {
     for (std::size_t k = 0; k < tile.size(); ++k) {
-      tile.points[k] = space_.sample(rng);
-      tile.inputs.set_row(k, surrogate_input(tile.points[k]));
+      Vec& a = tile.point(k);
+      space_.sample(rng, a.data());
+      space_.normalize(a.data(), an.data());
+      OfflinePolicy::input(options_.workload.traffic, options_.sla.latency_threshold_ms,
+                           an.data(), an.size(), tile.input(k));
     }
   };
 
@@ -142,7 +150,7 @@ OfflineResult OfflineTrainer::train() {
           sample_tile();
           const Vec q_hat = draw.predict_batch(tile.inputs);
           for (std::size_t k = 0; k < tile.size(); ++k) {
-            const Vec& a = tile.points[k];
+            const Vec& a = tile.point(k);
             const double usage = env::SliceConfig::from_vec(a).resource_usage();
             const double lagrangian =
                 usage - lambda * (std::clamp(q_hat[k], 0.0, 1.0) - options_.sla.availability);
@@ -173,7 +181,7 @@ OfflineResult OfflineTrainer::train() {
         sample_tile();
         const auto post = gp.predict_batch(tile.inputs);
         for (std::size_t k = 0; k < tile.size(); ++k) {
-          const Vec& a = tile.points[k];
+          const Vec& a = tile.point(k);
           const double usage = env::SliceConfig::from_vec(a).resource_usage();
           const double mean_l = usage - lambda * (post[k].mean - options_.sla.availability);
           const double std_l = lambda * post[k].std;

@@ -74,6 +74,10 @@ struct OfflinePolicy {
 
   /// Surrogate input layout: [traffic/4, Y/600 ms, a normalized (6)].
   static math::Vec input(int traffic, double threshold_ms, const math::Vec& config_norm);
+  /// The same layout written to `row` (2 + dim doubles) from the `dim`
+  /// normalized coordinates at `config_norm`.
+  static void input(int traffic, double threshold_ms, const double* config_norm,
+                    std::size_t dim, double* row);
 
   /// Offline QoE estimate Q_s(a) in [0, 1] at this policy's (traffic, Y).
   double predict_qoe(const env::SliceConfig& config) const;

@@ -48,6 +48,14 @@ OnlineLearner::OnlineLearner(const OfflinePolicy* policy, env::EnvClient& servic
         "OnlineLearner: offline acceleration scans candidates / 4 actions; need candidates >= 4");
   }
   check_dual("OnlineLearner", options_.epsilon, options_.sla);
+  if (options_.acquisition == bo::AcquisitionKind::kCrgpUcb) {
+    if (!(std::isfinite(options_.rho) && options_.rho > 0.0)) {
+      throw std::invalid_argument("OnlineLearner: rho must be finite and > 0 for cRGP-UCB");
+    }
+    if (!(std::isfinite(options_.clip_b) && options_.clip_b >= 0.0)) {
+      throw std::invalid_argument("OnlineLearner: clip_b must be finite and >= 0 for cRGP-UCB");
+    }
+  }
   check_workload("OnlineLearner", options_.workload);
 }
 
@@ -113,23 +121,27 @@ OnlineResult OnlineLearner::learn() {
   // Acquisition scans run one tile at a time (bo/scan_tile.hpp). The tile's
   // inputs are normalized configurations, the online model's input; the
   // offline BNN reads the same rows behind its (traffic, Y) prefix.
-  bo::ScanTile tile(space_.dim());
+  bo::ScanTile tile(space_.dim(), space_.dim());
   Matrix offline_inputs(0, 2 + space_.dim());
   Vec tile_qs;                        // offline QoE estimate Q_s per candidate
   std::vector<gp::Posterior> tile_g;  // online-model posterior G per candidate
 
-  // Samples the tile's candidates in RNG order. kBnnResidual's Monte-Carlo
-  // posterior draws from the RNG too, so it stays here, per candidate.
+  // Samples the tile's candidates in RNG order, straight into the tile's
+  // rows. kBnnResidual's Monte-Carlo posterior draws from the RNG too, so it
+  // stays here, per candidate.
   auto sample_tile = [&] {
     offline_inputs.resize(tile.size(), offline_inputs.cols());
     tile_g.resize(tile.size());
     for (std::size_t k = 0; k < tile.size(); ++k) {
-      tile.points[k] = space_.sample(rng);
-      const Vec an = space_.normalize(tile.points[k]);
-      tile.inputs.set_row(k, an);
-      offline_inputs.set_row(k, OfflinePolicy::input(options_.workload.traffic,
-                                                     options_.sla.latency_threshold_ms, an));
-      if (options_.model == OnlineModel::kBnnResidual) tile_g[k] = residual_posterior(an);
+      Vec& a = tile.point(k);
+      space_.sample(rng, a.data());
+      space_.normalize(a.data(), tile.input(k));
+      OfflinePolicy::input(options_.workload.traffic, options_.sla.latency_threshold_ms,
+                           tile.input(k), space_.dim(),
+                           offline_inputs.data() + k * offline_inputs.cols());
+      if (options_.model == OnlineModel::kBnnResidual) {
+        tile_g[k] = residual_posterior(tile.inputs.row(k));
+      }
     }
   };
   // Scores the sampled tile without the RNG: Q_s through this iteration's
@@ -146,10 +158,9 @@ OnlineResult OnlineLearner::learn() {
     if (residual_gp.fitted()) {
       tile_g = residual_gp.predict_batch(tile.inputs);
     } else {
-      // A constant prior (unfitted GP, kBnnContinued).
-      for (std::size_t k = 0; k < tile.size(); ++k) {
-        tile_g[k] = residual_posterior(tile.inputs.row(k));
-      }
+      // A constant prior (unfitted GP, kBnnContinued), the same at every
+      // candidate.
+      std::fill(tile_g.begin(), tile_g.end(), residual_posterior(tile.inputs.row(0)));
     }
   };
 
@@ -171,7 +182,7 @@ OnlineResult OnlineLearner::learn() {
       score_tile(offline_net);
       for (std::size_t k = 0; k < tile.size(); ++k) {
         PoolCandidate& c = pool[first + k];
-        c.a = tile.points[k];
+        c.a = tile.point(k);
         c.usage = env::SliceConfig::from_vec(c.a).resource_usage();
         c.q = std::clamp(tile_qs[k] + tile_g[k].mean, 0.0, 1.0);
       }
@@ -396,7 +407,7 @@ OnlineResult OnlineLearner::learn() {
       sample_tile();
       score_tile(offline_net);
       for (std::size_t k = 0; k < tile.size(); ++k) {
-        const Vec& a = tile.points[k];
+        const Vec& a = tile.point(k);
         const double usage = env::SliceConfig::from_vec(a).resource_usage();
         const double qs = tile_qs[k];
         const gp::Posterior& g = tile_g[k];

@@ -85,7 +85,9 @@ class OnlineLearner {
   /// Throws std::invalid_argument for an empty candidate pool, or one under
   /// 4 with offline acceleration on (its inner scans use candidates / 4), for
   /// an `epsilon` that is not finite and >= 0, a non-finite SLA availability,
-  /// and a latency threshold or episode duration that is not finite and > 0.
+  /// a latency threshold or episode duration that is not finite and > 0, and,
+  /// under cRGP-UCB, a `rho` that is not finite and > 0 or a `clip_b` that is
+  /// not finite and >= 0.
   OnlineLearner(const OfflinePolicy* policy, env::EnvClient& service,
                 env::BackendId simulator, env::BackendId real, OnlineOptions options);
 

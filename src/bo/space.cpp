@@ -29,51 +29,81 @@ Vec BoxSpace::clamp(Vec x) const {
 Vec BoxSpace::normalize(const Vec& x) const {
   if (x.size() != dim()) throw std::invalid_argument("BoxSpace::normalize: dim mismatch");
   Vec u(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) u[i] = (x[i] - lo_[i]) / (hi_[i] - lo_[i]);
+  normalize(x.data(), u.data());
   return u;
+}
+
+void BoxSpace::normalize(const double* x, double* u) const {
+  for (std::size_t i = 0; i < dim(); ++i) u[i] = (x[i] - lo_[i]) / (hi_[i] - lo_[i]);
 }
 
 Vec BoxSpace::denormalize(const Vec& u) const {
   if (u.size() != dim()) throw std::invalid_argument("BoxSpace::denormalize: dim mismatch");
   Vec x(u.size());
-  for (std::size_t i = 0; i < u.size(); ++i) x[i] = lo_[i] + u[i] * (hi_[i] - lo_[i]);
+  denormalize(u.data(), x.data());
   return x;
 }
 
-Vec BoxSpace::sample(Rng& rng) const { return rng.uniform_vec(lo_, hi_); }
+void BoxSpace::denormalize(const double* u, double* x) const {
+  for (std::size_t i = 0; i < dim(); ++i) x[i] = lo_[i] + u[i] * (hi_[i] - lo_[i]);
+}
+
+Vec BoxSpace::sample(Rng& rng) const {
+  Vec x(dim());
+  sample(rng, x.data());
+  return x;
+}
+
+void BoxSpace::sample(Rng& rng, double* x) const {
+  for (std::size_t i = 0; i < dim(); ++i) x[i] = rng.uniform(lo_[i], hi_[i]);
+}
 
 Matrix BoxSpace::sample_batch(std::size_t n, Rng& rng) const {
   Matrix out(n, dim());
-  for (std::size_t i = 0; i < n; ++i) out.set_row(i, sample(rng));
+  for (std::size_t i = 0; i < n; ++i) sample(rng, out.data() + i * dim());
   return out;
 }
 
+BoxSpace::Ball BoxSpace::ball(const Vec& center, double radius) const {
+  return Ball{normalize(center), normalize(clamp(center)), radius};
+}
+
 Vec BoxSpace::sample_in_ball(const Vec& center, double radius, Rng& rng, int max_tries) const {
-  const Vec c = normalize(clamp(center));
-  for (int t = 0; t < max_tries; ++t) {
-    const Vec x = sample(rng);
-    if (distance(x, center) <= radius) return x;
-  }
-  // Fall back: random direction from the center, scaled inside the ball.
+  Vec x(dim());
   Vec u(dim());
+  sample_in_ball(ball(center, radius), rng, x.data(), u.data(), max_tries);
+  return x;
+}
+
+void BoxSpace::sample_in_ball(const Ball& ball, Rng& rng, double* x, double* u,
+                              int max_tries) const {
+  for (int t = 0; t < max_tries; ++t) {
+    sample(rng, x);
+    normalize(x, u);
+    if (normalized_distance(u, ball.center.data()) <= ball.radius) return;
+  }
+  // Fall back: random direction from the center, scaled inside the ball. The
+  // direction is drawn into u and the normalized point built in x.
   double norm = 0.0;
-  for (auto& v : u) {
-    v = rng.normal();
-    norm += v * v;
+  for (std::size_t i = 0; i < dim(); ++i) {
+    u[i] = rng.normal();
+    norm += u[i] * u[i];
   }
   norm = std::sqrt(std::max(norm, 1e-12));
-  const double scale = radius * std::sqrt(static_cast<double>(dim())) * rng.uniform();
-  Vec out(dim());
+  const double scale = ball.radius * std::sqrt(static_cast<double>(dim())) * rng.uniform();
   for (std::size_t i = 0; i < dim(); ++i) {
-    out[i] = std::clamp(c[i] + u[i] / norm * scale, 0.0, 1.0);
+    x[i] = std::clamp(ball.fallback[i] + u[i] / norm * scale, 0.0, 1.0);
   }
-  return denormalize(out);
+  denormalize(x, x);
+  normalize(x, u);
 }
 
 double BoxSpace::distance(const Vec& a, const Vec& b) const {
-  const Vec ua = normalize(a);
-  const Vec ub = normalize(b);
-  return std::sqrt(atlas::math::squared_distance(ua, ub) / static_cast<double>(dim()));
+  return normalized_distance(normalize(a).data(), normalize(b).data());
+}
+
+double BoxSpace::normalized_distance(const double* ua, const double* ub) const {
+  return std::sqrt(atlas::math::squared_distance(ua, ub, dim()) / static_cast<double>(dim()));
 }
 
 }  // namespace atlas::bo

@@ -47,6 +47,31 @@ class BoxSpace {
   /// distance" |x - x_hat|_2 of Eq. 2 in comparable units (see DESIGN.md §4).
   double distance(const atlas::math::Vec& a, const atlas::math::Vec& b) const;
 
+  // In-place forms, for acquisition scans that write each candidate straight
+  // into reused rows. Each pointer addresses dim() doubles. The Vec forms
+  // above wrap these, so both compute the same bits.
+
+  /// normalize(), reading x and writing u.
+  void normalize(const double* x, double* u) const;
+  /// denormalize(), reading u and writing x (which may be u itself).
+  void denormalize(const double* u, double* x) const;
+  /// sample(), writing x; the same draws in the same order.
+  void sample(atlas::math::Rng& rng, double* x) const;
+  /// distance() between two points given by their normalized coordinates.
+  double normalized_distance(const double* ua, const double* ub) const;
+
+  /// The ball of sample_in_ball(center, radius), normalized once.
+  struct Ball {
+    atlas::math::Vec center;    ///< normalize(center), what the rejection test measures from
+    atlas::math::Vec fallback;  ///< normalize(clamp(center)), where the fallback starts
+    double radius = 0.0;
+  };
+  Ball ball(const atlas::math::Vec& center, double radius) const;
+  /// sample_in_ball() with the same rejection count and fallback draws,
+  /// writing the raw point to x and normalize(x) to u.
+  void sample_in_ball(const Ball& ball, atlas::math::Rng& rng, double* x, double* u,
+                      int max_tries = 64) const;
+
  private:
   std::vector<std::string> names_;
   atlas::math::Vec lo_, hi_;

@@ -91,8 +91,6 @@ void FailoverBackend::remove_worker(std::uint32_t worker) {
                   std::memory_order_release);
 }
 
-std::size_t FailoverBackend::replica_count() const { return snapshot()->size(); }
-
 std::vector<std::size_t> FailoverBackend::candidate_order(const ReplicaList& replicas) const {
   // Serving replicas first, round-robin rotated so load spreads; then
   // joining/suspect as fallback; dead replicas are skipped outright —

@@ -136,15 +136,11 @@ class FailoverBackend final : public EnvBackend {
   void fill_stats(BackendStats& stats) const override;
   void reset_stats() const override;
 
-  const WorkerBackendInfo& descriptor() const noexcept { return descriptor_; }
-
   /// Membership, driven by the FarmController. `health` is the worker-level
   /// state cell (WorkerState as int) shared by all replicas on that worker.
   void add_replica(std::shared_ptr<const EnvBackend> backend, std::uint32_t worker,
                    std::shared_ptr<const std::atomic<int>> health);
   void remove_worker(std::uint32_t worker);
-
-  std::size_t replica_count() const;
 
   /// Current hedge delay in ms (<= 0 when hedging is off or not yet armed);
   /// exposed for tests.

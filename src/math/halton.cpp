@@ -46,14 +46,18 @@ double HaltonSequence::radical_inverse(std::size_t dim_index, std::uint64_t inde
 
 Vec HaltonSequence::next() {
   Vec out(dim());
+  next(out.data());
+  return out;
+}
+
+void HaltonSequence::next(double* out) {
   for (std::size_t d = 0; d < dim(); ++d) out[d] = radical_inverse(d, index_);
   ++index_;
-  return out;
 }
 
 Matrix HaltonSequence::batch(std::size_t n) {
   Matrix out(n, dim());
-  for (std::size_t i = 0; i < n; ++i) out.set_row(i, next());
+  for (std::size_t i = 0; i < n; ++i) next(out.data() + i * dim());
   return out;
 }
 

@@ -25,6 +25,8 @@ class HaltonSequence {
 
   /// Next point in [0,1)^d.
   Vec next();
+  /// The same, written to out (dim() doubles).
+  void next(double* out);
 
   /// Generate `n` points as matrix rows.
   Matrix batch(std::size_t n);

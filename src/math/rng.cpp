@@ -95,13 +95,6 @@ double Rng::gamma(double shape, double scale) {
   }
 }
 
-Vec Rng::uniform_vec(const Vec& lo, const Vec& hi) {
-  if (lo.size() != hi.size()) throw std::invalid_argument("uniform_vec: box mismatch");
-  Vec out(lo.size());
-  for (std::size_t i = 0; i < lo.size(); ++i) out[i] = uniform(lo[i], hi[i]);
-  return out;
-}
-
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;

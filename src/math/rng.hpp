@@ -78,9 +78,6 @@ class Rng {
   /// Gamma(shape k, scale theta) via Marsaglia–Tsang (with the k<1 boost).
   double gamma(double shape, double scale);
 
-  /// Uniform point inside an axis-aligned box.
-  Vec uniform_vec(const Vec& lo, const Vec& hi);
-
   /// Fisher–Yates shuffle of indices [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
 

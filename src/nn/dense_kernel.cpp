@@ -1,3 +1,11 @@
+// FP contraction stays off in this file: AVX-512F brings FMA, and a fused
+// w * h + acc would round once where the other widths round twice.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 #include "nn/dense_kernel.hpp"
 
 #include <algorithm>
@@ -16,15 +24,15 @@ using atlas::math::Matrix;
 using atlas::math::Vec;
 
 // Every helper the entry points call is always_inline, so each width's entry
-// point (rows_lanes2/4 below) compiles the whole kernel for its own target.
+// point (rows_lanes2/4/8 below) compiles the whole kernel for its own target.
 
 /// Rows per register block.
 constexpr std::size_t kRowBlock = 4;
 
 /// L doubles in one vector register (a GCC/Clang vector type): SSE2 at 2
-/// lanes, AVX2 at 4. Each lane is an ordinary IEEE double operation. One
-/// specialization per width: GCC 12 reads a vector_size that depends on a
-/// template parameter as a plain double.
+/// lanes, AVX2 at 4, AVX-512F at 8. Each lane is an ordinary IEEE double
+/// operation. One specialization per width: GCC 12 reads a vector_size that
+/// depends on a template parameter as a plain double.
 template <std::size_t L>
 struct LaneRegister;
 template <>
@@ -34,6 +42,10 @@ struct LaneRegister<2> {
 template <>
 struct LaneRegister<4> {
   using type = double __attribute__((vector_size(4 * sizeof(double))));
+};
+template <>
+struct LaneRegister<8> {
+  using type = double __attribute__((vector_size(8 * sizeof(double))));
 };
 template <std::size_t L>
 using Lanes = typename LaneRegister<L>::type;
@@ -163,9 +175,9 @@ template <std::size_t L>
   }
 }
 
-// One entry point per width. target("avx2") does not enable FMA, so the
-// 4-lane kernel keeps each multiply and add separate, as the 2-lane one does
-// under the default flags.
+// One entry point per width. target("avx2") does not enable FMA and
+// target("avx512f") does, so every width relies on the fp-contract=off at the
+// top of this file to keep each multiply and add separate.
 
 void rows_lanes2(const BnnSample& s, const double* x, std::size_t rows, std::size_t x_stride,
                  double* out) {
@@ -177,6 +189,12 @@ void rows_lanes2(const BnnSample& s, const double* x, std::size_t rows, std::siz
                                          std::size_t x_stride, double* out) {
   rows_at<4>(s, x, rows, x_stride, out);
 }
+
+[[gnu::target("avx512f")]] void rows_lanes8(const BnnSample& s, const double* x,
+                                            std::size_t rows, std::size_t x_stride,
+                                            double* out) {
+  rows_at<8>(s, x, rows, x_stride, out);
+}
 #endif
 
 }  // namespace
@@ -185,6 +203,7 @@ bool supported(std::size_t lanes) {
 #if defined(__x86_64__)
   __builtin_cpu_init();  // in case this runs before the static constructors
   if (lanes == 4) return __builtin_cpu_supports("avx2");
+  if (lanes == 8) return __builtin_cpu_supports("avx512f");
 #endif
   return lanes == 2;
 }
@@ -213,6 +232,9 @@ void predict_rows(std::size_t lanes, const BnnSample& s, const double* x, std::s
 #if defined(__x86_64__)
     case 4:
       rows_lanes4(s, x, rows, x_stride, out);
+      return;
+    case 8:
+      rows_lanes8(s, x, rows, x_stride, out);
       return;
 #endif
     default:

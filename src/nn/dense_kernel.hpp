@@ -7,13 +7,14 @@ namespace atlas::nn {
 struct BnnSample;
 
 /// The register-blocked dense kernel behind BnnSample::predict_batch, built
-/// at two lane counts: 2 (SSE2, the baseline and the reference) and 4
-/// (AVX2). Both compute each output as bias + w_0 h_0 + w_1 h_1 + ... in
-/// input order, with lanes across outputs only, so they agree bit for bit.
+/// at three lane counts: 2 (SSE2, the baseline and the reference), 4 (AVX2)
+/// and 8 (AVX-512F). All compute each output as bias + w_0 h_0 + w_1 h_1 + ...
+/// in input order, with lanes across outputs only and no fused multiply-add,
+/// so they agree bit for bit.
 namespace dense_kernel {
 
 /// The widths the kernel is built at, narrowest first.
-inline constexpr std::size_t kLaneCounts[] = {2, 4};
+inline constexpr std::size_t kLaneCounts[] = {2, 4, 8};
 
 /// Whether this CPU runs the `lanes`-wide kernel (2 lanes always do).
 bool supported(std::size_t lanes);

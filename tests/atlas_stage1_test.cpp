@@ -99,6 +99,28 @@ TEST(Stage1, RejectsDegenerateDurationBeforeAnyEpisode) {
   }
 }
 
+// A NaN radius used to exhaust every in-ball draw, fall back to NaN
+// parameters and fail in the event queue after the metered real episodes.
+TEST(Stage1, RejectsDegenerateBallRadiusAndAlphaBeforeAnyEpisode) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double radius : {0.0, -0.5, std::nan(""), inf}) {
+    ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+    const auto real = service.add_real_network();
+    auto opts = fast_options();
+    opts.ball_radius = radius;
+    EXPECT_THROW(ac::SimCalibrator(service, real, opts), std::invalid_argument) << radius;
+    EXPECT_EQ(service.stats().total_queries(), 0u) << radius;
+  }
+  for (const double alpha : {std::nan(""), inf, -inf}) {
+    ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
+    const auto real = service.add_real_network();
+    auto opts = fast_options();
+    opts.alpha = alpha;
+    EXPECT_THROW(ac::SimCalibrator(service, real, opts), std::invalid_argument) << alpha;
+    EXPECT_EQ(service.stats().total_queries(), 0u) << alpha;
+  }
+}
+
 TEST(Stage1, GpSurrogateVariantRuns) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto real = service.add_real_network();

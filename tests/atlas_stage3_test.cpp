@@ -346,6 +346,25 @@ TEST_F(Stage3Test, RejectsDurationThatIsNotFiniteAndPositive) {
   }
 }
 
+// cRGP-UCB draws beta ~ Gamma(kappa(rho), rho) clipped to [0, clip_b], so a
+// degenerate rho or clip_b fails at construction, not after iteration 0's
+// metered real-network episode.
+TEST_F(Stage3Test, RejectsDegenerateCrgpUcbParameters) {
+  for (const double rho : {0.0, -0.1, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OnlineOptions& o) { o.rho = rho; })) << rho;
+  }
+  for (const double clip_b : {-1.0, std::nan(""), kInf}) {
+    EXPECT_TRUE(rejects([&](ac::OnlineOptions& o) { o.clip_b = clip_b; })) << clip_b;
+  }
+  EXPECT_FALSE(rejects([](ac::OnlineOptions& o) { o.clip_b = 0.0; }));
+  // Only cRGP-UCB reads them.
+  EXPECT_FALSE(rejects([](ac::OnlineOptions& o) {
+    o.acquisition = atlas::bo::AcquisitionKind::kGpUcb;
+    o.rho = 0.0;
+    o.clip_b = -1.0;
+  }));
+}
+
 // Any dual steps whose QoE estimates lie in [0, 1] end inside the bracket the
 // learner launches by, compared exactly; the all-1 and all-0 paths reach its
 // ends bit for bit.

@@ -172,6 +172,12 @@ TEST(Bnn, DispatchesTheWidestSupportedKernel) {
       EXPECT_FALSE(an::dense_kernel::supported(lanes)) << lanes;
     }
   }
+#if defined(__x86_64__)
+  const std::size_t widest = __builtin_cpu_supports("avx512f") ? 8
+                             : __builtin_cpu_supports("avx2") ? 4
+                                                               : 2;
+  EXPECT_EQ(dispatched, widest);
+#endif
   am::Rng rng(12);
   const an::Bnn bnn = trained_bnn({8, 64, 64, 1}, rng);
   const an::BnnSample draw = bnn.thompson(rng);

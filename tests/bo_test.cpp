@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -9,6 +12,7 @@
 #include "bo/gp_bo.hpp"
 #include "bo/scan_tile.hpp"
 #include "bo/space.hpp"
+#include "math/halton.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
 
@@ -75,6 +79,181 @@ TEST(BoxSpace, BallSamplingRespectsRadius) {
   for (int i = 0; i < 500; ++i) {
     const am::Vec x = space.sample_in_ball(center, 0.2, rng);
     ASSERT_LE(space.distance(x, center), 0.2 + 1e-9);
+  }
+}
+
+namespace {
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// The Vec-building expressions the scans used before the in-place forms,
+/// spelled out independently of BoxSpace.
+struct ReferenceBox {
+  am::Vec lo, hi;
+
+  am::Vec sample(am::Rng& rng) const {
+    am::Vec x(lo.size());
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(lo[i], hi[i]);
+    return x;
+  }
+  am::Vec normalize(const am::Vec& x) const {
+    am::Vec u(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) u[i] = (x[i] - lo[i]) / (hi[i] - lo[i]);
+    return u;
+  }
+  am::Vec denormalize(const am::Vec& u) const {
+    am::Vec x(u.size());
+    for (std::size_t i = 0; i < u.size(); ++i) x[i] = lo[i] + u[i] * (hi[i] - lo[i]);
+    return x;
+  }
+  double distance(const am::Vec& a, const am::Vec& b) const {
+    return std::sqrt(am::squared_distance(normalize(a), normalize(b)) /
+                     static_cast<double>(a.size()));
+  }
+  /// Counts the draws that took the fallback in `fallbacks`.
+  am::Vec sample_in_ball(const am::Vec& center, double radius, am::Rng& rng,
+                         int& fallbacks) const {
+    am::Vec clamped = center;
+    for (std::size_t i = 0; i < clamped.size(); ++i) {
+      clamped[i] = std::clamp(clamped[i], lo[i], hi[i]);
+    }
+    const am::Vec c = normalize(clamped);
+    for (int t = 0; t < 64; ++t) {
+      const am::Vec x = sample(rng);
+      if (distance(x, center) <= radius) return x;
+    }
+    ++fallbacks;
+    am::Vec u(lo.size());
+    double norm = 0.0;
+    for (auto& v : u) {
+      v = rng.normal();
+      norm += v * v;
+    }
+    norm = std::sqrt(std::max(norm, 1e-12));
+    const double scale = radius * std::sqrt(static_cast<double>(lo.size())) * rng.uniform();
+    am::Vec x(lo.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double out = std::clamp(c[i] + u[i] / norm * scale, 0.0, 1.0);
+      x[i] = lo[i] + out * (hi[i] - lo[i]);
+    }
+    return x;
+  }
+};
+
+/// Ranges spanning three orders of magnitude, like the Table 2/3 spaces.
+const ReferenceBox kRef{{0.0, -5.0, 0.5, 10.0, 0.0}, {50.0, 5.0, 0.9, 100.0, 1.0}};
+const ab::BoxSpace kSpace({"a", "b", "c", "d", "e"}, kRef.lo, kRef.hi);
+
+void expect_same_bits(const am::Vec& got, const double* want, const char* what) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << what << " coordinate " << i;
+  }
+}
+
+}  // namespace
+
+// The in-place forms the acquisition scans write their tiles with give the
+// Vec forms' bits, and both give the reference expressions' bits with the
+// same draws from the RNG.
+TEST(BoxSpace, InPlaceFormsMatchTheVecFormsBitForBit) {
+  const std::size_t d = kSpace.dim();
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    am::Rng ref_rng(seed);
+    am::Rng vec_rng(seed);
+    am::Rng row_rng(seed);
+    for (int n = 0; n < 20; ++n) {
+      const am::Vec want = kRef.sample(ref_rng);
+      const am::Vec got = kSpace.sample(vec_rng);
+      am::Vec row(d);
+      kSpace.sample(row_rng, row.data());
+      expect_same_bits(got, want.data(), "sample");
+      expect_same_bits(row, want.data(), "in-place sample");
+
+      const am::Vec want_u = kRef.normalize(want);
+      am::Vec u(d);
+      kSpace.normalize(row.data(), u.data());
+      expect_same_bits(kSpace.normalize(want), want_u.data(), "normalize");
+      expect_same_bits(u, want_u.data(), "in-place normalize");
+
+      const am::Vec other = kRef.sample(ref_rng);
+      (void)kSpace.sample(vec_rng);
+      kSpace.sample(row_rng, row.data());
+      const double want_dist = kRef.distance(want, other);
+      ASSERT_EQ(bits(kSpace.distance(want, other)), bits(want_dist));
+      ASSERT_EQ(bits(kSpace.normalized_distance(u.data(), kRef.normalize(other).data())),
+                bits(want_dist));
+    }
+    const std::uint64_t next = ref_rng.next_u64();
+    ASSERT_EQ(vec_rng.next_u64(), next) << "seed " << seed;
+    ASSERT_EQ(row_rng.next_u64(), next) << "seed " << seed;
+  }
+  am::Rng batch_rng(3);
+  const am::Matrix batch = kSpace.sample_batch(7, batch_rng);
+  am::Rng ref_rng(3);
+  for (std::size_t r = 0; r < batch.rows(); ++r) {
+    expect_same_bits(batch.row(r), kRef.sample(ref_rng).data(), "sample_batch");
+  }
+}
+
+// Same rejection count and fallback draw order: a centre outside the box
+// (clamped for the fallback, not for the distance) and radii small enough
+// that some draws take the 64-try fallback.
+TEST(BoxSpace, InPlaceBallSamplingMatchesTheVecFormBitForBit) {
+  const std::size_t d = kSpace.dim();
+  const am::Vec center{10.0, 6.0, 0.6, 20.0, 0.5};
+  int fallbacks = 0;
+  for (const double radius : {0.5, 0.2, 0.05}) {
+    const ab::BoxSpace::Ball ball = kSpace.ball(center, radius);
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      am::Rng ref_rng(seed);
+      am::Rng vec_rng(seed);
+      am::Rng row_rng(seed);
+      for (int n = 0; n < 10; ++n) {
+        const am::Vec want = kRef.sample_in_ball(center, radius, ref_rng, fallbacks);
+        expect_same_bits(kSpace.sample_in_ball(center, radius, vec_rng), want.data(),
+                         "sample_in_ball");
+        am::Vec x(d);
+        am::Vec u(d);
+        kSpace.sample_in_ball(ball, row_rng, x.data(), u.data());
+        expect_same_bits(x, want.data(), "in-place sample_in_ball");
+        expect_same_bits(u, kRef.normalize(want).data(), "in-place sample_in_ball's u");
+      }
+      const std::uint64_t next = ref_rng.next_u64();
+      ASSERT_EQ(vec_rng.next_u64(), next) << "radius " << radius;
+      ASSERT_EQ(row_rng.next_u64(), next) << "radius " << radius;
+    }
+  }
+  EXPECT_GT(fallbacks, 0) << "no draw reached the fallback";
+}
+
+// Stage 1's Halton candidates: a Halton point written in place and mapped
+// into the box in place give the Vec forms' bits.
+TEST(BoxSpace, InPlaceHaltonCandidatesMatchTheVecFormsBitForBit) {
+  const std::size_t d = kSpace.dim();
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    am::Rng vec_rng(seed);
+    am::Rng row_rng(seed);
+    am::HaltonSequence vec_seq(d, vec_rng);
+    am::HaltonSequence row_seq(d, row_rng);
+    am::Vec h(d);
+    am::Vec x(d);
+    for (int n = 0; n < 100; ++n) {
+      const am::Vec want_h = vec_seq.next();
+      row_seq.next(h.data());
+      expect_same_bits(h, want_h.data(), "in-place Halton point");
+      const am::Vec want_x = kRef.denormalize(want_h);
+      kSpace.denormalize(h.data(), x.data());
+      expect_same_bits(x, want_x.data(), "in-place denormalize");
+      expect_same_bits(kSpace.denormalize(want_h), want_x.data(), "denormalize");
+    }
+    const am::Matrix batch = row_seq.batch(5);
+    for (std::size_t r = 0; r < batch.rows(); ++r) {
+      expect_same_bits(batch.row(r), vec_seq.next().data(), "Halton batch");
+    }
   }
 }
 
@@ -227,7 +406,7 @@ TEST(Argmin, EmptyScanHasNoBest) {
 }
 
 TEST(ScanTile, CoversTheScanInBoundedTiles) {
-  ab::ScanTile tile(3);
+  ab::ScanTile tile(2, 3);
   std::vector<std::size_t> firsts;
   std::vector<std::size_t> sizes;
   tile.scan(600, [&](std::size_t first) {
@@ -235,6 +414,10 @@ TEST(ScanTile, CoversTheScanInBoundedTiles) {
     sizes.push_back(tile.size());
     EXPECT_EQ(tile.inputs.rows(), tile.size());
     EXPECT_EQ(tile.inputs.cols(), 3u);
+    for (std::size_t k = 0; k < tile.size(); ++k) {
+      ASSERT_EQ(tile.point(k).size(), 2u);
+      ASSERT_EQ(tile.input(k), tile.inputs.data() + 3 * k);
+    }
   });
   EXPECT_EQ(firsts, (std::vector<std::size_t>{0, 256, 512}));
   EXPECT_EQ(sizes, (std::vector<std::size_t>{256, 256, 88}));
