@@ -1,4 +1,5 @@
-/// Design-choice ablations called out in DESIGN.md (not a paper figure):
+/// Ablations of choices this reproduction makes where the paper names none
+/// (not a paper figure):
 ///  (a) KL estimator: smoothed histogram vs k-NN — do they rank calibrations
 ///      the same way?
 ///  (b) Candidate sampler: i.i.d. uniform vs scrambled Halton at equal count.
@@ -12,7 +13,7 @@
 int main() {
   using namespace atlas;
   const auto opts = common::bench_options();
-  bench::banner("Design-choice ablations (repo-specific, see DESIGN.md)",
+  bench::banner("Design-choice ablations (repo-specific, not a paper figure)",
                 "KL estimator agreement; uniform vs Halton candidates; BNN priors");
 
   env::EnvService service;

@@ -2,16 +2,12 @@
 /// throughput. The paper's stages issue up to 16 parallel simulator queries
 /// per Thompson-sampling iteration; this bench shows what the service's
 /// batching buys at 1/4/8/16 workers, what its memoization buys on a
-/// repeated batch (hit rate 1.0 -> no episodes at all), and what the CRN
-/// seed plan buys iteration-over-iteration (BENCH_crn_reuse.json).
+/// repeated batch (hit rate 1.0 -> no episodes at all), and what striping
+/// the memo table buys under a storm of cache hits.
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 
 #include "env/env_service.hpp"
-#include "env/seed_plan.hpp"
-#include "math/rng.hpp"
 #include "bench_util.hpp"
 
 int main() {
@@ -130,106 +126,5 @@ int main() {
     bench::emit(s, opts);
   }
 
-  // CRN reuse, iteration over iteration: a stage-2-shaped loop where each
-  // BO iteration re-scores a pool of incumbent configurations and explores a
-  // few new ones. Under the `fresh` policy every query draws a new seed, so
-  // the memo table never pays off during training; under `crn` a revisited
-  // incumbent replays a seed the table already holds and costs nothing.
-  // Writes BENCH_crn_reuse.json (override with ATLAS_BENCH_CRN_OUT) so the
-  // hit-rate trajectory is tracked like BENCH_episode_engine.json.
-  {
-    const std::size_t iterations = opts.iters(12, 6);
-    const std::size_t batch = 8;
-    const std::size_t pool_size = 10;
-    const std::size_t explore_per_iter = 2;  // 6 of 8 queries revisit the pool
-
-    struct PolicyRun {
-      const char* name = "";
-      double wall_ms = 0.0;
-      env::BackendStats stats;
-    };
-    auto run_policy = [&](env::SeedPolicy policy) {
-      env::EnvServiceOptions so;
-      so.threads = 8;
-      env::EnvService service(so);
-      const auto sim = service.add_simulator();
-      env::SeedPlanOptions plan_options;
-      plan_options.policy = policy;
-      plan_options.replicates = 1;  // one common seed: the purest pairing
-      const env::SeedStream seeds =
-          env::SeedPlan(opts.seed, plan_options).stream(env::SeedDomain::kStage2Query, batch);
-
-      math::Rng pick(opts.seed * 77);  // deterministic candidate choices
-      auto config_at = [](std::size_t idx) {
-        env::SliceConfig c;
-        c.bandwidth_ul = 10.0 + 2.0 * static_cast<double>(idx % 32);
-        c.bandwidth_dl = c.bandwidth_ul;
-        return c;
-      };
-
-      const auto t0 = clock::now();
-      std::size_t next_explorer = 1000;  // explorer configs are one-shot
-      for (std::size_t iter = 0; iter < iterations; ++iter) {
-        std::vector<env::EnvQuery> queries(batch);
-        for (std::size_t q = 0; q < batch; ++q) {
-          const bool explore = q >= batch - explore_per_iter;
-          const std::size_t idx =
-              explore ? next_explorer++
-                      : static_cast<std::size_t>(pick.uniform_int(0, pool_size - 1));
-          queries[q].backend = sim;
-          queries[q].config = config_at(idx);
-          queries[q].workload = wl;
-          seeds.apply(queries[q], iter, q);
-        }
-        (void)service.run_batch(queries);
-      }
-      PolicyRun run;
-      run.name = env::seed_policy_name(policy);
-      run.wall_ms = ms_since(t0);
-      run.stats = service.backend_stats(sim);
-      return run;
-    };
-
-    const PolicyRun fresh = run_policy(env::SeedPolicy::kFresh);
-    const PolicyRun crn = run_policy(env::SeedPolicy::kCrn);
-
-    auto hit_rate = [](const env::BackendStats& s) {
-      const auto lookups = s.cache_hits + s.cache_misses;
-      return lookups == 0 ? 0.0 : static_cast<double>(s.cache_hits) / static_cast<double>(lookups);
-    };
-    common::Table t2({"seed policy", "queries", "episodes", "crn hits", "hit rate",
-                      "wall (ms)", "episodes saved"});
-    for (const PolicyRun* run : {&fresh, &crn}) {
-      const auto saved = fresh.stats.episodes - run->stats.episodes;
-      t2.add_row({run->name, std::to_string(run->stats.queries),
-                  std::to_string(run->stats.episodes), std::to_string(run->stats.crn_hits),
-                  common::fmt(hit_rate(run->stats), 3), common::fmt(run->wall_ms, 1),
-                  common::fmt(100.0 * static_cast<double>(saved) /
-                                  static_cast<double>(fresh.stats.episodes),
-                              1) + "%"});
-    }
-    std::cout << "CRN seed reuse across " << iterations << " iterations (" << batch
-              << " queries each, " << explore_per_iter << " explorers):\n";
-    bench::emit(t2, opts);
-
-    const std::string out_path =
-        bench::bench_output_path("BENCH_crn_reuse.json", "ATLAS_BENCH_CRN_OUT");
-    std::ofstream out(out_path);
-    out << "{\n  \"bench\": \"crn_reuse\",\n  \"unit\": \"episodes\",\n"
-        << "  \"iterations\": " << iterations << ",\n  \"batch\": " << batch << ",\n"
-        << "  \"policies\": [\n";
-    bool first = true;
-    for (const PolicyRun* run : {&fresh, &crn}) {
-      if (!first) out << ",\n";
-      first = false;
-      out << "    {\"policy\": \"" << run->name << "\", \"queries\": " << run->stats.queries
-          << ", \"episodes\": " << run->stats.episodes
-          << ", \"crn_hits\": " << run->stats.crn_hits
-          << ", \"hit_rate\": " << hit_rate(run->stats)
-          << ", \"wall_ms\": " << run->wall_ms << "}";
-    }
-    out << "\n  ]\n}\n";
-    std::cout << "wrote " << out_path << "\n";
-  }
   return 0;
 }

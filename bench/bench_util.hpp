@@ -12,7 +12,6 @@
 #include "atlas/calibrator.hpp"
 #include "atlas/offline_trainer.hpp"
 #include "atlas/online_learner.hpp"
-#include "common/log.hpp"
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "env/env_service.hpp"
@@ -62,22 +61,6 @@ inline atlas::env::Workload workload(const atlas::common::BenchOptions& opts,
   return wl;
 }
 
-/// Seed-plan options from the environment knobs (ATLAS_SEED_POLICY,
-/// ATLAS_CRN_REPLICATES, ATLAS_CRN_ROTATION) — see env/seed_plan.hpp. An
-/// unknown policy string falls back to the default (fresh), loudly.
-inline atlas::env::SeedPlanOptions seed_plan_options(const atlas::common::BenchOptions& opts) {
-  atlas::env::SeedPlanOptions sp;
-  if (const auto policy = atlas::env::parse_seed_policy(opts.seed_policy)) {
-    sp.policy = *policy;
-  } else {
-    atlas::common::log_warn("unknown ATLAS_SEED_POLICY '", opts.seed_policy,
-                            "' (want fresh|crn|crn_rotating); using fresh");
-  }
-  sp.replicates = opts.crn_replicates;
-  sp.rotation_period = opts.crn_rotation;
-  return sp;
-}
-
 /// Stage-1 budget preset (paper: 500 iterations x 16 parallel, 60 s episodes).
 inline atlas::core::CalibrationOptions stage1_options(
     const atlas::common::BenchOptions& opts) {
@@ -88,7 +71,6 @@ inline atlas::core::CalibrationOptions stage1_options(
   o.candidates = opts.iters(800, 200);
   o.workload = workload(opts, 15.0);
   o.seed = opts.seed;
-  o.seed_plan = seed_plan_options(opts);
   return o;
 }
 
@@ -101,7 +83,6 @@ inline atlas::core::OfflineOptions stage2_options(const atlas::common::BenchOpti
   o.candidates = opts.iters(1200, 300);
   o.workload = workload(opts, 15.0);
   o.seed = opts.seed + 1;
-  o.seed_plan = seed_plan_options(opts);
   return o;
 }
 
@@ -113,7 +94,6 @@ inline atlas::core::OnlineOptions stage3_options(const atlas::common::BenchOptio
   o.candidates = opts.iters(1200, 300);
   o.workload = workload(opts, 20.0);
   o.seed = opts.seed + 2;
-  o.seed_plan = seed_plan_options(opts);
   // The paper clips beta at B = 10 against residual sigmas of a few
   // hundredths; our shorter episodes carry ~0.03-0.05 QoE sampling noise, so
   // the equivalent conservatism needs a tighter clip and a matched GP noise

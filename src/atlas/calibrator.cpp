@@ -11,6 +11,7 @@
 #include "bo/gp_bo.hpp"
 #include "bo/scan_tile.hpp"
 #include "common/log.hpp"
+#include "env/seed_plan.hpp"
 #include "math/halton.hpp"
 #include "nn/optim.hpp"
 
@@ -55,10 +56,9 @@ Vec SimCalibrator::collect_real_latencies() const {
   // The online collection D_r: slice performance logged from the deployed
   // configuration (full resources), exactly the paper's minimal-effort
   // logging assumption (§4.1, footnote 3). Metered by the service as online
-  // interactions — an online seed domain, so the plan sequences it fresh
-  // regardless of the CRN policy.
-  const env::SeedStream seeds = env::SeedPlan(options_.seed, options_.seed_plan)
-                                    .stream(env::SeedDomain::kStage1RealCollectOnline, 1);
+  // interactions, with seeds from their own domain.
+  const env::SeedStream seeds =
+      env::SeedPlan(options_.seed).stream(env::SeedDomain::kStage1RealCollectOnline, 1);
   Vec all;
   for (std::size_t e = 0; e < std::max<std::size_t>(1, options_.real_episodes); ++e) {
     env::Workload wl = options_.workload;
@@ -86,7 +86,7 @@ double SimCalibrator::discrepancy_of(const env::SimParams& params, std::uint64_t
 
 CalibrationResult SimCalibrator::calibrate() {
   Rng rng(options_.seed);
-  const env::SeedPlan plan(options_.seed, options_.seed_plan);
+  const env::SeedPlan plan(options_.seed);
   const env::SimParams original = env::SimParams::defaults();
   const Vec x_hat = original.to_vec();
   // Continual recalibration searches around the previous optimum; the
@@ -144,9 +144,8 @@ CalibrationResult SimCalibrator::calibrate() {
 
   double best_weighted = std::numeric_limits<double>::infinity();
 
-  // Under `fresh` the stream reproduces the historical
-  // `seed * 104729 + query_counter` sequence (every iteration consumed
-  // exactly `batch` seeds); under CRN the block repeats per iteration.
+  // The stream reproduces the historical `seed * 104729 + query_counter`
+  // sequence (every iteration consumed exactly `batch` seeds).
   const env::SeedStream seeds = plan.stream(env::SeedDomain::kStage1Query, batch);
 
   auto evaluate_batch = [&](const std::vector<Vec>& queries, std::size_t iter) {

@@ -5,7 +5,6 @@
 
 #include "bo/space.hpp"
 #include "env/client.hpp"
-#include "env/seed_plan.hpp"
 #include "math/kl.hpp"
 #include "math/rng.hpp"
 #include "nn/bnn.hpp"
@@ -47,12 +46,6 @@ struct CalibrationOptions {
   nn::BnnConfig bnn;                  ///< Stage-1 surrogate; sized on demand.
   std::size_t train_epochs = 6;       ///< BNN epochs per iteration.
   std::uint64_t seed = 1;
-
-  /// Episode-seed sequencing across iterations (env/seed_plan.hpp); `fresh`
-  /// is bit-identical to the historical counters, CRN policies reuse seeds
-  /// across iterations (paired discrepancy estimates + memo reuse). The
-  /// online collection D_r is metered and always sequenced fresh.
-  env::SeedPlanOptions seed_plan;
 };
 
 /// One evaluated simulation-parameter query.

@@ -9,6 +9,7 @@
 #include "bo/argmin.hpp"
 #include "bo/scan_tile.hpp"
 #include "common/log.hpp"
+#include "env/seed_plan.hpp"
 #include "gp/gaussian_process.hpp"
 #include "nn/optim.hpp"
 
@@ -89,14 +90,11 @@ OfflineResult OfflineTrainer::train() {
   double lambda = 0.0;
   double best_score = std::numeric_limits<double>::infinity();
 
-  // Seed planning (env/seed_plan.hpp): under `fresh` the stream reproduces
-  // the historical `seed * 15485863 + query_counter` sequence bit-identically
-  // (iteration * batch + slot); under CRN policies the same seed block
-  // returns every iteration, pairing QoE comparisons across iterations and
-  // letting revisited configurations hit the service memo table.
+  // Seed planning (env/seed_plan.hpp): the stream reproduces the historical
+  // `seed * 15485863 + query_counter` sequence bit-identically
+  // (iteration * batch + slot).
   const env::SeedStream seeds =
-      env::SeedPlan(options_.seed, options_.seed_plan)
-          .stream(env::SeedDomain::kStage2Query, batch);
+      env::SeedPlan(options_.seed).stream(env::SeedDomain::kStage2Query, batch);
 
   auto surrogate_input = [&](const Vec& config_raw) {
     return OfflinePolicy::input(options_.workload.traffic, options_.sla.latency_threshold_ms,

@@ -7,7 +7,6 @@
 #include "bo/acquisition.hpp"
 #include "bo/space.hpp"
 #include "env/client.hpp"
-#include "env/seed_plan.hpp"
 #include "math/rng.hpp"
 #include "nn/bnn.hpp"
 
@@ -38,12 +37,6 @@ struct OfflineOptions {
   nn::BnnConfig bnn;            ///< QoE surrogate; sized on demand.
   std::size_t train_epochs = 6; ///< BNN epochs per iteration.
   std::uint64_t seed = 2;
-
-  /// Episode-seed sequencing across iterations (env/seed_plan.hpp). The
-  /// default `fresh` policy reproduces the historical unique-seed counters
-  /// bit-identically; `crn` / `crn_rotating` reuse seeds across iterations
-  /// for paired comparisons and cross-iteration memo reuse.
-  env::SeedPlanOptions seed_plan;
 
   /// Experience replay (paper §10, Adaptability): (configuration, QoE)
   /// transitions from a previous training run seed the surrogate's dataset

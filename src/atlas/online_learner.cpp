@@ -10,6 +10,7 @@
 #include "bo/argmin.hpp"
 #include "bo/scan_tile.hpp"
 #include "common/log.hpp"
+#include "env/seed_plan.hpp"
 #include "nn/optim.hpp"
 
 namespace atlas::core {
@@ -194,11 +195,11 @@ OnlineResult OnlineLearner::learn() {
   // The very first online action is the offline optimum when available (§8.3).
   Vec next_config = policy_ != nullptr ? policy_->best_config.to_vec() : space_.sample(rng);
 
-  // Seed planning: the metered real stream is always fresh; the simulator
-  // stream (one residual episode + N inner-update episodes per iteration)
-  // follows the plan's policy. Under `fresh` it reproduces the historical
+  // Seed planning: the metered real stream and the simulator stream (one
+  // residual episode + N inner-update episodes per iteration) draw from
+  // their own domains; the simulator stream reproduces the historical
   // pre-incremented `seed * 32452843 + n` counter bit-identically.
-  const env::SeedPlan plan(options_.seed, options_.seed_plan);
+  const env::SeedPlan plan(options_.seed);
   const env::SeedStream real_seeds = plan.stream(env::SeedDomain::kStage3RealOnline, 1);
   const env::SeedStream sim_seeds = plan.stream(env::SeedDomain::kStage3Sim, 1 + inner_updates);
 

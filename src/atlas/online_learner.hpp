@@ -35,12 +35,6 @@ struct OnlineOptions {
   env::Workload workload;
   gp::GpConfig gp;                 ///< Residual-GP configuration (Matern 2.5).
   std::uint64_t seed = 3;
-
-  /// Episode-seed sequencing (env/seed_plan.hpp). Applies to the SIMULATOR
-  /// streams only (residual observations, offline-acceleration inner
-  /// updates); the metered real-network stream cannot replay randomness and
-  /// is always sequenced fresh.
-  env::SeedPlanOptions seed_plan;
 };
 
 /// One online interaction.

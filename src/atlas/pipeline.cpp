@@ -1,18 +1,13 @@
 #include "atlas/pipeline.hpp"
 
 #include "common/log.hpp"
+#include "env/seed_plan.hpp"
 
 namespace atlas::core {
 
 AtlasPipeline::AtlasPipeline(env::EnvClient& service, env::BackendId real,
                              PipelineOptions options)
-    : service_(service), real_(real), options_(std::move(options)) {
-  if (options_.seed_plan) {
-    options_.stage1.seed_plan = *options_.seed_plan;
-    options_.stage2.seed_plan = *options_.seed_plan;
-    options_.stage3.seed_plan = *options_.seed_plan;
-  }
-}
+    : service_(service), real_(real), options_(std::move(options)) {}
 
 PipelineResult AtlasPipeline::run(const PipelineCallback& progress) {
   PipelineResult result;
@@ -71,8 +66,8 @@ PipelineResult AtlasPipeline::run(const PipelineCallback& progress) {
     // These observations are still metered real interactions, so the skipped
     // event is emitted AFTER the loop — its env_stats include the exposure.
     if (policy != nullptr) {
-      const env::SeedStream seeds = env::SeedPlan(stage3.seed, stage3.seed_plan)
-                                        .stream(env::SeedDomain::kStage3RealOnline, 1);
+      const env::SeedStream seeds =
+          env::SeedPlan(stage3.seed).stream(env::SeedDomain::kStage3RealOnline, 1);
       for (std::size_t i = 0; i < stage3.iterations; ++i) {
         env::Workload wl = stage3.workload;
         wl.seed = seeds.seed(i, 0);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 #include "atlas/calibrator.hpp"
 #include "atlas/offline_trainer.hpp"
@@ -20,12 +19,6 @@ struct PipelineOptions {
                            ///< ("No stage 2" ablation, Fig. 24).
   bool run_stage3 = true;  ///< false = apply the offline optimum unchanged
                            ///< ("No stage 3" ablation, Fig. 24).
-
-  /// One knob for the whole run: when set, overrides every stage's
-  /// `seed_plan` (policy + CRN replicate count + rotation period — see
-  /// env/seed_plan.hpp). Unset: each stage block keeps its own setting
-  /// (default `fresh`, the historical bit-identical sequencing).
-  std::optional<env::SeedPlanOptions> seed_plan;
 };
 
 /// Combined output of a full pipeline run.

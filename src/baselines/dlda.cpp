@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
+#include "env/seed_plan.hpp"
 #include "nn/optim.hpp"
 
 namespace atlas::baselines {
@@ -31,8 +32,8 @@ double Dlda::train_offline() {
   }
 
   dataset_x_.assign(total, Vec(dims, 0.0));
-  const env::SeedStream seeds = env::SeedPlan(options_.seed, options_.seed_plan)
-                                    .stream(env::SeedDomain::kBaselineDldaGrid, total);
+  const env::SeedStream seeds =
+      env::SeedPlan(options_.seed).stream(env::SeedDomain::kBaselineDldaGrid, total);
   std::vector<env::EnvQuery> batch(total);
   for (std::size_t idx = 0; idx < total; ++idx) {
     Vec u(dims);
@@ -105,8 +106,8 @@ env::SliceConfig Dlda::select_offline(Rng& rng) const {
 OnlineTrace Dlda::learn_online(env::BackendId real) {
   if (!teacher_) throw std::logic_error("Dlda: train_offline() first");
   Rng rng(options_.seed * 31 + 7);
-  const env::SeedStream seeds = env::SeedPlan(options_.seed, options_.seed_plan)
-                                    .stream(env::SeedDomain::kBaselineDldaOnline, 1);
+  const env::SeedStream seeds =
+      env::SeedPlan(options_.seed).stream(env::SeedDomain::kBaselineDldaOnline, 1);
   OnlineTrace trace;
   nn::Mlp student = *teacher_;  // transfer: student starts as the teacher
   nn::Adam opt(options_.student_lr);

@@ -6,7 +6,6 @@
 #include "app/qoe.hpp"
 #include "baselines/online_trace.hpp"
 #include "env/client.hpp"
-#include "env/seed_plan.hpp"
 #include "math/rng.hpp"
 #include "nn/mlp.hpp"
 
@@ -37,10 +36,6 @@ struct DldaOptions {
   app::Sla sla;
   env::Workload workload;
   std::uint64_t seed = 13;
-  /// Seed sequencing (env/seed_plan.hpp). CRN policies pair the offline grid
-  /// dataset under a shared seed block (variance-reduced grid comparisons);
-  /// the metered online transfer loop is always sequenced fresh.
-  env::SeedPlanOptions seed_plan;
 };
 
 class Dlda {

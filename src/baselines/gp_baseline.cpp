@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "env/seed_plan.hpp"
+
 namespace atlas::baselines {
 
 using atlas::math::Rng;
@@ -12,8 +14,8 @@ GpBaseline::GpBaseline(env::EnvClient& service, env::BackendId real, GpBaselineO
 
 OnlineTrace GpBaseline::learn() {
   Rng rng(options_.seed);
-  const env::SeedStream seeds = env::SeedPlan(options_.seed, options_.seed_plan)
-                                    .stream(env::SeedDomain::kBaselineGpOnline, 1);
+  const env::SeedStream seeds =
+      env::SeedPlan(options_.seed).stream(env::SeedDomain::kBaselineGpOnline, 1);
   OnlineTrace trace;
   bo::GpBoOptions bo_opts;
   bo_opts.acquisition = options_.acquisition;

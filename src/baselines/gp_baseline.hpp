@@ -4,7 +4,6 @@
 #include "baselines/online_trace.hpp"
 #include "bo/gp_bo.hpp"
 #include "env/client.hpp"
-#include "env/seed_plan.hpp"
 
 namespace atlas::baselines {
 
@@ -21,9 +20,6 @@ struct GpBaselineOptions {
   app::Sla sla;
   env::Workload workload;
   std::uint64_t seed = 11;
-  /// Seed sequencing (env/seed_plan.hpp). This baseline only queries the
-  /// metered real network, so CRN policies leave it untouched by design.
-  env::SeedPlanOptions seed_plan;
 };
 
 class GpBaseline {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "env/seed_plan.hpp"
 #include "math/matrix.hpp"
 #include "math/rng.hpp"
 
@@ -17,8 +18,8 @@ VirtualEdge::VirtualEdge(env::EnvClient& service, env::BackendId real,
 
 OnlineTrace VirtualEdge::learn() {
   Rng rng(options_.seed);
-  const env::SeedStream seeds = env::SeedPlan(options_.seed, options_.seed_plan)
-                                    .stream(env::SeedDomain::kBaselineVirtualEdgeOnline, 1);
+  const env::SeedStream seeds =
+      env::SeedPlan(options_.seed).stream(env::SeedDomain::kBaselineVirtualEdgeOnline, 1);
   OnlineTrace trace;
   const auto space = env::SliceConfig::space();
   gp::GaussianProcess surrogate;

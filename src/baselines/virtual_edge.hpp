@@ -3,7 +3,6 @@
 #include "app/qoe.hpp"
 #include "baselines/online_trace.hpp"
 #include "env/client.hpp"
-#include "env/seed_plan.hpp"
 #include "gp/gaussian_process.hpp"
 
 namespace atlas::baselines {
@@ -25,8 +24,6 @@ struct VirtualEdgeOptions {
   app::Sla sla;
   env::Workload workload;
   std::uint64_t seed = 17;
-  /// Seed sequencing (env/seed_plan.hpp); purely online, so always fresh.
-  env::SeedPlanOptions seed_plan;
 };
 
 class VirtualEdge {

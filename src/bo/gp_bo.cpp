@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "bo/scan_tile.hpp"
 
 namespace atlas::bo {
 
@@ -25,6 +28,7 @@ Vec GpBoMinimizer::ask(Rng& rng) {
   const std::size_t n_cand = std::max<std::size_t>(8, options_.candidates);
   const Matrix cand = space_.sample_batch(n_cand, rng);
   const std::size_t iter = observations() + 1;
+  const std::size_t dim = space_.dim();
 
   double best_util = -std::numeric_limits<double>::infinity();
   std::size_t best_idx = 0;
@@ -36,31 +40,41 @@ Vec GpBoMinimizer::ask(Rng& rng) {
   } else if (options_.acquisition == AcquisitionKind::kCrgpUcb) {
     beta = crgp_ucb_beta(iter, options_.crgp_rho, options_.crgp_clip, rng);
   }
-  for (std::size_t i = 0; i < n_cand; ++i) {
-    const Vec xn = space_.normalize(cand.row(i));
-    const auto post = surrogate_.predict(xn);
-    double util = 0.0;
-    switch (options_.acquisition) {
-      case AcquisitionKind::kEi:
-        util = expected_improvement(post.mean, post.std, incumbent, options_.xi);
-        break;
-      case AcquisitionKind::kPi:
-        util = probability_of_improvement(post.mean, post.std, incumbent, options_.xi);
-        break;
-      case AcquisitionKind::kUcb:
-      case AcquisitionKind::kGpUcb:
-      case AcquisitionKind::kCrgpUcb:
-        // Minimization: maximize the negated lower confidence bound.
-        util = -lower_confidence_bound(post.mean, post.std, beta);
-        break;
-      case AcquisitionKind::kThompson:
-        // Independent posterior draw per candidate (lightweight TS for GPs).
-        util = -(post.mean + post.std * rng.normal());
-        break;
+  // Score ScanTile::kSize normalized rows per predict_batch call; utilities
+  // (and kThompson's normals) still go in candidate order, first max wins.
+  Matrix tile(0, dim);
+  for (std::size_t first = 0; first < n_cand; first += ScanTile::kSize) {
+    const std::size_t size = std::min(ScanTile::kSize, n_cand - first);
+    tile.resize(size, dim);
+    for (std::size_t k = 0; k < size; ++k) {
+      space_.normalize(cand.data() + (first + k) * dim, tile.data() + k * dim);
     }
-    if (util > best_util) {
-      best_util = util;
-      best_idx = i;
+    const std::vector<gp::Posterior> posts = surrogate_.predict_batch(tile);
+    for (std::size_t k = 0; k < size; ++k) {
+      const gp::Posterior& post = posts[k];
+      double util = 0.0;
+      switch (options_.acquisition) {
+        case AcquisitionKind::kEi:
+          util = expected_improvement(post.mean, post.std, incumbent, options_.xi);
+          break;
+        case AcquisitionKind::kPi:
+          util = probability_of_improvement(post.mean, post.std, incumbent, options_.xi);
+          break;
+        case AcquisitionKind::kUcb:
+        case AcquisitionKind::kGpUcb:
+        case AcquisitionKind::kCrgpUcb:
+          // Minimization: maximize the negated lower confidence bound.
+          util = -lower_confidence_bound(post.mean, post.std, beta);
+          break;
+        case AcquisitionKind::kThompson:
+          // Independent posterior draw per candidate (lightweight TS for GPs).
+          util = -(post.mean + post.std * rng.normal());
+          break;
+      }
+      if (util > best_util) {
+        best_util = util;
+        best_idx = first + k;
+      }
     }
   }
   return cand.row(best_idx);

@@ -44,7 +44,10 @@ class BoxSpace {
                                   atlas::math::Rng& rng, int max_tries = 64) const;
 
   /// Range-normalized L2 distance divided by sqrt(d): the "parameter
-  /// distance" |x - x_hat|_2 of Eq. 2 in comparable units (see DESIGN.md §4).
+  /// distance" |x - x_hat|_2 of Eq. 2 in comparable units. Normalizing each
+  /// range keeps the widest-ranged parameter from dominating, and sqrt(d)
+  /// keeps the distance in [0, 1] for any dimension, so Eq. 2's radius H and
+  /// weight alpha read the same whatever the parameter set.
   double distance(const atlas::math::Vec& a, const atlas::math::Vec& b) const;
 
   // In-place forms, for acquisition scans that write each candidate straight

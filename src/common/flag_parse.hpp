@@ -1,7 +1,8 @@
-// Numeric flag values for the command-line tools. A value that does not fit
-// its option (nan, inf, 1e30, -1, trailing text, an integer past the option
-// type's maximum) is a FlagError, never an undefined or wrapping cast; each
-// tool's main() turns it into its usage error (exit 2).
+// Numeric values of command-line flags and environment variables, for the
+// tools and the bench options. A value that does not fit its option (nan,
+// inf, 1e30, -1, trailing text, an integer past the option type's maximum)
+// is a FlagError, never an undefined or wrapping cast; each tool's main()
+// turns it into its usage error (exit 2).
 #pragma once
 
 #include <cctype>
@@ -12,10 +13,10 @@
 #include <stdexcept>
 #include <string>
 
-namespace atlas::tools {
+namespace atlas::common {
 
-/// A malformed flag value; what() names the flag, the accepted range and
-/// the value given.
+/// A malformed flag or variable value; what() names the flag or variable,
+/// the accepted range and the value given.
 class FlagError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
@@ -46,4 +47,4 @@ T parse_integer(const std::string& flag, const char* value) {
   return static_cast<T>(parsed);
 }
 
-}  // namespace atlas::tools
+}  // namespace atlas::common

@@ -3,37 +3,44 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "common/flag_parse.hpp"
 
 namespace atlas::common {
 
-double env_double(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  return end == env ? fallback : v;
+namespace {
+
+/// The variable's value, or nullptr when it is unset or empty.
+const char* env_value(const char* name) {
+  const char* value = std::getenv(name);
+  return value == nullptr || *value == '\0' ? nullptr : value;
 }
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const double v = env_double(name, static_cast<double>(fallback));
-  return v <= 0 ? fallback : static_cast<std::size_t>(v);
-}
+}  // namespace
 
 BenchOptions bench_options() {
   BenchOptions opts;
-  opts.scale = std::max(0.05, env_double("ATLAS_BENCH_SCALE", 1.0));
-  const char* csv = std::getenv("ATLAS_BENCH_CSV");
-  opts.csv = (csv != nullptr && *csv != '\0');
-  opts.seed = static_cast<unsigned long long>(env_double("ATLAS_SEED", 7.0));
-  const char* policy = std::getenv("ATLAS_SEED_POLICY");
-  if (policy != nullptr && *policy != '\0') opts.seed_policy = policy;
-  opts.crn_replicates = env_size("ATLAS_CRN_REPLICATES", 1);
-  opts.crn_rotation = env_size("ATLAS_CRN_ROTATION", 25);
+  if (const char* scale = env_value("ATLAS_BENCH_SCALE")) {
+    opts.scale = std::max(0.05, parse_double("ATLAS_BENCH_SCALE", scale));
+  }
+  opts.csv = env_value("ATLAS_BENCH_CSV") != nullptr;
+  if (const char* seed = env_value("ATLAS_SEED")) {
+    opts.seed = parse_integer<unsigned long long>("ATLAS_SEED", seed);
+  }
   return opts;
 }
 
 std::size_t BenchOptions::iters(std::size_t base, std::size_t min_value) const {
   const double scaled = std::round(static_cast<double>(base) * scale);
+  // 2^64 for a 64-bit size_t: the first double past its range.
+  const double limit = std::ldexp(1.0, std::numeric_limits<std::size_t>::digits);
+  if (!(scaled >= 0.0 && scaled < limit)) {
+    throw std::invalid_argument("ATLAS_BENCH_SCALE " + std::to_string(scale) + " scales " +
+                                std::to_string(base) + " iterations out of size_t's range");
+  }
   return std::max(min_value, static_cast<std::size_t>(scaled));
 }
 

@@ -1,32 +1,29 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace atlas::common {
 
 /// Shared knobs for bench/example binaries, read from the environment so
 /// `for b in build/bench/*; do $b; done` works unchanged:
 ///
-///  - ATLAS_BENCH_SCALE  (double, default 1.0): multiplies iteration budgets
-///    and episode durations. Scale 1 targets minutes for the whole suite on a
-///    2-core box; the paper's full budgets correspond to roughly scale 8.
+///  - ATLAS_BENCH_SCALE  (finite number >= 0, default 1.0, floored at 0.05):
+///    multiplies iteration budgets and episode durations. Scale 1 targets
+///    minutes for the whole suite on a 2-core box; the paper's full budgets
+///    correspond to roughly scale 8.
 ///  - ATLAS_BENCH_CSV    (if set, non-empty): benches additionally emit CSV.
-///  - ATLAS_SEED         (uint64, default 7): master seed for experiments.
-///  - ATLAS_SEED_POLICY  ("fresh" | "crn" | "crn_rotating", default fresh):
-///    episode-seed sequencing across BO iterations (env/seed_plan.hpp).
-///  - ATLAS_CRN_REPLICATES (size_t, default 1): CRN seed-block size.
-///  - ATLAS_CRN_ROTATION   (size_t, default 25): iterations per block under
-///    crn_rotating.
+///  - ATLAS_SEED         (decimal digits up to 2^64 - 1, default 7): master
+///    seed for experiments.
+///
+/// An unset or empty variable takes its default; any other value that does
+/// not fit throws std::invalid_argument naming the variable.
 struct BenchOptions {
   double scale = 1.0;
   bool csv = false;
   unsigned long long seed = 7;
-  std::string seed_policy = "fresh";  ///< Parsed by env::parse_seed_policy.
-  std::size_t crn_replicates = 1;
-  std::size_t crn_rotation = 25;
 
-  /// Scaled iteration count: max(min_value, round(base * scale)).
+  /// Scaled iteration count: max(min_value, round(base * scale)). Throws
+  /// std::invalid_argument when the scaled count does not fit a size_t.
   std::size_t iters(std::size_t base, std::size_t min_value = 1) const;
 
   /// Scaled episode duration in simulated seconds (base 60 s in the paper).
@@ -35,9 +32,5 @@ struct BenchOptions {
 
 /// Read the options from the environment (each call re-reads; cheap).
 BenchOptions bench_options();
-
-/// getenv helpers with defaults.
-double env_double(const char* name, double fallback);
-std::size_t env_size(const char* name, std::size_t fallback);
 
 }  // namespace atlas::common

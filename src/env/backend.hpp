@@ -49,19 +49,14 @@ struct EnvQuery {
   SliceConfig config;
   Workload workload;
   std::optional<SimParams> sim_params;
-  /// The seed came from a common-random-numbers plan (see env/seed_plan.hpp):
-  /// a cache hit on this query is deliberate cross-iteration episode reuse,
-  /// reported separately as `crn_hits`. Not part of the memoization key — it
-  /// annotates the query, it does not change the episode.
-  bool crn = false;
   /// Relative deadline budget in milliseconds, measured from the moment the
   /// query enters a service (0 = no deadline). If it elapses before the
   /// episode starts executing, the service returns a typed
   /// RejectReason::kDeadlineExceeded result instead of stale work; remote
   /// backends additionally cap their RPC wait at the remaining budget and
   /// propagate it over the wire (v5 field) so the worker can drop
-  /// already-dead queries from ITS queue too. Like `crn`, not part of the
-  /// memoization key — it shapes serving, not the episode.
+  /// already-dead queries from ITS queue too. Not part of the memoization
+  /// key — it shapes serving, not the episode.
   double deadline_ms = 0.0;
 };
 
@@ -74,8 +69,6 @@ struct BackendStats {
   std::uint64_t queries = 0;       ///< Queries answered (hit or executed).
   std::uint64_t cache_hits = 0;    ///< Served from the memo table.
   std::uint64_t cache_misses = 0;  ///< Cacheable queries the memo did not answer.
-  std::uint64_t crn_hits = 0;      ///< Subset of cache_hits on CRN-planned queries:
-                                   ///< episodes saved by cross-iteration seed reuse.
   std::uint64_t episodes = 0;      ///< Environment executions.
   /// Queries answered with a typed rejection instead of an episode. For
   /// cacheable workloads the exact-accounting invariant extends to

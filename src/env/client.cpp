@@ -88,7 +88,6 @@ void EnvServiceStats::add_backend(BackendStats backend) {
   }
   cache_hits += backend.cache_hits;
   cache_misses += backend.cache_misses;
-  crn_hits += backend.crn_hits;
   shed_total += backend.shedded;
   deadline_rejected += backend.deadline_rejected;
   backends.push_back(std::move(backend));
@@ -102,7 +101,6 @@ EnvServiceStats EnvServiceStats::since(const EnvServiceStats& start) const {
     b.queries -= s.queries;
     b.cache_hits -= s.cache_hits;
     b.cache_misses -= s.cache_misses;
-    b.crn_hits -= s.crn_hits;
     b.episodes -= s.episodes;
     b.shedded -= s.shedded;
     b.deadline_rejected -= s.deadline_rejected;
@@ -115,7 +113,6 @@ EnvServiceStats EnvServiceStats::since(const EnvServiceStats& start) const {
   delta.online_queries -= start.online_queries;
   delta.cache_hits -= start.cache_hits;
   delta.cache_misses -= start.cache_misses;
-  delta.crn_hits -= start.crn_hits;
   delta.shed_total -= start.shed_total;
   delta.deadline_rejected -= start.deadline_rejected;
   FarmView& farm = delta.farm;
@@ -143,15 +140,15 @@ std::string quantile_ms(const telemetry::HistogramData& histogram, double q) {
 }  // namespace
 
 common::Table EnvServiceStats::summary() const {
-  common::Table table({"backend", "kind", "cost", "queries", "hits", "crn", "episodes", "shed",
+  common::Table table({"backend", "kind", "cost", "queries", "hits", "episodes", "shed",
                        "rpc retries", "rpc failures", "rpc p50 ms", "rpc p99 ms"});
   for (const BackendStats& b : backends) {
     table.add_row({b.name, b.kind == BackendKind::kOnline ? "online" : "offline",
                    common::fmt(b.cost_hint, 0), std::to_string(b.queries),
-                   std::to_string(b.cache_hits), std::to_string(b.crn_hits),
-                   std::to_string(b.episodes), std::to_string(b.rejected()),
-                   std::to_string(b.rpc_retries), std::to_string(b.rpc_failures),
-                   quantile_ms(b.rpc_rtt_ns, 0.50), quantile_ms(b.rpc_rtt_ns, 0.99)});
+                   std::to_string(b.cache_hits), std::to_string(b.episodes),
+                   std::to_string(b.rejected()), std::to_string(b.rpc_retries),
+                   std::to_string(b.rpc_failures), quantile_ms(b.rpc_rtt_ns, 0.50),
+                   quantile_ms(b.rpc_rtt_ns, 0.99)});
   }
   std::uint64_t episodes = 0;
   std::uint64_t rejected = 0;
@@ -168,23 +165,21 @@ common::Table EnvServiceStats::summary() const {
     rtt.merge(b.rpc_rtt_ns);
   }
   table.add_row({"TOTAL", "", "", std::to_string(total_queries()), std::to_string(cache_hits),
-                 std::to_string(crn_hits), std::to_string(episodes), std::to_string(rejected),
-                 std::to_string(retries), std::to_string(failures), quantile_ms(rtt, 0.50),
-                 quantile_ms(rtt, 0.99)});
+                 std::to_string(episodes), std::to_string(rejected), std::to_string(retries),
+                 std::to_string(failures), quantile_ms(rtt, 0.50), quantile_ms(rtt, 0.99)});
   // Service-level serving latency: what a caller of run()/submit() saw,
   // including cache hits (that's the point — the service IS the product).
   table.add_row({"query latency", "p50 " + quantile_ms(query_latency_ns, 0.50) + " ms",
                  "p99 " + quantile_ms(query_latency_ns, 0.99) + " ms",
                  "p999 " + quantile_ms(query_latency_ns, 0.999) + " ms",
-                 "max " + quantile_ms(query_latency_ns, 1.0) + " ms", "", "", "", "", "", "",
-                 ""});
+                 "max " + quantile_ms(query_latency_ns, 1.0) + " ms", "", "", "", "", "", ""});
   if (farm.active) {
     table.add_row({"farm", "serving " + std::to_string(farm.workers_serving),
                    "suspect " + std::to_string(farm.workers_suspect),
                    "joined " + std::to_string(farm.workers_joined),
                    "lost " + std::to_string(farm.workers_lost),
                    "redispatched " + std::to_string(farm.episodes_redispatched), "", "", "", "",
-                   "", ""});
+                   ""});
   }
   // Degradation visibility: only rendered once any overload/fault machinery
   // has fired, so quiet deployments keep the familiar table.
@@ -193,7 +188,7 @@ common::Table EnvServiceStats::summary() const {
                    "hedge wins " + std::to_string(farm.hedge_wins),
                    "reconnects " + std::to_string(reconnects),
                    "shed " + std::to_string(shed_total),
-                   "deadline " + std::to_string(deadline_rejected), "", "", "", "", "", ""});
+                   "deadline " + std::to_string(deadline_rejected), "", "", "", "", ""});
   }
   return table;
 }

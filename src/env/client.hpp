@@ -71,9 +71,6 @@ struct EnvServiceStats {
   std::uint64_t online_queries = 0;   ///< Metered real-network interactions.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Subset of cache_hits served to CRN-planned queries: cross-iteration
-  /// episode reuse from deliberate seed sharing (env/seed_plan.hpp).
-  std::uint64_t crn_hits = 0;
   /// Typed rejections under overload protection: queries answered with a
   /// RejectReason instead of an episode (counted in *_queries too, so
   /// hits + misses + rejections == queries stays exact for cacheable loads).
@@ -107,13 +104,9 @@ struct EnvServiceStats {
     const std::uint64_t lookups = cache_hits + cache_misses;
     return lookups == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(lookups);
   }
-  double crn_hit_rate() const noexcept {
-    const std::uint64_t q = total_queries();
-    return q == 0 ? 0.0 : static_cast<double>(crn_hits) / static_cast<double>(q);
-  }
 
   /// One coherent serving report: a per-backend table (kind, cost, queries,
-  /// hits, CRN hits, episodes, rpc retries/failures, and RPC latency
+  /// hits, episodes, rpc retries/failures, and RPC latency
   /// quantiles where measured) plus a totals row with the service-level
   /// query-latency quantiles. Every serving surface (examples, loadgen,
   /// benches) prints THIS instead of a hand-rolled subset.

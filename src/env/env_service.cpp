@@ -195,7 +195,6 @@ EpisodeResult EnvService::run_memoized(Backend& backend, const EnvQuery& query) 
     const auto it = shard->entries.find(key);
     if (it != shard->entries.end()) {
       backend.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (query.crn) backend.crn_hits.fetch_add(1, std::memory_order_relaxed);
       // Touch: move to the front of the stripe's LRU order.
       shard->lru.splice(shard->lru.begin(), shard->lru, it->second.lru_it);
       return it->second.result;
@@ -347,7 +346,6 @@ BackendStats EnvService::backend_stats(BackendId id) const {
   stats.queries = backend.queries.load(std::memory_order_relaxed);
   stats.cache_hits = backend.cache_hits.load(std::memory_order_relaxed);
   stats.cache_misses = backend.cache_misses.load(std::memory_order_relaxed);
-  stats.crn_hits = backend.crn_hits.load(std::memory_order_relaxed);
   stats.episodes = backend.episodes.load(std::memory_order_relaxed);
   stats.shedded = backend.shedded.load(std::memory_order_relaxed);
   stats.deadline_rejected = backend.deadline_rejected.load(std::memory_order_relaxed);
@@ -374,7 +372,6 @@ void EnvService::reset_stats() {
     backend->queries.store(0, std::memory_order_relaxed);
     backend->cache_hits.store(0, std::memory_order_relaxed);
     backend->cache_misses.store(0, std::memory_order_relaxed);
-    backend->crn_hits.store(0, std::memory_order_relaxed);
     backend->episodes.store(0, std::memory_order_relaxed);
     backend->shedded.store(0, std::memory_order_relaxed);
     backend->deadline_rejected.store(0, std::memory_order_relaxed);

@@ -131,7 +131,6 @@ class EnvService final : public EnvClient {
     std::atomic<std::uint64_t> queries{0};
     std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> crn_hits{0};
     std::atomic<std::uint64_t> episodes{0};
     std::atomic<std::uint64_t> shedded{0};
     std::atomic<std::uint64_t> deadline_rejected{0};

@@ -155,10 +155,10 @@ class FaultInjector {
 /// cancel / duration then throws, kCorrupt executes then deterministically
 /// perturbs the result.
 ///
-/// The decision stream key is the query's workload seed — under the CRN seed
-/// discipline every logical query has a distinct seed, so the fault pattern
-/// is a property of the WORKLOAD, independent of which thread or replica
-/// runs it, and of retries (a retried query re-rolls the same draw: a
+/// The decision stream key is the query's workload seed — the seed plan
+/// gives every logical query a distinct seed, so the fault pattern is a
+/// property of the WORKLOAD, independent of which thread or replica runs it,
+/// and of retries (a retried query re-rolls the same draw: a
 /// deterministic-fault worker stays deterministically faulty).
 class FaultInjectingBackend final : public EnvBackend {
  public:

@@ -49,8 +49,8 @@ LoadPlan build_load_plan(const LoadPlanOptions& options) {
   math::Rng config_rng = base.fork(3);
 
   // The incumbent pool: configs a BO loop keeps re-scoring. Each carries a
-  // FIXED seed (a CRN plan pins seeds to iterations), so a revisit is the
-  // same (config, seed) key and memoizes — that reuse is what crn_hits meter.
+  // FIXED seed, so a revisit is the same (config, seed) key and memoizes —
+  // that reuse is what cache_hits meter.
   struct Incumbent {
     SliceConfig config;
     std::uint64_t seed;
@@ -67,7 +67,7 @@ LoadPlan build_load_plan(const LoadPlanOptions& options) {
   const double online_share = options.has_online ? options.mix.online : 0.0;
 
   // Fresh seeds count up from a range disjoint from the incumbents' so an
-  // explorer never accidentally replays a CRN episode.
+  // explorer never accidentally replays an incumbent's episode.
   std::uint64_t fresh_seed = options.seed * 1000003ULL + options.incumbents + 1;
 
   double t = 0.0;
@@ -89,7 +89,6 @@ LoadPlan build_load_plan(const LoadPlanOptions& options) {
       event.kind = LoadKind::kRevisit;
       event.query.config = incumbents[pick].config;
       event.query.workload.seed = incumbents[pick].seed;
-      event.query.crn = true;
       ++plan.revisits;
     } else if (roll < options.mix.revisit + online_share) {
       event.kind = LoadKind::kOnline;

@@ -5,7 +5,7 @@
 ///
 ///   build_load_plan  — a DETERMINISTIC schedule of queries: Poisson arrival
 ///                      offsets (exponential inter-arrivals from math::Rng)
-///                      and a realistic query mix — CRN revisits of incumbent
+///                      and a realistic query mix — revisits of incumbent
 ///                      (config, seed) pairs, metered online queries,
 ///                      trace-heavy episodes, fresh exploration. The same
 ///                      (options) always yields byte-identical queries.
@@ -30,7 +30,7 @@ namespace atlas::env {
 /// What one scheduled query is, for mix accounting.
 enum class LoadKind {
   kFresh,    ///< New offline config + fresh seed (exploration; cache miss).
-  kRevisit,  ///< CRN revisit of an incumbent (config, seed): deliberate hit.
+  kRevisit,  ///< Revisit of an incumbent (config, seed): deliberate memo hit.
   kOnline,   ///< Metered real-network query (never cached).
   kTrace,    ///< Fresh offline query with per-frame trace collection.
 };

@@ -9,69 +9,27 @@ namespace {
 /// Per-domain constants. `salt` is the historical prime multiplier of the
 /// stage's ad-hoc counter and `offset` its starting index (the online
 /// learner's sim stream pre-incremented, the calibrator's reference probe
-/// started at +1); together they make kFresh reproduce the pre-SeedPlan
-/// sequences bit-identically. `online` marks metered domains the policy
-/// never touches. Order must match the SeedDomain enumerators.
+/// started at +1); together they reproduce the pre-SeedPlan sequences
+/// bit-identically. Order must match the SeedDomain enumerators.
 struct DomainDesc {
   std::uint64_t salt;
   std::uint64_t offset;
-  bool online;
 };
 
 constexpr DomainDesc kDomains[] = {
-    /* kStage1Query */ {104729ULL, 0, false},
-    /* kStage1Reference */ {13ULL, 1, false},
-    /* kStage1RealCollectOnline */ {7919ULL, 0, true},
-    /* kStage2Query */ {15485863ULL, 0, false},
-    /* kStage3Sim */ {32452843ULL, 1, false},
-    /* kStage3RealOnline */ {49979687ULL, 0, true},
-    /* kBaselineGpOnline */ {7177162611ULL, 0, true},
-    /* kBaselineDldaGrid */ {83492791ULL, 0, false},
-    /* kBaselineDldaOnline */ {15487469ULL, 0, true},
-    /* kBaselineVirtualEdgeOnline */ {86028121ULL, 0, true},
+    /* kStage1Query */ {104729ULL, 0},
+    /* kStage1Reference */ {13ULL, 1},
+    /* kStage1RealCollectOnline */ {7919ULL, 0},
+    /* kStage2Query */ {15485863ULL, 0},
+    /* kStage3Sim */ {32452843ULL, 1},
+    /* kStage3RealOnline */ {49979687ULL, 0},
+    /* kBaselineGpOnline */ {7177162611ULL, 0},
+    /* kBaselineDldaGrid */ {83492791ULL, 0},
+    /* kBaselineDldaOnline */ {15487469ULL, 0},
+    /* kBaselineVirtualEdgeOnline */ {86028121ULL, 0},
 };
 
-const DomainDesc& desc(SeedDomain domain) noexcept {
-  return kDomains[static_cast<std::size_t>(domain)];
-}
-
 }  // namespace
-
-std::optional<SeedPolicy> parse_seed_policy(std::string_view name) {
-  if (name == "fresh") return SeedPolicy::kFresh;
-  if (name == "crn") return SeedPolicy::kCrn;
-  if (name == "crn_rotating") return SeedPolicy::kCrnRotating;
-  return std::nullopt;
-}
-
-const char* seed_policy_name(SeedPolicy policy) noexcept {
-  switch (policy) {
-    case SeedPolicy::kFresh: return "fresh";
-    case SeedPolicy::kCrn: return "crn";
-    case SeedPolicy::kCrnRotating: return "crn_rotating";
-  }
-  return "fresh";
-}
-
-SeedPlan::SeedPlan(std::uint64_t master_seed, SeedPlanOptions options) noexcept
-    : master_(master_seed), options_(options) {
-  options_.replicates = std::max<std::size_t>(1, options_.replicates);
-  options_.rotation_period = std::max<std::size_t>(1, options_.rotation_period);
-}
-
-std::uint64_t SeedStream::seed(std::uint64_t iteration, std::uint64_t replicate) const noexcept {
-  if (!crn_) {
-    // kFresh, or a metered domain: the historical never-repeating sequence.
-    return base_ + iteration * reps_per_iter_ + replicate;
-  }
-  const std::uint64_t slot = replicate % block_;
-  if (policy_ == SeedPolicy::kCrn) {
-    return base_ + slot;  // the same block every iteration
-  }
-  // kCrnRotating: block b covers iterations [b*K, (b+1)*K); each block is a
-  // disjoint span of `block_` seeds, so rotation swaps the randomness wholesale.
-  return base_ + (iteration / rotation_) * block_ + slot;
-}
 
 std::uint64_t SeedPlan::episode_seed(SeedDomain domain, std::uint64_t iteration,
                                      std::uint64_t replicate,
@@ -79,16 +37,11 @@ std::uint64_t SeedPlan::episode_seed(SeedDomain domain, std::uint64_t iteration,
   return stream(domain, replicates_per_iteration).seed(iteration, replicate);
 }
 
-bool SeedPlan::crn_active(SeedDomain domain) const noexcept {
-  return options_.policy != SeedPolicy::kFresh && !desc(domain).online;
-}
-
 SeedStream SeedPlan::stream(SeedDomain domain,
                             std::uint64_t replicates_per_iteration) const noexcept {
-  const DomainDesc& d = desc(domain);
-  return SeedStream(master_ * d.salt + d.offset, options_.policy,
-                    std::max<std::uint64_t>(1, replicates_per_iteration),
-                    options_.replicates, options_.rotation_period, crn_active(domain));
+  const DomainDesc& d = kDomains[static_cast<std::size_t>(domain)];
+  return SeedStream(master_ * d.salt + d.offset,
+                    std::max<std::uint64_t>(1, replicates_per_iteration));
 }
 
 }  // namespace atlas::env

@@ -1,51 +1,15 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <string_view>
 
 #include "env/backend.hpp"
 
 namespace atlas::env {
 
-/// How episode seeds are sequenced across Bayesian-optimization iterations.
-///
-/// Every Atlas stage estimates QoE/QoS from stochastic episodes, so every
-/// comparison between configurations pays a noise tax. Common random numbers
-/// (CRN) — the classic simulation-optimization variance-reduction technique —
-/// evaluates competing configurations under IDENTICAL randomness, so the
-/// noise largely cancels out of their difference. As a side effect, a
-/// configuration revisited in a later iteration re-uses a seed the memo
-/// table already holds: the EnvService cache starts saving episodes during
-/// real training runs, not just on replays.
-enum class SeedPolicy {
-  kFresh,        ///< Every query draws a never-repeated seed (historical behavior).
-  kCrn,          ///< A fixed block of `replicates` seeds is reused every iteration.
-  kCrnRotating,  ///< The block rotates every `rotation_period` iterations, bounding
-                 ///< the bias a single unlucky seed block could lock in.
-};
-
-/// Parse "fresh" / "crn" / "crn_rotating" (empty or unknown -> nullopt).
-std::optional<SeedPolicy> parse_seed_policy(std::string_view name);
-const char* seed_policy_name(SeedPolicy policy) noexcept;
-
-struct SeedPlanOptions {
-  SeedPolicy policy = SeedPolicy::kFresh;
-  /// CRN block size: how many distinct seeds one iteration draws from under
-  /// kCrn/kCrnRotating (replicate r maps onto seed slot r % replicates).
-  /// 1 = the purest pairing (every query in the stage shares one seed).
-  std::size_t replicates = 1;
-  /// kCrnRotating: iterations per block before the seed set rotates.
-  std::size_t rotation_period = 25;
-};
-
 /// The seed streams Atlas draws episode randomness from. Each enumerator
 /// reproduces one historical ad-hoc counter (its prime multiplier is the
-/// domain salt), so the kFresh policy is bit-identical to the pre-SeedPlan
-/// stages — pinned by tests/golden_stage_test.cpp. The *Online domains are
-/// metered live-network interactions whose randomness cannot be replayed;
-/// the plan always sequences them fresh, whatever the policy says.
+/// domain salt), so the plan is bit-identical to the pre-SeedPlan stages —
+/// pinned by tests/golden_stage_test.cpp.
 enum class SeedDomain : std::uint8_t {
   kStage1Query,              ///< Calibrator simulator queries (offline).
   kStage1Reference,          ///< Calibrator's spec-default discrepancy probe.
@@ -62,92 +26,59 @@ enum class SeedDomain : std::uint8_t {
 class SeedPlan;
 
 /// One opened domain of a SeedPlan: maps (iteration, replicate) -> episode
-/// seed with the plan's policy baked in. Cheap value type — stages open one
-/// stream per query loop and call `seed`/`apply` per query.
+/// seed. Cheap value type — stages open one stream per query loop and call
+/// `seed`/`apply` per query.
 class SeedStream {
  public:
   SeedStream() = default;
 
   /// Episode seed for the `replicate`-th query of `iteration`.
-  std::uint64_t seed(std::uint64_t iteration, std::uint64_t replicate) const noexcept;
+  std::uint64_t seed(std::uint64_t iteration, std::uint64_t replicate) const noexcept {
+    return base_ + iteration * reps_per_iter_ + replicate;
+  }
 
-  /// Whether seeds in this stream repeat across iterations (CRN policy on a
-  /// CRN-eligible domain) — i.e. whether cache hits here are cross-iteration
-  /// episode reuse.
-  bool crn_active() const noexcept { return crn_; }
-
-  /// Fill `query.workload.seed` and tag `query.crn`, so the EnvService can
-  /// report cross-iteration reuse (`crn_hits`) separately from replay hits.
+  /// Fill `query.workload.seed`.
   void apply(EnvQuery& query, std::uint64_t iteration, std::uint64_t replicate) const noexcept {
     query.workload.seed = seed(iteration, replicate);
-    query.crn = crn_;
   }
 
  private:
   friend class SeedPlan;
-  SeedStream(std::uint64_t base, SeedPolicy policy, std::uint64_t replicates_per_iteration,
-             std::uint64_t block, std::uint64_t rotation, bool crn) noexcept
-      : base_(base),
-        policy_(policy),
-        reps_per_iter_(replicates_per_iteration),
-        block_(block),
-        rotation_(rotation),
-        crn_(crn) {}
+  SeedStream(std::uint64_t base, std::uint64_t replicates_per_iteration) noexcept
+      : base_(base), reps_per_iter_(replicates_per_iteration) {}
 
   std::uint64_t base_ = 0;           ///< master * domain salt + domain offset.
-  SeedPolicy policy_ = SeedPolicy::kFresh;
-  std::uint64_t reps_per_iter_ = 1;  ///< Seeds one iteration consumes (kFresh).
-  std::uint64_t block_ = 1;          ///< CRN block size R (>= 1).
-  std::uint64_t rotation_ = 1;       ///< Iterations per block (kCrnRotating, >= 1).
-  bool crn_ = false;                 ///< Policy is CRN AND the domain is eligible.
+  std::uint64_t reps_per_iter_ = 1;  ///< Seeds one iteration consumes.
 };
 
 /// Deterministic seed planning across BO iterations: maps (stage domain,
-/// iteration, replicate) -> episode seed under a pluggable policy.
+/// iteration, replicate) -> episode seed.
 ///
-///   SeedPlan plan(options.seed, options.seed_plan);
-///   const SeedStream seeds = plan.stream(SeedDomain::kStage2Query, batch);
+///   const SeedStream seeds =
+///       SeedPlan(options.seed).stream(SeedDomain::kStage2Query, batch);
 ///   ...
-///   seeds.apply(query, iter, q);   // sets workload.seed + the crn tag
+///   seeds.apply(query, iter, q);   // sets workload.seed
 ///
-/// Guarantees:
-///  * kFresh reproduces the historical `master * prime + counter` sequences
-///    bit-identically (golden_stage_test pins this), so CRN is opt-in.
-///  * kCrn reuses a fixed block of `replicates` seeds every iteration within
-///    a domain: paired comparisons across iterations, and revisited
-///    configurations hit the EnvService memo table instead of re-running.
-///  * kCrnRotating swaps the block every `rotation_period` iterations, so a
-///    single unlucky block cannot bias the whole stage; reuse still applies
-///    within each window.
-///  * Online (metered) domains are ALWAYS sequenced fresh: a live network's
-///    randomness cannot be replayed, so pretending to pair it would only
-///    mislabel the accounting.
-///  * Everything is a pure function of (master seed, options, domain,
-///    iteration, replicate) — no internal counters, safe to share across
-///    threads, reconstructible anywhere.
+/// Each domain's seeds never repeat: they reproduce the historical
+/// `master * prime + counter` sequences bit-identically (golden_stage_test
+/// pins this). Everything is a pure function of (master seed, domain,
+/// iteration, replicate) — no internal counters, safe to share across
+/// threads, reconstructible anywhere.
 class SeedPlan {
  public:
-  explicit SeedPlan(std::uint64_t master_seed, SeedPlanOptions options = {}) noexcept;
-
-  std::uint64_t master_seed() const noexcept { return master_; }
-  /// Options after normalization (replicates/rotation_period floored to 1).
-  const SeedPlanOptions& options() const noexcept { return options_; }
+  explicit SeedPlan(std::uint64_t master_seed) noexcept : master_(master_seed) {}
 
   /// The full map. `replicates_per_iteration` is how many episode seeds one
-  /// iteration consumes in this domain (it linearizes the kFresh sequence).
+  /// iteration consumes in this domain (it linearizes the sequence).
   std::uint64_t episode_seed(SeedDomain domain, std::uint64_t iteration,
                              std::uint64_t replicate,
                              std::uint64_t replicates_per_iteration) const noexcept;
-
-  /// Whether the policy repeats seeds across iterations in `domain`.
-  bool crn_active(SeedDomain domain) const noexcept;
 
   /// Open a stream for one query loop.
   SeedStream stream(SeedDomain domain, std::uint64_t replicates_per_iteration) const noexcept;
 
  private:
   std::uint64_t master_ = 0;
-  SeedPlanOptions options_;
 };
 
 }  // namespace atlas::env

@@ -27,7 +27,7 @@ struct SimParams {
   static SimParams from_vec(const atlas::math::Vec& v);
 
   /// Parameter distance |x - x_hat|_2 on range-normalized coordinates,
-  /// divided by sqrt(d) (see DESIGN.md §4 for why this normalization).
+  /// divided by sqrt(d): bo::BoxSpace::distance, which says why.
   double distance_to(const SimParams& other) const;
 };
 

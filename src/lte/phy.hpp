@@ -131,9 +131,11 @@ inline double sinr_db_cached(const LinkBudget& budget, double pathloss_db, doubl
   return std::min(sinr, budget.sinr_cap_db);
 }
 
-/// First-order autoregressive fast-fading process in dB (real-network-only
-/// mechanism; see DESIGN.md §4). value() is N(0, sigma^2) marginally with
-/// per-TTI correlation `rho`.
+/// First-order autoregressive fast-fading process in dB. Only the real
+/// network fades: the simulator profile has no fading model (§7.2), and no
+/// Table 3 parameter adds one, so calibration can offset its average effect
+/// on the link but not its spread. value() is N(0, sigma^2) marginally with per-TTI
+/// correlation `rho`.
 class FadingProcess {
  public:
   FadingProcess(double sigma_db, double rho)

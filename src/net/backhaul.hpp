@@ -8,7 +8,8 @@ namespace atlas::net {
 /// (NS-3's p2p link is deterministic); the real network adds a base extra
 /// delay plus an exponential tail, modelling SDN-switch queuing behind cross
 /// traffic — one of the "real-only" mechanisms parameter calibration can
-/// compensate in mean but not in distribution (DESIGN.md §4).
+/// compensate in mean but not in distribution: Table 3's backhaul delay
+/// shifts every packet alike and cannot add the exponential tail.
 struct TransportJitter {
   double base_extra_ms = 0.0;  ///< Constant extra per-packet delay.
   double exp_mean_ms = 0.0;    ///< Mean of the exponential tail (0 = off).

@@ -201,7 +201,7 @@ constexpr std::size_t kTraceWireBytes = 8 + 8 * 8;        // u64 id, 8 f64 stamp
 constexpr std::size_t kBackendInfoMinBytes = 4 + 1 + 8 + 1 + 8;  // empty name
 constexpr std::size_t kHistogramMinBytes = 4 + 8;                // no buckets, sum
 constexpr std::size_t kBackendStatsMinBytes =
-    4 + 1 + 5 * 8 + 8 + 2 * 8 + kHistogramMinBytes + 3 * 8;  // empty name
+    4 + 1 + 4 * 8 + 8 + 2 * 8 + kHistogramMinBytes + 3 * 8;  // empty name
 
 /// Element-count sanity bound: every element takes at least
 /// `min_wire_bytes`, so a count the rest of the frame cannot hold is
@@ -284,7 +284,6 @@ void put_backend_stats(WireWriter& w, const env::BackendStats& b) {
   w.u64(b.queries);
   w.u64(b.cache_hits);
   w.u64(b.cache_misses);
-  w.u64(b.crn_hits);
   w.u64(b.episodes);
   w.f64(b.cost_hint);
   w.u64(b.rpc_retries);
@@ -302,7 +301,6 @@ env::BackendStats get_backend_stats(WireReader& r) {
   b.queries = r.u64();
   b.cache_hits = r.u64();
   b.cache_misses = r.u64();
-  b.crn_hits = r.u64();
   b.episodes = r.u64();
   b.cost_hint = r.f64();
   b.rpc_retries = r.u64();
@@ -332,7 +330,6 @@ std::vector<std::uint8_t> encode_query(std::uint64_t request_id, const env::EnvQ
   put_workload(w, query.workload);
   w.boolean(query.sim_params.has_value());
   if (query.sim_params) put_sim_params(w, *query.sim_params);
-  w.boolean(query.crn);
   w.f64(query.deadline_ms);
   return w.take();
 }
@@ -377,7 +374,6 @@ std::vector<std::uint8_t> encode_stats_snapshot(std::uint64_t request_id,
   w.u64(stats.online_queries);
   w.u64(stats.cache_hits);
   w.u64(stats.cache_misses);
-  w.u64(stats.crn_hits);
   put_histogram(w, stats.query_latency_ns);
   put_histogram(w, stats.queue_depth);
   put_histogram(w, stats.rpc_service_ns);
@@ -413,7 +409,6 @@ env::EnvQuery decode_query_body(WireReader& reader) {
   query.config = get_slice_config(reader);
   query.workload = get_workload(reader);
   if (reader.boolean()) query.sim_params = get_sim_params(reader);
-  query.crn = reader.boolean();
   query.deadline_ms = reader.f64();
   reader.expect_done();
   return query;
@@ -517,7 +512,6 @@ env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader) {
   stats.online_queries = reader.u64();
   stats.cache_hits = reader.u64();
   stats.cache_misses = reader.u64();
-  stats.crn_hits = reader.u64();
   stats.query_latency_ns = get_histogram(reader);
   stats.queue_depth = get_histogram(reader);
   stats.rpc_service_ns = get_histogram(reader);

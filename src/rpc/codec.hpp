@@ -12,7 +12,7 @@
 
 namespace atlas::rpc {
 
-/// Episode-RPC wire format, version `kWireVersion` (6).
+/// Episode-RPC wire format, version `kWireVersion` (7).
 ///
 /// Every frame payload is:
 ///
@@ -30,7 +30,7 @@ namespace atlas::rpc {
 /// builds fail loudly instead of misreading; any layout change bumps
 /// `kWireVersion`.
 inline constexpr std::uint32_t kWireMagic = 0x41544c53u;  // "ATLS"
-inline constexpr std::uint16_t kWireVersion = 6;
+inline constexpr std::uint16_t kWireVersion = 7;
 
 /// Upper bound on one frame payload; a length prefix beyond this is treated
 /// as a corrupted stream, not an allocation request.

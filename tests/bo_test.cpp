@@ -6,12 +6,15 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bo/acquisition.hpp"
 #include "bo/argmin.hpp"
 #include "bo/gp_bo.hpp"
 #include "bo/scan_tile.hpp"
 #include "bo/space.hpp"
+#include "gp/gaussian_process.hpp"
 #include "math/halton.hpp"
 #include "math/rng.hpp"
 #include "math/stats.hpp"
@@ -27,6 +30,55 @@ ab::BoxSpace unit_box(std::size_t d) {
   am::Vec hi(d, 1.0);
   for (std::size_t i = 0; i < d; ++i) names.push_back("x" + std::to_string(i));
   return ab::BoxSpace(names, lo, hi);
+}
+
+/// GpBoMinimizer::ask's scan written one candidate at a time: the same
+/// draws, one GaussianProcess::predict per candidate, the first maximum wins.
+am::Vec ask_one_by_one(const ab::BoxSpace& space, const ab::GpBoOptions& opts,
+                       const std::vector<am::Vec>& xs, const am::Vec& ys, am::Rng& rng) {
+  am::Matrix x_norm(xs.size(), space.dim());
+  for (std::size_t r = 0; r < xs.size(); ++r) {
+    x_norm.set_row(r, space.normalize(space.clamp(xs[r])));
+  }
+  atlas::gp::GaussianProcess gp(opts.gp);
+  gp.fit(x_norm, ys);
+  const std::size_t n_cand = std::max<std::size_t>(8, opts.candidates);
+  const am::Matrix cand = space.sample_batch(n_cand, rng);
+  const std::size_t iter = xs.size() + 1;
+  const double incumbent = *std::min_element(ys.begin(), ys.end());
+  double beta = opts.ucb_beta;
+  if (opts.acquisition == ab::AcquisitionKind::kGpUcb) {
+    beta = ab::gp_ucb_beta(iter, n_cand, opts.delta);
+  } else if (opts.acquisition == ab::AcquisitionKind::kCrgpUcb) {
+    beta = ab::crgp_ucb_beta(iter, opts.crgp_rho, opts.crgp_clip, rng);
+  }
+  double best_util = -std::numeric_limits<double>::infinity();
+  std::size_t best_idx = 0;
+  for (std::size_t i = 0; i < n_cand; ++i) {
+    const auto post = gp.predict(space.normalize(cand.row(i)));
+    double util = 0.0;
+    switch (opts.acquisition) {
+      case ab::AcquisitionKind::kEi:
+        util = ab::expected_improvement(post.mean, post.std, incumbent, opts.xi);
+        break;
+      case ab::AcquisitionKind::kPi:
+        util = ab::probability_of_improvement(post.mean, post.std, incumbent, opts.xi);
+        break;
+      case ab::AcquisitionKind::kUcb:
+      case ab::AcquisitionKind::kGpUcb:
+      case ab::AcquisitionKind::kCrgpUcb:
+        util = -ab::lower_confidence_bound(post.mean, post.std, beta);
+        break;
+      case ab::AcquisitionKind::kThompson:
+        util = -(post.mean + post.std * rng.normal());
+        break;
+    }
+    if (util > best_util) {
+      best_util = util;
+      best_idx = i;
+    }
+  }
+  return cand.row(best_idx);
 }
 
 }  // namespace
@@ -366,6 +418,47 @@ TEST(GpBo, BeatsRandomSearchOnSameBudget) {
   double random_best = 1e9;
   for (int i = 0; i < 35; ++i) random_best = std::min(random_best, objective(space.sample(rrng)));
   EXPECT_LE(bo_best, random_best);
+}
+
+TEST(GpBo, TiledAskMatchesTheOneByOneScanBitForBit) {
+  const ab::BoxSpace space({"a", "b"}, {0.0, -5.0}, {50.0, 5.0});
+  const std::vector<am::Vec> xs = {
+      {5.0, -4.0}, {20.0, 1.0}, {35.0, 3.5}, {48.0, -2.0}, {12.0, 0.5}};
+  am::Vec ys;
+  for (const am::Vec& x : xs) ys.push_back(std::sin(0.1 * x[0]) + 0.2 * x[1] * x[1]);
+  for (const auto kind : {ab::AcquisitionKind::kEi, ab::AcquisitionKind::kPi,
+                          ab::AcquisitionKind::kUcb, ab::AcquisitionKind::kGpUcb,
+                          ab::AcquisitionKind::kCrgpUcb, ab::AcquisitionKind::kThompson}) {
+    ab::GpBoOptions opts;
+    opts.acquisition = kind;
+    opts.init_samples = 3;
+    opts.candidates = 2 * ab::ScanTile::kSize + 37;  // two full tiles and a partial one
+    ab::GpBoMinimizer bo(space, opts);
+    for (std::size_t r = 0; r < xs.size(); ++r) bo.tell(xs[r], ys[r]);
+    am::Rng rng(31);
+    am::Rng ref_rng(31);
+    EXPECT_EQ(bo.ask(rng), ask_one_by_one(space, opts, xs, ys, ref_rng))
+        << "acquisition " << static_cast<int>(kind);
+    EXPECT_EQ(rng.uniform(), ref_rng.uniform()) << "the same draws in the same order";
+  }
+}
+
+TEST(GpBo, AskKeepsTheFirstOfTiedCandidates) {
+  // With no observation the GP answers its prior for every candidate, so
+  // every utility ties and the first candidate drawn must win.
+  const auto space = unit_box(3);
+  for (const auto kind :
+       {ab::AcquisitionKind::kEi, ab::AcquisitionKind::kPi, ab::AcquisitionKind::kUcb}) {
+    ab::GpBoOptions opts;
+    opts.acquisition = kind;
+    opts.init_samples = 0;
+    opts.candidates = ab::ScanTile::kSize + 1;
+    ab::GpBoMinimizer bo(space, opts);
+    am::Rng rng(5);
+    am::Rng ref_rng(5);
+    EXPECT_EQ(bo.ask(rng), space.sample_batch(opts.candidates, ref_rng).row(0))
+        << "acquisition " << static_cast<int>(kind);
+  }
 }
 
 TEST(GpBo, HistoryAndTellValidation) {

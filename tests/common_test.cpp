@@ -4,9 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/options.hpp"
@@ -65,14 +69,93 @@ TEST(BenchOptions, EpisodeSecondsBounded) {
   EXPECT_LE(opts.episode_seconds(60.0), 60.0);  // never above the base
 }
 
+namespace {
+
+/// Sets one environment variable for a scope and restores its old value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// Expects bench_options() to throw std::invalid_argument naming `name`.
+void expect_rejected(const char* name, const char* value) {
+  const ScopedEnv env(name, value);
+  try {
+    (void)ac::bench_options();
+    ADD_FAILURE() << name << "='" << value << "' was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+  }
+}
+
+}  // namespace
+
 TEST(BenchOptions, EnvParsing) {
-  setenv("ATLAS_TEST_DOUBLE", "2.5", 1);
-  EXPECT_DOUBLE_EQ(ac::env_double("ATLAS_TEST_DOUBLE", 1.0), 2.5);
-  EXPECT_DOUBLE_EQ(ac::env_double("ATLAS_TEST_MISSING", 1.0), 1.0);
-  setenv("ATLAS_TEST_BAD", "not-a-number", 1);
-  EXPECT_DOUBLE_EQ(ac::env_double("ATLAS_TEST_BAD", 3.0), 3.0);
-  unsetenv("ATLAS_TEST_DOUBLE");
-  unsetenv("ATLAS_TEST_BAD");
+  {
+    const ScopedEnv seed("ATLAS_SEED", "");
+    const ScopedEnv scale("ATLAS_BENCH_SCALE", "");
+    const ac::BenchOptions opts = ac::bench_options();
+    EXPECT_EQ(opts.seed, 7u);
+    EXPECT_DOUBLE_EQ(opts.scale, 1.0);
+  }
+  // 2^53 + 1 has no double: the seed must not pass through one.
+  const ScopedEnv seed("ATLAS_SEED", "9007199254740993");
+  const ScopedEnv scale("ATLAS_BENCH_SCALE", "2.5");
+  const ac::BenchOptions opts = ac::bench_options();
+  EXPECT_EQ(opts.seed, 9007199254740993ULL);
+  EXPECT_DOUBLE_EQ(opts.scale, 2.5);
+}
+
+TEST(BenchOptions, SeedTakesTheWholeUint64Range) {
+  {
+    const ScopedEnv seed("ATLAS_SEED", "0");
+    EXPECT_EQ(ac::bench_options().seed, 0u);
+  }
+  const ScopedEnv seed("ATLAS_SEED", "18446744073709551615");
+  EXPECT_EQ(ac::bench_options().seed, 18446744073709551615ULL);
+}
+
+TEST(BenchOptions, MalformedSeedThrowsNamingTheVariable) {
+  for (const char* value :
+       {"abc", "1.9", "-1", "+7", " 7", "7 ", "1e3", "18446744073709551616"}) {
+    expect_rejected("ATLAS_SEED", value);
+  }
+}
+
+TEST(BenchOptions, MalformedScaleThrowsNamingTheVariable) {
+  for (const char* value : {"abc", "inf", "nan", "-1", "1e999", "2x"}) {
+    expect_rejected("ATLAS_BENCH_SCALE", value);
+  }
+  // The 0.05 floor still applies to a valid scale.
+  const ScopedEnv scale("ATLAS_BENCH_SCALE", "0");
+  EXPECT_DOUBLE_EQ(ac::bench_options().scale, 0.05);
+}
+
+TEST(BenchOptions, IterationsPastSizeTAreRejected) {
+  ac::BenchOptions opts;
+  opts.scale = 1e300;  // finite, so the parser lets it through
+  EXPECT_THROW((void)opts.iters(100), std::invalid_argument);
+  opts.scale = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)opts.iters(100), std::invalid_argument);
+  EXPECT_THROW((void)opts.iters(0), std::invalid_argument);  // 0 * inf is NaN
+  opts.scale = 1e6;
+  EXPECT_EQ(opts.iters(100), 100000000u);
 }
 
 TEST(ThreadPool, DefaultThreadCountNeverZero) {

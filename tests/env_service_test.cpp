@@ -8,7 +8,6 @@
 
 #include "atlas/online_learner.hpp"
 #include "env/env_service.hpp"
-#include "env/seed_plan.hpp"
 #include "env/shard_router.hpp"
 
 namespace ae = atlas::env;
@@ -359,85 +358,6 @@ TEST(EnvService, DuplicateQueriesInOneBatchKeepExactAccounting) {
   }
 }
 
-TEST(EnvService, CrnPolicyReusesEpisodesAcrossStage2Iterations) {
-  // Stage-2 shape: two BO iterations evaluate the SAME candidate set (an
-  // incumbent neighborhood being re-scored). Under the `crn` seed policy the
-  // second iteration replays the first's (config, seed) keys, so the memo
-  // table serves it without running a single episode — visible as crn_hits.
-  // Under `fresh` every query draws a new seed and hits nothing.
-  constexpr std::size_t kCandidates = 6;
-  constexpr std::size_t kIterations = 2;
-
-  auto run_policy = [&](ae::SeedPolicy policy) {
-    ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
-    const auto sim = service.add_simulator();
-    ae::SeedPlanOptions plan_options;
-    plan_options.policy = policy;
-    plan_options.replicates = 2;  // a 2-seed CRN block per iteration
-    const ae::SeedStream seeds =
-        ae::SeedPlan(5, plan_options).stream(ae::SeedDomain::kStage2Query, kCandidates);
-
-    for (std::size_t iter = 0; iter < kIterations; ++iter) {
-      for (std::size_t c = 0; c < kCandidates; ++c) {
-        ae::SliceConfig config;
-        config.bandwidth_ul = 10.0 + 4.0 * static_cast<double>(c);
-        ae::EnvQuery q = query(sim, 0, config);
-        seeds.apply(q, iter, c);
-        (void)service.run(q);
-      }
-    }
-    return service.backend_stats(sim);
-  };
-
-  const auto fresh = run_policy(ae::SeedPolicy::kFresh);
-  const auto crn = run_policy(ae::SeedPolicy::kCrn);
-
-  // Identical query counts: the policy changes seeds, not the workload.
-  EXPECT_EQ(fresh.queries, kIterations * kCandidates);
-  EXPECT_EQ(crn.queries, fresh.queries);
-
-  // fresh: every (config, seed) key is unique — no reuse, full price.
-  EXPECT_EQ(fresh.cache_hits, 0u);
-  EXPECT_EQ(fresh.crn_hits, 0u);
-  EXPECT_EQ(fresh.episodes, kIterations * kCandidates);
-
-  // crn: the second iteration is served entirely from the memo table.
-  EXPECT_GT(crn.cache_hits, 0u);
-  EXPECT_GT(crn.crn_hits, 0u);
-  EXPECT_EQ(crn.crn_hits, kCandidates);
-  EXPECT_LT(crn.episodes, fresh.episodes);
-  EXPECT_EQ(crn.episodes, kCandidates);
-}
-
-TEST(EnvService, CrnHitsAggregateThroughServiceAndRouterStats) {
-  // crn_hits must survive both aggregation paths: EnvService::stats() and
-  // ShardRouter::stats() (per-backend and service-wide totals).
-  ae::ShardRouter router(2, ae::EnvServiceOptions{.threads = 1});
-  const auto sim = router.add_simulator();
-
-  ae::EnvQuery q = query(sim, 77);
-  q.crn = true;
-  (void)router.run(q);  // miss
-  (void)router.run(q);  // crn hit
-  (void)router.run(q);  // crn hit
-
-  const auto backend = router.backend_stats(sim);
-  EXPECT_EQ(backend.cache_hits, 2u);
-  EXPECT_EQ(backend.crn_hits, 2u);
-  const auto totals = router.stats();
-  EXPECT_EQ(totals.crn_hits, 2u);
-  EXPECT_EQ(totals.cache_hits, 2u);
-
-  // A plain (untagged) hit is NOT a crn hit.
-  ae::EnvQuery plain = query(sim, 77);
-  (void)router.run(plain);
-  EXPECT_EQ(router.backend_stats(sim).cache_hits, 3u);
-  EXPECT_EQ(router.backend_stats(sim).crn_hits, 2u);
-
-  router.reset_stats();
-  EXPECT_EQ(router.stats().crn_hits, 0u);
-}
-
 TEST(EnvService, NestedBatchInsideWorkerDoesNotDeadlock) {
   // A follow-up batch issued from inside a pool worker (e.g. a progress
   // callback) must not deadlock the fixed-size pool: with one worker the
@@ -663,6 +583,7 @@ TEST(ShardRouter, IdlePlacementSpreadsLikeRoundRobinAndAggregatesStats) {
   EXPECT_EQ(stats.backends[0].name, "sim-a");
   EXPECT_EQ(stats.backends[1].name, "real-b");
   EXPECT_EQ(stats.backends[2].name, "sim-c");
+  EXPECT_EQ(stats.backends[0].cache_hits, 1u);
   EXPECT_EQ(stats.offline_queries, 3u);
   EXPECT_EQ(stats.online_queries, 1u);
   EXPECT_EQ(stats.cache_hits, 1u);
@@ -671,6 +592,7 @@ TEST(ShardRouter, IdlePlacementSpreadsLikeRoundRobinAndAggregatesStats) {
 
   router.reset_stats();
   EXPECT_EQ(router.stats().total_queries(), 0u);
+  EXPECT_EQ(router.stats().cache_hits, 0u);
   router.clear_cache();
   EXPECT_EQ(router.cache_size(), 0u);
 

@@ -1,10 +1,9 @@
 // Golden-stage determinism tests: pin the exact bit-level RESULTS of the
-// three Atlas stages and the baselines under the default (`fresh`) seed
-// policy. The seed-planning subsystem (src/env/seed_plan.hpp) rewired every
-// stage's episode seeding through a SeedPlan; these hashes were captured
-// from the pre-SeedPlan ad-hoc counters, so they prove the `fresh` policy is
-// bit-identical to the historical behavior — common random numbers are
-// strictly opt-in.
+// three Atlas stages and the baselines. The seed-planning subsystem
+// (src/env/seed_plan.hpp) rewired every stage's episode seeding through a
+// SeedPlan; these hashes were captured from the pre-SeedPlan ad-hoc
+// counters, so they prove the plan's seed sequences are bit-identical to the
+// historical behavior.
 //
 // To (re)capture after an *intentional* behavior change, run with
 // ATLAS_GOLDEN_PRINT=1 and paste the emitted table over the expected hashes.

@@ -1,6 +1,6 @@
 // Open-loop load generator: plan determinism (fixed seed => byte-identical
 // query mix), mix fractions and Poisson arrivals, and a small in-process
-// run_load_point exercising CRN revisit reuse end to end.
+// run_load_point exercising revisit reuse end to end.
 
 #include <gtest/gtest.h>
 
@@ -88,7 +88,6 @@ TEST(LoadPlan, MixFractionsAndArrivalsMatchTheOptions) {
   for (const env::LoadEvent& event : plan.events) {
     switch (event.kind) {
       case env::LoadKind::kRevisit:
-        EXPECT_TRUE(event.query.crn);
         EXPECT_EQ(event.query.backend, options.offline_backend);
         break;
       case env::LoadKind::kOnline:
@@ -98,7 +97,8 @@ TEST(LoadPlan, MixFractionsAndArrivalsMatchTheOptions) {
         EXPECT_TRUE(event.query.workload.collect_traces);
         break;
       case env::LoadKind::kFresh:
-        EXPECT_FALSE(event.query.crn);
+        EXPECT_EQ(event.query.backend, options.offline_backend);
+        EXPECT_FALSE(event.query.workload.collect_traces);
         break;
     }
   }
@@ -164,9 +164,11 @@ TEST(LoadPoint, RunsAPlanAgainstAServiceAndMetersReuse) {
   EXPECT_GT(result.achieved_qps, 0.0);
   EXPECT_GT(result.wall_s, 0.0);
 
-  // More revisits than incumbents => some (config, seed) pair repeated, and
-  // every repeat is a CRN-tagged cache hit.
-  EXPECT_GT(result.stats.crn_hits, 0u);
+  // More revisits than incumbents => some (config, seed) pair repeated and
+  // hit the memo; fresh and online queries never repeat a key, so only
+  // revisits hit.
+  EXPECT_GT(result.stats.cache_hits, 0u);
+  EXPECT_LE(result.stats.cache_hits, static_cast<std::uint64_t>(plan.revisits));
   EXPECT_EQ(result.stats.total_queries(),
             static_cast<std::uint64_t>(result.completed));
   EXPECT_EQ(result.stats.online_queries, static_cast<std::uint64_t>(plan.online));

@@ -33,8 +33,8 @@ TEST(Phy, TbsScalesWithPrbsAndMcs) {
 }
 
 TEST(Phy, FullCarrierThroughputMatchesTable1) {
-  // Simulator operating points from DESIGN.md: UL MCS 23 @ 0.55 derate,
-  // DL MCS 27 @ 0.675 -> Table 1's 19.87 / 32.37 Mbps within ~10%.
+  // The simulator's operating points (src/env/profile.cpp): UL MCS 23 @ 0.55
+  // derate, DL MCS 27 @ 0.675 -> Table 1's 19.87 / 32.37 Mbps within ~10%.
   const double ul_mbps = al::tbs_bits(23, 50, 0.55) / 1e3;  // bits per TTI -> Mbps
   const double dl_mbps = al::tbs_bits(27, 50, 0.675) / 1e3;
   EXPECT_NEAR(ul_mbps, 19.87, 2.0);

@@ -130,6 +130,11 @@ TEST(Pipeline, RunStatsExcludeEarlierFarmEvents) {
   std::ostringstream report;
   delta.summary().print(report);
   EXPECT_EQ(report.str().find("overload"), std::string::npos) << report.str();
+  // The end snapshot still holds the hedges, so its report renders the
+  // overload row too (each row must match the header's width).
+  std::ostringstream full;
+  end.summary().print(full);
+  EXPECT_NE(full.str().find("overload"), std::string::npos) << full.str();
 }
 
 TEST(Pipeline, ProgressCallbackSeesEveryStage) {

@@ -57,7 +57,6 @@ ae::EnvQuery random_query(std::mt19937_64& rng) {
   q.workload.random_walk = (rng() % 2) == 0;
   q.workload.extra_users = static_cast<int>(rng() % 7) - 1;
   q.workload.collect_traces = (rng() % 2) == 0;
-  q.crn = (rng() % 2) == 0;
   q.workload.seed = rng();  // full 64-bit range, incl. > 2^53
   if (rng() % 2 == 0) {
     ae::SimParams p;
@@ -147,8 +146,8 @@ ae::BackendStats pinned_backend_stats(std::string name, ae::BackendKind kind,
   atlas::telemetry::HistogramData rtt;
   for (std::uint64_t s = 0; s < base; ++s) rtt.record(100000 + s * 7919);
   return {.name = std::move(name), .kind = kind, .queries = base + 40, .cache_hits = base + 20,
-          .cache_misses = base + 19, .crn_hits = base + 13, .episodes = base + 19,
-          .shedded = base + 1, .deadline_rejected = base + 3, .cost_hint = 1000.0,
+          .cache_misses = base + 19, .episodes = base + 19, .shedded = base + 1,
+          .deadline_rejected = base + 3, .cost_hint = 1000.0,
           .rpc_retries = base + 2, .rpc_failures = base, .rpc_reconnects = base + 4,
           .rpc_rtt_ns = std::move(rtt)};
 }
@@ -161,7 +160,6 @@ ae::EnvServiceStats pinned_stats() {
   stats.online_queries = 7;
   stats.cache_hits = 60;
   stats.cache_misses = 67;
-  stats.crn_hits = 41;
   stats.shed_total = 4;
   stats.deadline_rejected = 2;
   for (std::uint64_t s = 0; s < 20; ++s) stats.query_latency_ns.record(1000 + s * 997);
@@ -171,7 +169,7 @@ ae::EnvServiceStats pinned_stats() {
 }
 
 ae::WorkerAnnounce pinned_announce() {
-  return {.build = "atlas-episode-worker", .wire_version = 6, .threads = 8,
+  return {.build = "atlas-episode-worker", .wire_version = 7, .threads = 8,
           .cache_capacity = 65536,
           .backends = {{.name = "sim-0", .kind = ae::BackendKind::kOffline, .cost_hint = 1000.0,
                         .accepts_sim_params = true, .params_digest = 0xDEADBEEFCAFEF00Dull},
@@ -188,7 +186,6 @@ std::vector<std::vector<std::uint8_t>> pinned_frames() {
       .workload = {.traffic = 2, .duration_ms = 60000.0, .distance_m = 25.0, .random_walk = true,
                    .extra_users = 4, .collect_traces = true, .seed = 0x9E3779B97F4A7C15ull},
       .sim_params = pinned_sim_params(),
-      .crn = true,
       .deadline_ms = 1500.0};
   return {
       ar::encode_query(101, query),
@@ -277,7 +274,6 @@ TEST(RpcCodec, QueryRoundTripsBitIdentically) {
     EXPECT_EQ(back.workload.extra_users, q.workload.extra_users);
     EXPECT_EQ(back.workload.collect_traces, q.workload.collect_traces);
     EXPECT_EQ(back.workload.seed, q.workload.seed);
-    EXPECT_EQ(back.crn, q.crn);
     ASSERT_EQ(back.sim_params.has_value(), q.sim_params.has_value());
     if (q.sim_params) {
       const auto pv = q.sim_params->to_vec();
@@ -343,7 +339,7 @@ TEST(RpcCodec, CorruptedHeadersAreRejected) {
     EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
   }
   // One wire version: every other stamp, older or newer, is rejected.
-  for (const unsigned version : {0u, 3u, 4u, 5u, ar::kWireVersion + 1u, 0x7Fu}) {
+  for (const unsigned version : {0u, 3u, 4u, 5u, 6u, ar::kWireVersion + 1u, 0x7Fu}) {
     auto bad = good;
     bad[4] = static_cast<std::uint8_t>(version);  // u16 version after the u32 magic
     bad[5] = 0;
@@ -386,13 +382,11 @@ TEST(RpcCodec, StatsSnapshotRoundTrips) {
   EXPECT_EQ(back.online_queries, stats.online_queries);
   EXPECT_EQ(back.cache_hits, stats.cache_hits);
   EXPECT_EQ(back.cache_misses, stats.cache_misses);
-  EXPECT_EQ(back.crn_hits, stats.crn_hits);
   ASSERT_EQ(back.backends.size(), stats.backends.size());
   for (std::size_t i = 0; i < stats.backends.size(); ++i) {
     EXPECT_EQ(back.backends[i].name, stats.backends[i].name);
     EXPECT_EQ(back.backends[i].kind, stats.backends[i].kind);
     EXPECT_EQ(back.backends[i].queries, stats.backends[i].queries);
-    EXPECT_EQ(back.backends[i].crn_hits, stats.backends[i].crn_hits);
     EXPECT_EQ(back.backends[i].episodes, stats.backends[i].episodes);
     EXPECT_TRUE(same_bits(back.backends[i].cost_hint, stats.backends[i].cost_hint));
     EXPECT_EQ(back.backends[i].rpc_retries, stats.backends[i].rpc_retries);
@@ -497,25 +491,25 @@ TEST(RpcCodec, V5StatsSnapshotCarriesOverloadCounters) {
   EXPECT_EQ(back.backends[0].rejected(), 4u);
 }
 
-// ---- frame pins: the v6 layout, byte for byte --------------------------------
+// ---- frame pins: the v7 layout, byte for byte --------------------------------
 
 TEST(RpcCodec, FrameBytesArePinnedForEveryMessageType) {
   // FNV-1a of the corpus frame of each message type, in type order. The
-  // values were captured from the v6 encoder; a change here is a wire-format
+  // values were captured from the v7 encoder; a change here is a wire-format
   // change and needs a kWireVersion bump. Each frame must also decode to a
   // message that re-encodes to the same bytes: with the encoder pinned, that
   // proves every decoded field lands where the encoder wrote it.
   const std::vector<std::uint64_t> pinned = {
-      0xc6bab39f776cc377ull,  // kQuery
-      0xc79a8752bc68030cull,  // kResult
-      0x09ece03e9121cb4cull,  // kError
-      0x3dc7352ddcdfebc9ull,  // kStatsRequest
-      0x88b3e2ca5c8522b9ull,  // kStatsSnapshot
-      0xae7f6da84546ac99ull,  // kHello
-      0x599034d66471e8cdull,  // kAnnounce
-      0xecfea8f06c92a891ull,  // kHeartbeat
-      0xc16188e2dbfbda57ull,  // kHeartbeatAck
-      0xa43e161d29dcc021ull,  // kCancel
+      0xb9f50a3eb2232775ull,  // kQuery
+      0x1243d1d75b82ca57ull,  // kResult
+      0x29550e375c1ad75full,  // kError
+      0x073573d03de43b58ull,  // kStatsRequest
+      0x09674778cd53b172ull,  // kStatsSnapshot
+      0xb93bea07ea7873e8ull,  // kHello
+      0xa42b53f8c1f0cbe5ull,  // kAnnounce
+      0x820d358846c69470ull,  // kHeartbeat
+      0x20e083929216b54aull,  // kHeartbeatAck
+      0x394ca2b50410ac00ull,  // kCancel
   };
   const auto frames = pinned_frames();
   ASSERT_EQ(frames.size(), pinned.size());

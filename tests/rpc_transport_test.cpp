@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "env/env_service.hpp"
-#include "env/seed_plan.hpp"
 #include "env/shard_router.hpp"
 #include "rpc/codec.hpp"
 #include "rpc/remote_backend.hpp"
@@ -177,80 +176,17 @@ TEST(RpcLoopback, ConcurrentIdenticalRemoteQueriesKeepExactAccounting) {
   EXPECT_EQ(worker_stats.cache_hits + worker_stats.cache_misses, worker_stats.queries);
   EXPECT_EQ(worker_stats.cache_misses, worker_stats.episodes);
   EXPECT_EQ(worker.service.cache_size(), 1u);
-}
 
-TEST(RpcLoopback, CrnDuplicateRemoteQueriesCountEveryHitAsCrn) {
-  // CRN-planned duplicates racing against a RemoteBackend must behave like
-  // local ones: exact accounting, one remote episode per client miss, and
-  // every memo hit attributed as a crn hit. The rpc_* counters ride the same
-  // BackendStats snapshot, so both families survive the wire round-trip
-  // together.
-  constexpr std::size_t kThreads = 6;
-  LoopbackWorker worker;
-
-  ae::EnvService client(ae::EnvServiceOptions{.threads = 2});
-  ar::RemoteBackendOptions options;
-  options.transport_factory = worker.factory();
-  const auto remote = client.register_backend(std::make_shared<ar::RemoteBackend>(options));
-
-  // One CRN plan, replicates=1: every iteration re-draws the same seed.
-  ae::SeedPlanOptions plan_options;
-  plan_options.policy = ae::SeedPolicy::kCrn;
-  plan_options.replicates = 1;
-  const ae::SeedStream seeds =
-      ae::SeedPlan(21, plan_options).stream(ae::SeedDomain::kStage2Query, 1);
-
-  auto crn_query = [&](std::uint64_t iteration) {
-    ae::EnvQuery q = query(remote, 0);
-    seeds.apply(q, iteration, 0);
-    EXPECT_TRUE(q.crn);
-    return q;
-  };
-
-  std::latch start(kThreads);
-  std::vector<std::thread> threads;
-  std::vector<ae::EpisodeResult> results(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      results[t] = client.run(crn_query(/*iteration=*/t));  // same seed every iter
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (const auto& r : results) EXPECT_EQ(r.latencies_ms, results[0].latencies_ms);
-
-  const auto stats = client.backend_stats(remote);
-  EXPECT_EQ(stats.queries, kThreads);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-  EXPECT_EQ(stats.cache_misses, stats.episodes);
-  EXPECT_EQ(stats.crn_hits, stats.cache_hits)
-      << "every memoized CRN duplicate counts as cross-iteration reuse";
-  EXPECT_EQ(stats.rpc_retries, 0u);
-  EXPECT_EQ(stats.rpc_failures, 0u);
-  EXPECT_EQ(client.cache_size(), 1u);
-  const auto racing = worker.service.backend_stats(worker.sim);
-  EXPECT_EQ(racing.queries, stats.episodes);
-  EXPECT_EQ(racing.crn_hits, racing.cache_hits);
-  EXPECT_EQ(worker.service.cache_size(), 1u);
-
-  // The crn TAG itself must cross the wire: a second client sending the same
-  // CRN query makes the WORKER-side cache serve it, and the worker attributes
-  // the hit as CRN reuse — provable only if the flag survived encoding.
+  // A second client's duplicate is served from the WORKER-side memo: one
+  // more hit there, no new episode, the same bits.
   ar::RemoteBackendOptions second;
   second.transport_factory = worker.factory();
   ar::RemoteBackend direct(second);
-  const auto replay = direct.execute(crn_query(/*iteration=*/99));
+  const auto replay = direct.execute(query(remote, 7));
   EXPECT_EQ(replay.latencies_ms, results[0].latencies_ms);
-  const auto worker_stats = worker.service.backend_stats(worker.sim);
-  EXPECT_EQ(worker_stats.episodes, racing.episodes) << "the replay ran no episode";
-  EXPECT_EQ(worker_stats.crn_hits, racing.crn_hits + 1)
-      << "the crn tag must survive the codec round-trip";
-
-  // reset_stats clears the crn accounting alongside the rpc counters.
-  client.reset_stats();
-  const auto cleared = client.backend_stats(remote);
-  EXPECT_EQ(cleared.crn_hits, 0u);
-  EXPECT_EQ(cleared.rpc_retries, 0u);
+  const auto replayed = worker.service.backend_stats(worker.sim);
+  EXPECT_EQ(replayed.episodes, worker_stats.episodes) << "the replay ran no episode";
+  EXPECT_EQ(replayed.cache_hits, worker_stats.cache_hits + 1);
 }
 
 TEST(RpcLoopback, WorkerErrorsSurfaceAsRpcErrorWithoutRetry) {
@@ -317,6 +253,9 @@ TEST(RpcLoopback, TimeoutsRetryThenFailWithAccounting) {
   EXPECT_THROW((void)backend.execute(query(0, 1)), ar::RpcError);
   EXPECT_EQ(backend.rpc_retries(), 2u);  // attempts 2 and 3
   EXPECT_EQ(backend.rpc_failures(), 1u);
+  backend.reset_stats();
+  EXPECT_EQ(backend.rpc_retries(), 0u) << "reset_stats clears the rpc counters";
+  EXPECT_EQ(backend.rpc_failures(), 0u);
 
   // A METERED backend must be at-most-once: the sent query may already be
   // running a real interaction on the worker, so a timeout fails immediately
@@ -524,20 +463,21 @@ TEST(RpcLoopback, CancelledRequestIsDroppedWithoutAResponse) {
 }
 
 TEST(RpcLoopback, OtherWireVersionIsRejectedAndTheConnectionKeepsServing) {
-  // A v5 peer's query: the v6 frame stamped version 5, with the u8 priority
-  // byte v6 dropped appended again. The worker speaks v6 only, so it answers
-  // with an error naming the version instead of running the episode, and the
-  // next v6 query on the same connection is served as usual.
+  // A v6 peer's query: the v7 frame stamped version 6, with the u8
+  // common-random-numbers tag v7 dropped put back in front of the trailing
+  // f64 deadline. The worker speaks v7 only, so it answers with an error
+  // naming the version instead of running the episode, and the next v7 query
+  // on the same connection is served as usual.
   LoopbackWorker worker;
   auto [client_end, server_end] = ar::make_loopback_pair();
   std::shared_ptr<ar::Transport> remote{std::move(server_end)};
   std::thread serve([&worker, remote] { worker.server.serve(*remote); });
 
-  auto v5_query = ar::encode_query(7, query(0, 70));
-  v5_query[4] = 5;  // u16 version after the u32 magic
-  v5_query[5] = 0;
-  v5_query.push_back(1);  // v5's priority byte (normal)
-  client_end->send(v5_query);
+  auto v6_query = ar::encode_query(7, query(0, 70));
+  v6_query[4] = 6;  // u16 version after the u32 magic
+  v6_query[5] = 0;
+  v6_query.insert(v6_query.end() - 8, std::uint8_t{0});  // v6's tag byte (untagged)
+  client_end->send(v6_query);
 
   std::vector<std::uint8_t> frame;
   ASSERT_TRUE(client_end->recv(frame));
@@ -546,7 +486,7 @@ TEST(RpcLoopback, OtherWireVersionIsRejectedAndTheConnectionKeepsServing) {
     ASSERT_EQ(ar::decode_header(reader).type, ar::MsgType::kError);
     const std::string message = ar::decode_error_body(reader);
     EXPECT_NE(message.find("version"), std::string::npos) << message;
-    EXPECT_NE(message.find("v5"), std::string::npos) << message;
+    EXPECT_NE(message.find("v6"), std::string::npos) << message;
   }
 
   client_end->send(ar::encode_query(8, query(0, 80)));
@@ -563,5 +503,5 @@ TEST(RpcLoopback, OtherWireVersionIsRejectedAndTheConnectionKeepsServing) {
 
   client_end->close();
   serve.join();
-  EXPECT_EQ(worker.service.backend_stats(0).episodes, 1u) << "only the v6 query executed";
+  EXPECT_EQ(worker.service.backend_stats(0).episodes, 1u) << "only the v7 query executed";
 }

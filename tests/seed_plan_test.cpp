@@ -1,34 +1,19 @@
-// SeedPlan unit tests: the plan is a pure function of (master seed, options,
-// domain, iteration, replicate) — these pin its determinism, the policy
-// boundaries (fresh / crn / crn_rotating, online domains), and the rotation
-// schedule, so the golden_stage_test's bit-identity guarantee rests on a
-// stable contract rather than on luck.
+// SeedPlan unit tests: the plan is a pure function of (master seed, domain,
+// iteration, replicate) — these pin its determinism and every domain's
+// historical counter, so the golden_stage_test's bit-identity guarantee
+// rests on a stable contract rather than on luck.
 
 #include <gtest/gtest.h>
 
 #include <set>
-#include <vector>
 
 #include "env/seed_plan.hpp"
 
 namespace ae = atlas::env;
 
-namespace {
-
-ae::SeedPlanOptions crn(std::size_t replicates, std::size_t rotation = 25,
-                        ae::SeedPolicy policy = ae::SeedPolicy::kCrn) {
-  ae::SeedPlanOptions o;
-  o.policy = policy;
-  o.replicates = replicates;
-  o.rotation_period = rotation;
-  return o;
-}
-
-}  // namespace
-
 TEST(SeedPlan, IsAPureFunctionOfItsInputs) {
-  const ae::SeedPlan a(42, crn(4, 10, ae::SeedPolicy::kCrnRotating));
-  const ae::SeedPlan b(42, crn(4, 10, ae::SeedPolicy::kCrnRotating));
+  const ae::SeedPlan a(42);
+  const ae::SeedPlan b(42);
   for (std::uint64_t iter = 0; iter < 30; ++iter) {
     for (std::uint64_t rep = 0; rep < 6; ++rep) {
       EXPECT_EQ(a.episode_seed(ae::SeedDomain::kStage2Query, iter, rep, 6),
@@ -39,10 +24,10 @@ TEST(SeedPlan, IsAPureFunctionOfItsInputs) {
 
 TEST(SeedPlan, FreshReproducesTheHistoricalCounters) {
   // The pre-SeedPlan stages seeded as `master * prime + linear_counter`;
-  // fresh must reproduce those sequences exactly (golden_stage_test pins the
-  // downstream results, this pins the formula itself).
+  // the plan must reproduce those sequences exactly (golden_stage_test pins
+  // the downstream results, this pins the formula itself).
   const std::uint64_t master = 7;
-  const ae::SeedPlan plan(master);  // default policy: fresh
+  const ae::SeedPlan plan(master);
 
   // Stage 2: seed * 15485863 + (iter * batch + slot), batch = 3.
   const ae::SeedStream stage2 = plan.stream(ae::SeedDomain::kStage2Query, 3);
@@ -65,6 +50,38 @@ TEST(SeedPlan, FreshReproducesTheHistoricalCounters) {
             master * 49979687ULL + 5);
   EXPECT_EQ(plan.episode_seed(ae::SeedDomain::kBaselineGpOnline, 9, 0, 1),
             master * 7177162611ULL + 9);
+
+  // Every domain's salt and offset, spelled out: seed = master * salt +
+  // offset + iteration * replicates_per_iteration + replicate (mod 2^64).
+  const struct {
+    ae::SeedDomain domain;
+    std::uint64_t salt;
+    std::uint64_t offset;
+  } kDomains[] = {
+      {ae::SeedDomain::kStage1Query, 104729ULL, 0},
+      {ae::SeedDomain::kStage1Reference, 13ULL, 1},
+      {ae::SeedDomain::kStage1RealCollectOnline, 7919ULL, 0},
+      {ae::SeedDomain::kStage2Query, 15485863ULL, 0},
+      {ae::SeedDomain::kStage3Sim, 32452843ULL, 1},
+      {ae::SeedDomain::kStage3RealOnline, 49979687ULL, 0},
+      {ae::SeedDomain::kBaselineGpOnline, 7177162611ULL, 0},
+      {ae::SeedDomain::kBaselineDldaGrid, 83492791ULL, 0},
+      {ae::SeedDomain::kBaselineDldaOnline, 15487469ULL, 0},
+      {ae::SeedDomain::kBaselineVirtualEdgeOnline, 86028121ULL, 0},
+  };
+  // Master 0 isolates the offset, 1 adds the salt once, and a master past
+  // 2^63 pins the unsigned wrap-around.
+  for (const std::uint64_t m : {0ULL, 1ULL, 7ULL, (1ULL << 63) + 3}) {
+    const ae::SeedPlan p(m);
+    for (const auto& d : kDomains) {
+      const std::uint64_t base = m * d.salt + d.offset;
+      EXPECT_EQ(p.episode_seed(d.domain, 0, 0, 1), base) << "master " << m;
+      EXPECT_EQ(p.episode_seed(d.domain, 3, 2, 5), base + 3 * 5 + 2) << "master " << m;
+      EXPECT_EQ(p.stream(d.domain, 4).seed(6, 1), base + 6 * 4 + 1) << "master " << m;
+      // A stream floors zero replicates per iteration to one.
+      EXPECT_EQ(p.stream(d.domain, 0).seed(9, 0), base + 9) << "master " << m;
+    }
+  }
 }
 
 TEST(SeedPlan, FreshNeverRepeatsASeedWithinADomain) {
@@ -77,119 +94,11 @@ TEST(SeedPlan, FreshNeverRepeatsASeedWithinADomain) {
           << "iter " << iter << " rep " << rep;
     }
   }
-  EXPECT_FALSE(seeds.crn_active());
 }
 
-TEST(SeedPlan, CrnReusesTheSameBlockEveryIteration) {
-  const ae::SeedPlan plan(5, crn(/*replicates=*/3));
-  const ae::SeedStream seeds = plan.stream(ae::SeedDomain::kStage2Query, 8);
-  EXPECT_TRUE(seeds.crn_active());
-
-  // The block has exactly `replicates` distinct seeds...
-  std::set<std::uint64_t> block;
-  for (std::uint64_t rep = 0; rep < 8; ++rep) block.insert(seeds.seed(0, rep));
-  EXPECT_EQ(block.size(), 3u);
-
-  // ...replicate slots wrap modulo the block...
-  EXPECT_EQ(seeds.seed(0, 0), seeds.seed(0, 3));
-  EXPECT_EQ(seeds.seed(0, 2), seeds.seed(0, 5));
-
-  // ...and every iteration sees the identical block (the CRN pairing).
-  for (std::uint64_t iter = 1; iter < 50; ++iter) {
-    for (std::uint64_t rep = 0; rep < 3; ++rep) {
-      EXPECT_EQ(seeds.seed(iter, rep), seeds.seed(0, rep));
-    }
-  }
-}
-
-TEST(SeedPlan, RotatingBlocksChangeExactlyAtThePeriodBoundary) {
-  const std::size_t kPeriod = 4;
-  const std::size_t kReplicates = 2;
-  const ae::SeedPlan plan(3, crn(kReplicates, kPeriod, ae::SeedPolicy::kCrnRotating));
-  const ae::SeedStream seeds = plan.stream(ae::SeedDomain::kStage2Query, kReplicates);
-  EXPECT_TRUE(seeds.crn_active());
-
-  for (std::uint64_t iter = 0; iter < 20; ++iter) {
-    for (std::uint64_t rep = 0; rep < kReplicates; ++rep) {
-      // Identical to the first iteration of the same block...
-      const std::uint64_t block_start = (iter / kPeriod) * kPeriod;
-      EXPECT_EQ(seeds.seed(iter, rep), seeds.seed(block_start, rep));
-      // ...and different from the previous block's same slot.
-      if (iter >= kPeriod) {
-        EXPECT_NE(seeds.seed(iter, rep), seeds.seed(iter - kPeriod, rep));
-      }
-    }
-  }
-
-  // Consecutive blocks cover disjoint seed spans.
-  std::set<std::uint64_t> all;
-  for (std::uint64_t block = 0; block < 5; ++block) {
-    for (std::uint64_t rep = 0; rep < kReplicates; ++rep) {
-      EXPECT_TRUE(all.insert(seeds.seed(block * kPeriod, rep)).second);
-    }
-  }
-}
-
-TEST(SeedPlan, OnlineDomainsAreImmuneToThePolicy) {
-  // A metered live network cannot replay randomness: whatever the policy,
-  // online domains sequence fresh and never get the crn tag.
-  const ae::SeedPlan fresh(9);
-  const ae::SeedPlan crn_plan(9, crn(1));
-  for (const auto domain :
-       {ae::SeedDomain::kStage1RealCollectOnline, ae::SeedDomain::kStage3RealOnline,
-        ae::SeedDomain::kBaselineGpOnline, ae::SeedDomain::kBaselineDldaOnline,
-        ae::SeedDomain::kBaselineVirtualEdgeOnline}) {
-    EXPECT_FALSE(crn_plan.crn_active(domain));
-    for (std::uint64_t iter = 0; iter < 10; ++iter) {
-      EXPECT_EQ(crn_plan.episode_seed(domain, iter, 0, 1),
-                fresh.episode_seed(domain, iter, 0, 1));
-    }
-  }
-  // Offline domains DO follow the policy.
-  EXPECT_TRUE(crn_plan.crn_active(ae::SeedDomain::kStage2Query));
-  EXPECT_TRUE(crn_plan.crn_active(ae::SeedDomain::kBaselineDldaGrid));
-  EXPECT_FALSE(fresh.crn_active(ae::SeedDomain::kStage2Query));
-}
-
-TEST(SeedPlan, ApplyTagsOnlyCrnPlannedOfflineQueries) {
+TEST(SeedPlan, ApplyWritesTheStreamSeed) {
   ae::EnvQuery q;
-  const ae::SeedPlan crn_plan(2, crn(1));
-
-  crn_plan.stream(ae::SeedDomain::kStage2Query, 4).apply(q, 3, 1);
-  EXPECT_TRUE(q.crn);
-  EXPECT_EQ(q.workload.seed, crn_plan.episode_seed(ae::SeedDomain::kStage2Query, 3, 1, 4));
-
-  crn_plan.stream(ae::SeedDomain::kStage3RealOnline, 1).apply(q, 3, 0);
-  EXPECT_FALSE(q.crn) << "online queries must never carry the crn tag";
-
-  const ae::SeedPlan fresh(2);
-  fresh.stream(ae::SeedDomain::kStage2Query, 4).apply(q, 3, 1);
-  EXPECT_FALSE(q.crn) << "fresh-planned queries must never carry the crn tag";
-}
-
-TEST(SeedPlan, DegenerateOptionsAreNormalized) {
-  // replicates/rotation_period of 0 would divide by zero; the plan floors
-  // them to 1 instead of making callers guard.
-  ae::SeedPlanOptions zero;
-  zero.policy = ae::SeedPolicy::kCrnRotating;
-  zero.replicates = 0;
-  zero.rotation_period = 0;
-  const ae::SeedPlan plan(1, zero);
-  EXPECT_EQ(plan.options().replicates, 1u);
-  EXPECT_EQ(plan.options().rotation_period, 1u);
-  // rotation 1 + block 1: every iteration is its own block -> fresh-like
-  // sequence of one seed per iteration, no crash.
-  EXPECT_NE(plan.episode_seed(ae::SeedDomain::kStage2Query, 0, 0, 1),
-            plan.episode_seed(ae::SeedDomain::kStage2Query, 1, 0, 1));
-}
-
-TEST(SeedPlan, PolicyNamesRoundTrip) {
-  for (const auto policy :
-       {ae::SeedPolicy::kFresh, ae::SeedPolicy::kCrn, ae::SeedPolicy::kCrnRotating}) {
-    const auto parsed = ae::parse_seed_policy(ae::seed_policy_name(policy));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, policy);
-  }
-  EXPECT_FALSE(ae::parse_seed_policy("").has_value());
-  EXPECT_FALSE(ae::parse_seed_policy("coupon-collector").has_value());
+  const ae::SeedPlan plan(2);
+  plan.stream(ae::SeedDomain::kStage2Query, 4).apply(q, 3, 1);
+  EXPECT_EQ(q.workload.seed, plan.episode_seed(ae::SeedDomain::kStage2Query, 3, 1, 4));
 }

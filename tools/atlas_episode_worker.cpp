@@ -39,14 +39,14 @@
 #include <exception>
 #include <string>
 
+#include "common/flag_parse.hpp"
 #include "env/env_service.hpp"
-#include "flag_parse.hpp"
 #include "rpc/codec.hpp"
 #include "rpc/server.hpp"
 
 namespace {
 
-using atlas::tools::parse_integer;
+using atlas::common::parse_integer;
 
 struct WorkerOptions {
   std::uint16_t port = 0;
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
   WorkerOptions options;
   try {
     options = parse_args(argc, argv);
-  } catch (const atlas::tools::FlagError& e) {
+  } catch (const atlas::common::FlagError& e) {
     usage_error(argv[0], e.what());
   }
   try {

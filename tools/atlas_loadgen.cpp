@@ -1,7 +1,7 @@
 // atlas_loadgen: open-loop (Poisson-arrival) load generator for the serving
 // stack. Drives an EnvClient — an in-process ShardRouter, a remote episode
 // worker, or both — at a sweep of offered QPS points with a realistic query
-// mix (CRN revisits, metered online queries, trace-heavy episodes, fresh
+// mix (incumbent revisits, metered online queries, trace-heavy episodes, fresh
 // exploration), measures coordinated-omission-free latency quantiles, finds
 // the saturation rate, and writes BENCH_serving.json.
 //
@@ -81,13 +81,13 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/flag_parse.hpp"
 #include "env/env_service.hpp"
 #include "env/environment.hpp"
 #include "env/farm_controller.hpp"
 #include "env/fault_injection.hpp"
 #include "env/loadgen.hpp"
 #include "env/shard_router.hpp"
-#include "flag_parse.hpp"
 #include "rpc/remote_backend.hpp"
 #include "rpc/server.hpp"
 #include "rpc/worker_control.hpp"
@@ -95,9 +95,9 @@
 
 namespace {
 
-using atlas::tools::FlagError;
-using atlas::tools::parse_double;
-using atlas::tools::parse_integer;
+using atlas::common::FlagError;
+using atlas::common::parse_double;
+using atlas::common::parse_integer;
 
 struct LoadgenOptions {
   std::string topology = "inproc";
@@ -513,7 +513,6 @@ void write_point_json(atlas::telemetry::JsonWriter& json, const PointRow& row) {
   json.field("wall_s", row.result.wall_s);
   json.field("episodes_per_sec", episodes_per_sec(row));
   json.field("cache_hit_rate", row.result.stats.hit_rate());
-  json.field("crn_hit_rate", row.result.stats.crn_hit_rate());
   json.key("mix");
   json.begin_object();
   json.field("revisit", static_cast<std::uint64_t>(row.plan.revisits));
