@@ -70,7 +70,6 @@ Vec SimCalibrator::collect_real_latencies() const {
 }
 
 double SimCalibrator::discrepancy_from(const env::EpisodeResult& episode) const {
-  if (episode.is_rejected()) throw env::QueryRejected(episode.rejected);
   if (episode.latencies_ms.empty()) return math::kl_discrete({1.0}, {1.0}) + 10.0;
   return math::kl_divergence(d_real_, episode.latencies_ms, options_.kl);
 }

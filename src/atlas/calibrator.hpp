@@ -93,7 +93,6 @@ class SimCalibrator {
  private:
   math::Vec collect_real_latencies() const;
   /// KL(D_r || episode latencies); an episode with no frames scores KL + 10.
-  /// Throws env::QueryRejected when no episode ran.
   double discrepancy_from(const env::EpisodeResult& episode) const;
 
   env::EnvClient& service_;

@@ -49,15 +49,6 @@ struct EnvQuery {
   SliceConfig config;
   Workload workload;
   std::optional<SimParams> sim_params;
-  /// Relative deadline budget in milliseconds, measured from the moment the
-  /// query enters a service (0 = no deadline). If it elapses before the
-  /// episode starts executing, the service returns a typed
-  /// RejectReason::kDeadlineExceeded result instead of stale work; remote
-  /// backends additionally cap their RPC wait at the remaining budget and
-  /// propagate it over the wire (v5 field) so the worker can drop
-  /// already-dead queries from ITS queue too. Not part of the memoization
-  /// key — it shapes serving, not the episode.
-  double deadline_ms = 0.0;
 };
 
 /// Per-backend accounting. `queries` counts everything routed through the
@@ -70,11 +61,6 @@ struct BackendStats {
   std::uint64_t cache_hits = 0;    ///< Served from the memo table.
   std::uint64_t cache_misses = 0;  ///< Cacheable queries the memo did not answer.
   std::uint64_t episodes = 0;      ///< Environment executions.
-  /// Queries answered with a typed rejection instead of an episode. For
-  /// cacheable workloads the exact-accounting invariant extends to
-  /// `cache_hits + cache_misses + shedded + deadline_rejected == queries`.
-  std::uint64_t shedded = 0;            ///< Load-shed at admission (watermark).
-  std::uint64_t deadline_rejected = 0;  ///< Deadline elapsed before execution.
   double cost_hint = 1.0;          ///< Relative episode recomputation cost.
   std::uint64_t rpc_retries = 0;   ///< Transport-level retries (remote backends only).
   std::uint64_t rpc_failures = 0;  ///< Queries that exhausted retries or hard-failed remotely.
@@ -83,8 +69,8 @@ struct BackendStats {
   /// backends only; empty for local ones). Filled by fill_stats.
   telemetry::HistogramData rpc_rtt_ns;
 
-  /// Total typed rejections (shed + deadline).
-  std::uint64_t rejected() const noexcept { return shedded + deadline_rejected; }
+  /// Always 0: no query is refused. Kept only because pipebench reads it.
+  std::uint64_t rejected() const noexcept { return 0; }
 };
 
 /// The polymorphic execution target behind a `BackendId`: an in-process

@@ -88,8 +88,6 @@ void EnvServiceStats::add_backend(BackendStats backend) {
   }
   cache_hits += backend.cache_hits;
   cache_misses += backend.cache_misses;
-  shed_total += backend.shedded;
-  deadline_rejected += backend.deadline_rejected;
   backends.push_back(std::move(backend));
 }
 
@@ -102,8 +100,6 @@ EnvServiceStats EnvServiceStats::since(const EnvServiceStats& start) const {
     b.cache_hits -= s.cache_hits;
     b.cache_misses -= s.cache_misses;
     b.episodes -= s.episodes;
-    b.shedded -= s.shedded;
-    b.deadline_rejected -= s.deadline_rejected;
     b.rpc_retries -= s.rpc_retries;
     b.rpc_failures -= s.rpc_failures;
     b.rpc_reconnects -= s.rpc_reconnects;
@@ -113,8 +109,6 @@ EnvServiceStats EnvServiceStats::since(const EnvServiceStats& start) const {
   delta.online_queries -= start.online_queries;
   delta.cache_hits -= start.cache_hits;
   delta.cache_misses -= start.cache_misses;
-  delta.shed_total -= start.shed_total;
-  delta.deadline_rejected -= start.deadline_rejected;
   FarmView& farm = delta.farm;
   farm.workers_joined -= start.farm.workers_joined;
   farm.workers_lost -= start.farm.workers_lost;
@@ -140,55 +134,57 @@ std::string quantile_ms(const telemetry::HistogramData& histogram, double q) {
 }  // namespace
 
 common::Table EnvServiceStats::summary() const {
-  common::Table table({"backend", "kind", "cost", "queries", "hits", "episodes", "shed",
-                       "rpc retries", "rpc failures", "rpc p50 ms", "rpc p99 ms"});
+  std::vector<std::string> header = {"backend", "kind", "cost", "queries", "hits", "episodes",
+                                     "rpc retries", "rpc failures", "rpc p50 ms", "rpc p99 ms"};
+  const std::size_t width = header.size();
+  common::Table table(std::move(header));
+  // Footer rows fill their leading cells only; the rest of the width is
+  // blank, so a column change is an edit to the header and the full rows.
+  const auto add_footer = [&table, width](std::vector<std::string> cells) {
+    if (cells.size() < width) cells.resize(width);
+    table.add_row(std::move(cells));
+  };
   for (const BackendStats& b : backends) {
     table.add_row({b.name, b.kind == BackendKind::kOnline ? "online" : "offline",
                    common::fmt(b.cost_hint, 0), std::to_string(b.queries),
                    std::to_string(b.cache_hits), std::to_string(b.episodes),
-                   std::to_string(b.rejected()), std::to_string(b.rpc_retries),
-                   std::to_string(b.rpc_failures), quantile_ms(b.rpc_rtt_ns, 0.50),
-                   quantile_ms(b.rpc_rtt_ns, 0.99)});
+                   std::to_string(b.rpc_retries), std::to_string(b.rpc_failures),
+                   quantile_ms(b.rpc_rtt_ns, 0.50), quantile_ms(b.rpc_rtt_ns, 0.99)});
   }
   std::uint64_t episodes = 0;
-  std::uint64_t rejected = 0;
   std::uint64_t retries = 0;
   std::uint64_t failures = 0;
   std::uint64_t reconnects = 0;
   telemetry::HistogramData rtt;
   for (const BackendStats& b : backends) {
     episodes += b.episodes;
-    rejected += b.rejected();
     retries += b.rpc_retries;
     failures += b.rpc_failures;
     reconnects += b.rpc_reconnects;
     rtt.merge(b.rpc_rtt_ns);
   }
   table.add_row({"TOTAL", "", "", std::to_string(total_queries()), std::to_string(cache_hits),
-                 std::to_string(episodes), std::to_string(rejected), std::to_string(retries),
-                 std::to_string(failures), quantile_ms(rtt, 0.50), quantile_ms(rtt, 0.99)});
+                 std::to_string(episodes), std::to_string(retries), std::to_string(failures),
+                 quantile_ms(rtt, 0.50), quantile_ms(rtt, 0.99)});
   // Service-level serving latency: what a caller of run()/submit() saw,
   // including cache hits (that's the point — the service IS the product).
-  table.add_row({"query latency", "p50 " + quantile_ms(query_latency_ns, 0.50) + " ms",
-                 "p99 " + quantile_ms(query_latency_ns, 0.99) + " ms",
-                 "p999 " + quantile_ms(query_latency_ns, 0.999) + " ms",
-                 "max " + quantile_ms(query_latency_ns, 1.0) + " ms", "", "", "", "", "", ""});
+  add_footer({"query latency", "p50 " + quantile_ms(query_latency_ns, 0.50) + " ms",
+              "p99 " + quantile_ms(query_latency_ns, 0.99) + " ms",
+              "p999 " + quantile_ms(query_latency_ns, 0.999) + " ms",
+              "max " + quantile_ms(query_latency_ns, 1.0) + " ms"});
   if (farm.active) {
-    table.add_row({"farm", "serving " + std::to_string(farm.workers_serving),
-                   "suspect " + std::to_string(farm.workers_suspect),
-                   "joined " + std::to_string(farm.workers_joined),
-                   "lost " + std::to_string(farm.workers_lost),
-                   "redispatched " + std::to_string(farm.episodes_redispatched), "", "", "", "",
-                   ""});
+    add_footer({"farm", "serving " + std::to_string(farm.workers_serving),
+                "suspect " + std::to_string(farm.workers_suspect),
+                "joined " + std::to_string(farm.workers_joined),
+                "lost " + std::to_string(farm.workers_lost),
+                "redispatched " + std::to_string(farm.episodes_redispatched)});
   }
-  // Degradation visibility: only rendered once any overload/fault machinery
-  // has fired, so quiet deployments keep the familiar table.
-  if (farm.hedges > 0 || reconnects > 0 || shed_total > 0 || deadline_rejected > 0) {
-    table.add_row({"overload", "hedges " + std::to_string(farm.hedges),
-                   "hedge wins " + std::to_string(farm.hedge_wins),
-                   "reconnects " + std::to_string(reconnects),
-                   "shed " + std::to_string(shed_total),
-                   "deadline " + std::to_string(deadline_rejected), "", "", "", "", ""});
+  // Degradation visibility: only rendered once a hedge or a reconnect has
+  // happened, so quiet deployments keep the familiar table.
+  if (farm.hedges > 0 || reconnects > 0) {
+    add_footer({"overload", "hedges " + std::to_string(farm.hedges),
+                "hedge wins " + std::to_string(farm.hedge_wins),
+                "reconnects " + std::to_string(reconnects)});
   }
   return table;
 }

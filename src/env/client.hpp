@@ -46,8 +46,8 @@ class QueryHandle {
 /// The FarmController's own counters (FarmState: membership, re-dispatches,
 /// hedges), filled when a controller is attached to the reporting
 /// ShardRouter (env/farm_controller.hpp). Client-side bookkeeping — not part
-/// of the wire stats snapshot. Reconnects and sheds are counted in
-/// the backend rows only.
+/// of the wire stats snapshot. Reconnects are counted in the backend rows
+/// only.
 struct FarmView {
   bool active = false;  ///< a FarmController is (or was) attached
   std::uint64_t workers = 0;          ///< workers ever admitted
@@ -71,11 +71,6 @@ struct EnvServiceStats {
   std::uint64_t online_queries = 0;   ///< Metered real-network interactions.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Typed rejections under overload protection: queries answered with a
-  /// RejectReason instead of an episode (counted in *_queries too, so
-  /// hits + misses + rejections == queries stays exact for cacheable loads).
-  std::uint64_t shed_total = 0;         ///< admission-watermark sheds
-  std::uint64_t deadline_rejected = 0;  ///< deadlines that elapsed pre-execution
   /// Serving telemetry (src/telemetry/), merged across shards by ShardRouter:
   /// per-query service latency (cache hits and episode executions alike) and
   /// the queue depth observed at each submission/run, both always-on.

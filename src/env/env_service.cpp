@@ -180,14 +180,10 @@ void EnvService::evict_locked(CacheShard& shard) {
 /// miss at the same time both execute and both count a miss; the later insert
 /// finds the entry present and leaves it (backends are deterministic per
 /// seed, so both results are bit-identical).
-///
-/// A backend may answer with a typed rejection (a remote worker shed the
-/// query, or its deadline died in the worker's queue): no episode ran, and
-/// memoizing it would replay the rejection to every future asker.
 EpisodeResult EnvService::run_memoized(Backend& backend, const EnvQuery& query) {
   QueryKey key = make_key(query);
   // A key holding a NaN or infinity is neither looked up nor stored; it still
-  // counts a miss, so hits + misses + rejected == queries holds.
+  // counts a miss, so hits + misses == queries holds.
   CacheShard* shard = nullptr;
   if (all_finite(key.values)) {
     shard = &shard_for(QueryKeyHash{}(key));
@@ -203,7 +199,6 @@ EpisodeResult EnvService::run_memoized(Backend& backend, const EnvQuery& query) 
 
   backend.cache_misses.fetch_add(1, std::memory_order_relaxed);
   EpisodeResult result = backend.impl->execute(query);
-  if (result.is_rejected()) return result;
   backend.episodes.fetch_add(1, std::memory_order_relaxed);
   if (shard != nullptr) {
     std::scoped_lock lock(shard->mutex);
@@ -219,31 +214,7 @@ EpisodeResult EnvService::run_memoized(Backend& backend, const EnvQuery& query) 
   return result;
 }
 
-RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query,
-                                         std::chrono::steady_clock::time_point arrival) {
-  // A deadline that elapsed while the query sat in the submit queue takes
-  // precedence: the caller stopped wanting this result, shed or not.
-  if (query.deadline_ms > 0.0) {
-    const double waited_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - arrival)
-            .count();
-    if (waited_ms >= query.deadline_ms) {
-      backend.deadline_rejected.fetch_add(1, std::memory_order_relaxed);
-      return RejectReason::kDeadlineExceeded;
-    }
-  }
-  // Watermark shedding applies to offline work only: metered queries were
-  // deliberately spent and must reach the network.
-  if (options_.shed_watermark > 0 && backend.impl->kind() == BackendKind::kOffline &&
-      outstanding_queries() >= options_.shed_watermark) {
-    backend.shedded.fetch_add(1, std::memory_order_relaxed);
-    return RejectReason::kShedded;
-  }
-  return RejectReason::kNone;
-}
-
-EpisodeResult EnvService::run_impl(const EnvQuery& query,
-                                   std::chrono::steady_clock::time_point arrival) {
+EpisodeResult EnvService::run_impl(const EnvQuery& query) {
   Backend& backend = backend_at(query.backend);
   if (query.sim_params && !backend.impl->accepts_sim_params()) {
     // An override replaces the episode's profile wholesale; allowing it on a
@@ -255,17 +226,6 @@ EpisodeResult EnvService::run_impl(const EnvQuery& query,
   }
   backend.queries.fetch_add(1, std::memory_order_relaxed);
 
-  // Overload protection: shed or deadline-expire BEFORE paying any execution
-  // or cache cost. Rejections are typed results, never cached, and keep the
-  // accounting exact: hits + misses + rejected() == queries for cacheable
-  // workloads, episodes + rejected() == queries for uncached ones.
-  if (const RejectReason reason = admission_check(backend, query, arrival);
-      reason != RejectReason::kNone) {
-    EpisodeResult rejected;
-    rejected.rejected = reason;
-    return rejected;
-  }
-
   // Tracing episodes carry per-frame payloads and are observational; keep
   // them out of the memo table. With caching disabled (capacity 0) there is
   // no table to consult at all: no lock, no phantom miss counters.
@@ -276,14 +236,13 @@ EpisodeResult EnvService::run_impl(const EnvQuery& query,
   }
 
   EpisodeResult result = backend.impl->execute(query);
-  if (!result.is_rejected()) backend.episodes.fetch_add(1, std::memory_order_relaxed);
+  backend.episodes.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
-EpisodeResult EnvService::run_timed(const EnvQuery& query,
-                                    std::chrono::steady_clock::time_point arrival) {
+EpisodeResult EnvService::run_timed(const EnvQuery& query) {
   const auto start = std::chrono::steady_clock::now();
-  EpisodeResult result = run_impl(query, arrival);
+  EpisodeResult result = run_impl(query);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   query_latency_.record(static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
@@ -293,7 +252,7 @@ EpisodeResult EnvService::run_timed(const EnvQuery& query,
 EpisodeResult EnvService::run(const EnvQuery& query) {
   OutstandingGuard guard(outstanding_);
   queue_depth_.record(outstanding_queries());
-  return run_timed(query, std::chrono::steady_clock::now());
+  return run_timed(query);
 }
 
 QueryHandle EnvService::submit(EnvQuery query) {
@@ -307,16 +266,12 @@ QueryHandle EnvService::submit(EnvQuery query) {
   queue_depth_.record(outstanding_queries());
   std::future<EpisodeResult> future;
   try {
-    // Deadlines are measured from SUBMISSION: time spent queued behind other
-    // work counts against the budget, which is exactly the staleness a
-    // deadline protects against.
-    const auto arrival = std::chrono::steady_clock::now();
-    future = pool_.submit([this, arrival, q = std::move(query)] {
+    future = pool_.submit([this, q = std::move(query)] {
       struct Release {
         std::atomic<std::int64_t>* counter;
         ~Release() { counter->fetch_sub(1, std::memory_order_relaxed); }
       } release{&outstanding_};
-      return run_timed(q, arrival);
+      return run_timed(q);
     });
   } catch (...) {
     // The task never enqueued, so its Release will never run; a leaked
@@ -347,8 +302,6 @@ BackendStats EnvService::backend_stats(BackendId id) const {
   stats.cache_hits = backend.cache_hits.load(std::memory_order_relaxed);
   stats.cache_misses = backend.cache_misses.load(std::memory_order_relaxed);
   stats.episodes = backend.episodes.load(std::memory_order_relaxed);
-  stats.shedded = backend.shedded.load(std::memory_order_relaxed);
-  stats.deadline_rejected = backend.deadline_rejected.load(std::memory_order_relaxed);
   stats.cost_hint = backend.impl->cost_hint();
   backend.impl->fill_stats(stats);  // rpc retries/failures for remote backends
   return stats;
@@ -373,8 +326,6 @@ void EnvService::reset_stats() {
     backend->cache_hits.store(0, std::memory_order_relaxed);
     backend->cache_misses.store(0, std::memory_order_relaxed);
     backend->episodes.store(0, std::memory_order_relaxed);
-    backend->shedded.store(0, std::memory_order_relaxed);
-    backend->deadline_rejected.store(0, std::memory_order_relaxed);
     backend->impl->reset_stats();  // backend-owned counters (rpc retries/failures)
   }
   query_latency_.reset();

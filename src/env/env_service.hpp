@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -26,11 +25,6 @@ struct EnvServiceOptions {
   /// caches keep exact per-stripe LRU eviction while large ones stop
   /// serializing every lookup on one mutex.
   std::size_t cache_shards = 0;
-  /// Admission-control watermark over outstanding_queries() (0 = shedding
-  /// disabled, the default). At or above it, every offline query is shed
-  /// with a typed RejectReason::kShedded result. Metered (online) queries
-  /// are never shed.
-  std::size_t shed_watermark = 0;
 };
 
 /// The environment-query service every Atlas component talks to (instead of
@@ -108,7 +102,6 @@ class EnvService final : public EnvClient {
   /// Registry metadata pass-throughs, used to build a WorkerAnnounce.
   double backend_cost_hint(BackendId id) const;
   bool backend_accepts_sim_params(BackendId id) const;
-  std::size_t cache_capacity() const noexcept { return options_.cache_capacity; }
 
   /// Whether offline episodes are memoized at all (cache_capacity > 0). When
   /// false, no cache lock is taken and no hit/miss counter moves — capacity 0
@@ -118,8 +111,7 @@ class EnvService final : public EnvClient {
   std::size_t cache_shard_count() const noexcept { return shards_.size(); }
 
   /// Queries currently executing or queued via submit(). ShardRouter uses
-  /// this for least-loaded backend placement; admission shedding compares it
-  /// with the watermark.
+  /// this for least-loaded backend placement.
   std::size_t outstanding_queries() const noexcept override;
 
   std::size_t threads() const noexcept { return pool_.size(); }
@@ -132,8 +124,6 @@ class EnvService final : public EnvClient {
     std::atomic<std::uint64_t> cache_hits{0};
     std::atomic<std::uint64_t> cache_misses{0};
     std::atomic<std::uint64_t> episodes{0};
-    std::atomic<std::uint64_t> shedded{0};
-    std::atomic<std::uint64_t> deadline_rejected{0};
   };
   /// Read-mostly registry snapshot: rebuilt on (rare) registration, loaded
   /// lock-free on every query. Backends live in a deque, so the pointers
@@ -173,16 +163,9 @@ class EnvService final : public EnvClient {
   /// Evict until `shard.entries.size() <= shard_capacity_` (mutex held).
   void evict_locked(CacheShard& shard);
   EpisodeResult run_memoized(Backend& backend, const EnvQuery& query);
-  /// `arrival` is when the query entered the service (submission time for
-  /// submit(), call time for run()): deadlines measure queueing delay from
-  /// there, and admission sheds before any execution cost is paid.
-  EpisodeResult run_impl(const EnvQuery& query, std::chrono::steady_clock::time_point arrival);
+  EpisodeResult run_impl(const EnvQuery& query);
   /// run_impl + the service-latency histogram.
-  EpisodeResult run_timed(const EnvQuery& query, std::chrono::steady_clock::time_point arrival);
-  /// RejectReason::kNone when the query may proceed; otherwise the typed
-  /// rejection to return (counters already bumped).
-  RejectReason admission_check(Backend& backend, const EnvQuery& query,
-                               std::chrono::steady_clock::time_point arrival);
+  EpisodeResult run_timed(const EnvQuery& query);
 
   EnvServiceOptions options_;
 

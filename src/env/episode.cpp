@@ -22,7 +22,6 @@ namespace atlas::env {
 using atlas::math::Rng;
 
 double EpisodeResult::qoe(double threshold_ms) const {
-  if (is_rejected()) throw QueryRejected(rejected);
   return app::qoe_from_latencies(latencies_ms, threshold_ms);
 }
 

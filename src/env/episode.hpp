@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
+#include <vector>
 
 #include "env/profile.hpp"
 #include "env/slice_config.hpp"
@@ -22,41 +21,6 @@ struct Workload {
   std::uint64_t seed = 1;       ///< Episode RNG seed (fully deterministic given this).
 };
 
-/// Why a query came back without an episode. The overload-protection layer
-/// (EnvService watermark shedding, deadline enforcement) returns a TYPED
-/// rejection instead of blocking the caller: the result carries this reason
-/// and no measurements. `kNone` — the default, and the only value existing
-/// code paths ever see — means the episode actually ran.
-enum class RejectReason : std::uint8_t {
-  kNone = 0,              ///< Not rejected: a real episode result.
-  kShedded = 1,           ///< Load-shed at admission (queue depth over watermark).
-  kDeadlineExceeded = 2,  ///< The query's deadline elapsed before execution.
-};
-
-constexpr const char* to_string(RejectReason reason) noexcept {
-  switch (reason) {
-    case RejectReason::kShedded: return "shedded";
-    case RejectReason::kDeadlineExceeded: return "deadline-exceeded";
-    case RejectReason::kNone: break;
-  }
-  return "none";
-}
-
-/// Thrown when a stage reads a measurement from a rejected result: a shed or
-/// deadline-expired query ran no episode, so it has no QoE or latencies to
-/// learn from (an empty episode would read as QoE 0).
-class QueryRejected : public std::runtime_error {
- public:
-  explicit QueryRejected(RejectReason reason)
-      : std::runtime_error(std::string("query rejected: ") + to_string(reason)),
-        reason_(reason) {}
-
-  RejectReason reason() const noexcept { return reason_; }
-
- private:
-  RejectReason reason_;
-};
-
 /// Everything measured during one episode.
 struct EpisodeResult {
   atlas::math::Vec latencies_ms;  ///< End-to-end latency of each completed frame.
@@ -66,14 +30,8 @@ struct EpisodeResult {
   int dl_tb_total = 0;
   int dl_tb_err = 0;
   std::vector<FrameTrace> traces;  ///< Filled when Workload::collect_traces.
-  /// kNone for every executed episode; a rejection reason when the serving
-  /// layer shed or deadline-expired the query (no measurements, never cached).
-  RejectReason rejected = RejectReason::kNone;
-
-  bool is_rejected() const noexcept { return rejected != RejectReason::kNone; }
 
   /// QoE = Pr(latency <= threshold) over the episode (Eq. 6's probability).
-  /// Throws QueryRejected when no episode ran.
   double qoe(double threshold_ms) const;
   atlas::math::Summary latency_summary() const;
 };

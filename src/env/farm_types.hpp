@@ -42,10 +42,6 @@ std::uint64_t params_digest(const SimParams& params);
 
 /// What a worker says about itself when it joins (kHello reply).
 struct WorkerAnnounce {
-  std::string build;             ///< free-form build identifier
-  std::uint16_t wire_version = 0;
-  std::uint32_t threads = 0;
-  std::uint64_t cache_capacity = 0;
   std::vector<WorkerBackendInfo> backends;  ///< indexed by worker-local BackendId
 };
 

@@ -56,7 +56,7 @@ struct FaultRule {
 /// caller-supplied stream key, rule index) — no global RNG, no wall clock —
 /// so two same-seed runs inject the identical fault sequence regardless of
 /// thread interleaving. That determinism is what makes the chaos suite's
-/// shed/hedge/redispatch counters reproducible.
+/// hedge/redispatch counters reproducible.
 struct FaultPlan {
   std::uint64_t seed = 1;
   std::vector<FaultRule> rules;

@@ -125,7 +125,6 @@ LoadPointResult run_load_point(EnvClient& client, const LoadPlan& plan,
   telemetry::Histogram latency;
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> failed{0};
-  std::atomic<std::size_t> rejected{0};
   std::atomic<std::uint64_t> last_completion_ns{0};
   std::atomic<bool> aborted{false};
 
@@ -162,14 +161,7 @@ LoadPointResult run_load_point(EnvClient& client, const LoadPlan& plan,
           ready.pop_front();
         }
         try {
-          const EpisodeResult r = client.run(event->query);
-          if (r.is_rejected()) {
-            // The overload layer answered without an episode: not goodput,
-            // not a failure, and not a latency sample (a rejection is fast
-            // by design — recording it would flatter the tail).
-            rejected.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
+          (void)client.run(event->query);
           const std::uint64_t done_ns = since_start_ns();
           const auto scheduled_ns = static_cast<std::uint64_t>(event->arrival_s * 1e9);
           // Open-loop latency: charged from the SCHEDULED arrival, so time
@@ -257,7 +249,6 @@ LoadPointResult run_load_point(EnvClient& client, const LoadPlan& plan,
   result.aborted = aborted.load(std::memory_order_acquire);
   result.completed = completed.load(std::memory_order_relaxed);
   result.failed = failed.load(std::memory_order_relaxed);
-  result.rejected = rejected.load(std::memory_order_relaxed);
   result.latency_ns = latency.snapshot();
   const std::uint64_t wall_ns = std::max<std::uint64_t>(1, last_completion_ns.load());
   result.wall_s = static_cast<double>(wall_ns) / 1e9;

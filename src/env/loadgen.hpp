@@ -5,7 +5,7 @@
 ///
 ///   build_load_plan  — a DETERMINISTIC schedule of queries: Poisson arrival
 ///                      offsets (exponential inter-arrivals from math::Rng)
-///                      and a realistic query mix — revisits of incumbent
+///                      and a synthetic query mix — revisits of incumbent
 ///                      (config, seed) pairs, metered online queries,
 ///                      trace-heavy episodes, fresh exploration. The same
 ///                      (options) always yields byte-identical queries.
@@ -36,9 +36,12 @@ enum class LoadKind {
 };
 
 /// Query mix as fractions of offered load; the remainder after revisit +
-/// online + trace is fresh exploration. Mirrors what a BO iteration actually
-/// sends: mostly re-scored incumbents, a few explorers, a trickle of metered
-/// real queries and trace captures.
+/// online + trace is fresh exploration. A synthetic serving stress, not a
+/// trace of Atlas, whose stages never repeat a (config, seed) key: traced
+/// pipebench passes (seed 1) memoized 301 entries a pass on surrogate_bound
+/// and 664 on loopback_farm with env.cache_hit_ratio 0 on both, and
+/// examples/quickstart made 0 hits in 521 offline queries. The revisits are
+/// here to load the memo.
 struct LoadMix {
   double revisit = 0.45;
   double online = 0.05;
@@ -110,10 +113,6 @@ struct LoadPointResult {
   std::size_t scheduled = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;  ///< Queries that threw (e.g. RpcError); not in latency.
-  /// Typed rejections (shed / deadline-exceeded): the service answered, but
-  /// with no episode. Counted apart from both `completed` (they are not
-  /// goodput) and `failed` (they are the overload design working).
-  std::size_t rejected = 0;
   bool aborted = false;  ///< Wall guard fired; counts cover a partial run.
   double wall_s = 0.0;
   /// Completion - scheduled arrival, nanoseconds (open-loop latency).

@@ -201,7 +201,7 @@ constexpr std::size_t kTraceWireBytes = 8 + 8 * 8;        // u64 id, 8 f64 stamp
 constexpr std::size_t kBackendInfoMinBytes = 4 + 1 + 8 + 1 + 8;  // empty name
 constexpr std::size_t kHistogramMinBytes = 4 + 8;                // no buckets, sum
 constexpr std::size_t kBackendStatsMinBytes =
-    4 + 1 + 4 * 8 + 8 + 2 * 8 + kHistogramMinBytes + 3 * 8;  // empty name
+    4 + 1 + 4 * 8 + 8 + 2 * 8 + kHistogramMinBytes + 8;  // empty name
 
 /// Element-count sanity bound: every element takes at least
 /// `min_wire_bytes`, so a count the rest of the frame cannot hold is
@@ -289,8 +289,6 @@ void put_backend_stats(WireWriter& w, const env::BackendStats& b) {
   w.u64(b.rpc_retries);
   w.u64(b.rpc_failures);
   put_histogram(w, b.rpc_rtt_ns);
-  w.u64(b.shedded);
-  w.u64(b.deadline_rejected);
   w.u64(b.rpc_reconnects);
 }
 
@@ -306,18 +304,8 @@ env::BackendStats get_backend_stats(WireReader& r) {
   b.rpc_retries = r.u64();
   b.rpc_failures = r.u64();
   b.rpc_rtt_ns = get_histogram(r);
-  b.shedded = r.u64();
-  b.deadline_rejected = r.u64();
   b.rpc_reconnects = r.u64();
   return b;
-}
-
-env::RejectReason get_reject_reason(WireReader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(env::RejectReason::kDeadlineExceeded)) {
-    throw CodecError("rpc codec: bad reject reason " + std::to_string(raw));
-  }
-  return static_cast<env::RejectReason>(raw);
 }
 
 }  // namespace
@@ -330,7 +318,6 @@ std::vector<std::uint8_t> encode_query(std::uint64_t request_id, const env::EnvQ
   put_workload(w, query.workload);
   w.boolean(query.sim_params.has_value());
   if (query.sim_params) put_sim_params(w, *query.sim_params);
-  w.f64(query.deadline_ms);
   return w.take();
 }
 
@@ -347,7 +334,6 @@ std::vector<std::uint8_t> encode_result(std::uint64_t request_id,
   w.i32(result.dl_tb_err);
   w.u64(result.traces.size());
   for (const auto& t : result.traces) put_trace(w, t);
-  w.u8(static_cast<std::uint8_t>(result.rejected));
   return w.take();
 }
 
@@ -377,8 +363,6 @@ std::vector<std::uint8_t> encode_stats_snapshot(std::uint64_t request_id,
   put_histogram(w, stats.query_latency_ns);
   put_histogram(w, stats.queue_depth);
   put_histogram(w, stats.rpc_service_ns);
-  w.u64(stats.shed_total);
-  w.u64(stats.deadline_rejected);
   return w.take();
 }
 
@@ -409,7 +393,6 @@ env::EnvQuery decode_query_body(WireReader& reader) {
   query.config = get_slice_config(reader);
   query.workload = get_workload(reader);
   if (reader.boolean()) query.sim_params = get_sim_params(reader);
-  query.deadline_ms = reader.f64();
   reader.expect_done();
   return query;
 }
@@ -427,7 +410,6 @@ env::EpisodeResult decode_result_body(WireReader& reader) {
   const std::size_t traces = checked_count(reader, reader.u64(), kTraceWireBytes, "trace");
   result.traces.reserve(traces);
   for (std::size_t i = 0; i < traces; ++i) result.traces.push_back(get_trace(reader));
-  result.rejected = get_reject_reason(reader);
   reader.expect_done();
   return result;
 }
@@ -448,10 +430,6 @@ std::vector<std::uint8_t> encode_announce(std::uint64_t request_id,
                                           const env::WorkerAnnounce& announce) {
   WireWriter w;
   put_header(w, MsgType::kAnnounce, request_id);
-  w.str(announce.build);
-  w.u16(announce.wire_version);
-  w.u32(announce.threads);
-  w.u64(announce.cache_capacity);
   w.u32(static_cast<std::uint32_t>(announce.backends.size()));
   for (const auto& backend : announce.backends) put_backend_info(w, backend);
   return w.take();
@@ -481,10 +459,6 @@ std::vector<std::uint8_t> encode_cancel(std::uint64_t request_id) {
 
 env::WorkerAnnounce decode_announce_body(WireReader& reader) {
   env::WorkerAnnounce announce;
-  announce.build = reader.str();
-  announce.wire_version = reader.u16();
-  announce.threads = reader.u32();
-  announce.cache_capacity = reader.u64();
   const std::size_t backends =
       checked_count(reader, reader.u32(), kBackendInfoMinBytes, "announced backend");
   announce.backends.reserve(backends);
@@ -515,8 +489,6 @@ env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader) {
   stats.query_latency_ns = get_histogram(reader);
   stats.queue_depth = get_histogram(reader);
   stats.rpc_service_ns = get_histogram(reader);
-  stats.shed_total = reader.u64();
-  stats.deadline_rejected = reader.u64();
   reader.expect_done();
   return stats;
 }

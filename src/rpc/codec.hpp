@@ -12,7 +12,7 @@
 
 namespace atlas::rpc {
 
-/// Episode-RPC wire format, version `kWireVersion` (7).
+/// Episode-RPC wire format, version `kWireVersion` (8).
 ///
 /// Every frame payload is:
 ///
@@ -30,7 +30,7 @@ namespace atlas::rpc {
 /// builds fail loudly instead of misreading; any layout change bumps
 /// `kWireVersion`.
 inline constexpr std::uint32_t kWireMagic = 0x41544c53u;  // "ATLS"
-inline constexpr std::uint16_t kWireVersion = 7;
+inline constexpr std::uint16_t kWireVersion = 8;
 
 /// Upper bound on one frame payload; a length prefix beyond this is treated
 /// as a corrupted stream, not an allocation request.
@@ -44,7 +44,7 @@ enum class MsgType : std::uint16_t {
   kStatsSnapshot = 5,  ///< worker -> client: EnvServiceStats incl. telemetry histograms
   // --- farm control plane ---------------------------------------------------
   kHello = 6,           ///< controller -> worker: who are you? (empty body)
-  kAnnounce = 7,        ///< worker -> controller: WorkerAnnounce (capacity + backends)
+  kAnnounce = 7,        ///< worker -> controller: WorkerAnnounce (hosted backends)
   kHeartbeat = 8,       ///< controller -> worker: are you alive? (empty body)
   kHeartbeatAck = 9,    ///< worker -> controller: WorkerHealth gauges
   kCancel = 10,         ///< client -> worker: drop the named request if still queued (no reply)

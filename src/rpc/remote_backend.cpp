@@ -263,23 +263,6 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
   env::EnvQuery remote_query = query;
   remote_query.backend = options_.remote_backend;
 
-  const auto started = std::chrono::steady_clock::now();
-  // Remaining deadline budget in ms (negative = no deadline). Measured from
-  // execute entry, so retries and backoff spend the SAME budget the caller's
-  // service started charging at admission.
-  const auto remaining_budget_ms = [&]() -> double {
-    if (query.deadline_ms <= 0.0) return -1.0;
-    const double elapsed = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - started)
-                               .count();
-    return query.deadline_ms - elapsed;
-  };
-  const auto deadline_rejection = [] {
-    env::EpisodeResult rejected;
-    rejected.rejected = env::RejectReason::kDeadlineExceeded;
-    return rejected;
-  };
-
   const int attempts = 1 + std::max(0, options_.max_retries);
   std::string last_fault = "no attempt made";
 
@@ -301,31 +284,10 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
     if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
       throw env::EpisodeCancelled();
     }
-    // Per-attempt wait: the configured timeout, capped by whatever deadline
-    // budget is left. An exhausted budget is a typed rejection, not a fault.
-    double budget_ms = remaining_budget_ms();
-    if (query.deadline_ms > 0.0 && budget_ms <= 0.0) return deadline_rejection();
-    double wait_ms = options_.timeout_ms;
-    bool deadline_capped = budget_ms >= 0.0 && budget_ms < wait_ms;
-    if (deadline_capped) wait_ms = budget_ms;
     std::shared_ptr<MuxConnection> conn;
     bool sent = false;
     try {
       conn = connection();
-      // Re-measure the budget AFTER connection(): reconnect backoff can sleep
-      // for seconds, and on the wire deadline_ms = 0 means "no deadline" — so
-      // a budget that expired (or reached exactly 0) while we were connecting
-      // must be rejected here, never encoded as the unlimited sentinel or as
-      // a stale pre-backoff value the worker would trust.
-      if (query.deadline_ms > 0.0) {
-        budget_ms = remaining_budget_ms();
-        if (budget_ms <= 0.0) return deadline_rejection();
-        if (budget_ms < wait_ms) {
-          wait_ms = budget_ms;
-          deadline_capped = true;
-        }
-      }
-      remote_query.deadline_ms = budget_ms >= 0.0 ? budget_ms : 0.0;
       const std::uint64_t request_id =
           next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
       const auto rtt_start = std::chrono::steady_clock::now();
@@ -336,7 +298,7 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
       // after a full episode timeout.
       const auto wait_deadline =
           rtt_start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double, std::milli>(wait_ms));
+                          std::chrono::duration<double, std::milli>(options_.timeout_ms));
       constexpr std::chrono::steady_clock::duration kCancelPollSlice =
           std::chrono::milliseconds(2);
       std::future_status status = std::future_status::timeout;
@@ -366,12 +328,6 @@ env::EpisodeResult RemoteBackend::execute_impl(const env::EnvQuery& query,
           conn->send_oneway(encode_cancel(request_id));
         } catch (const TransportError&) {
           // The read loop will notice the dead stream.
-        }
-        if (deadline_capped && remaining_budget_ms() <= 0.0) {
-          // The DEADLINE elapsed, not the RPC timeout: the worker was never
-          // given its full window, so this is the caller's budget running
-          // out — a typed rejection, not a worker health signal.
-          return deadline_rejection();
         }
         last_fault = "timed out after " + std::to_string(options_.timeout_ms) + " ms";
         if (metered) metered_abort(last_fault);

@@ -32,9 +32,10 @@ struct RemoteBackendOptions {
   /// Backend id inside the WORKER's EnvService that queries are rewritten
   /// to (a worker registers its backends 0..N-1 at startup).
   env::BackendId remote_backend = 0;
-  /// Per-query deadline. A request that misses it is abandoned (a late
+  /// Per-attempt timeout. A request that misses it is abandoned (a late
   /// response is dropped by the multiplexer, and a best-effort kCancel tells
-  /// the worker to skip the episode if still queued) and retried.
+  /// the worker to skip the episode if still queued) and retried; each retry
+  /// waits the full timeout again.
   double timeout_ms = 30000.0;
   /// Deadline for control-plane round-trips (hello / heartbeat / stats).
   /// Much shorter than an episode: these answer on the worker's read
@@ -127,7 +128,8 @@ class RemoteBackend final : public env::EnvBackend {
 
   // ---- farm control plane (all throw RpcError on failure) -------------------
 
-  /// Ask the worker who it is: build, wire version, capacity, backends.
+  /// Ask the worker which backends it hosts, with their placement digests.
+  /// The wire version needs no field: every frame's header carries it.
   env::WorkerAnnounce hello() const;
   /// One liveness round-trip: the worker's health gauges.
   env::WorkerHealth heartbeat() const;

@@ -157,37 +157,15 @@ void EpisodeRpcServer::serve(Transport& transport) {
     // Dispatch onto the service pool so one connection can pipeline as many
     // concurrent episodes as the worker has cores; the future is tracked via
     // the outstanding counter instead (the response IS the result channel).
-    const auto dispatched = std::chrono::steady_clock::now();
     try {
       service_.pool().submit(
         [this, &write_frame, &is_cancelled, &done_mutex, &done_cv, &outstanding, request_id,
-         dispatched, q = std::move(query)]() mutable {
+         q = std::move(query)] {
           if (!is_cancelled(request_id)) {
             const auto start = std::chrono::steady_clock::now();
             std::vector<std::uint8_t> response;
             try {
-              // The deadline budget started ticking when the frame was
-              // decoded; spend the pool-queue wait against it so an
-              // already-dead query is dropped HERE instead of burning a
-              // worker thread on an answer nobody is waiting for.
-              bool expired = false;
-              if (q.deadline_ms > 0.0) {
-                const double waited_ms =
-                    std::chrono::duration<double, std::milli>(start - dispatched).count();
-                const double remaining = q.deadline_ms - waited_ms;
-                if (remaining <= 0.0) {
-                  expired = true;
-                } else {
-                  q.deadline_ms = remaining;
-                }
-              }
-              env::EpisodeResult result;
-              if (expired) {
-                result.rejected = env::RejectReason::kDeadlineExceeded;
-              } else {
-                result = service_.run(q);
-              }
-              response = encode_result(request_id, result);
+              response = encode_result(request_id, service_.run(q));
               if (response.size() > kMaxFrameBytes) {
                 // The client must learn WHY there is no result — a silently
                 // dropped oversized frame reads as a timeout and gets retried.
@@ -244,10 +222,6 @@ void EpisodeRpcServer::serve(Transport& transport) {
 
 env::WorkerAnnounce EpisodeRpcServer::announce() const {
   env::WorkerAnnounce announce;
-  announce.build = options_.build;
-  announce.wire_version = kWireVersion;
-  announce.threads = static_cast<std::uint32_t>(service_.threads());
-  announce.cache_capacity = service_.cache_capacity();
   const std::size_t n = service_.backend_count();
   announce.backends.reserve(n);
   for (std::size_t id = 0; id < n; ++id) {

@@ -21,8 +21,6 @@ struct RpcServerOptions {
   /// responses to flush) before closing connections anyway. 0 = no grace:
   /// legacy hard-close behavior.
   std::uint32_t drain_timeout_ms = 5000;
-  /// Free-form build identifier advertised in the kHello announce.
-  std::string build = "atlas-episode-worker";
 };
 
 /// Hosts an `EnvService` behind the episode-RPC: each query frame is
@@ -60,9 +58,8 @@ class EpisodeRpcServer {
 
   // ---- farm control plane -------------------------------------------------
 
-  /// What this worker tells a controller on kHello: build, wire version,
-  /// pool size, cache capacity, and every registered backend with its
-  /// placement digest (see set_backend_digest).
+  /// What this worker tells a controller on kHello: every registered
+  /// backend with its placement digest (see set_backend_digest).
   env::WorkerAnnounce announce() const;
 
   /// Record the parameterization fingerprint for a backend (the worker binary

@@ -15,7 +15,7 @@ namespace atlas::rpc {
 struct RemoteWorkerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// Per-episode deadline for data-plane backends built via make_backend.
+  /// Per-attempt RPC timeout for data-plane backends built via make_backend.
   double timeout_ms = 30000.0;
   /// Deadline for hello / heartbeat round-trips.
   double control_timeout_ms = 5000.0;

@@ -145,23 +145,3 @@ TEST(Stage1, DiscrepancyOfIsDeterministicPerSeed) {
   const double b = calibrator.discrepancy_of(ae::SimParams::defaults(), 99);
   EXPECT_DOUBLE_EQ(a, b);
 }
-
-TEST(Stage1, ShedEpisodesFailTheStageInsteadOfScoringKl) {
-  // Watermark 1: every simulator query is shed (the metered real
-  // collection never is). A shed query has no latencies to compare to D_r.
-  ae::EnvServiceOptions service_options;
-  service_options.threads = 2;
-  service_options.shed_watermark = 1;
-  ae::EnvService service(service_options);
-  const auto real = service.add_real_network();
-  auto opts = fast_options();
-  opts.iterations = 2;
-  opts.init_iterations = 1;
-  ac::SimCalibrator calibrator(service, real, opts);
-  try {
-    (void)calibrator.calibrate();
-    FAIL() << "stage 1 finished on shed queries";
-  } catch (const ae::QueryRejected& e) {
-    EXPECT_EQ(e.reason(), ae::RejectReason::kShedded);
-  }
-}

@@ -185,23 +185,3 @@ TEST(Stage2, LambdaRisesWhileInfeasible) {
     ASSERT_GE(result.trace.lambda[i], result.trace.lambda[i - 1]);
   }
 }
-
-TEST(Stage2, ShedEpisodesFailTheStageInsteadOfScoringZero) {
-  // Watermark 1: a query counts itself, so every offline query is shed. A
-  // shed query ran no episode, so it has no QoE to learn from.
-  ae::EnvServiceOptions service_options;
-  service_options.threads = 2;
-  service_options.shed_watermark = 1;
-  ae::EnvService service(service_options);
-  const auto sim = service.add_simulator();
-  auto opts = fast_options();
-  opts.iterations = 2;
-  opts.init_iterations = 1;
-  ac::OfflineTrainer trainer(service, sim, opts);
-  try {
-    (void)trainer.train();
-    FAIL() << "stage 2 finished on shed queries";
-  } catch (const ae::QueryRejected& e) {
-    EXPECT_EQ(e.reason(), ae::RejectReason::kShedded);
-  }
-}

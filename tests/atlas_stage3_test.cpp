@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include "env/env_service.hpp"
@@ -79,17 +80,15 @@ ae::BackendId Stage3Test::sim_ = 0;
 ae::BackendId Stage3Test::real_ = 0;
 ac::OfflineResult* Stage3Test::offline_ = nullptr;
 
-/// The oracle-calibrated simulator, except that its `shed_call`-th query
-/// (counting from 1) is answered with a typed shed instead of an episode.
-class SheddingSimulator final : public ae::EnvBackend {
+/// The oracle-calibrated simulator, except that its `fail_call`-th query
+/// (counting from 1) throws instead of running an episode.
+class FailingSimulator final : public ae::EnvBackend {
  public:
-  explicit SheddingSimulator(std::size_t shed_call) : shed_call_(shed_call) {}
+  explicit FailingSimulator(std::size_t fail_call) : fail_call_(fail_call) {}
 
   ae::EpisodeResult execute(const ae::EnvQuery& query) const override {
-    if (calls_.fetch_add(1) + 1 == shed_call_) {
-      ae::EpisodeResult shed;
-      shed.rejected = ae::RejectReason::kShedded;
-      return shed;
+    if (calls_.fetch_add(1) + 1 == fail_call_) {
+      throw std::runtime_error("injected: inner-update episode failed");
     }
     return sim_.execute(query);
   }
@@ -99,9 +98,9 @@ class SheddingSimulator final : public ae::EnvBackend {
  private:
   ae::LocalBackend sim_{std::make_shared<ae::Simulator>(ae::oracle_calibration()), "sim",
                         ae::BackendKind::kOffline};
-  std::size_t shed_call_;
+  std::size_t fail_call_;
   mutable std::atomic<std::size_t> calls_{0};
-  std::string name_ = "shedding-sim";
+  std::string name_ = "failing-sim";
 };
 
 /// The oracle-calibrated simulator, recording how many queries the service
@@ -257,11 +256,11 @@ TEST_F(Stage3Test, AccountsEveryInnerUpdateQuery) {
   EXPECT_EQ(service.backend_stats(real).queries, opts.iterations);
 }
 
-TEST_F(Stage3Test, ShedInnerUpdateFailsTheStage) {
+TEST_F(Stage3Test, FailedInnerUpdateFailsTheStage) {
   // The simulator's third query is one of iteration 0's inner updates, with
   // others possibly in flight beside it.
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
-  const auto sim = service.register_backend(std::make_shared<SheddingSimulator>(3));
+  const auto sim = service.register_backend(std::make_shared<FailingSimulator>(3));
   const auto real = service.add_real_network();
   auto opts = fast_online();
   opts.iterations = 2;
@@ -269,9 +268,9 @@ TEST_F(Stage3Test, ShedInnerUpdateFailsTheStage) {
   ac::OnlineLearner learner(&offline_->policy, service, sim, real, opts);
   try {
     (void)learner.learn();
-    FAIL() << "stage 3 learned from a shed inner update";
-  } catch (const ae::QueryRejected& e) {
-    EXPECT_EQ(e.reason(), ae::RejectReason::kShedded);
+    FAIL() << "stage 3 learned past a failed inner update";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "injected: inner-update episode failed");
   }
   EXPECT_EQ(service.outstanding_queries(), 0u);  // no episode left running
 }

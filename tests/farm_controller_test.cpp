@@ -60,8 +60,6 @@ class FakeWorker final : public ae::WorkerControl {
  public:
   explicit FakeWorker(std::string address, std::vector<ae::WorkerBackendInfo> backends)
       : address_(std::move(address)) {
-    announce_.build = "fake-worker";
-    announce_.wire_version = 5;
     announce_.backends = std::move(backends);
   }
 

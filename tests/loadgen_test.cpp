@@ -177,39 +177,6 @@ TEST(LoadPoint, RunsAPlanAgainstAServiceAndMetersReuse) {
             static_cast<std::uint64_t>(result.completed));
 }
 
-TEST(LoadPoint, TypedRejectionsAreCountedApartFromGoodputAndFailures) {
-  // shed_watermark = 1: depth counts the probing query itself, so EVERY
-  // offline query sheds — deterministically — while online (metered) queries
-  // are untouchable. Splits the result three ways with no timing dependence.
-  env::EnvServiceOptions service_options;
-  service_options.threads = 2;
-  service_options.shed_watermark = 1;
-  env::EnvService service(service_options);
-  const env::BackendId sim = service.add_simulator();
-  const env::BackendId real = service.add_real_network();
-
-  env::LoadPlanOptions plan_options = small_options();
-  plan_options.qps = 400.0;
-  plan_options.duration_s = 0.5;
-  plan_options.offline_backend = sim;
-  plan_options.online_backend = real;
-  const env::LoadPlan plan = env::build_load_plan(plan_options);
-  ASSERT_GT(plan.online, 0u);
-
-  env::LoadRunOptions run_options;
-  run_options.workers = 8;
-  const env::LoadPointResult result = env::run_load_point(service, plan, run_options);
-
-  EXPECT_FALSE(result.aborted);
-  EXPECT_EQ(result.completed + result.failed + result.rejected, result.scheduled);
-  EXPECT_EQ(result.failed, 0u);
-  EXPECT_EQ(result.completed, plan.online);                        // goodput = metered only
-  EXPECT_EQ(result.rejected, result.scheduled - plan.online);      // everything offline shed
-  // Rejections are fast by design: recording them would flatter the tail.
-  EXPECT_EQ(result.latency_ns.count(), result.completed);
-  EXPECT_EQ(result.stats.shed_total, static_cast<std::uint64_t>(result.rejected));
-}
-
 TEST(LoadPoint, WallGuardAbortsAHungPointAndAccountsEveryEvent) {
   // Every query hangs "forever" (duration 0). Without the wall guard this
   // point would park its workers for an hour; with it, the watchdog fires at
@@ -244,7 +211,7 @@ TEST(LoadPoint, WallGuardAbortsAHungPointAndAccountsEveryEvent) {
 
   EXPECT_TRUE(result.aborted);
   EXPECT_EQ(result.completed, 0u);  // every dispatched query hung, then failed
-  EXPECT_EQ(result.completed + result.failed + result.rejected, result.scheduled);
+  EXPECT_EQ(result.completed + result.failed, result.scheduled);
   EXPECT_GT(result.failed, 0u);
   // The guard bounded the point: well under the 2 s plan horizon (generous
   // slack for join latency on a loaded CI box).

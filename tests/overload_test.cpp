@@ -1,10 +1,9 @@
-// Overload-protection behavior under deterministic pressure: watermark load
-// shedding, deadline admission, and hedged dispatch. Companion to
-// fault_injection_test.cpp in the `chaos` ctest label; every scenario here is
-// engineered to be schedule-independent (gated backends, one-sided races),
-// and the reproducibility test runs its scenario twice and requires
-// IDENTICAL counters — that is the chaos harness's acceptance bar. Replica
-// health under faults is farm_controller_test.cpp's subject.
+// Hedged dispatch under deterministic pressure, the serving stack's one
+// overload mechanism. Companion to fault_injection_test.cpp in the `chaos`
+// ctest label; every scenario here is engineered to be schedule-independent
+// (one-sided races), and the reproducibility test runs its scenario twice and
+// requires IDENTICAL counters — that is the chaos harness's acceptance bar.
+// Replica health under faults is farm_controller_test.cpp's subject.
 
 #include <gtest/gtest.h>
 
@@ -30,32 +29,6 @@ ae::EnvQuery query(ae::BackendId backend, std::uint64_t seed) {
   q.workload.seed = seed;
   return q;
 }
-
-/// Offline backend that parks every execute() until released — the knob that
-/// holds outstanding_queries() at an exact depth while admission decisions
-/// are made. (env_service_test.cpp has an online twin; shedding is
-/// offline-only, so this one must report kOffline.)
-class GatedBackend final : public ae::EnvBackend {
- public:
-  ae::EpisodeResult execute(const ae::EnvQuery&) const override {
-    started_.fetch_add(1, std::memory_order_relaxed);
-    release_.wait(false);  // std::atomic<bool>::wait
-    return {};
-  }
-  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
-  const std::string& name() const noexcept override { return name_; }
-
-  int started() const noexcept { return started_.load(std::memory_order_relaxed); }
-  void release() {
-    release_.store(true, std::memory_order_release);
-    release_.notify_all();
-  }
-
- private:
-  std::string name_ = "gated";
-  mutable std::atomic<int> started_{0};
-  mutable std::atomic<bool> release_{false};
-};
 
 /// Replica fake whose result identifies which replica answered.
 class TaggedBackend final : public ae::EnvBackend {
@@ -113,221 +86,6 @@ ae::WorkerBackendInfo sim_descriptor() {
 }
 
 }  // namespace
-
-// ---- watermark shedding ----------------------------------------------------
-
-TEST(OverloadShedding, OfflineQueriesShedAtTheWatermark) {
-  // Watermark 3. Depth counts the probing query itself, so a sync run()
-  // behind one parked query sits at depth 2 and runs; behind two it sits at
-  // depth 3 and sheds.
-  ae::EnvServiceOptions options;
-  options.threads = 2;
-  options.shed_watermark = 3;
-  ae::EnvService service(options);
-  const auto gated_backend = std::make_shared<GatedBackend>();
-  const auto gate = service.register_backend(gated_backend);
-  const auto sim = service.add_simulator();
-
-  auto h1 = service.submit(query(gate, 1));
-  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  const auto ran = service.run(query(sim, 100));
-  EXPECT_FALSE(ran.is_rejected());
-
-  auto h2 = service.submit(query(gate, 2));
-  while (gated_backend->started() < 2) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  const auto shed = service.run(query(sim, 101));
-  EXPECT_TRUE(shed.is_rejected());
-  EXPECT_EQ(shed.rejected, ae::RejectReason::kShedded);
-  EXPECT_TRUE(shed.latencies_ms.empty());  // a rejection carries no measurements
-
-  gated_backend->release();
-  (void)h1.get();
-  (void)h2.get();
-
-  // Accounting: rejections are counted per backend and in the service
-  // totals, and the exact invariant extends to hits+misses+rejected==queries.
-  const auto sim_stats = service.backend_stats(sim);
-  EXPECT_EQ(sim_stats.shedded, 1u);
-  EXPECT_EQ(sim_stats.queries, 2u);
-  EXPECT_EQ(sim_stats.cache_hits + sim_stats.cache_misses + sim_stats.rejected(),
-            sim_stats.queries);
-  EXPECT_EQ(sim_stats.episodes, 1u);  // only the admitted query ran
-
-  // The same invariant at SUMMARY level: totals must balance exactly.
-  const auto totals = service.stats();
-  EXPECT_EQ(totals.shed_total, 1u);
-  EXPECT_EQ(totals.cache_hits + totals.cache_misses + totals.shed_total +
-                totals.deadline_rejected,
-            totals.total_queries());
-
-  // Rejected queries release their outstanding slot: the gauge returns to 0,
-  // so placement does not see phantom load.
-  EXPECT_EQ(service.outstanding_queries(), 0u);
-}
-
-TEST(OverloadShedding, RejectionsAreNeverMemoized) {
-  // Watermark 2 with one gated query parked: a sync run() sits at depth 2
-  // and sheds. Once the gate drains, the same key runs at depth 1.
-  ae::EnvServiceOptions options;
-  options.threads = 2;
-  options.shed_watermark = 2;
-  ae::EnvService service(options);
-  const auto gated_backend = std::make_shared<GatedBackend>();
-  const auto gate = service.register_backend(gated_backend);
-  const auto sim = service.add_simulator();
-
-  auto blocker = service.submit(query(gate, 1));
-  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  const auto shed = service.run(query(sim, 500));
-  ASSERT_EQ(shed.rejected, ae::RejectReason::kShedded);
-  EXPECT_EQ(service.cache_size(), 0u);  // the rejection did NOT enter the memo
-  gated_backend->release();
-  (void)blocker.get();
-
-  // The same (config, seed) later, under no pressure: a genuine execution —
-  // a cached rejection would have been returned as a phantom "hit" here.
-  const auto ran = service.run(query(sim, 500));
-  EXPECT_FALSE(ran.is_rejected());
-  ae::Simulator direct;
-  ae::Workload wl;
-  wl.duration_ms = 500.0;
-  wl.seed = 500;
-  EXPECT_EQ(ran.latencies_ms, direct.run(ae::SliceConfig{}, wl).latencies_ms);
-
-  const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.shedded, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.episodes, 1u);
-}
-
-TEST(OverloadShedding, CapacityZeroKeepsRejectionAccountingExact) {
-  // No memo table at all: the uncached invariant episodes+rejected==queries
-  // must hold instead of the hit/miss one.
-  ae::EnvServiceOptions options;
-  options.threads = 2;
-  options.cache_capacity = 0;
-  options.shed_watermark = 2;
-  ae::EnvService service(options);
-  const auto gated_backend = std::make_shared<GatedBackend>();
-  const auto gate = service.register_backend(gated_backend);
-  const auto sim = service.add_simulator();
-
-  auto blocker = service.submit(query(gate, 1));
-  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  const auto shed = service.run(query(sim, 1));
-  EXPECT_EQ(shed.rejected, ae::RejectReason::kShedded);
-  gated_backend->release();
-  (void)blocker.get();
-  const auto ran = service.run(query(sim, 2));
-  EXPECT_FALSE(ran.is_rejected());
-
-  const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.episodes + stats.rejected(), stats.queries);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(service.outstanding_queries(), 0u);
-}
-
-TEST(OverloadShedding, OnlineQueriesAreNeverShed) {
-  // Metered queries were deliberately spent; the watermark must not touch
-  // them even at absurd depth (watermark 1 sheds every offline query).
-  ae::EnvServiceOptions options;
-  options.threads = 2;
-  options.shed_watermark = 1;
-  ae::EnvService service(options);
-  const auto real = service.add_real_network();
-
-  const auto result = service.run(query(real, 9));
-  EXPECT_FALSE(result.is_rejected());
-  EXPECT_EQ(service.backend_stats(real).shedded, 0u);
-}
-
-// ---- deadlines -------------------------------------------------------------
-
-TEST(OverloadDeadlines, QueueWaitPastDeadlineRejectsBeforeExecution) {
-  // One pool thread, held by a gated query: anything submitted behind it
-  // waits in the queue. A 1 ms deadline + a 15 ms hold is deterministic —
-  // the waiter cannot start before the gate opens.
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  ae::EnvService service(options);
-  const auto gated_backend = std::make_shared<GatedBackend>();
-  const auto gate = service.register_backend(gated_backend);
-  const auto sim = service.add_simulator();
-
-  auto blocker = service.submit(query(gate, 1));
-  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-  auto doomed_query = query(sim, 77);
-  doomed_query.deadline_ms = 1.0;
-  auto doomed = service.submit(doomed_query);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  gated_backend->release();
-  (void)blocker.get();
-
-  const auto result = doomed.get();
-  EXPECT_TRUE(result.is_rejected());
-  EXPECT_EQ(result.rejected, ae::RejectReason::kDeadlineExceeded);
-
-  const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.deadline_rejected, 1u);
-  EXPECT_EQ(stats.episodes, 0u);  // never executed
-  EXPECT_EQ(service.stats().deadline_rejected, 1u);
-  EXPECT_EQ(service.outstanding_queries(), 0u);
-
-  // The same query with a sane budget runs normally.
-  auto fine_query = query(sim, 77);
-  fine_query.deadline_ms = 60000.0;
-  EXPECT_FALSE(service.run(fine_query).is_rejected());
-}
-
-TEST(OverloadDeadlines, ZeroDeadlineMeansNoDeadline) {
-  ae::EnvService service(ae::EnvServiceOptions{.threads = 1});
-  const auto sim = service.add_simulator();
-  auto q = query(sim, 3);
-  q.deadline_ms = 0.0;  // the default: existing callers see no change
-  EXPECT_FALSE(service.run(q).is_rejected());
-  EXPECT_EQ(service.backend_stats(sim).deadline_rejected, 0u);
-}
-
-TEST(OverloadDeadlines, ShedAndDeadlineRejectionsStayInTheirOwnTotals) {
-  // Regression: a farm-level shed total once folded rejected() (= shedded +
-  // deadline_rejected) on top of the shedded counters, so every deadline
-  // rejection was reported as a shed too. Each rejection must appear exactly
-  // once, under its own total.
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  options.shed_watermark = 2;
-  ae::EnvService service(options);
-  const auto gated_backend = std::make_shared<GatedBackend>();
-  const auto gate = service.register_backend(gated_backend);
-  const auto sim = service.add_simulator();
-
-  auto blocker = service.submit(query(gate, 1));
-  while (gated_backend->started() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-  // Depth 2 >= watermark 2: one shed.
-  EXPECT_EQ(service.run(query(sim, 10)).rejected, ae::RejectReason::kShedded);
-  // One deadline rejection: queued behind the gate with a 1 ms budget.
-  auto doomed_query = query(sim, 11);
-  doomed_query.deadline_ms = 1.0;
-  auto doomed = service.submit(doomed_query);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  gated_backend->release();
-  (void)blocker.get();
-  EXPECT_EQ(doomed.get().rejected, ae::RejectReason::kDeadlineExceeded);
-
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.shed_total, 1u) << "a deadline rejection is not a shed";
-  EXPECT_EQ(stats.deadline_rejected, 1u);
-  std::uint64_t rejected_sum = 0;
-  for (const auto& b : stats.backends) rejected_sum += b.rejected();
-  EXPECT_EQ(rejected_sum, stats.shed_total + stats.deadline_rejected);
-}
 
 // ---- hedged dispatch -------------------------------------------------------
 
@@ -424,7 +182,7 @@ TEST(OverloadHedging, FastPrimaryNeverHedges) {
   backend.add_replica(std::make_shared<TaggedBackend>(2.0), 1, serving_health());
 
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    EXPECT_FALSE(backend.execute(query(0, seed)).is_rejected());
+    EXPECT_EQ(backend.execute(query(0, seed)).latencies_ms.size(), 1u);
   }
   EXPECT_EQ(farm->hedges.load(), 0u);
   EXPECT_EQ(farm->hedge_wins.load(), 0u);
@@ -444,7 +202,6 @@ std::uint64_t hash_result(const ae::EpisodeResult& r) {
       h *= 1099511628211ULL;
     }
   };
-  add_u64(static_cast<std::uint64_t>(r.rejected));
   add_u64(r.frames_completed);
   add_u64(static_cast<std::uint64_t>(r.ul_tb_total));
   add_u64(static_cast<std::uint64_t>(r.ul_tb_err));
@@ -472,32 +229,16 @@ std::vector<ae::EnvQuery> golden_queries(ae::BackendId backend) {
 }  // namespace
 
 TEST(OverloadGolden, IdleFeaturesLeaveEpisodeResultsBitIdentical) {
-  // The whole overload layer — watermarks armed, deadlines stamped, hedging
-  // enabled — must be invisible when nothing triggers: every
-  // result bit-identical to a plain service's. This is the guard that lets
-  // deployments enable the features without re-validating their science.
+  // Hedging enabled must be invisible when nothing triggers: every result
+  // bit-identical to a plain service's. This is the guard that lets
+  // deployments enable it without re-validating their science.
 
-  // Baseline: a bare service, no overload features.
+  // Baseline: a bare service, no hedging.
   std::vector<std::uint64_t> baseline;
   {
     ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
     const auto sim = service.add_simulator();
     for (const auto& q : golden_queries(sim)) baseline.push_back(hash_result(service.run(q)));
-  }
-
-  // Armed-but-idle watermarks + generous deadlines on every query.
-  {
-    ae::EnvServiceOptions options;
-    options.threads = 2;
-    options.shed_watermark = 1000;  // never reached by 8 sequential queries
-    ae::EnvService service(options);
-    const auto sim = service.add_simulator();
-    std::size_t i = 0;
-    for (auto q : golden_queries(sim)) {
-      q.deadline_ms = 60000.0;
-      EXPECT_EQ(hash_result(service.run(q)), baseline[i]) << "query " << i;
-      ++i;
-    }
   }
 
   // Hedging over two healthy same-params replicas: episodes are

@@ -94,8 +94,8 @@ TEST(Pipeline, RunStatsExcludeEarlierReconnects) {
   const auto result = pipeline.run();
   ASSERT_GT(result.env_stats.backends.size(), remote);
   EXPECT_EQ(result.env_stats.backends[remote].rpc_reconnects, 0u);
-  // The printed report agrees with its rows: with no reconnect, shed, hedge
-  // or deadline rejection in the run, it has no overload row.
+  // The printed report agrees with its rows: with no reconnect or hedge in
+  // the run, it has no overload row.
   std::ostringstream report;
   result.env_stats.summary().print(report);
   EXPECT_EQ(report.str().find("overload"), std::string::npos) << report.str();

@@ -137,8 +137,7 @@ ae::EpisodeResult pinned_result() {
           .dl_tb_err = 2,
           .traces = {{.id = 17, .created_ms = 0.5, .sent_ms = 4.0, .ul_done_ms = 11.0,
                       .edge_in_ms = 12.5, .compute_start_ms = 13.0, .compute_done_ms = 30.0,
-                      .enb_dl_ms = 31.5, .completed_ms = 41.75}},
-          .rejected = ae::RejectReason::kNone};
+                      .enb_dl_ms = 31.5, .completed_ms = 41.75}}};
 }
 
 ae::BackendStats pinned_backend_stats(std::string name, ae::BackendKind kind,
@@ -146,8 +145,7 @@ ae::BackendStats pinned_backend_stats(std::string name, ae::BackendKind kind,
   atlas::telemetry::HistogramData rtt;
   for (std::uint64_t s = 0; s < base; ++s) rtt.record(100000 + s * 7919);
   return {.name = std::move(name), .kind = kind, .queries = base + 40, .cache_hits = base + 20,
-          .cache_misses = base + 19, .episodes = base + 19, .shedded = base + 1,
-          .deadline_rejected = base + 3, .cost_hint = 1000.0,
+          .cache_misses = base + 19, .episodes = base + 19, .cost_hint = 1000.0,
           .rpc_retries = base + 2, .rpc_failures = base, .rpc_reconnects = base + 4,
           .rpc_rtt_ns = std::move(rtt)};
 }
@@ -160,8 +158,6 @@ ae::EnvServiceStats pinned_stats() {
   stats.online_queries = 7;
   stats.cache_hits = 60;
   stats.cache_misses = 67;
-  stats.shed_total = 4;
-  stats.deadline_rejected = 2;
   for (std::uint64_t s = 0; s < 20; ++s) stats.query_latency_ns.record(1000 + s * 997);
   for (std::uint64_t s = 0; s < 10; ++s) stats.queue_depth.record(s % 5);
   for (std::uint64_t s = 0; s < 6; ++s) stats.rpc_service_ns.record(500000 + s);
@@ -169,9 +165,7 @@ ae::EnvServiceStats pinned_stats() {
 }
 
 ae::WorkerAnnounce pinned_announce() {
-  return {.build = "atlas-episode-worker", .wire_version = 7, .threads = 8,
-          .cache_capacity = 65536,
-          .backends = {{.name = "sim-0", .kind = ae::BackendKind::kOffline, .cost_hint = 1000.0,
+  return {.backends = {{.name = "sim-0", .kind = ae::BackendKind::kOffline, .cost_hint = 1000.0,
                         .accepts_sim_params = true, .params_digest = 0xDEADBEEFCAFEF00Dull},
                        {.name = "real-0", .kind = ae::BackendKind::kOnline, .cost_hint = 1.0,
                         .accepts_sim_params = false, .params_digest = 0}}};
@@ -185,8 +179,7 @@ std::vector<std::vector<std::uint8_t>> pinned_frames() {
                  .mcs_offset_dl = 1.0, .backhaul_mbps = 80.0, .cpu_ratio = 0.75},
       .workload = {.traffic = 2, .duration_ms = 60000.0, .distance_m = 25.0, .random_walk = true,
                    .extra_users = 4, .collect_traces = true, .seed = 0x9E3779B97F4A7C15ull},
-      .sim_params = pinned_sim_params(),
-      .deadline_ms = 1500.0};
+      .sim_params = pinned_sim_params()};
   return {
       ar::encode_query(101, query),
       ar::encode_result(102, pinned_result()),
@@ -339,7 +332,7 @@ TEST(RpcCodec, CorruptedHeadersAreRejected) {
     EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
   }
   // One wire version: every other stamp, older or newer, is rejected.
-  for (const unsigned version : {0u, 3u, 4u, 5u, 6u, ar::kWireVersion + 1u, 0x7Fu}) {
+  for (const unsigned version : {0u, 3u, 4u, 5u, 6u, 7u, ar::kWireVersion + 1u, 0x7Fu}) {
     auto bad = good;
     bad[4] = static_cast<std::uint8_t>(version);  // u16 version after the u32 magic
     bad[5] = 0;
@@ -390,6 +383,7 @@ TEST(RpcCodec, StatsSnapshotRoundTrips) {
     EXPECT_EQ(back.backends[i].episodes, stats.backends[i].episodes);
     EXPECT_TRUE(same_bits(back.backends[i].cost_hint, stats.backends[i].cost_hint));
     EXPECT_EQ(back.backends[i].rpc_retries, stats.backends[i].rpc_retries);
+    EXPECT_EQ(back.backends[i].rpc_reconnects, stats.backends[i].rpc_reconnects);
     EXPECT_EQ(back.backends[i].rpc_rtt_ns.counts(), stats.backends[i].rpc_rtt_ns.counts());
     EXPECT_EQ(back.backends[i].rpc_rtt_ns.sum(), stats.backends[i].rpc_rtt_ns.sum());
   }
@@ -421,10 +415,6 @@ TEST(RpcCodec, AnnounceRoundTrips) {
   EXPECT_EQ(header.type, ar::MsgType::kAnnounce);
   EXPECT_EQ(header.request_id, 42u);
   const ae::WorkerAnnounce back = ar::decode_announce_body(reader);
-  EXPECT_EQ(back.build, announce.build);
-  EXPECT_EQ(back.wire_version, announce.wire_version);
-  EXPECT_EQ(back.threads, announce.threads);
-  EXPECT_EQ(back.cache_capacity, announce.cache_capacity);
   ASSERT_EQ(back.backends.size(), 2u);
   EXPECT_EQ(back.backends[0].name, "sim-0");
   EXPECT_EQ(back.backends[0].kind, ae::BackendKind::kOffline);
@@ -435,82 +425,27 @@ TEST(RpcCodec, AnnounceRoundTrips) {
   EXPECT_EQ(back.backends[1].kind, ae::BackendKind::kOnline);
 }
 
-// ---- overload-protection fields ---------------------------------------------
-
-TEST(RpcCodec, V5QueryCarriesDeadline) {
-  std::mt19937_64 rng(0x5005u);
-  for (int rep = 0; rep < 100; ++rep) {
-    ae::EnvQuery q = random_query(rng);
-    q.deadline_ms = rng() % 2 == 0 ? 0.0 : random_double(rng);
-    const ae::EnvQuery back = roundtrip_query(q, rng());
-    EXPECT_TRUE(same_bits(back.deadline_ms, q.deadline_ms));
-  }
-}
-
-TEST(RpcCodec, V5ResultCarriesRejectReason) {
-  std::mt19937_64 rng(0x5105u);
-  for (const auto reason : {ae::RejectReason::kNone, ae::RejectReason::kShedded,
-                            ae::RejectReason::kDeadlineExceeded}) {
-    ae::EpisodeResult r;  // a rejection carries no measurements
-    r.rejected = reason;
-    const ae::EpisodeResult back = roundtrip_result(r, rng());
-    EXPECT_EQ(back.rejected, reason);
-  }
-  // An out-of-range reject reason byte is a protocol violation, not UB.
-  ae::EpisodeResult r;
-  auto frame = ar::encode_result(3, r);
-  frame.back() = 0x7F;  // the reject-reason u8 is the final body byte
-  ar::WireReader reader(frame);
-  (void)ar::decode_header(reader);
-  EXPECT_THROW((void)ar::decode_result_body(reader), ar::CodecError);
-}
-
-TEST(RpcCodec, V5StatsSnapshotCarriesOverloadCounters) {
-  ae::EnvServiceStats stats;
-  stats.offline_queries = 10;
-  stats.shed_total = 4;
-  stats.deadline_rejected = 2;
-  ae::BackendStats b;
-  b.name = "sim-0";
-  b.queries = 10;
-  b.shedded = 3;
-  b.deadline_rejected = 1;
-  b.rpc_reconnects = 7;
-  stats.backends.push_back(std::move(b));
-
-  const auto frame = ar::encode_stats_snapshot(8, stats);
-  ar::WireReader reader(frame);
-  (void)ar::decode_header(reader);
-  const ae::EnvServiceStats back = ar::decode_stats_snapshot_body(reader);
-  EXPECT_EQ(back.shed_total, 4u);
-  EXPECT_EQ(back.deadline_rejected, 2u);
-  ASSERT_EQ(back.backends.size(), 1u);
-  EXPECT_EQ(back.backends[0].shedded, 3u);
-  EXPECT_EQ(back.backends[0].deadline_rejected, 1u);
-  EXPECT_EQ(back.backends[0].rpc_reconnects, 7u);
-  EXPECT_EQ(back.backends[0].rejected(), 4u);
-}
-
-// ---- frame pins: the v7 layout, byte for byte --------------------------------
+// ---- frame pins: the v8 layout, byte for byte --------------------------------
 
 TEST(RpcCodec, FrameBytesArePinnedForEveryMessageType) {
   // FNV-1a of the corpus frame of each message type, in type order. The
-  // values were captured from the v7 encoder; a change here is a wire-format
+  // values were captured from the v8 encoder; a change here is a wire-format
   // change and needs a kWireVersion bump. Each frame must also decode to a
   // message that re-encodes to the same bytes: with the encoder pinned, that
   // proves every decoded field lands where the encoder wrote it.
   const std::vector<std::uint64_t> pinned = {
-      0xb9f50a3eb2232775ull,  // kQuery
-      0x1243d1d75b82ca57ull,  // kResult
-      0x29550e375c1ad75full,  // kError
-      0x073573d03de43b58ull,  // kStatsRequest
-      0x09674778cd53b172ull,  // kStatsSnapshot
-      0xb93bea07ea7873e8ull,  // kHello
-      0xa42b53f8c1f0cbe5ull,  // kAnnounce
-      0x820d358846c69470ull,  // kHeartbeat
-      0x20e083929216b54aull,  // kHeartbeatAck
-      0x394ca2b50410ac00ull,  // kCancel
+      0xf1da1e85ac815d77ull,  // kQuery
+      0xa6f35b0457b05c52ull,  // kResult
+      0x3a13a6532823368eull,  // kError
+      0x14272038ad6f27e7ull,  // kStatsRequest
+      0x61c5fb416e463439ull,  // kStatsSnapshot
+      0x5ce7b30bf0251057ull,  // kHello
+      0x7458017f3f41274aull,  // kAnnounce
+      0x1e6877c3c8d9145full,  // kHeartbeat
+      0x055e9171a85a106dull,  // kHeartbeatAck
+      0xadb03f496072538full,  // kCancel
   };
+
   const auto frames = pinned_frames();
   ASSERT_EQ(frames.size(), pinned.size());
   for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -559,7 +494,7 @@ TEST(RpcCodec, SmallestListElementsStillRoundTrip) {
   ae::WorkerAnnounce announce;
   announce.backends.resize(4);
   const auto announce_frame = ar::encode_announce(2, announce);
-  EXPECT_EQ(announce_frame.size(), 16u + 4u + 2u + 4u + 8u + 4u + 4u * 22u);
+  EXPECT_EQ(announce_frame.size(), 16u + 4u + 4u * 22u);
   EXPECT_EQ(reencode(announce_frame), announce_frame);
 
   ae::EnvServiceStats stats;
@@ -575,8 +510,8 @@ TEST(RpcCodec, UnknownBackendKindBytesAreRejected) {
   announce.backends.resize(1);
   announce.backends[0].kind = ae::BackendKind::kOnline;
   auto frame = ar::encode_announce(1, announce);
-  // Header, empty build, wire_version, threads, capacity, count, empty name.
-  const std::size_t announce_kind_at = 16 + 4 + 2 + 4 + 8 + 4 + 4;
+  // Header, count, empty name.
+  const std::size_t announce_kind_at = 16 + 4 + 4;
   ASSERT_EQ(frame.at(announce_kind_at), 1u);
   frame[announce_kind_at] ^= 0x02;
   EXPECT_NE(decode_error_of(frame).find("backend kind"), std::string::npos)

@@ -5,8 +5,7 @@
 // Usage:
 //   atlas_episode_worker [--port N] [--port-file PATH] [--threads N]
 //                        [--cache-capacity N] [--simulators N]
-//                        [--real-networks N] [--shed-watermark N]
-//                        [--drain-timeout-ms N] [--quiet]
+//                        [--real-networks N] [--drain-timeout-ms N] [--quiet]
 //
 //   --port N            TCP port on 127.0.0.1 (default 0 = ephemeral; the
 //                       chosen port is printed and written to --port-file).
@@ -19,9 +18,6 @@
 //                       carry per-query SimParams overrides, so one default
 //                       simulator serves a whole calibration sweep.
 //   --real-networks N   Register N testbed surrogates after the simulators.
-//   --shed-watermark N  Queue-depth admission watermark: at N or more
-//                       outstanding queries, every offline query is shed
-//                       with a typed rejection (default 0 = never shed).
 //   --drain-timeout-ms N  On SIGINT/SIGTERM, wait up to N ms for in-flight
 //                       episodes to finish and flush before closing
 //                       connections (default 5000; 0 = hard close).
@@ -55,7 +51,6 @@ struct WorkerOptions {
   std::size_t cache_capacity = 65536;
   int simulators = 1;
   int real_networks = 0;
-  std::size_t shed_watermark = 0;
   std::uint32_t drain_timeout_ms = 5000;
   bool quiet = false;
 };
@@ -63,8 +58,7 @@ struct WorkerOptions {
 void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
                "usage: %s [--port N] [--port-file PATH] [--threads N] [--cache-capacity N] "
-               "[--simulators N] [--real-networks N] [--shed-watermark N] "
-               "[--drain-timeout-ms N] [--quiet]\n",
+               "[--simulators N] [--real-networks N] [--drain-timeout-ms N] [--quiet]\n",
                argv0);
 }
 
@@ -94,8 +88,6 @@ WorkerOptions parse_args(int argc, char** argv) {
       options.simulators = parse_integer<int>(flag, next());
     } else if (flag == "--real-networks") {
       options.real_networks = parse_integer<int>(flag, next());
-    } else if (flag == "--shed-watermark") {
-      options.shed_watermark = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--drain-timeout-ms") {
       options.drain_timeout_ms = parse_integer<std::uint32_t>(flag, next());
     } else if (flag == "--quiet") {
@@ -145,7 +137,6 @@ int run_worker(const WorkerOptions& options) {
   atlas::env::EnvServiceOptions service_options;
   service_options.threads = options.threads;
   service_options.cache_capacity = options.cache_capacity;
-  service_options.shed_watermark = options.shed_watermark;
   atlas::env::EnvService service(service_options);
   for (int i = 0; i < options.simulators; ++i) {
     service.add_simulator(atlas::env::SimParams::defaults(), "sim-" + std::to_string(i));

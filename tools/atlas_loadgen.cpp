@@ -1,6 +1,6 @@
 // atlas_loadgen: open-loop (Poisson-arrival) load generator for the serving
 // stack. Drives an EnvClient — an in-process ShardRouter, a remote episode
-// worker, or both — at a sweep of offered QPS points with a realistic query
+// worker, or both — at a sweep of offered QPS points with a synthetic query
 // mix (incumbent revisits, metered online queries, trace-heavy episodes, fresh
 // exploration), measures coordinated-omission-free latency quantiles, finds
 // the saturation rate, and writes BENCH_serving.json.
@@ -46,23 +46,18 @@
 // farm of --workers episode workers, wrap --faulty-fraction of them in a
 // FaultInjectingBackend driven by the (seeded, deterministic) FaultPlan, and
 // run the SAME load plan twice — fault-free and faulted — writing
-// BENCH_degradation.json with goodput, shed rate, hedge-win rate, re-dispatch
-// count, and latency quantiles for both, plus the goodput ratio. Hedging is
-// enabled for both runs so the comparison measures the overload machinery,
-// not its absence.
+// BENCH_degradation.json with goodput, hedge-win rate, re-dispatch count,
+// and latency quantiles for both, plus the goodput ratio. Hedging is enabled
+// for both runs so the comparison measures the farm's fault handling, not its
+// absence.
 //
 //   --fault-plan       FaultPlan spec, e.g. 'delay=0.35:40ms,error=0.08,
 //                      hang=0.02:800ms' (grammar: kind=prob[:dur][@after]).
 //   --faulty-fraction  Fraction of workers wrapped in the injector
 //                      (default 0.25, rounded up to at least one worker).
-//   --rpc-timeout-ms   Per-episode RPC deadline in this mode (default 250).
+//   --rpc-timeout-ms   Per-attempt RPC timeout in this mode (default 250).
 //   --hedge-ms         Hedge fallback delay before RTTs are learned
 //                      (default 25).
-//   --shed-watermark   Router-side queue-depth shed watermark: at or above
-//                      it every offline query sheds (default 1024; 0
-//                      disables shedding).
-//   --deadline-ms      Stamp this deadline budget on every query (default 0
-//                      = none).
 //   --wall-limit       Hard wall-clock guard per load point in seconds
 //                      (default: 10x the horizon + 20; a hung worker aborts
 //                      the point instead of stalling the sweep).
@@ -126,8 +121,6 @@ struct LoadgenOptions {
   double faulty_fraction = 0.25;
   double rpc_timeout_ms = 250.0;
   double hedge_ms = 25.0;
-  std::size_t shed_watermark = 1024;
-  double deadline_ms = 0.0;
   double wall_limit_s = 0.0;  ///< 0 = derive from the horizon.
 };
 
@@ -142,8 +135,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "          [--incumbents N] [--seed N] [--out PATH]\n"
                "          [--smoke] [--quiet]\n"
                "          [--fault-plan SPEC] [--faulty-fraction F] [--rpc-timeout-ms MS]\n"
-               "          [--hedge-ms MS] [--shed-watermark N] [--deadline-ms MS]\n"
-               "          [--wall-limit S]\n",
+               "          [--hedge-ms MS] [--wall-limit S]\n",
                argv0);
 }
 
@@ -234,10 +226,6 @@ LoadgenOptions parse_args(int argc, char** argv) {
       options.rpc_timeout_ms = parse_double(flag, next());
     } else if (flag == "--hedge-ms") {
       options.hedge_ms = parse_double(flag, next());
-    } else if (flag == "--shed-watermark") {
-      options.shed_watermark = parse_integer<std::size_t>(flag, next());
-    } else if (flag == "--deadline-ms") {
-      options.deadline_ms = parse_double(flag, next());
     } else if (flag == "--wall-limit") {
       options.wall_limit_s = parse_double(flag, next());
     } else if (flag == "--smoke") {
@@ -421,73 +409,105 @@ TopologyReport drive_remote(const LoadgenOptions& options) {
                remote.get());
 }
 
-TopologyReport drive_farm(const LoadgenOptions& options) {
-  // Multi-worker serving path: --workers episode-RPC workers behind one
-  // FarmController-managed ShardRouter. An external --port worker counts as
-  // worker 0; the rest are self-hosted in this process on ephemeral loopback
-  // ports (real TCP, real codec — only the host boundary is missing). All
-  // workers announce the same default simulator, so they collapse into ONE
-  // FailoverBackend and the controller round-robins episodes across them.
-  struct InprocWorker {
+/// What differs between the farm the serving sweep drives and the ones the
+/// degradation mode builds.
+struct FarmSpec {
+  bool external_worker = false;  ///< Worker 0 is the --host/--port worker.
+  /// Wraps the simulator of the last `faulty_workers` hosted workers.
+  std::shared_ptr<atlas::env::FaultInjector> injector;
+  std::size_t faulty_workers = 0;
+  double rpc_timeout_ms = atlas::rpc::RemoteWorkerOptions{}.timeout_ms;
+  atlas::env::HedgePolicy hedge;
+};
+
+/// --workers episode-RPC workers behind one FarmController-managed
+/// ShardRouter. An external worker counts as worker 0; the rest are hosted
+/// in this process on ephemeral loopback ports (real TCP, real codec — only
+/// the host boundary is missing). All of them announce the default simulator
+/// under atlas_episode_worker's digest, so they collapse into ONE
+/// FailoverBackend, `sim`, which the controller round-robins episodes across.
+/// Members are declared in reverse teardown order: the controller goes first,
+/// the hosted workers last.
+struct Farm {
+  struct HostedWorker {
     std::unique_ptr<atlas::env::EnvService> service;
     std::unique_ptr<atlas::rpc::EpisodeRpcServer> server;
   };
-  std::vector<InprocWorker> hosted;
+  std::vector<HostedWorker> hosted;
   std::vector<std::shared_ptr<atlas::rpc::RemoteWorkerControl>> controls;
+  std::unique_ptr<atlas::env::ShardRouter> router;
+  std::unique_ptr<atlas::env::FarmController> controller;
+  atlas::env::BackendId sim = 0;
+};
 
-  if (options.port != 0) {
-    atlas::rpc::RemoteWorkerOptions control;
+Farm build_farm(const LoadgenOptions& options, const FarmSpec& spec) {
+  namespace env = atlas::env;
+  namespace rpc = atlas::rpc;
+  const env::SimParams params = env::SimParams::defaults();
+  Farm farm;
+  const auto admit = [&](rpc::RemoteWorkerOptions control) {
+    control.timeout_ms = spec.rpc_timeout_ms;
+    farm.controls.push_back(std::make_shared<rpc::RemoteWorkerControl>(control));
+  };
+  if (spec.external_worker) {
+    rpc::RemoteWorkerOptions control;
     control.host = options.host;
     control.port = options.port;
-    controls.push_back(std::make_shared<atlas::rpc::RemoteWorkerControl>(control));
+    admit(control);
   }
-  while (controls.size() < options.workers) {
-    InprocWorker worker;
-    atlas::env::EnvServiceOptions service_options;
+  while (farm.controls.size() < options.workers) {
+    const bool faulty =
+        spec.injector && farm.controls.size() >= options.workers - spec.faulty_workers;
+    env::EnvServiceOptions service_options;
     service_options.threads = options.threads;
     service_options.cache_capacity = options.cache_capacity;
-    worker.service = std::make_unique<atlas::env::EnvService>(service_options);
-    worker.service->add_simulator(atlas::env::SimParams::defaults(), "sim-0");
-    worker.server = std::make_unique<atlas::rpc::EpisodeRpcServer>(*worker.service);
-    // Same digest as atlas_episode_worker's default simulator, so an external
-    // --port worker and the self-hosted ones share one FailoverBackend.
-    worker.server->set_backend_digest(0, atlas::env::params_digest(
-                                             atlas::env::SimParams::defaults()));
-    atlas::rpc::RemoteWorkerOptions control;
+    Farm::HostedWorker worker;
+    worker.service = std::make_unique<env::EnvService>(service_options);
+    // The injector decorator forwards name/kind/cost/accepts, so a faulty
+    // worker's announce is indistinguishable from a healthy one's.
+    std::shared_ptr<const env::EnvBackend> sim = std::make_shared<env::LocalBackend>(
+        std::make_shared<env::Simulator>(params), "sim-0", env::BackendKind::kOffline);
+    if (faulty) sim = std::make_shared<env::FaultInjectingBackend>(std::move(sim), spec.injector);
+    worker.service->register_backend(std::move(sim));
+    worker.server = std::make_unique<rpc::EpisodeRpcServer>(*worker.service);
+    worker.server->set_backend_digest(0, env::params_digest(params));
+    rpc::RemoteWorkerOptions control;
     control.port = worker.server->port();
-    controls.push_back(std::make_shared<atlas::rpc::RemoteWorkerControl>(control));
-    hosted.push_back(std::move(worker));
+    farm.hosted.push_back(std::move(worker));
+    admit(control);
   }
 
-  atlas::env::EnvServiceOptions router_options;
+  env::EnvServiceOptions router_options;
   router_options.threads = options.threads;
   router_options.cache_capacity = options.cache_capacity;
-  atlas::env::ShardRouter router(options.shards, router_options);
-
-  atlas::env::FarmController controller(router);
-  for (const auto& control : controls) controller.add_worker(control);
-  // The shared simulator's global id: first offline backend worker 0 hosts.
-  atlas::env::BackendId sim = 0;
-  bool found = false;
-  for (const atlas::env::BackendId id : controller.worker_backends(0)) {
-    if (router.backend_kind(id) == atlas::env::BackendKind::kOffline) {
-      sim = id;
-      found = true;
-      break;
+  farm.router = std::make_unique<env::ShardRouter>(options.shards, router_options);
+  env::FarmControllerOptions farm_options;
+  farm_options.hedge = spec.hedge;
+  farm.controller = std::make_unique<env::FarmController>(*farm.router, farm_options);
+  for (const auto& control : farm.controls) farm.controller->add_worker(control);
+  // The shared simulator's global id: the first offline backend worker 0 hosts.
+  for (const env::BackendId id : farm.controller->worker_backends(0)) {
+    if (farm.router->backend_kind(id) == env::BackendKind::kOffline) {
+      farm.sim = id;
+      return farm;
     }
   }
-  if (!found) throw std::runtime_error("farm worker 0 announced no offline backend");
-  const atlas::env::BackendId real = router.add_real_network();
+  throw std::runtime_error("farm worker 0 announced no offline backend");
+}
 
-  controller.start();  // heartbeat sweeps run for the whole drive
-  TopologyReport report = drive(options, "farm", router, sim, real,
+TopologyReport drive_farm(const LoadgenOptions& options) {
+  Farm farm = build_farm(options, FarmSpec{.external_worker = options.port != 0});
+  const atlas::env::BackendId real = farm.router->add_real_network();
+
+  farm.controller->start();  // heartbeat sweeps run for the whole drive
+  TopologyReport report = drive(options, "farm", *farm.router, farm.sim, real,
                                 /*has_online=*/true, nullptr);
-  controller.stop();
+  farm.controller->stop();
 
   // Per-worker view: a final heartbeat (load gauges + episode count) plus the
   // worker's own stats snapshot, so the JSON shows how evenly the farm
   // saturated — not just the aggregate.
-  for (const auto& control : controls) {
+  for (const auto& control : farm.controls) {
     WorkerRow row;
     row.address = control->address();
     try {
@@ -607,75 +627,21 @@ struct DegradationSide {
 DegradationSide run_degradation_side(const LoadgenOptions& options,
                                      const atlas::env::FaultPlan* plan) {
   namespace env = atlas::env;
-  namespace rpc = atlas::rpc;
 
-  std::shared_ptr<env::FaultInjector> injector;
   DegradationSide side;
+  FarmSpec spec;
+  spec.rpc_timeout_ms = options.rpc_timeout_ms;
+  spec.hedge.enabled = true;
+  spec.hedge.fallback_delay_ms = options.hedge_ms;
   if (plan != nullptr) {
-    injector = std::make_shared<env::FaultInjector>(*plan);
+    spec.injector = std::make_shared<env::FaultInjector>(*plan);
     side.faulty_workers = std::max<std::size_t>(
         1, static_cast<std::size_t>(options.faulty_fraction *
                                         static_cast<double>(options.workers) +
                                     0.5));
+    spec.faulty_workers = side.faulty_workers;
   }
-
-  struct InprocWorker {
-    std::unique_ptr<env::EnvService> service;
-    std::unique_ptr<rpc::EpisodeRpcServer> server;
-  };
-  std::vector<InprocWorker> hosted;
-  std::vector<std::shared_ptr<rpc::RemoteWorkerControl>> controls;
-  for (std::size_t w = 0; w < options.workers; ++w) {
-    InprocWorker worker;
-    env::EnvServiceOptions service_options;
-    service_options.threads = options.threads;
-    service_options.cache_capacity = options.cache_capacity;
-    worker.service = std::make_unique<env::EnvService>(service_options);
-    const bool faulty = injector && w >= options.workers - side.faulty_workers;
-    if (faulty) {
-      // Same simulator as add_simulator would build, decorated with the
-      // injector. The decorator forwards name/kind/cost/accepts, so the
-      // announce — and the farm's equivalence key — is indistinguishable
-      // from a healthy worker's.
-      auto inner = std::make_shared<env::LocalBackend>(
-          std::make_shared<env::Simulator>(env::SimParams::defaults()), "sim-0",
-          env::BackendKind::kOffline);
-      worker.service->register_backend(
-          std::make_shared<env::FaultInjectingBackend>(std::move(inner), injector));
-    } else {
-      worker.service->add_simulator(env::SimParams::defaults(), "sim-0");
-    }
-    worker.server = std::make_unique<rpc::EpisodeRpcServer>(*worker.service);
-    worker.server->set_backend_digest(0, env::params_digest(env::SimParams::defaults()));
-    rpc::RemoteWorkerOptions control;
-    control.port = worker.server->port();
-    control.timeout_ms = options.rpc_timeout_ms;
-    controls.push_back(std::make_shared<rpc::RemoteWorkerControl>(control));
-    hosted.push_back(std::move(worker));
-  }
-
-  env::EnvServiceOptions router_options;
-  router_options.threads = options.threads;
-  router_options.cache_capacity = options.cache_capacity;
-  router_options.shed_watermark = options.shed_watermark;
-  env::ShardRouter router(options.shards, router_options);
-
-  env::FarmControllerOptions farm_options;
-  farm_options.hedge.enabled = true;
-  farm_options.hedge.fallback_delay_ms = options.hedge_ms;
-  env::FarmController controller(router, farm_options);
-  for (const auto& control : controls) controller.add_worker(control);
-
-  env::BackendId sim = 0;
-  bool found = false;
-  for (const env::BackendId id : controller.worker_backends(0)) {
-    if (router.backend_kind(id) == env::BackendKind::kOffline) {
-      sim = id;
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::runtime_error("degradation farm announced no offline backend");
+  Farm farm = build_farm(options, spec);
 
   env::LoadPlanOptions plan_options;
   plan_options.qps = options.qps.empty() ? 150.0 : options.qps.front();
@@ -685,34 +651,29 @@ DegradationSide run_degradation_side(const LoadgenOptions& options,
   plan_options.episode_ms = options.episode_ms;
   plan_options.extra_users = options.extra_users;
   plan_options.incumbents = options.incumbents;
-  plan_options.offline_backend = sim;
+  plan_options.offline_backend = farm.sim;
   plan_options.seed = options.seed;  // SAME plan both sides — paired comparison
   side.plan = env::build_load_plan(plan_options);
-  if (options.deadline_ms > 0.0) {
-    for (env::LoadEvent& event : side.plan.events) {
-      event.query.deadline_ms = options.deadline_ms;
-    }
-  }
 
   env::LoadRunOptions run_options;
   run_options.workers = options.clients;
   run_options.wall_limit_s = options.wall_limit_s > 0.0
                                  ? options.wall_limit_s
                                  : options.duration_s * 10.0 + 20.0;
-  if (injector) {
-    run_options.on_abort = [injector] { injector->release_hangs(); };
+  if (spec.injector) {
+    run_options.on_abort = [injector = spec.injector] { injector->release_hangs(); };
   }
 
-  controller.start();
-  side.result = env::run_load_point(router, side.plan, run_options);
+  farm.controller->start();
+  side.result = env::run_load_point(*farm.router, side.plan, run_options);
   // Unpark any still-sleeping injected hangs BEFORE teardown: the worker
   // services join their pools in their destructors.
-  if (injector) {
-    injector->release_hangs();
-    side.faults = injector->counters();
+  if (spec.injector) {
+    spec.injector->release_hangs();
+    side.faults = spec.injector->counters();
   }
-  controller.stop();
-  side.final_stats = router.stats();
+  farm.controller->stop();
+  side.final_stats = farm.router->stats();
   return side;
 }
 
@@ -724,17 +685,11 @@ void write_degradation_side_json(atlas::telemetry::JsonWriter& json,
   json.field("scheduled", static_cast<std::uint64_t>(r.scheduled));
   json.field("completed", static_cast<std::uint64_t>(r.completed));
   json.field("failed", static_cast<std::uint64_t>(r.failed));
-  json.field("rejected", static_cast<std::uint64_t>(r.rejected));
   json.field("aborted", r.aborted);
   json.field("wall_s", r.wall_s);
-  json.field("shed_rate", r.scheduled == 0 ? 0.0
-                                           : static_cast<double>(r.rejected) /
-                                                 static_cast<double>(r.scheduled));
   json.field("p50_ms", r.latency_ns.quantile(0.50) / 1e6);
   json.field("p99_ms", r.latency_ns.quantile(0.99) / 1e6);
   json.field("p999_ms", r.latency_ns.quantile(0.999) / 1e6);
-  json.field("shed_total", side.final_stats.shed_total);
-  json.field("deadline_rejected", side.final_stats.deadline_rejected);
   const atlas::env::FarmView& farm = side.final_stats.farm;
   json.field("hedges", farm.hedges);
   json.field("hedge_wins", farm.hedge_wins);
@@ -776,19 +731,18 @@ int run_degradation(const LoadgenOptions& options) {
     clean = run_degradation_side(options, nullptr);
     if (!options.quiet) {
       std::printf("[degradation/clean]   goodput %8.1f qps  p99 %7.2f ms  "
-                  "(%zu ok, %zu failed, %zu shed)\n",
+                  "(%zu ok, %zu failed)\n",
                   clean.goodput_qps(), clean.result.latency_ns.quantile(0.99) / 1e6,
-                  clean.result.completed, clean.result.failed, clean.result.rejected);
+                  clean.result.completed, clean.result.failed);
       std::fflush(stdout);
     }
     faulted = run_degradation_side(options, &plan);
     if (!options.quiet) {
       const atlas::env::FarmView& farm = faulted.final_stats.farm;
       std::printf("[degradation/faulted] goodput %8.1f qps  p99 %7.2f ms  "
-                  "(%zu ok, %zu failed, %zu shed; %llu hedges, %llu wins, "
-                  "%llu redispatched)\n",
+                  "(%zu ok, %zu failed; %llu hedges, %llu wins, %llu redispatched)\n",
                   faulted.goodput_qps(), faulted.result.latency_ns.quantile(0.99) / 1e6,
-                  faulted.result.completed, faulted.result.failed, faulted.result.rejected,
+                  faulted.result.completed, faulted.result.failed,
                   static_cast<unsigned long long>(farm.hedges),
                   static_cast<unsigned long long>(farm.hedge_wins),
                   static_cast<unsigned long long>(farm.episodes_redispatched));
@@ -822,8 +776,6 @@ int run_degradation(const LoadgenOptions& options) {
   json.field("duration_s", options.duration_s);
   json.field("rpc_timeout_ms", options.rpc_timeout_ms);
   json.field("hedge_ms", options.hedge_ms);
-  json.field("shed_watermark", static_cast<std::uint64_t>(options.shed_watermark));
-  json.field("deadline_ms", options.deadline_ms);
   json.key("clean");
   write_degradation_side_json(json, clean);
   json.key("faulted");
