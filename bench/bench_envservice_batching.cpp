@@ -1,9 +1,7 @@
 /// EnvService microbench — batched vs sequential environment-query
 /// throughput. The paper's stages issue up to 16 parallel simulator queries
 /// per Thompson-sampling iteration; this bench shows what the service's
-/// batching buys at 1/4/8/16 workers, what its memoization buys on a
-/// repeated batch (hit rate 1.0 -> no episodes at all), and what striping
-/// the memo table buys under a storm of cache hits.
+/// batching buys at 1/4/8/16 workers.
 
 #include <chrono>
 
@@ -25,7 +23,7 @@ int main() {
     for (std::size_t i = 0; i < batch_size; ++i) {
       batch[i].backend = sim;
       batch[i].workload = wl;
-      batch[i].workload.seed = seed_base + i;  // distinct seeds: no cache hits
+      batch[i].workload.seed = seed_base + i;  // distinct seeds: distinct episodes
     }
     return batch;
   };
@@ -63,68 +61,6 @@ int main() {
                common::fmt(sequential_ms / batch_ms, 2) + "x"});
   }
   bench::emit(t, opts);
-
-  // Memoization: replay the identical batch — every query is a cache hit.
-  {
-    env::EnvServiceOptions so;
-    so.threads = 8;
-    env::EnvService service(so);
-    const auto sim = service.add_simulator();
-    const auto batch = make_batch(sim, opts.seed * 1000);
-    (void)service.run_batch(batch);  // warm the cache
-
-    const auto t0 = clock::now();
-    (void)service.run_batch(batch);
-    const double cached_ms = ms_since(t0);
-
-    const auto stats = service.backend_stats(sim);
-    common::Table c({"metric", "value"});
-    c.add_row({"cached batch wall (ms)", common::fmt(cached_ms, 3)});
-    c.add_row({"cache hits / queries", std::to_string(stats.cache_hits) + " / " +
-                                           std::to_string(stats.queries)});
-    c.add_row({"episodes actually run", std::to_string(stats.episodes)});
-    std::cout << "Replaying the identical batch (memoization):\n";
-    bench::emit(c, opts);
-  }
-
-  // Sharded contention: every query is a cache HIT, so the memo-table lock is
-  // the entire cost. One stripe serializes all workers on one mutex; 16
-  // stripes let hits on different keys proceed independently (the win grows
-  // with physical cores).
-  {
-    const std::size_t keys = 64;
-    const std::size_t hits = 4096;
-    auto time_hits = [&](std::size_t shards) {
-      env::EnvServiceOptions so;
-      so.threads = 8;
-      so.cache_shards = shards;
-      env::EnvService service(so);
-      const auto sim = service.add_simulator();
-      std::vector<env::EnvQuery> warm(keys);
-      for (std::size_t i = 0; i < keys; ++i) {
-        warm[i].backend = sim;
-        warm[i].workload = wl;
-        warm[i].workload.seed = opts.seed * 3000 + i;
-      }
-      (void)service.run_batch(warm);  // populate the cache
-
-      std::vector<env::EnvQuery> storm(hits);
-      for (std::size_t i = 0; i < hits; ++i) storm[i] = warm[i % keys];
-      const auto t0 = clock::now();
-      (void)service.run_batch(storm);
-      return std::make_pair(ms_since(t0), service.cache_shard_count());
-    };
-
-    common::Table s({"cache stripes", "hit storm wall (ms)", "hits/s"});
-    for (std::size_t shards : {1u, 16u}) {
-      const auto [storm_ms, actual] = time_hits(shards);
-      s.add_row({std::to_string(actual), common::fmt(storm_ms, 2),
-                 common::fmt(static_cast<double>(hits) / (storm_ms / 1e3), 0)});
-    }
-    std::cout << "Cache-hit storm (" << hits << " hits over " << keys
-              << " keys, 8 workers):\n";
-    bench::emit(s, opts);
-  }
 
   return 0;
 }

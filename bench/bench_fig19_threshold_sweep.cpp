@@ -20,8 +20,6 @@ int main() {
   dlda_opts.grid_per_dim = 4;
   dlda_opts.workload = wl;
   dlda_opts.seed = opts.seed + 9;
-  baselines::Dlda dlda(service, augmented, dlda_opts);
-  dlda.train_offline();
 
   common::Table t({"threshold Y (ms)", "ours usage", "ours QoE", "DLDA usage", "DLDA QoE"});
   for (double y : {300.0, 400.0, 500.0}) {
@@ -31,8 +29,8 @@ int main() {
     core::OfflineTrainer trainer(service, augmented, o);
     const auto result = trainer.train();
 
-    // DLDA's teacher was trained at Y=300 QoE labels; per the paper we
-    // rebuild its dataset per threshold. To stay light, re-select only.
+    // Per the paper, DLDA's dataset is rebuilt per threshold: collect the
+    // grid, train a teacher on this Y's QoE labels, then select.
     baselines::DldaOptions per_y = dlda_opts;
     per_y.sla.latency_threshold_ms = y;
     baselines::Dlda dlda_y(service, augmented, per_y);

@@ -3,6 +3,8 @@
 /// usage/QoE regret by 107.6%/96.5%; BNN-Cont'd's QoE regret soars; no
 /// offline acceleration raises usage regret by 63.5%.
 
+#include <memory>
+
 #include "env/env_service.hpp"
 #include "atlas/oracle.hpp"
 #include "bench_util.hpp"
@@ -21,18 +23,21 @@ int main() {
   const auto oracle = core::find_optimal_config(service, real, atlas::app::Sla{}, online_wl,
                                                 opts.iters(100, 40), opts.seed + 23);
 
+  core::OfflineTrainer trainer(service, augmented, bench::stage2_options(opts));
+  const auto trained = trainer.train();
+
   common::Table t({"online model", "avg usage regret (%)", "avg QoE regret"});
   auto run_variant = [&](const std::string& name, core::OnlineModel model,
                          bool offline_accel) {
     // BNN-Cont'd mutates the offline policy's network: give each variant its
-    // own freshly trained policy.
-    core::OfflineTrainer trainer(service, augmented, bench::stage2_options(opts));
-    const auto offline = trainer.train();
+    // own copy of the trained policy.
+    core::OfflinePolicy policy = trained.policy;
+    policy.qoe_model = std::make_shared<nn::Bnn>(*trained.policy.qoe_model);
     auto o = bench::stage3_options(opts);
     o.model = model;
     o.offline_acceleration = offline_accel;
     o.workload = online_wl;
-    core::OnlineLearner learner(&offline.policy, service, augmented, real, o);
+    core::OnlineLearner learner(&policy, service, augmented, real, o);
     const auto regret = core::compute_regret(learner.learn().history, oracle);
     t.add_row({name, common::fmt(regret.avg_usage_regret * 100.0, 2),
                common::fmt(regret.avg_qoe_regret, 3)});

@@ -45,19 +45,6 @@ static void BM_EpisodeTraffic4(benchmark::State& state) {
 }
 BENCHMARK(BM_EpisodeTraffic4)->Unit(benchmark::kMillisecond);
 
-static void BM_EnvServiceCacheHit(benchmark::State& state) {
-  // Pure service overhead: key construction + lookup for a memoized episode.
-  env::EnvService service(env::EnvServiceOptions{.threads = 1});
-  const auto sim = service.add_simulator();
-  env::EnvQuery q;
-  q.backend = sim;
-  q.workload.duration_ms = 10000.0;
-  q.workload.seed = 3;
-  (void)service.run(q);  // warm
-  for (auto _ : state) benchmark::DoNotOptimize(service.run(q));
-}
-BENCHMARK(BM_EnvServiceCacheHit);
-
 static void BM_GpFit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   math::Rng rng(2);

@@ -56,7 +56,7 @@ int main() {
 
   // Round-trip layers share a tiny-episode worker so the measured time is
   // dominated by RPC plumbing, not simulation.
-  env::EnvService worker(env::EnvServiceOptions{.threads = 2, .cache_capacity = 0});
+  env::EnvService worker(env::EnvServiceOptions{.threads = 2});
   worker.add_simulator();
   env::EnvQuery tiny;
   tiny.workload.duration_ms = 200.0;

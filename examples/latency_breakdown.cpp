@@ -23,7 +23,7 @@ int main() {
 
   env::Workload wl;
   wl.duration_ms = 30000.0;
-  wl.collect_traces = true;  // tracing episodes bypass the service cache
+  wl.collect_traces = true;  // per-frame traces ride on the episode result
   wl.seed = 42;
 
   auto breakdown = [&](env::BackendId net, const env::SliceConfig& config) {

@@ -17,8 +17,8 @@
 int main() {
   using namespace atlas;
 
-  // The EnvService owns the environments, the thread pool, the episode
-  // cache, and the per-backend query accounting. The real network is a
+  // The EnvService owns the environments, the thread pool and the
+  // per-backend query accounting. The real network is a
   // metered (online) backend: treat it as a black box.
   env::EnvService service;
   const auto real = service.add_real_network();
@@ -86,10 +86,10 @@ int main() {
   std::cout << "\nStage 3 - online learning (QoE requirement 0.9):\n";
   stage3.print(std::cout);
 
-  common::Table accounting({"backend", "kind", "queries", "cache hits"});
+  common::Table accounting({"backend", "kind", "queries"});
   for (const auto& b : result.env_stats.backends) {
     accounting.add_row({b.name, b.kind == env::BackendKind::kOnline ? "online" : "offline",
-                        std::to_string(b.queries), std::to_string(b.cache_hits)});
+                        std::to_string(b.queries)});
   }
   std::cout << "\nEnvService accounting (offline queries are free; online ones are\n"
                "SLA exposure — the paper's sample-efficiency bookkeeping):\n";

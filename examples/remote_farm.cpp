@@ -72,8 +72,8 @@ int main() {
 
   // One coherent serving report — counters, RPC retries/failures, and the
   // remote round-trip quantiles — instead of a hand-rolled column subset.
-  std::cout << "router accounting (remote episodes cost ~1000x to recompute,\n"
-               "so cost-aware eviction keeps them memoized longest):\n";
+  std::cout << "router accounting (every query runs its episode, locally or on the "
+               "worker):\n";
   router.stats().summary().print(std::cout);
 
   std::cout << "\nworker-side accounting (its own EnvService meters the same episodes):\n";

@@ -17,12 +17,12 @@ namespace atlas::env {
 
 /// How queries against a backend are metered. Every Atlas stage is built on
 /// the same loop — query an environment, observe, update a model — but the
-/// COST of a query differs wildly: simulator episodes are free and cacheable,
-/// while every real-network episode is served to live slice users (SLA
-/// exposure, the paper's sample-efficiency currency).
+/// COST of a query differs wildly: simulator episodes are free, while every
+/// real-network episode is served to live slice users (SLA exposure, the
+/// paper's sample-efficiency currency).
 enum class BackendKind {
-  kOffline,  ///< Cheap, parallel, memoizable (simulator / multi-slice sim).
-  kOnline,   ///< Metered: each query is a real interaction; never cached.
+  kOffline,  ///< Cheap and parallel (simulator / multi-slice sim).
+  kOnline,   ///< Metered: each query is a real interaction.
 };
 
 /// Opaque handle to a registered backend. Index into a service registry.
@@ -52,16 +52,19 @@ struct EnvQuery {
 };
 
 /// Per-backend accounting. `queries` counts everything routed through the
-/// service; `episodes` counts actual environment executions (for online
-/// backends the two are equal — that equality IS the SLA-exposure meter).
+/// service; `episodes` counts the executions that returned. Every query runs
+/// its episode, so the two are equal unless an episode threw (for online
+/// backends that equality IS the SLA-exposure meter).
 struct BackendStats {
   std::string name;
   BackendKind kind = BackendKind::kOffline;
-  std::uint64_t queries = 0;       ///< Queries answered (hit or executed).
-  std::uint64_t cache_hits = 0;    ///< Served from the memo table.
-  std::uint64_t cache_misses = 0;  ///< Cacheable queries the memo did not answer.
+  std::uint64_t queries = 0;  ///< Queries routed to this backend.
+  /// Kept only because pipebench reads them, filled by
+  /// EnvService::backend_stats alone: hits read 0, and misses read `queries`
+  /// on an offline row (0 on an online one). Not on the wire.
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
   std::uint64_t episodes = 0;      ///< Environment executions.
-  double cost_hint = 1.0;          ///< Relative episode recomputation cost.
   std::uint64_t rpc_retries = 0;   ///< Transport-level retries (remote backends only).
   std::uint64_t rpc_failures = 0;  ///< Queries that exhausted retries or hard-failed remotely.
   std::uint64_t rpc_reconnects = 0;  ///< Successful connection re-establishments (remote only).
@@ -105,9 +108,7 @@ class EnvBackend {
   virtual BackendKind kind() const noexcept = 0;
   virtual const std::string& name() const noexcept = 0;
 
-  /// Relative cost of recomputing one episode (1.0 = in-process simulator).
-  /// Cost-aware cache eviction prefers evicting cheap entries, so a remote
-  /// or testbed episode (orders of magnitude pricier) stays memoized longer.
+  /// Always 1.0; nothing reads it. Kept only because pipebench overrides it.
   virtual double cost_hint() const noexcept { return 1.0; }
 
   /// Whether per-query `SimParams` overrides are meaningful here (Stage 1

@@ -134,8 +134,8 @@ std::string quantile_ms(const telemetry::HistogramData& histogram, double q) {
 }  // namespace
 
 common::Table EnvServiceStats::summary() const {
-  std::vector<std::string> header = {"backend", "kind", "cost", "queries", "hits", "episodes",
-                                     "rpc retries", "rpc failures", "rpc p50 ms", "rpc p99 ms"};
+  std::vector<std::string> header = {"backend", "kind", "queries", "episodes", "rpc retries",
+                                     "rpc failures", "rpc p50 ms", "rpc p99 ms"};
   const std::size_t width = header.size();
   common::Table table(std::move(header));
   // Footer rows fill their leading cells only; the rest of the width is
@@ -146,8 +146,7 @@ common::Table EnvServiceStats::summary() const {
   };
   for (const BackendStats& b : backends) {
     table.add_row({b.name, b.kind == BackendKind::kOnline ? "online" : "offline",
-                   common::fmt(b.cost_hint, 0), std::to_string(b.queries),
-                   std::to_string(b.cache_hits), std::to_string(b.episodes),
+                   std::to_string(b.queries), std::to_string(b.episodes),
                    std::to_string(b.rpc_retries), std::to_string(b.rpc_failures),
                    quantile_ms(b.rpc_rtt_ns, 0.50), quantile_ms(b.rpc_rtt_ns, 0.99)});
   }
@@ -163,11 +162,10 @@ common::Table EnvServiceStats::summary() const {
     reconnects += b.rpc_reconnects;
     rtt.merge(b.rpc_rtt_ns);
   }
-  table.add_row({"TOTAL", "", "", std::to_string(total_queries()), std::to_string(cache_hits),
-                 std::to_string(episodes), std::to_string(retries), std::to_string(failures),
-                 quantile_ms(rtt, 0.50), quantile_ms(rtt, 0.99)});
-  // Service-level serving latency: what a caller of run()/submit() saw,
-  // including cache hits (that's the point — the service IS the product).
+  table.add_row({"TOTAL", "", std::to_string(total_queries()), std::to_string(episodes),
+                 std::to_string(retries), std::to_string(failures), quantile_ms(rtt, 0.50),
+                 quantile_ms(rtt, 0.99)});
+  // Service-level serving latency: what a caller of run()/submit() saw.
   add_footer({"query latency", "p50 " + quantile_ms(query_latency_ns, 0.50) + " ms",
               "p99 " + quantile_ms(query_latency_ns, 0.99) + " ms",
               "p999 " + quantile_ms(query_latency_ns, 0.999) + " ms",

@@ -69,11 +69,13 @@ struct EnvServiceStats {
   std::vector<BackendStats> backends;
   std::uint64_t offline_queries = 0;  ///< Cheap (simulator) queries.
   std::uint64_t online_queries = 0;   ///< Metered real-network interactions.
+  /// Sums of the backend rows' shims (see BackendStats); kept only because
+  /// pipebench reads them. Not on the wire.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Serving telemetry (src/telemetry/), merged across shards by ShardRouter:
-  /// per-query service latency (cache hits and episode executions alike) and
-  /// the queue depth observed at each submission/run, both always-on.
+  /// per-query service latency and the queue depth observed at each
+  /// submission/run, both always-on.
   telemetry::HistogramData query_latency_ns;
   telemetry::HistogramData queue_depth;
   /// Worker-side RPC service time (decode -> response encoded). Only filled
@@ -95,13 +97,9 @@ struct EnvServiceStats {
   EnvServiceStats since(const EnvServiceStats& start) const;
 
   std::uint64_t total_queries() const noexcept { return offline_queries + online_queries; }
-  double hit_rate() const noexcept {
-    const std::uint64_t lookups = cache_hits + cache_misses;
-    return lookups == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(lookups);
-  }
 
-  /// One coherent serving report: a per-backend table (kind, cost, queries,
-  /// hits, episodes, rpc retries/failures, and RPC latency
+  /// One coherent serving report: a per-backend table (kind, queries,
+  /// episodes, rpc retries/failures, and RPC latency
   /// quantiles where measured) plus a totals row with the service-level
   /// query-latency quantiles. Every serving surface (examples, loadgen,
   /// benches) prints THIS instead of a hand-rolled subset.
@@ -109,8 +107,8 @@ struct EnvServiceStats {
 };
 
 /// The query surface every Atlas stage talks to: a registry of `EnvBackend`s
-/// addressed by `BackendId` plus cache-aware batch execution and accounting.
-/// `EnvService` implements it with one pool and one memo table; `ShardRouter`
+/// addressed by `BackendId` plus batch execution and accounting.
+/// `EnvService` implements it with one pool; `ShardRouter`
 /// fans the same address space across many services (and, via
 /// `rpc::RemoteBackend`, across hosts). Stages take an `EnvClient&`, so the
 /// same pipeline runs against one process or a whole farm unchanged.
@@ -121,7 +119,7 @@ class EnvClient {
   // ---- backend registry ----------------------------------------------------
 
   /// Register an execution target (local, remote, testbed — anything
-  /// implementing `EnvBackend`). Name, kind, and cost come from the backend.
+  /// implementing `EnvBackend`). Name and kind come from the backend.
   virtual BackendId register_backend(std::shared_ptr<const EnvBackend> backend) = 0;
 
   /// Register a caller-owned environment. The reference must outlive the
@@ -148,7 +146,7 @@ class EnvClient {
 
   // ---- queries -------------------------------------------------------------
 
-  /// Run one query synchronously on the calling thread (cache-aware).
+  /// Run one query synchronously on the calling thread.
   virtual EpisodeResult run(const EnvQuery& query) = 0;
   EpisodeResult run(BackendId backend, const SliceConfig& config, const Workload& workload);
 
@@ -186,9 +184,10 @@ class EnvClient {
     (void)speculation;
   }
 
-  /// Entries currently memoized (summed across shards / stripes).
-  virtual std::size_t cache_size() const = 0;
-  virtual void clear_cache() = 0;
+  /// Always 0: nothing is memoized. Kept only because pipebench overrides it.
+  virtual std::size_t cache_size() const { return 0; }
+  /// A no-op. Kept only because pipebench overrides it.
+  virtual void clear_cache() {}
 };
 
 }  // namespace atlas::env

@@ -110,9 +110,8 @@ class FarmState {
 };
 
 /// A replicated EnvBackend: one stable BackendId whose episodes execute on
-/// whichever live worker replica answers. Keeping the id (and thus every
-/// client-side memo key) stable across worker loss is what makes failover
-/// memo-friendly — a re-dispatched episode lands in the same cache slot.
+/// whichever live worker replica answers. The id stays stable across worker
+/// loss, so a caller's queries and its accounting row never move.
 ///
 /// Replica selection: round-robin over serving replicas; suspect replicas
 /// are a fallback, dead ones are skipped. On a replica fault the episode is
@@ -130,7 +129,6 @@ class FailoverBackend final : public EnvBackend {
   EpisodeResult execute(const EnvQuery& query) const override;
   BackendKind kind() const noexcept override { return descriptor_.kind; }
   const std::string& name() const noexcept override { return descriptor_.name; }
-  double cost_hint() const noexcept override { return descriptor_.cost_hint; }
   bool accepts_sim_params() const noexcept override { return descriptor_.accepts_sim_params; }
   /// Sums replica-level rpc retries/failures/rtt into the snapshot.
   void fill_stats(BackendStats& stats) const override;

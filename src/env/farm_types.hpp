@@ -20,7 +20,6 @@ namespace atlas::env {
 struct WorkerBackendInfo {
   std::string name;
   BackendKind kind = BackendKind::kOffline;
-  double cost_hint = 1.0;
   bool accepts_sim_params = false;
   std::uint64_t params_digest = 0;
 
@@ -48,9 +47,8 @@ struct WorkerAnnounce {
 /// Heartbeat payload (kHeartbeatAck): cheap liveness plus load gauges the
 /// controller uses for rebalance decisions.
 struct WorkerHealth {
-  std::uint64_t outstanding = 0;    ///< episodes currently queued or running
-  std::uint64_t cache_entries = 0;  ///< memo entries resident across stripes
-  std::uint64_t episodes = 0;       ///< episodes executed since start
+  std::uint64_t outstanding = 0;  ///< episodes currently queued or running
+  std::uint64_t episodes = 0;     ///< episodes executed since start
 };
 
 }  // namespace atlas::env

@@ -144,8 +144,8 @@ class FaultInjector {
 };
 
 /// Decorator that injects faults in front of any EnvBackend. Forwards name,
-/// kind, cost_hint and accepts_sim_params verbatim so the farm's equivalence
-/// digest (params_digest keys on those) cannot tell a faulty replica from a
+/// kind and accepts_sim_params verbatim so the farm's equivalence key (kind,
+/// accepts_sim_params and params_digest) cannot tell a faulty replica from a
 /// healthy one — exactly the adversary the farm's health states and hedging
 /// face.
 ///
@@ -171,7 +171,6 @@ class FaultInjectingBackend final : public EnvBackend {
 
   BackendKind kind() const noexcept override { return inner_->kind(); }
   const std::string& name() const noexcept override { return inner_->name(); }
-  double cost_hint() const noexcept override { return inner_->cost_hint(); }
   bool accepts_sim_params() const noexcept override { return inner_->accepts_sim_params(); }
   void fill_stats(BackendStats& stats) const override { inner_->fill_stats(stats); }
   void reset_stats() const override { inner_->reset_stats(); }

@@ -34,41 +34,25 @@ SliceConfig random_config(math::Rng& rng) {
 LoadPlan build_load_plan(const LoadPlanOptions& options) {
   if (options.qps <= 0.0) throw std::invalid_argument("loadgen: qps must be > 0");
   if (options.duration_s <= 0.0) throw std::invalid_argument("loadgen: duration must be > 0");
-  const double mix_sum = options.mix.revisit + options.mix.online + options.mix.trace;
-  if (options.mix.revisit < 0.0 || options.mix.online < 0.0 || options.mix.trace < 0.0 ||
-      mix_sum > 1.0 + 1e-9) {
+  if (options.mix.online < 0.0 || options.mix.trace < 0.0 ||
+      options.mix.online + options.mix.trace > 1.0 + 1e-9) {
     throw std::invalid_argument("loadgen: mix fractions must be >= 0 and sum to <= 1");
   }
-  if (options.incumbents == 0) throw std::invalid_argument("loadgen: incumbents must be >= 1");
 
-  // Independent streams per concern, so e.g. changing the mix does not shift
-  // which configs the incumbent pool contains.
+  // Independent streams per concern, so e.g. changing the rate does not
+  // shift which configs the plan draws.
   math::Rng base(options.seed);
   math::Rng arrival_rng = base.fork(1);
   math::Rng mix_rng = base.fork(2);
   math::Rng config_rng = base.fork(3);
-
-  // The incumbent pool: configs a BO loop keeps re-scoring. Each carries a
-  // FIXED seed, so a revisit is the same (config, seed) key and memoizes —
-  // that reuse is what cache_hits meter.
-  struct Incumbent {
-    SliceConfig config;
-    std::uint64_t seed;
-  };
-  std::vector<Incumbent> incumbents;
-  incumbents.reserve(options.incumbents);
-  for (std::size_t i = 0; i < options.incumbents; ++i) {
-    incumbents.push_back({random_config(config_rng), options.seed * 1000003ULL + i});
-  }
 
   LoadPlan plan;
   plan.offered_qps = options.qps;
   plan.horizon_s = options.duration_s;
   const double online_share = options.has_online ? options.mix.online : 0.0;
 
-  // Fresh seeds count up from a range disjoint from the incumbents' so an
-  // explorer never accidentally replays an incumbent's episode.
-  std::uint64_t fresh_seed = options.seed * 1000003ULL + options.incumbents + 1;
+  // Every event takes the next seed, so no two events share an episode.
+  std::uint64_t fresh_seed = options.seed * 1000003ULL;
 
   double t = 0.0;
   const double mean_gap = 1.0 / options.qps;
@@ -81,31 +65,20 @@ LoadPlan build_load_plan(const LoadPlanOptions& options) {
     event.query.workload.duration_ms = options.episode_ms;
     event.query.workload.traffic = 1;
     event.query.workload.extra_users = options.extra_users;
+    event.query.config = random_config(config_rng);
+    event.query.workload.seed = fresh_seed++;
 
     const double roll = mix_rng.uniform();
-    if (roll < options.mix.revisit) {
-      const auto pick = static_cast<std::size_t>(
-          mix_rng.uniform_int(0, static_cast<std::int64_t>(options.incumbents) - 1));
-      event.kind = LoadKind::kRevisit;
-      event.query.config = incumbents[pick].config;
-      event.query.workload.seed = incumbents[pick].seed;
-      ++plan.revisits;
-    } else if (roll < options.mix.revisit + online_share) {
+    if (roll < online_share) {
       event.kind = LoadKind::kOnline;
       event.query.backend = options.online_backend;
-      event.query.config = random_config(config_rng);
-      event.query.workload.seed = fresh_seed++;
       ++plan.online;
-    } else if (roll < options.mix.revisit + online_share + options.mix.trace) {
+    } else if (roll < online_share + options.mix.trace) {
       event.kind = LoadKind::kTrace;
-      event.query.config = random_config(config_rng);
-      event.query.workload.seed = fresh_seed++;
       event.query.workload.collect_traces = true;
       ++plan.traces;
     } else {
       event.kind = LoadKind::kFresh;
-      event.query.config = random_config(config_rng);
-      event.query.workload.seed = fresh_seed++;
       ++plan.fresh;
     }
     plan.events.push_back(std::move(event));

@@ -5,8 +5,7 @@
 ///
 ///   build_load_plan  — a DETERMINISTIC schedule of queries: Poisson arrival
 ///                      offsets (exponential inter-arrivals from math::Rng)
-///                      and a synthetic query mix — revisits of incumbent
-///                      (config, seed) pairs, metered online queries,
+///                      and a synthetic query mix — metered online queries,
 ///                      trace-heavy episodes, fresh exploration. The same
 ///                      (options) always yields byte-identical queries.
 ///
@@ -29,21 +28,15 @@ namespace atlas::env {
 
 /// What one scheduled query is, for mix accounting.
 enum class LoadKind {
-  kFresh,    ///< New offline config + fresh seed (exploration; cache miss).
-  kRevisit,  ///< Revisit of an incumbent (config, seed): deliberate memo hit.
-  kOnline,   ///< Metered real-network query (never cached).
-  kTrace,    ///< Fresh offline query with per-frame trace collection.
+  kFresh,   ///< New offline config + fresh seed (exploration).
+  kOnline,  ///< Metered real-network query.
+  kTrace,   ///< Fresh offline query with per-frame trace collection.
 };
 
-/// Query mix as fractions of offered load; the remainder after revisit +
-/// online + trace is fresh exploration. A synthetic serving stress, not a
-/// trace of Atlas, whose stages never repeat a (config, seed) key: traced
-/// pipebench passes (seed 1) memoized 301 entries a pass on surrogate_bound
-/// and 664 on loopback_farm with env.cache_hit_ratio 0 on both, and
-/// examples/quickstart made 0 hits in 521 offline queries. The revisits are
-/// here to load the memo.
+/// Query mix as fractions of offered load; the remainder after online +
+/// trace is fresh exploration. Like Atlas's stages, no plan repeats a
+/// (config, seed) key: every event is a new episode.
 struct LoadMix {
-  double revisit = 0.45;
   double online = 0.05;
   double trace = 0.10;
 };
@@ -59,7 +52,6 @@ struct LoadPlanOptions {
   /// that population, turning the serving sweep into a background-tier
   /// stress (bg16/bg64-shaped work behind the RPC/service layers).
   int extra_users = 0;
-  std::size_t incumbents = 16;  ///< Pool size revisits draw from.
   BackendId offline_backend = 0;
   BackendId online_backend = 0;  ///< Used only when has_online.
   bool has_online = false;       ///< No online backend: online share becomes fresh.
@@ -75,7 +67,6 @@ struct LoadPlan {
   std::vector<LoadEvent> events;
   double offered_qps = 0.0;
   double horizon_s = 0.0;
-  std::size_t revisits = 0;
   std::size_t online = 0;
   std::size_t traces = 0;
   std::size_t fresh = 0;

@@ -153,14 +153,4 @@ void ShardRouter::reset_stats() {
   for (const auto& shard : shards_) shard->reset_stats();
 }
 
-std::size_t ShardRouter::cache_size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->cache_size();
-  return total;
-}
-
-void ShardRouter::clear_cache() {
-  for (const auto& shard : shards_) shard->clear_cache();
-}
-
 }  // namespace atlas::env

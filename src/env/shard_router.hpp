@@ -16,19 +16,18 @@ class FarmState;  // env/farm_controller.hpp
 /// Fans a `BackendId`-keyed address space across M independent `EnvService`
 /// shards, so one process can drive thousands of per-slice Atlas instances
 /// (one backend per tenant slice) without funnelling every query through a
-/// single service's pool and cache stripes. Because the registry is
-/// polymorphic (`EnvBackend`), a shard's backends may be in-process
-/// environments or `rpc::RemoteBackend`s — one router transparently mixes
-/// local pools and remote episode-RPC workers on other hosts.
+/// single service's pool. Because the registry is polymorphic
+/// (`EnvBackend`), a shard's backends may be in-process environments or
+/// `rpc::RemoteBackend`s — one router transparently mixes local pools and
+/// remote episode-RPC workers on other hosts.
 ///
 /// Placement is least-loaded: a new backend goes to the shard with the
 /// fewest outstanding queries at registration time (ties: fewest registered
 /// backends, then lowest index — so an idle router places round-robin).
-/// Each shard is a full EnvService (own thread pool, own striped memo
-/// table, own accounting); the router only translates ids and aggregates.
-/// All guarantees of EnvService (ordered batches, memoization, exact
-/// accounting, metered online backends) hold per shard and therefore
-/// globally:
+/// Each shard is a full EnvService (own thread pool, own accounting); the
+/// router only translates ids and aggregates. All guarantees of EnvService
+/// (ordered batches, one episode per query, metered online backends) hold
+/// per shard and therefore globally:
 ///
 ///   ShardRouter router(/*shards=*/8);
 ///   for (auto& tenant : tenants) ids.push_back(router.add_simulator(tenant.params));
@@ -44,7 +43,7 @@ class ShardRouter final : public EnvClient {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
-  /// Direct access to one shard service (e.g. to inspect its cache).
+  /// Direct access to one shard service (e.g. to inspect its accounting).
   EnvService& shard(std::size_t index) { return *shards_.at(index); }
   /// The shard service owning a global backend id.
   EnvService& service_for(BackendId id) { return *shards_[route_at(id).shard]; }
@@ -75,8 +74,6 @@ class ShardRouter final : public EnvClient {
   /// When a FarmController is attached, `stats().farm` carries its counters.
   EnvServiceStats stats() const override;
   void reset_stats() override;
-  std::size_t cache_size() const override;
-  void clear_cache() override;
 
   /// Attach a farm's shared counter block (done by the FarmController ctor);
   /// subsequent stats() snapshots report it as `EnvServiceStats::farm`. The

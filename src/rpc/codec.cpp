@@ -198,10 +198,10 @@ env::FrameTrace get_trace(WireReader& r) {
 // costs its u32/u64 length field alone.
 constexpr std::size_t kHistogramBucketWireBytes = 4 + 8;  // u32 index, u64 count
 constexpr std::size_t kTraceWireBytes = 8 + 8 * 8;        // u64 id, 8 f64 stamps
-constexpr std::size_t kBackendInfoMinBytes = 4 + 1 + 8 + 1 + 8;  // empty name
-constexpr std::size_t kHistogramMinBytes = 4 + 8;                // no buckets, sum
+constexpr std::size_t kBackendInfoMinBytes = 4 + 1 + 1 + 8;  // empty name
+constexpr std::size_t kHistogramMinBytes = 4 + 8;            // no buckets, sum
 constexpr std::size_t kBackendStatsMinBytes =
-    4 + 1 + 4 * 8 + 8 + 2 * 8 + kHistogramMinBytes + 8;  // empty name
+    4 + 1 + 2 * 8 + 2 * 8 + kHistogramMinBytes + 8;  // empty name
 
 /// Element-count sanity bound: every element takes at least
 /// `min_wire_bytes`, so a count the rest of the frame cannot hold is
@@ -263,7 +263,6 @@ telemetry::HistogramData get_histogram(WireReader& r) {
 void put_backend_info(WireWriter& w, const env::WorkerBackendInfo& info) {
   w.str(info.name);
   put_backend_kind(w, info.kind);
-  w.f64(info.cost_hint);
   w.boolean(info.accepts_sim_params);
   w.u64(info.params_digest);
 }
@@ -272,7 +271,6 @@ env::WorkerBackendInfo get_backend_info(WireReader& r) {
   env::WorkerBackendInfo info;
   info.name = r.str();
   info.kind = get_backend_kind(r);
-  info.cost_hint = r.f64();
   info.accepts_sim_params = r.boolean();
   info.params_digest = r.u64();
   return info;
@@ -282,10 +280,7 @@ void put_backend_stats(WireWriter& w, const env::BackendStats& b) {
   w.str(b.name);
   put_backend_kind(w, b.kind);
   w.u64(b.queries);
-  w.u64(b.cache_hits);
-  w.u64(b.cache_misses);
   w.u64(b.episodes);
-  w.f64(b.cost_hint);
   w.u64(b.rpc_retries);
   w.u64(b.rpc_failures);
   put_histogram(w, b.rpc_rtt_ns);
@@ -297,10 +292,7 @@ env::BackendStats get_backend_stats(WireReader& r) {
   b.name = r.str();
   b.kind = get_backend_kind(r);
   b.queries = r.u64();
-  b.cache_hits = r.u64();
-  b.cache_misses = r.u64();
   b.episodes = r.u64();
-  b.cost_hint = r.f64();
   b.rpc_retries = r.u64();
   b.rpc_failures = r.u64();
   b.rpc_rtt_ns = get_histogram(r);
@@ -358,8 +350,6 @@ std::vector<std::uint8_t> encode_stats_snapshot(std::uint64_t request_id,
   for (const auto& backend : stats.backends) put_backend_stats(w, backend);
   w.u64(stats.offline_queries);
   w.u64(stats.online_queries);
-  w.u64(stats.cache_hits);
-  w.u64(stats.cache_misses);
   put_histogram(w, stats.query_latency_ns);
   put_histogram(w, stats.queue_depth);
   put_histogram(w, stats.rpc_service_ns);
@@ -446,7 +436,6 @@ std::vector<std::uint8_t> encode_heartbeat_ack(std::uint64_t request_id,
   WireWriter w;
   put_header(w, MsgType::kHeartbeatAck, request_id);
   w.u64(health.outstanding);
-  w.u64(health.cache_entries);
   w.u64(health.episodes);
   return w.take();
 }
@@ -470,7 +459,6 @@ env::WorkerAnnounce decode_announce_body(WireReader& reader) {
 env::WorkerHealth decode_heartbeat_ack_body(WireReader& reader) {
   env::WorkerHealth health;
   health.outstanding = reader.u64();
-  health.cache_entries = reader.u64();
   health.episodes = reader.u64();
   reader.expect_done();
   return health;
@@ -484,8 +472,6 @@ env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader) {
   for (std::size_t i = 0; i < backends; ++i) stats.backends.push_back(get_backend_stats(reader));
   stats.offline_queries = reader.u64();
   stats.online_queries = reader.u64();
-  stats.cache_hits = reader.u64();
-  stats.cache_misses = reader.u64();
   stats.query_latency_ns = get_histogram(reader);
   stats.queue_depth = get_histogram(reader);
   stats.rpc_service_ns = get_histogram(reader);

@@ -12,7 +12,7 @@
 
 namespace atlas::rpc {
 
-/// Episode-RPC wire format, version `kWireVersion` (8).
+/// Episode-RPC wire format, version `kWireVersion` (9).
 ///
 /// Every frame payload is:
 ///
@@ -21,7 +21,7 @@ namespace atlas::rpc {
 /// with all integers little-endian and all doubles encoded as their raw
 /// IEEE-754 bit pattern (u64), so an `EnvQuery`/`EpisodeResult` round-trips
 /// BIT-IDENTICALLY — the property that makes a remote episode
-/// interchangeable with a local one under the service's memoization.
+/// interchangeable with a local one.
 /// Transports add their own length prefix (see transport.hpp); the codec
 /// only sees complete payloads.
 ///
@@ -30,7 +30,7 @@ namespace atlas::rpc {
 /// builds fail loudly instead of misreading; any layout change bumps
 /// `kWireVersion`.
 inline constexpr std::uint32_t kWireMagic = 0x41544c53u;  // "ATLS"
-inline constexpr std::uint16_t kWireVersion = 8;
+inline constexpr std::uint16_t kWireVersion = 9;
 
 /// Upper bound on one frame payload; a length prefix beyond this is treated
 /// as a corrupted stream, not an allocation request.

@@ -26,8 +26,8 @@ struct RemoteBackendOptions {
   /// Name under which the backend reports in BackendStats.
   std::string name = "remote";
   /// How the OWNING service meters queries to this backend. A remote
-  /// simulator farm is kOffline (cacheable client-side); a remote testbed
-  /// is kOnline (every query is a metered real interaction).
+  /// simulator farm is kOffline; a remote testbed is kOnline (every query is
+  /// a metered real interaction).
   env::BackendKind kind = env::BackendKind::kOffline;
   /// Backend id inside the WORKER's EnvService that queries are rewritten
   /// to (a worker registers its backends 0..N-1 at startup).
@@ -59,10 +59,6 @@ struct RemoteBackendOptions {
   /// interaction the worker may already have executed. Connect/send
   /// failures (query never reached the worker) retry for both kinds.
   int max_retries = 2;
-  /// Relative recomputation cost fed to cost-aware cache eviction. Remote
-  /// episodes pay serialization + network + a farm's queue; keep them
-  /// memoized long after same-priced-as-free simulator entries are gone.
-  double cost_hint = 1000.0;
   /// Whether per-query SimParams overrides are forwarded (the worker-side
   /// backend still validates); Stage 1 against a remote simulator needs it.
   bool accepts_sim_params = true;
@@ -97,7 +93,6 @@ class RemoteBackend final : public env::EnvBackend {
                                          const env::CancelToken& cancel) const override;
   env::BackendKind kind() const noexcept override { return options_.kind; }
   const std::string& name() const noexcept override { return options_.name; }
-  double cost_hint() const noexcept override { return options_.cost_hint; }
   bool accepts_sim_params() const noexcept override { return options_.accepts_sim_params; }
   void fill_stats(env::BackendStats& stats) const override;
   void reset_stats() const noexcept override {

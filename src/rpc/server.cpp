@@ -115,7 +115,6 @@ void EpisodeRpcServer::serve(Transport& transport) {
           reader.expect_done();
           env::WorkerHealth health;
           health.outstanding = service_.outstanding_queries();
-          health.cache_entries = service_.cache_size();
           for (const auto& backend : service_.stats().backends) {
             health.episodes += backend.episodes;
           }
@@ -229,7 +228,6 @@ env::WorkerAnnounce EpisodeRpcServer::announce() const {
     env::WorkerBackendInfo info;
     info.name = service_.backend_name(backend_id);
     info.kind = service_.backend_kind(backend_id);
-    info.cost_hint = service_.backend_cost_hint(backend_id);
     info.accepts_sim_params = service_.backend_accepts_sim_params(backend_id);
     info.params_digest = backend_digest(backend_id);
     announce.backends.push_back(std::move(info));

@@ -33,7 +33,6 @@ std::shared_ptr<const env::EnvBackend> RemoteWorkerControl::make_backend(
   backend.name = info.name + "@" + address_;
   backend.kind = info.kind;
   backend.remote_backend = remote_backend;
-  backend.cost_hint = info.cost_hint;
   backend.accepts_sim_params = info.accepts_sim_params;
   return std::make_shared<RemoteBackend>(std::move(backend));
 }

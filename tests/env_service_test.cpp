@@ -31,24 +31,21 @@ ae::EnvQuery query(ae::BackendId backend, std::uint64_t seed,
   return q;
 }
 
-/// A simulator behind the polymorphic EnvBackend interface with a custom
-/// cost hint — stands in for a remote farm in eviction tests.
-class CostlyBackend final : public ae::EnvBackend {
+/// A simulator behind the polymorphic EnvBackend interface under its own
+/// name — stands in for a custom (say, ns-3) farm.
+class NamedBackend final : public ae::EnvBackend {
  public:
-  explicit CostlyBackend(double cost, std::string name = "costly")
-      : name_(std::move(name)), cost_(cost) {}
+  explicit NamedBackend(std::string name) : name_(std::move(name)) {}
 
   ae::EpisodeResult execute(const ae::EnvQuery& q) const override {
     return sim_.run(q.config, q.workload);
   }
   ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
   const std::string& name() const noexcept override { return name_; }
-  double cost_hint() const noexcept override { return cost_; }
 
  private:
   ae::Simulator sim_;
   std::string name_;
-  double cost_;
 };
 
 /// Parks every execute() until released — makes a shard look loaded so the
@@ -112,27 +109,7 @@ TEST(EnvService, SubmitReturnsWorkingHandle) {
   EXPECT_EQ(result.latencies_ms, direct.run(ae::SliceConfig{}, short_workload(7)).latencies_ms);
 }
 
-TEST(EnvService, CacheHitsAreDeterministicAndCounted) {
-  ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
-  const auto sim = service.add_simulator();
-
-  const auto first = service.run(query(sim, 42));
-  const auto second = service.run(query(sim, 42));
-  EXPECT_EQ(first.latencies_ms, second.latencies_ms);
-
-  const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.episodes, 1u);  // the episode actually ran only once
-  EXPECT_EQ(service.cache_size(), 1u);
-
-  // A different seed is a different episode.
-  (void)service.run(query(sim, 43));
-  EXPECT_EQ(service.backend_stats(sim).episodes, 2u);
-}
-
-TEST(EnvService, OnlineBackendsAreNeverCached) {
+TEST(EnvService, OnlineBackendsMeterEveryQuery) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto real = service.add_real_network();
 
@@ -141,27 +118,23 @@ TEST(EnvService, OnlineBackendsAreNeverCached) {
   const auto stats = service.backend_stats(real);
   EXPECT_EQ(stats.kind, ae::BackendKind::kOnline);
   EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.episodes, 2u);  // metered: every query hit the network
-  EXPECT_EQ(service.cache_size(), 0u);
+  EXPECT_EQ(stats.episodes, stats.queries);  // metered: every query hit the network
 }
 
-TEST(EnvService, SimParamsOverrideRunsAndCaches) {
+TEST(EnvService, SimParamsOverrideMatchesAnEphemeralSimulator) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto sim = service.add_simulator();
 
   auto q = query(sim, 9);
   q.sim_params = ae::oracle_calibration();
   const auto overridden = service.run(q);
-  const auto cached = service.run(q);
-  EXPECT_EQ(overridden.latencies_ms, cached.latencies_ms);
   EXPECT_EQ(service.backend_stats(sim).episodes, 1u);
 
   // The override must match an ephemeral simulator with those parameters...
   ae::Simulator direct(ae::oracle_calibration());
   EXPECT_EQ(overridden.latencies_ms,
             direct.run(ae::SliceConfig{}, short_workload(9)).latencies_ms);
-  // ...and must key the cache separately from the backend's own parameters.
+  // ...and differ from the backend's own parameters at the same seed.
   const auto defaults = service.run(query(sim, 9));
   EXPECT_NE(defaults.latencies_ms, overridden.latencies_ms);
 }
@@ -195,69 +168,64 @@ TEST(EnvService, UnknownBackendThrows) {
   EXPECT_THROW((void)service.submit(query(99, 1)), std::out_of_range);
 }
 
-TEST(EnvService, LruEvictionBoundsTheCache) {
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  options.cache_capacity = 2;
-  ae::EnvService service(options);
-  const auto sim = service.add_simulator();
-
-  (void)service.run(query(sim, 1));  // A
-  (void)service.run(query(sim, 2));  // B
-  (void)service.run(query(sim, 3));  // C evicts A (least recently used)
-  EXPECT_EQ(service.cache_size(), 2u);
-  (void)service.run(query(sim, 1));  // A must re-execute
-  EXPECT_EQ(service.backend_stats(sim).episodes, 4u);
-}
-
-TEST(EnvService, NonFiniteKeysBypassTheMemo) {
-  // NaN never equals itself: memoized under such a key, an entry could never
-  // be found again, and eviction, which looks entries up by key, would throw.
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  options.cache_capacity = 4;
-  ae::EnvService service(options);
+TEST(EnvService, NonFiniteQueriesRunOrThrow) {
+  // A NaN off the wire must neither hang a worker nor poison the service: a
+  // NaN bandwidth runs its episode, a NaN duration throws, and the service
+  // keeps serving.
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 1});
   const auto sim = service.add_simulator();
   const double nan = std::numeric_limits<double>::quiet_NaN();
 
   ae::SliceConfig nan_bandwidth;
   nan_bandwidth.bandwidth_ul = nan;
   (void)service.run(query(sim, 1, nan_bandwidth));
-  (void)service.run(query(sim, 1, nan_bandwidth));  // runs again: nothing to hit
-  EXPECT_EQ(service.cache_size(), 0u);
+  (void)service.run(query(sim, 1, nan_bandwidth));
   auto nan_duration = query(sim, 2);
   nan_duration.workload.duration_ms = nan;
   EXPECT_THROW((void)service.run(nan_duration), std::invalid_argument);
+  ASSERT_NO_THROW((void)service.run(query(sim, 3)));
 
-  for (std::uint64_t seed = 3; seed < 43; ++seed) {
-    ASSERT_NO_THROW((void)service.run(query(sim, seed))) << "seed " << seed;
-  }
-  EXPECT_EQ(service.cache_size(), 4u);
   const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.queries, 43u);
-  EXPECT_EQ(stats.cache_misses, 43u);
-  EXPECT_EQ(stats.episodes, 42u);  // the NaN-duration episode threw
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
+  EXPECT_EQ(stats.queries, 4u);
+  EXPECT_EQ(stats.episodes, 3u);  // the NaN-duration episode threw
 }
 
-TEST(EnvService, LruEvictionKeepsRecentlyTouchedEntries) {
-  // A hit refreshes recency: unlike the old FIFO, a hot entry survives
-  // churn that would have aged it out by insertion order.
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  options.cache_capacity = 2;
-  ae::EnvService service(options);
+TEST(EnvService, PipebenchShimReadsNoHitsAndAMissPerOfflineQuery) {
+  // Nothing is memoized, yet pipebench still reads cache_hits/cache_misses
+  // and calls cache_size()/clear_cache(). An offline row reads 0 hits and one
+  // miss per query, repeats included; an online row reads 0 and 0; the
+  // totals and since() carry the rows.
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 1});
   const auto sim = service.add_simulator();
+  const auto real = service.add_real_network();
 
-  (void)service.run(query(sim, 1));  // A
-  (void)service.run(query(sim, 2));  // B
-  (void)service.run(query(sim, 1));  // touch A: B is now the LRU entry
-  (void)service.run(query(sim, 3));  // C evicts B, not A
-  (void)service.run(query(sim, 1));  // A still cached
-  const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.episodes, 3u) << "A must never re-execute";
-  (void)service.run(query(sim, 2));  // B was evicted: re-executes
-  EXPECT_EQ(service.backend_stats(sim).episodes, 4u);
+  (void)service.run(query(sim, 1));
+  const ae::EnvServiceStats start = service.stats();
+  (void)service.run(query(sim, 1));
+  (void)service.run(query(sim, 2));
+  (void)service.run(query(real, 3));
+  (void)service.run(query(real, 3));
+
+  const auto offline = service.backend_stats(sim);
+  EXPECT_EQ(offline.cache_hits, 0u);
+  EXPECT_EQ(offline.cache_misses, offline.queries);
+  EXPECT_EQ(offline.cache_misses, 3u);
+  const auto online = service.backend_stats(real);
+  EXPECT_EQ(online.queries, 2u);
+  EXPECT_EQ(online.cache_hits, 0u);
+  EXPECT_EQ(online.cache_misses, 0u);
+
+  const ae::EnvServiceStats total = service.stats();
+  EXPECT_EQ(total.cache_hits, 0u);
+  EXPECT_EQ(total.cache_misses, 3u);
+  const ae::EnvServiceStats delta = total.since(start);
+  EXPECT_EQ(delta.cache_misses, 2u);
+  EXPECT_EQ(delta.backends[sim].cache_misses, 2u);
+
+  ae::EnvClient& client = service;
+  EXPECT_EQ(client.cache_size(), 0u);
+  client.clear_cache();
+  EXPECT_EQ(service.backend_stats(sim).queries, 3u);
 }
 
 TEST(EnvService, MeasureQoeMatchesEpisodeQoe) {
@@ -304,10 +272,8 @@ TEST(QueryHandle, InvalidHandleIsSafeNotUB) {
 }
 
 TEST(EnvService, RacingIdenticalQueriesKeepExactAccounting) {
-  // N threads hammer ONE cacheable query. How many of them execute depends
-  // on the interleaving; what holds under any interleaving is checked here:
-  // one result, hits + misses == queries, one episode per miss, and a
-  // single memo entry for the key.
+  // N threads hammer ONE offline query: every copy runs its episode, every
+  // copy returns the same bits, and episodes == queries.
   constexpr std::size_t kThreads = 8;
   ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
   const auto sim = service.add_simulator();
@@ -325,18 +291,15 @@ TEST(EnvService, RacingIdenticalQueriesKeepExactAccounting) {
 
   const auto stats = service.backend_stats(sim);
   EXPECT_EQ(stats.queries, kThreads);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-  EXPECT_EQ(stats.cache_misses, stats.episodes);
-  EXPECT_GE(stats.episodes, 1u);
-  EXPECT_EQ(service.cache_size(), 1u) << "one memo entry per key";
+  EXPECT_EQ(stats.episodes, stats.queries);
   for (const auto& r : results) {
     EXPECT_EQ(r.latencies_ms, results[0].latencies_ms);  // bit-identical
   }
 }
 
 TEST(EnvService, DuplicateQueriesInOneBatchKeepExactAccounting) {
-  // Duplicates inside one run_batch may race past the memo table and each
-  // execute; their results and the accounting must not tell.
+  // Duplicates inside one run_batch each execute; their results and the
+  // accounting must not tell.
   ae::EnvService service(ae::EnvServiceOptions{.threads = 4});
   const auto sim = service.add_simulator();
 
@@ -349,10 +312,7 @@ TEST(EnvService, DuplicateQueriesInOneBatchKeepExactAccounting) {
 
   const auto stats = service.backend_stats(sim);
   EXPECT_EQ(stats.queries, batch.size());
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-  EXPECT_EQ(stats.cache_misses, stats.episodes);
-  EXPECT_GE(stats.episodes, 2u);  // each key ran at least once
-  EXPECT_EQ(service.cache_size(), 2u) << "one memo entry per key";
+  EXPECT_EQ(stats.episodes, stats.queries);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].latencies_ms, results[i % 2].latencies_ms) << "slot " << i;
   }
@@ -376,7 +336,7 @@ TEST(EnvService, NestedBatchInsideWorkerDoesNotDeadlock) {
 TEST(EnvService, DestructionWithAbandonedHandlesIsSafe) {
   // Submitted-but-never-harvested queries may still be queued when the
   // service dies; the pool (last member) must drain them while the registry
-  // and cache shards are still alive.
+  // is still alive.
   for (int rep = 0; rep < 4; ++rep) {
     ae::EnvService service(ae::EnvServiceOptions{.threads = 2});
     const auto sim = service.add_simulator();
@@ -405,106 +365,15 @@ TEST(ShardRouter, NestedBatchInsideShardWorkerDoesNotDeadlock) {
   EXPECT_EQ(router.backend_stats(sim_b).episodes, 1u);
 }
 
-TEST(EnvService, CacheCapacityZeroDisablesCachingEndToEnd) {
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  options.cache_capacity = 0;
-  ae::EnvService service(options);
-  EXPECT_FALSE(service.caching_enabled());
-  const auto sim = service.add_simulator();
-
-  (void)service.run(query(sim, 5));
-  (void)service.run(query(sim, 5));  // same key: re-executes, no phantom miss
-  const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.episodes, 2u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u) << "capacity 0 means disabled, not always-missing";
-  EXPECT_EQ(service.cache_size(), 0u);
-}
-
-TEST(EnvService, CacheShardCountAdaptsToCapacity) {
-  // Tiny caches keep one stripe (exact global FIFO); the default capacity
-  // stripes out; an explicit cache_shards is honored but never exceeds the
-  // capacity.
-  ae::EnvServiceOptions tiny;
-  tiny.threads = 1;
-  tiny.cache_capacity = 2;
-  EXPECT_EQ(ae::EnvService(tiny).cache_shard_count(), 1u);
-
-  ae::EnvServiceOptions dflt;
-  dflt.threads = 1;
-  EXPECT_EQ(ae::EnvService(dflt).cache_shard_count(), 16u);
-
-  ae::EnvServiceOptions manual;
-  manual.threads = 1;
-  manual.cache_shards = 4;
-  EXPECT_EQ(ae::EnvService(manual).cache_shard_count(), 4u);
-
-  ae::EnvServiceOptions clamped;
-  clamped.threads = 1;
-  clamped.cache_capacity = 3;
-  clamped.cache_shards = 64;
-  EXPECT_EQ(ae::EnvService(clamped).cache_shard_count(), 3u);
-}
-
-TEST(EnvService, CostAwareEvictionPrefersCheapVictims) {
-  // Capacity 2, one stripe. An expensive (remote-priced) entry inserted
-  // FIRST — i.e. the least recently used — must survive eviction while the
-  // cheap simulator entry goes, because recomputing it costs 1000x.
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  options.cache_capacity = 2;
-  ae::EnvService service(options);
-  const auto costly = service.register_backend(std::make_shared<CostlyBackend>(1000.0));
-  const auto sim = service.add_simulator();
-
-  (void)service.run(query(costly, 1));  // expensive entry (oldest)
-  (void)service.run(query(sim, 2));     // cheap entry
-  (void)service.run(query(sim, 3));     // overflow: evicts the CHEAP entry
-  EXPECT_EQ(service.cache_size(), 2u);
-
-  (void)service.run(query(costly, 1));  // still memoized: no new episode
-  EXPECT_EQ(service.backend_stats(costly).episodes, 1u)
-      << "the expensive entry must outlive cheap ones in the eviction scan";
-  (void)service.run(query(sim, 2));  // was evicted: re-executes
-  EXPECT_EQ(service.backend_stats(sim).episodes, 3u);
-}
-
-TEST(EnvService, JustInsertedEntryIsNotItsOwnEvictionVictim) {
-  // A stripe full of expensive entries must not turn cheap backends into
-  // cache-never citizens: the eviction scan excludes the entry the current
-  // insert just added, so the cheap episode displaces the coldest expensive
-  // one instead of evicting itself.
-  ae::EnvServiceOptions options;
-  options.threads = 1;
-  options.cache_capacity = 2;
-  ae::EnvService service(options);
-  const auto costly = service.register_backend(std::make_shared<CostlyBackend>(1000.0));
-  const auto sim = service.add_simulator();
-
-  (void)service.run(query(costly, 1));  // expensive, coldest
-  (void)service.run(query(costly, 2));  // expensive
-  (void)service.run(query(sim, 3));     // cheap insert: evicts costly seed 1, NOT itself
-  (void)service.run(query(sim, 3));     // must be a hit
-  const auto stats = service.backend_stats(sim);
-  EXPECT_EQ(stats.cache_hits, 1u) << "the just-inserted cheap entry must survive";
-  EXPECT_EQ(stats.episodes, 1u);
-  (void)service.run(query(costly, 2));  // newer expensive entry survived
-  EXPECT_EQ(service.backend_stats(costly).episodes, 2u);
-}
-
-TEST(EnvService, CustomBackendRegistersWithOwnNameKindAndCost) {
+TEST(EnvService, CustomBackendRegistersWithOwnNameAndKind) {
   ae::EnvService service(ae::EnvServiceOptions{.threads = 1});
-  const auto id =
-      service.register_backend(std::make_shared<CostlyBackend>(250.0, "ns3-farm"));
+  const auto id = service.register_backend(std::make_shared<NamedBackend>("ns3-farm"));
   EXPECT_EQ(service.backend_name(id), "ns3-farm");
   EXPECT_EQ(service.backend_kind(id), ae::BackendKind::kOffline);
 
   (void)service.run(query(id, 5));
   const auto stats = service.backend_stats(id);
   EXPECT_EQ(stats.name, "ns3-farm");
-  EXPECT_DOUBLE_EQ(stats.cost_hint, 250.0);
   EXPECT_EQ(stats.episodes, 1u);
   EXPECT_EQ(stats.rpc_failures, 0u);  // fill_stats default: no rpc surface
 
@@ -571,30 +440,27 @@ TEST(ShardRouter, IdlePlacementSpreadsLikeRoundRobinAndAggregatesStats) {
   EXPECT_EQ(&router.service_for(sim_c), &router.shard(0));
 
   (void)router.run(query(sim_a, 1));
-  (void)router.run(query(sim_a, 1));  // cache hit on shard 0
+  (void)router.run(query(sim_a, 1));  // runs again on shard 0
   (void)router.run(query(real, 2));
   (void)router.run(query(sim_c, 3));
 
   // Per-backend stats route through; the aggregate is ordered by GLOBAL id
-  // and sums hit/miss/offline/online across shards.
-  EXPECT_EQ(router.backend_stats(sim_a).cache_hits, 1u);
+  // and sums queries and episodes across shards.
+  EXPECT_EQ(router.backend_stats(sim_a).episodes, 2u);
   const auto stats = router.stats();
   ASSERT_EQ(stats.backends.size(), 3u);
   EXPECT_EQ(stats.backends[0].name, "sim-a");
   EXPECT_EQ(stats.backends[1].name, "real-b");
   EXPECT_EQ(stats.backends[2].name, "sim-c");
-  EXPECT_EQ(stats.backends[0].cache_hits, 1u);
+  EXPECT_EQ(stats.backends[0].episodes, 2u);
+  EXPECT_EQ(stats.backends[1].episodes, 1u);
+  EXPECT_EQ(stats.backends[2].episodes, 1u);
   EXPECT_EQ(stats.offline_queries, 3u);
   EXPECT_EQ(stats.online_queries, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_EQ(router.cache_size(), 2u);  // sim_a seed 1 + sim_c seed 3
 
   router.reset_stats();
   EXPECT_EQ(router.stats().total_queries(), 0u);
-  EXPECT_EQ(router.stats().cache_hits, 0u);
-  router.clear_cache();
-  EXPECT_EQ(router.cache_size(), 0u);
+  EXPECT_EQ(router.backend_stats(sim_a).episodes, 0u);
 
   EXPECT_THROW((void)router.run(query(99, 1)), std::out_of_range);
 }

@@ -1,9 +1,9 @@
 // Farm failover acceptance test: two real atlas_episode_worker processes
 // behind one FarmController-managed ShardRouter, SIGKILL one mid-run_batch,
 // and demand (a) the batch completes with results bit-identical to a pure
-// in-process run, (b) every re-dispatched episode is counted, (c) the memo
-// still serves revisits as hits, and (d) the heartbeat sweep declares the
-// killed worker dead.
+// in-process run, (b) every re-dispatched episode is counted, (c) a full
+// replay re-runs every episode on the survivor under the same global id, and
+// (d) the heartbeat sweep declares the killed worker dead.
 //
 // Needs ATLAS_WORKER_BIN (set by CMake on the ctest entry); skipped without
 // it. ATLAS_WORKER_ADDR is deliberately ignored — this suite must own the
@@ -106,7 +106,7 @@ std::vector<ae::EnvQuery> batch_with_seeds(ae::BackendId backend, std::size_t n)
     q.backend = backend;
     q.config.bandwidth_ul = 20.0 + 5.0 * static_cast<double>(i % 3);
     q.workload.duration_ms = 3000.0;
-    q.workload.seed = 5000 + i;  // distinct seeds: no cache help on first pass
+    q.workload.seed = 5000 + i;  // distinct seeds: distinct episodes
     batch.push_back(q);
   }
   return batch;
@@ -182,16 +182,18 @@ TEST(FarmFailover, KilledWorkerMidBatchRedispatchesBitIdentically) {
   EXPECT_LE(farm_view.episodes_redispatched, kBatch);
   EXPECT_EQ(farm_view.workers_joined, 2u);
 
-  // (c) the client-side memo holds every episode under the STABLE global id:
-  // a full revisit is pure cache hits, no new episodes — worker loss did not
-  // orphan a single entry.
+  // (c) the STABLE global id still serves the whole batch: a full replay
+  // re-runs every episode on the survivor and matches bit for bit.
+  const auto survivor = control_for(b.port());
+  const std::uint64_t survivor_before = survivor->heartbeat().episodes;
   const auto replay = router.run_batch(batch);
   for (std::size_t i = 0; i < replay.size(); ++i) {
     EXPECT_EQ(replay[i].latencies_ms, ref_results[i].latencies_ms) << "slot " << i;
   }
   const auto after = router.backend_stats(sim);
-  EXPECT_EQ(after.episodes, kBatch);
-  EXPECT_EQ(after.cache_hits, kBatch);
+  EXPECT_EQ(after.queries, 2 * kBatch);
+  EXPECT_EQ(after.episodes, 2 * kBatch);
+  EXPECT_EQ(survivor->heartbeat().episodes, survivor_before + kBatch);
 
   // (d) the heartbeat sweep confirms the death: suspect after one miss, dead
   // after two, and the farm view says one worker lost, one still serving.

@@ -43,7 +43,7 @@ class SeedEchoBackend final : public ae::EnvBackend {
   }
   ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
   const std::string& name() const noexcept override { return name_; }
-  double cost_hint() const noexcept override { return 7.0; }
+  bool accepts_sim_params() const noexcept override { return true; }
 
  private:
   std::string name_ = "seed-echo";
@@ -208,8 +208,7 @@ TEST(FaultInjectingBackend, ForwardsIdentityAndExecutesCleanWithEmptyPlan) {
   // metadata forwards verbatim.
   EXPECT_EQ(faulty.name(), inner->name());
   EXPECT_EQ(faulty.kind(), inner->kind());
-  EXPECT_DOUBLE_EQ(faulty.cost_hint(), inner->cost_hint());
-  EXPECT_EQ(faulty.accepts_sim_params(), inner->accepts_sim_params());
+  EXPECT_TRUE(faulty.accepts_sim_params());
 
   const auto result = faulty.execute(query_with_seed(17));
   EXPECT_EQ(result.latencies_ms, inner->execute(query_with_seed(17)).latencies_ms);

@@ -1,6 +1,6 @@
 // Open-loop load generator: plan determinism (fixed seed => byte-identical
 // query mix), mix fractions and Poisson arrivals, and a small in-process
-// run_load_point exercising revisit reuse end to end.
+// run_load_point metering one episode per query end to end.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -26,7 +27,6 @@ env::LoadPlanOptions small_options() {
   options.duration_s = 1.0;
   options.seed = 11;
   options.episode_ms = 2.0;
-  options.incumbents = 8;
   options.offline_backend = 0;
   options.online_backend = 1;
   options.has_online = true;
@@ -70,10 +70,9 @@ TEST(LoadPlan, MixFractionsAndArrivalsMatchTheOptions) {
   const env::LoadPlan plan = env::build_load_plan(options);
   const auto n = static_cast<double>(plan.events.size());
   ASSERT_GT(n, 15000.0);
-  EXPECT_NEAR(static_cast<double>(plan.revisits) / n, options.mix.revisit, 0.02);
   EXPECT_NEAR(static_cast<double>(plan.online) / n, options.mix.online, 0.02);
   EXPECT_NEAR(static_cast<double>(plan.traces) / n, options.mix.trace, 0.02);
-  EXPECT_EQ(plan.revisits + plan.online + plan.traces + plan.fresh, plan.events.size());
+  EXPECT_EQ(plan.online + plan.traces + plan.fresh, plan.events.size());
 
   // Poisson arrivals: ~qps * duration events, sorted, mean gap ~1/qps.
   EXPECT_NEAR(n, options.qps * options.duration_s, 0.05 * options.qps * options.duration_s);
@@ -84,12 +83,12 @@ TEST(LoadPlan, MixFractionsAndArrivalsMatchTheOptions) {
     previous = event.arrival_s;
   }
 
-  // Per-kind invariants.
+  // Per-kind invariants; no two events share a seed, so none repeats an
+  // episode.
+  std::set<std::uint64_t> seeds;
   for (const env::LoadEvent& event : plan.events) {
+    EXPECT_TRUE(seeds.insert(event.query.workload.seed).second);
     switch (event.kind) {
-      case env::LoadKind::kRevisit:
-        EXPECT_EQ(event.query.backend, options.offline_backend);
-        break;
       case env::LoadKind::kOnline:
         EXPECT_EQ(event.query.backend, options.online_backend);
         break;
@@ -120,7 +119,7 @@ TEST(LoadPlan, ExtraUsersRideOnEveryScheduledEpisode) {
   const env::LoadPlan plan = env::build_load_plan(options);
   ASSERT_FALSE(plan.events.empty());
   for (const env::LoadEvent& event : plan.events) {
-    EXPECT_EQ(event.query.workload.extra_users, 16);  // revisits included
+    EXPECT_EQ(event.query.workload.extra_users, 16);
   }
 }
 
@@ -129,15 +128,15 @@ TEST(LoadPlan, RejectsBadOptions) {
   options.qps = 0.0;
   EXPECT_THROW(env::build_load_plan(options), std::invalid_argument);
   options = small_options();
-  options.mix.revisit = 0.9;
+  options.mix.online = 0.8;
   options.mix.trace = 0.3;  // sums past 1
   EXPECT_THROW(env::build_load_plan(options), std::invalid_argument);
   options = small_options();
-  options.incumbents = 0;
+  options.mix.trace = -0.1;
   EXPECT_THROW(env::build_load_plan(options), std::invalid_argument);
 }
 
-TEST(LoadPoint, RunsAPlanAgainstAServiceAndMetersReuse) {
+TEST(LoadPoint, RunsAPlanAgainstAServiceAndMetersEpisodes) {
   env::EnvServiceOptions service_options;
   service_options.threads = 2;
   env::EnvService service(service_options);
@@ -151,7 +150,6 @@ TEST(LoadPoint, RunsAPlanAgainstAServiceAndMetersReuse) {
   plan_options.online_backend = real;
   const env::LoadPlan plan = env::build_load_plan(plan_options);
   ASSERT_GT(plan.events.size(), 50u);
-  ASSERT_GT(plan.revisits, plan_options.incumbents);
 
   env::LoadRunOptions run_options;
   run_options.workers = 8;
@@ -164,14 +162,16 @@ TEST(LoadPoint, RunsAPlanAgainstAServiceAndMetersReuse) {
   EXPECT_GT(result.achieved_qps, 0.0);
   EXPECT_GT(result.wall_s, 0.0);
 
-  // More revisits than incumbents => some (config, seed) pair repeated and
-  // hit the memo; fresh and online queries never repeat a key, so only
-  // revisits hit.
-  EXPECT_GT(result.stats.cache_hits, 0u);
-  EXPECT_LE(result.stats.cache_hits, static_cast<std::uint64_t>(plan.revisits));
+  // Every query ran its own episode, offline and online alike.
   EXPECT_EQ(result.stats.total_queries(),
             static_cast<std::uint64_t>(result.completed));
   EXPECT_EQ(result.stats.online_queries, static_cast<std::uint64_t>(plan.online));
+  std::uint64_t episodes = 0;
+  for (const env::BackendStats& b : result.stats.backends) {
+    EXPECT_EQ(b.episodes, b.queries) << b.name;
+    episodes += b.episodes;
+  }
+  EXPECT_EQ(episodes, static_cast<std::uint64_t>(result.completed));
   // The service's own telemetry saw every query too.
   EXPECT_EQ(result.stats.query_latency_ns.count(),
             static_cast<std::uint64_t>(result.completed));

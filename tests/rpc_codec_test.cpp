@@ -19,8 +19,8 @@ namespace ae = atlas::env;
 namespace {
 
 // Bit-level equality (0.0 vs -0.0 differ; values from different code paths
-// must match EXACTLY for memoization to treat remote and local episodes as
-// interchangeable).
+// must match EXACTLY for a remote episode to be interchangeable with a local
+// one).
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -144,8 +144,7 @@ ae::BackendStats pinned_backend_stats(std::string name, ae::BackendKind kind,
                                       std::uint64_t base) {
   atlas::telemetry::HistogramData rtt;
   for (std::uint64_t s = 0; s < base; ++s) rtt.record(100000 + s * 7919);
-  return {.name = std::move(name), .kind = kind, .queries = base + 40, .cache_hits = base + 20,
-          .cache_misses = base + 19, .episodes = base + 19, .cost_hint = 1000.0,
+  return {.name = std::move(name), .kind = kind, .queries = base + 40, .episodes = base + 19,
           .rpc_retries = base + 2, .rpc_failures = base, .rpc_reconnects = base + 4,
           .rpc_rtt_ns = std::move(rtt)};
 }
@@ -156,8 +155,6 @@ ae::EnvServiceStats pinned_stats() {
                     pinned_backend_stats("real-0", ae::BackendKind::kOnline, 5)};
   stats.offline_queries = 120;
   stats.online_queries = 7;
-  stats.cache_hits = 60;
-  stats.cache_misses = 67;
   for (std::uint64_t s = 0; s < 20; ++s) stats.query_latency_ns.record(1000 + s * 997);
   for (std::uint64_t s = 0; s < 10; ++s) stats.queue_depth.record(s % 5);
   for (std::uint64_t s = 0; s < 6; ++s) stats.rpc_service_ns.record(500000 + s);
@@ -165,9 +162,9 @@ ae::EnvServiceStats pinned_stats() {
 }
 
 ae::WorkerAnnounce pinned_announce() {
-  return {.backends = {{.name = "sim-0", .kind = ae::BackendKind::kOffline, .cost_hint = 1000.0,
+  return {.backends = {{.name = "sim-0", .kind = ae::BackendKind::kOffline,
                         .accepts_sim_params = true, .params_digest = 0xDEADBEEFCAFEF00Dull},
-                       {.name = "real-0", .kind = ae::BackendKind::kOnline, .cost_hint = 1.0,
+                       {.name = "real-0", .kind = ae::BackendKind::kOnline,
                         .accepts_sim_params = false, .params_digest = 0}}};
 }
 
@@ -189,7 +186,7 @@ std::vector<std::vector<std::uint8_t>> pinned_frames() {
       ar::encode_hello(106),
       ar::encode_announce(107, pinned_announce()),
       ar::encode_heartbeat(108),
-      ar::encode_heartbeat_ack(109, {.outstanding = 3, .cache_entries = 1234, .episodes = 98765}),
+      ar::encode_heartbeat_ack(109, {.outstanding = 3, .episodes = 98765}),
       ar::encode_cancel(110),
   };
 }
@@ -332,7 +329,7 @@ TEST(RpcCodec, CorruptedHeadersAreRejected) {
     EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
   }
   // One wire version: every other stamp, older or newer, is rejected.
-  for (const unsigned version : {0u, 3u, 4u, 5u, 6u, 7u, ar::kWireVersion + 1u, 0x7Fu}) {
+  for (const unsigned version : {0u, 3u, 4u, 5u, 6u, 7u, 8u, ar::kWireVersion + 1u, 0x7Fu}) {
     auto bad = good;
     bad[4] = static_cast<std::uint8_t>(version);  // u16 version after the u32 magic
     bad[5] = 0;
@@ -373,15 +370,12 @@ TEST(RpcCodec, StatsSnapshotRoundTrips) {
 
   EXPECT_EQ(back.offline_queries, stats.offline_queries);
   EXPECT_EQ(back.online_queries, stats.online_queries);
-  EXPECT_EQ(back.cache_hits, stats.cache_hits);
-  EXPECT_EQ(back.cache_misses, stats.cache_misses);
   ASSERT_EQ(back.backends.size(), stats.backends.size());
   for (std::size_t i = 0; i < stats.backends.size(); ++i) {
     EXPECT_EQ(back.backends[i].name, stats.backends[i].name);
     EXPECT_EQ(back.backends[i].kind, stats.backends[i].kind);
     EXPECT_EQ(back.backends[i].queries, stats.backends[i].queries);
     EXPECT_EQ(back.backends[i].episodes, stats.backends[i].episodes);
-    EXPECT_TRUE(same_bits(back.backends[i].cost_hint, stats.backends[i].cost_hint));
     EXPECT_EQ(back.backends[i].rpc_retries, stats.backends[i].rpc_retries);
     EXPECT_EQ(back.backends[i].rpc_reconnects, stats.backends[i].rpc_reconnects);
     EXPECT_EQ(back.backends[i].rpc_rtt_ns.counts(), stats.backends[i].rpc_rtt_ns.counts());
@@ -418,32 +412,31 @@ TEST(RpcCodec, AnnounceRoundTrips) {
   ASSERT_EQ(back.backends.size(), 2u);
   EXPECT_EQ(back.backends[0].name, "sim-0");
   EXPECT_EQ(back.backends[0].kind, ae::BackendKind::kOffline);
-  EXPECT_TRUE(same_bits(back.backends[0].cost_hint, 1000.0));
   EXPECT_TRUE(back.backends[0].accepts_sim_params);
   EXPECT_EQ(back.backends[0].params_digest, sim.params_digest);
   EXPECT_EQ(back.backends[0].equivalence_key(), sim.equivalence_key());
   EXPECT_EQ(back.backends[1].kind, ae::BackendKind::kOnline);
 }
 
-// ---- frame pins: the v8 layout, byte for byte --------------------------------
+// ---- frame pins: the v9 layout, byte for byte --------------------------------
 
 TEST(RpcCodec, FrameBytesArePinnedForEveryMessageType) {
   // FNV-1a of the corpus frame of each message type, in type order. The
-  // values were captured from the v8 encoder; a change here is a wire-format
+  // values were captured from the v9 encoder; a change here is a wire-format
   // change and needs a kWireVersion bump. Each frame must also decode to a
   // message that re-encodes to the same bytes: with the encoder pinned, that
   // proves every decoded field lands where the encoder wrote it.
   const std::vector<std::uint64_t> pinned = {
-      0xf1da1e85ac815d77ull,  // kQuery
-      0xa6f35b0457b05c52ull,  // kResult
-      0x3a13a6532823368eull,  // kError
-      0x14272038ad6f27e7ull,  // kStatsRequest
-      0x61c5fb416e463439ull,  // kStatsSnapshot
-      0x5ce7b30bf0251057ull,  // kHello
-      0x7458017f3f41274aull,  // kAnnounce
-      0x1e6877c3c8d9145full,  // kHeartbeat
-      0x055e9171a85a106dull,  // kHeartbeatAck
-      0xadb03f496072538full,  // kCancel
+      0x96d6c8b3e433e260ull,  // kQuery
+      0x259845a4d5fee2bbull,  // kResult
+      0xc7269596f0f32541ull,  // kError
+      0xdd955edb0e737776ull,  // kStatsRequest
+      0xf1e3603600b79c4bull,  // kStatsSnapshot
+      0x67a42f6b9556d7a6ull,  // kHello
+      0x3dc0712d24bd594bull,  // kAnnounce
+      0x62bd9d2305911e5eull,  // kHeartbeat
+      0xfb2a06ec6195173aull,  // kHeartbeatAck
+      0xeccc6db38c747e8eull,  // kCancel
   };
 
   const auto frames = pinned_frames();
@@ -489,12 +482,12 @@ TEST(RpcCodec, ElementCountsAreBoundedByTheBytesLeftInTheFrame) {
 
 TEST(RpcCodec, SmallestListElementsStillRoundTrip) {
   // The count bound divides by each element's smallest encoding, so elements
-  // of exactly that size must still decode: backends with an empty name (22
+  // of exactly that size must still decode: backends with an empty name (14
   // bytes) and stats rows with an empty name and empty histograms.
   ae::WorkerAnnounce announce;
   announce.backends.resize(4);
   const auto announce_frame = ar::encode_announce(2, announce);
-  EXPECT_EQ(announce_frame.size(), 16u + 4u + 4u * 22u);
+  EXPECT_EQ(announce_frame.size(), 16u + 4u + 4u * 14u);
   EXPECT_EQ(reencode(announce_frame), announce_frame);
 
   ae::EnvServiceStats stats;
@@ -505,7 +498,7 @@ TEST(RpcCodec, SmallestListElementsStillRoundTrip) {
 
 TEST(RpcCodec, UnknownBackendKindBytesAreRejected) {
   // One flipped bit turns kind 1 (online) into 3. Read as offline, a metered
-  // real-network backend would be memoized like a simulator.
+  // real-network backend's queries would escape the SLA-exposure meter.
   ae::WorkerAnnounce announce;
   announce.backends.resize(1);
   announce.backends[0].kind = ae::BackendKind::kOnline;

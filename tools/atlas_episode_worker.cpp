@@ -4,15 +4,14 @@
 //
 // Usage:
 //   atlas_episode_worker [--port N] [--port-file PATH] [--threads N]
-//                        [--cache-capacity N] [--simulators N]
-//                        [--real-networks N] [--drain-timeout-ms N] [--quiet]
+//                        [--simulators N] [--real-networks N]
+//                        [--drain-timeout-ms N] [--quiet]
 //
 //   --port N            TCP port on 127.0.0.1 (default 0 = ephemeral; the
 //                       chosen port is printed and written to --port-file).
 //   --port-file PATH    Write the bound port to PATH (atomic rename), so a
 //                       spawning parent can poll for readiness.
 //   --threads N         EnvService worker threads (0 = hardware default).
-//   --cache-capacity N  Episode memo entries (0 disables worker-side cache).
 //   --simulators N      Register N default-parameter simulators as worker
 //                       backend ids 0..N-1 (default 1). Stage-1 queries
 //                       carry per-query SimParams overrides, so one default
@@ -48,7 +47,6 @@ struct WorkerOptions {
   std::uint16_t port = 0;
   std::string port_file;
   std::size_t threads = 0;
-  std::size_t cache_capacity = 65536;
   int simulators = 1;
   int real_networks = 0;
   std::uint32_t drain_timeout_ms = 5000;
@@ -57,8 +55,8 @@ struct WorkerOptions {
 
 void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
-               "usage: %s [--port N] [--port-file PATH] [--threads N] [--cache-capacity N] "
-               "[--simulators N] [--real-networks N] [--drain-timeout-ms N] [--quiet]\n",
+               "usage: %s [--port N] [--port-file PATH] [--threads N] [--simulators N] "
+               "[--real-networks N] [--drain-timeout-ms N] [--quiet]\n",
                argv0);
 }
 
@@ -82,8 +80,6 @@ WorkerOptions parse_args(int argc, char** argv) {
       options.port_file = next();
     } else if (flag == "--threads") {
       options.threads = parse_integer<std::size_t>(flag, next());
-    } else if (flag == "--cache-capacity") {
-      options.cache_capacity = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--simulators") {
       options.simulators = parse_integer<int>(flag, next());
     } else if (flag == "--real-networks") {
@@ -136,7 +132,6 @@ int run_worker(const WorkerOptions& options) {
 
   atlas::env::EnvServiceOptions service_options;
   service_options.threads = options.threads;
-  service_options.cache_capacity = options.cache_capacity;
   atlas::env::EnvService service(service_options);
   for (int i = 0; i < options.simulators; ++i) {
     service.add_simulator(atlas::env::SimParams::defaults(), "sim-" + std::to_string(i));
@@ -158,9 +153,8 @@ int run_worker(const WorkerOptions& options) {
 
   if (!options.quiet) {
     std::printf("atlas_episode_worker: %d simulator(s), %d real-network backend(s), "
-                "%zu thread(s), cache %zu\n",
-                options.simulators, options.real_networks, service.threads(),
-                options.cache_capacity);
+                "%zu thread(s)\n",
+                options.simulators, options.real_networks, service.threads());
   }
   // The port line is the machine-readable readiness signal; always printed.
   std::printf("atlas_episode_worker listening on 127.0.0.1:%u (wire v%u)\n",

@@ -1,17 +1,16 @@
 // atlas_loadgen: open-loop (Poisson-arrival) load generator for the serving
 // stack. Drives an EnvClient — an in-process ShardRouter, a remote episode
 // worker, or both — at a sweep of offered QPS points with a synthetic query
-// mix (incumbent revisits, metered online queries, trace-heavy episodes, fresh
-// exploration), measures coordinated-omission-free latency quantiles, finds
-// the saturation rate, and writes BENCH_serving.json.
+// mix (metered online queries, trace-heavy episodes, fresh exploration),
+// measures coordinated-omission-free latency quantiles, finds the saturation
+// rate, and writes BENCH_serving.json.
 //
 // Usage:
 //   atlas_loadgen [--topology inproc|remote|both] [--host H] [--port N]
 //                 [--workers N] [--qps Q1,Q2,...] [--sweep-start Q]
 //                 [--sweep-factor F] [--sweep-max-steps N] [--duration S]
 //                 [--clients N] [--threads N] [--shards N]
-//                 [--cache-capacity N] [--mix-revisit F] [--mix-online F]
-//                 [--mix-trace F] [--episode-ms MS] [--incumbents N]
+//                 [--mix-online F] [--mix-trace F] [--episode-ms MS]
 //                 [--seed N] [--out PATH] [--smoke] [--quiet]
 //
 //   --topology        Which serving stacks to drive (default inproc; remote
@@ -32,8 +31,8 @@
 //   --clients         Generator client threads per point (default 32).
 //   --threads         Service pool threads (0 = hardware default).
 //   --shards          In-process ShardRouter shards (default 2).
-//   --mix-*           Query-mix fractions (defaults: 0.45 revisit,
-//                     0.05 online, 0.10 trace; the rest fresh).
+//   --mix-*           Query-mix fractions (defaults: 0.05 online,
+//                     0.10 trace; the rest fresh).
 //   --episode-ms      Simulated episode duration per query (default 40).
 //   --extra-users     Background-slice UEs per episode (default 0): stresses
 //                     the vectorized SoA background tier behind the serving
@@ -107,11 +106,9 @@ struct LoadgenOptions {
   std::size_t workers = 1;
   std::size_t threads = 0;
   std::size_t shards = 2;
-  std::size_t cache_capacity = 65536;
   atlas::env::LoadMix mix;
   double episode_ms = 40.0;
   int extra_users = 0;
-  std::size_t incumbents = 16;
   std::uint64_t seed = 7;
   std::string out;
   bool smoke = false;
@@ -129,10 +126,10 @@ void print_usage(std::FILE* out, const char* argv0) {
                "usage: %s [--topology inproc|remote|both] [--host H] [--port N]\n"
                "          [--workers N] [--qps Q1,Q2,...] [--sweep-start Q]\n"
                "          [--sweep-factor F] [--sweep-max-steps N] [--duration S]\n"
-               "          [--clients N] [--threads N] [--shards N] [--cache-capacity N]\n"
-               "          [--mix-revisit F] [--mix-online F] [--mix-trace F]\n"
+               "          [--clients N] [--threads N] [--shards N]\n"
+               "          [--mix-online F] [--mix-trace F]\n"
                "          [--episode-ms MS] [--extra-users N]\n"
-               "          [--incumbents N] [--seed N] [--out PATH]\n"
+               "          [--seed N] [--out PATH]\n"
                "          [--smoke] [--quiet]\n"
                "          [--fault-plan SPEC] [--faulty-fraction F] [--rpc-timeout-ms MS]\n"
                "          [--hedge-ms MS] [--wall-limit S]\n",
@@ -199,10 +196,6 @@ LoadgenOptions parse_args(int argc, char** argv) {
       options.threads = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--shards") {
       options.shards = parse_integer<std::size_t>(flag, next());
-    } else if (flag == "--cache-capacity") {
-      options.cache_capacity = parse_integer<std::size_t>(flag, next());
-    } else if (flag == "--mix-revisit") {
-      options.mix.revisit = parse_double(flag, next());
     } else if (flag == "--mix-online") {
       options.mix.online = parse_double(flag, next());
     } else if (flag == "--mix-trace") {
@@ -211,8 +204,6 @@ LoadgenOptions parse_args(int argc, char** argv) {
       options.episode_ms = parse_double(flag, next());
     } else if (flag == "--extra-users") {
       options.extra_users = parse_integer<int>(flag, next());
-    } else if (flag == "--incumbents") {
-      options.incumbents = parse_integer<std::size_t>(flag, next());
     } else if (flag == "--seed") {
       options.seed = parse_integer<std::uint64_t>(flag, next());
     } else if (flag == "--out") {
@@ -317,7 +308,6 @@ TopologyReport drive(const LoadgenOptions& options, const std::string& name,
   plan_options.duration_s = options.duration_s;
   plan_options.episode_ms = options.episode_ms;
   plan_options.extra_users = options.extra_users;
-  plan_options.incumbents = options.incumbents;
   plan_options.offline_backend = offline;
   plan_options.online_backend = online;
   plan_options.has_online = has_online;
@@ -328,8 +318,7 @@ TopologyReport drive(const LoadgenOptions& options, const std::string& name,
   const std::vector<double> points = sweep_points(options);
   for (std::size_t i = 0; i < points.size(); ++i) {
     plan_options.qps = points[i];
-    // Distinct seed per point: a point must not replay the previous point's
-    // fresh seeds (which would be warm in the cache and flatter the latency).
+    // Distinct seed per point: a point draws its own configs and seeds.
     plan_options.seed = options.seed + i * 101;
     PointRow row;
     row.plan = atlas::env::build_load_plan(plan_options);
@@ -380,7 +369,6 @@ TopologyReport drive(const LoadgenOptions& options, const std::string& name,
 TopologyReport drive_inproc(const LoadgenOptions& options) {
   atlas::env::EnvServiceOptions service_options;
   service_options.threads = options.threads;
-  service_options.cache_capacity = options.cache_capacity;
   atlas::env::ShardRouter router(options.shards, service_options);
   const atlas::env::BackendId sim = router.add_simulator();
   const atlas::env::BackendId real = router.add_real_network();
@@ -389,12 +377,11 @@ TopologyReport drive_inproc(const LoadgenOptions& options) {
 
 TopologyReport drive_remote(const LoadgenOptions& options) {
   // The client mirrors a router node in front of a worker farm: a local
-  // EnvService (own memo cache — revisits hit HERE, misses ride the RPC) with
-  // the worker's simulator as its offline backend and a local testbed
-  // surrogate as the metered one.
+  // EnvService with the worker's simulator as its offline backend (every
+  // offline query rides the RPC) and a local testbed surrogate as the
+  // metered one.
   atlas::env::EnvServiceOptions service_options;
   service_options.threads = options.threads;
-  service_options.cache_capacity = options.cache_capacity;
   atlas::env::EnvService service(service_options);
 
   atlas::rpc::RemoteBackendOptions remote_options;
@@ -460,10 +447,9 @@ Farm build_farm(const LoadgenOptions& options, const FarmSpec& spec) {
         spec.injector && farm.controls.size() >= options.workers - spec.faulty_workers;
     env::EnvServiceOptions service_options;
     service_options.threads = options.threads;
-    service_options.cache_capacity = options.cache_capacity;
     Farm::HostedWorker worker;
     worker.service = std::make_unique<env::EnvService>(service_options);
-    // The injector decorator forwards name/kind/cost/accepts, so a faulty
+    // The injector decorator forwards name/kind/accepts, so a faulty
     // worker's announce is indistinguishable from a healthy one's.
     std::shared_ptr<const env::EnvBackend> sim = std::make_shared<env::LocalBackend>(
         std::make_shared<env::Simulator>(params), "sim-0", env::BackendKind::kOffline);
@@ -479,7 +465,6 @@ Farm build_farm(const LoadgenOptions& options, const FarmSpec& spec) {
 
   env::EnvServiceOptions router_options;
   router_options.threads = options.threads;
-  router_options.cache_capacity = options.cache_capacity;
   farm.router = std::make_unique<env::ShardRouter>(options.shards, router_options);
   env::FarmControllerOptions farm_options;
   farm_options.hedge = spec.hedge;
@@ -532,10 +517,8 @@ void write_point_json(atlas::telemetry::JsonWriter& json, const PointRow& row) {
   json.field("failed", static_cast<std::uint64_t>(row.result.failed));
   json.field("wall_s", row.result.wall_s);
   json.field("episodes_per_sec", episodes_per_sec(row));
-  json.field("cache_hit_rate", row.result.stats.hit_rate());
   json.key("mix");
   json.begin_object();
-  json.field("revisit", static_cast<std::uint64_t>(row.plan.revisits));
   json.field("online", static_cast<std::uint64_t>(row.plan.online));
   json.field("trace", static_cast<std::uint64_t>(row.plan.traces));
   json.field("fresh", static_cast<std::uint64_t>(row.plan.fresh));
@@ -582,10 +565,8 @@ void write_topology_json(atlas::telemetry::JsonWriter& json, const TopologyRepor
       json.field("episodes_per_sec",
                  wall_s <= 0.0 ? 0.0 : static_cast<double>(row.health.episodes) / wall_s);
       json.field("outstanding", row.health.outstanding);
-      json.field("cache_entries", row.health.cache_entries);
       if (row.has_stats) {
         json.field("queries", row.stats.total_queries());
-        json.field("cache_hit_rate", row.stats.hit_rate());
         json.key("rpc_service_ms");
         atlas::telemetry::write_histogram_json(json, row.stats.rpc_service_ns, 1e6);
       }
@@ -597,7 +578,6 @@ void write_topology_json(atlas::telemetry::JsonWriter& json, const TopologyRepor
     json.key("worker");
     json.begin_object();
     json.field("queries", report.worker_stats.total_queries());
-    json.field("cache_hit_rate", report.worker_stats.hit_rate());
     json.key("rpc_service_ms");
     atlas::telemetry::write_histogram_json(json, report.worker_stats.rpc_service_ns, 1e6);
     json.end_object();
@@ -650,7 +630,6 @@ DegradationSide run_degradation_side(const LoadgenOptions& options,
   plan_options.duration_s = options.duration_s;
   plan_options.episode_ms = options.episode_ms;
   plan_options.extra_users = options.extra_users;
-  plan_options.incumbents = options.incumbents;
   plan_options.offline_backend = farm.sim;
   plan_options.seed = options.seed;  // SAME plan both sides — paired comparison
   side.plan = env::build_load_plan(plan_options);
