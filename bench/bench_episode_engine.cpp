@@ -7,6 +7,8 @@
 //   - traces off vs on              (per-frame bookkeeping)
 //   - 0/4/16/64/256 background UEs  (SoA batch sweep vs per-UE scheduler)
 //   - real profile with mobility    (fading + random-walk stepper)
+//   - the shapes pipebench runs most (20-s simulator and 60-s real-network
+//     episodes at traffic 1, no mobility: quiet skips, fading catch-up)
 //
 // Writes BENCH_episode_engine.json (override with ATLAS_BENCH_OUT) so CI can
 // track the perf trajectory PR over PR. Each scenario carries a
@@ -129,6 +131,8 @@ int main() {
       {"sim_long_60s_bg64", false, 60.0, false, 64, false, 2, 0.0},
       {"sim_long_60s_bg256", false, 60.0, false, 256, false, 2, 0.0},
       {"real_long_60s_mobility", true, 60.0, false, 0, true, 2, 37.8155},
+      {"sim_20s_t1", false, 20.0, false, 0, false, 1, 0.0},
+      {"real_long_60s_t1", true, 60.0, false, 0, false, 1, 0.0},
   };
 
   std::vector<Measurement> results;

@@ -46,12 +46,17 @@ using TimeMs = double;
 ///  * **Quiet steppers skip their no-op fires.** A stepper callable may
 ///    return a TimeMs *quiet hint* instead of void: "my fires before this
 ///    time do nothing, unless another source fires first". step_one() then
-///    advances that stepper through those fires in a tight loop without
-///    invoking it, consuming exactly the clock values and sequence numbers
-///    the no-op fires would have, so the (time, seq) order of every other
-///    event is unchanged. The fire of any other source revokes the hint (one
-///    slot in the queue, overwritten on every fire), and the earliest other
-///    source bounds each skip. A void callable gives no hint.
+///    advances that stepper past those fires without invoking it, consuming
+///    exactly the clock values and sequence numbers the no-op fires would
+///    have, so the (time, seq) order of every other event is unchanged. The
+///    fire of any other source revokes the hint (one slot in the queue,
+///    overwritten on every fire), and the earliest other source bounds each
+///    skip. A void callable gives no hint. When the stepper's clock and
+///    period are whole numbers (the 1-ms TTI), every fire time is exact, so
+///    the skip count comes in closed form; otherwise the skip replays each
+///    fire's arithmetic. A stepper whose quiet fires still do some fixed
+///    work (a fading process drawing its innovation) carries a *catch-up*
+///    callable, run once per skip with the number of fires skipped.
 ///
 /// One EventQueue instance drives one episode; instances are independent, so
 /// parallel Thompson-sampling queries can run episodes concurrently (one per
@@ -75,6 +80,7 @@ class EventQueue {
     }
     for (auto& s : steppers_) {
       if (s.drop != nullptr) s.drop(s.storage);
+      if (s.drop_catch_up != nullptr) s.drop_catch_up(s.catch_up_storage);
     }
   }
 
@@ -103,7 +109,16 @@ class EventQueue {
   /// next fire, skips nothing).
   template <typename F>
   void add_stepper(TimeMs period, F fn) {
-    if (period <= 0.0) throw std::invalid_argument("EventQueue: stepper period must be > 0");
+    add_stepper(period, std::move(fn), nullptr);
+  }
+
+  /// add_stepper with a catch-up: `catch_up(n)` runs once per skip, after
+  /// the clock reaches the last of the `n` skipped fires and before any
+  /// other source fires, so it can replay work the quiet fires would have
+  /// done (the same draws in the same order). It must not touch the queue.
+  template <typename F, typename C>
+  void add_stepper(TimeMs period, F fn, C catch_up) {
+    if (!(period > 0.0)) throw std::invalid_argument("EventQueue: stepper period must be > 0");
     // Same storage discipline as heap entries: small trivially-copyable
     // callables live inline and fire through a plain function pointer (the
     // TTI tick is one `{state pointer}` capture — no std::function dispatch
@@ -112,7 +127,11 @@ class EventQueue {
     Stepper& s = arm_stepper(period);
     try {
       install_callable(s.storage, s.invoke, s.drop, std::move(fn));
+      if constexpr (!std::is_null_pointer_v<C>) {
+        install_callable(s.catch_up_storage, s.catch_up, s.drop_catch_up, std::move(catch_up));
+      }
     } catch (...) {
+      if (s.drop != nullptr) s.drop(s.storage);
       steppers_.pop_back();
       throw;
     }
@@ -127,7 +146,9 @@ class EventQueue {
   /// Run events until the queue empties or the clock passes `until`.
   /// Events scheduled exactly at `until` still run; the clock never exceeds
   /// the next event's timestamp. Steppers keep firing at their cadence up to
-  /// (and including) `until` and stay armed afterwards.
+  /// (and including) `until` and stay armed afterwards. Throws
+  /// std::invalid_argument for a NaN or infinite `until` (an armed stepper
+  /// would fire forever).
   void run_until(TimeMs until);
 
   /// Run every *heap* event (use only when the event graph is known to
@@ -155,33 +176,35 @@ class EventQueue {
   };
   /// Same inline-or-boxed callable layout as Entry, but long-lived: the
   /// callable is installed once and invoked every period for the queue's
-  /// lifetime (`drop`, when non-null, runs once at destruction).
+  /// lifetime (`drop`, when non-null, runs once at destruction). The
+  /// optional catch-up lives in a second slot of the same layout.
   struct Stepper {
     TimeMs period = 0.0;
     TimeMs next_time = 0.0;
     std::uint64_t seq = 0;
+    /// The period and the first fire time are whole numbers, so every fire
+    /// time is, and each is exact while it stays at or below 2^53: skips may
+    /// count their fires in closed form.
+    bool whole_cadence = false;
     TimeMs (*invoke)(void* storage) = nullptr;  ///< Returns the quiet hint.
     void (*drop)(void* storage) = nullptr;
+    void (*catch_up)(void* storage, std::uint64_t fires) = nullptr;
+    void (*drop_catch_up)(void* storage) = nullptr;
     alignas(std::max_align_t) unsigned char storage[kInlineEventBytes];
+    alignas(std::max_align_t) unsigned char catch_up_storage[kInlineEventBytes];
   };
 
-  Stepper& arm_stepper(TimeMs period) {
-    Stepper& s = steppers_.emplace_back();
-    s.period = period;
-    s.next_time = now_ + period;
-    s.seq = next_seq_++;
-    return s;
-  }
+  Stepper& arm_stepper(TimeMs period);
 
   /// Call `fn` for an invoke thunk returning R: an event (R = void) drops
   /// any result, and a stepper (R = TimeMs) whose callable returns void
   /// reports kNoHint.
-  template <typename R, typename Fn>
-  static R call(Fn& fn) {
-    if constexpr (std::is_void_v<R> || !std::is_void_v<std::invoke_result_t<Fn&>>) {
-      return static_cast<R>(fn());
+  template <typename R, typename Fn, typename... Args>
+  static R call(Fn& fn, Args... args) {
+    if constexpr (std::is_void_v<R> || !std::is_void_v<std::invoke_result_t<Fn&, Args...>>) {
+      return static_cast<R>(fn(args...));
     } else {
-      fn();
+      fn(args...);
       return kNoHint;
     }
   }
@@ -191,23 +214,25 @@ class EventQueue {
   /// through a plain function pointer, no allocation), heap box otherwise.
   /// Strongly exception-safe: on throw the slot is untouched — callers
   /// pop the just-emplaced slot and rethrow.
-  template <typename R, typename F>
-  static void install_callable(unsigned char* storage, R (*&invoke)(void*),
+  template <typename R, typename... Args, typename F>
+  static void install_callable(unsigned char* storage, R (*&invoke)(void*, Args...),
                                void (*&drop)(void*), F&& fn) {
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineEventBytes && std::is_trivially_copyable_v<Fn> &&
                   std::is_trivially_destructible_v<Fn> &&
                   alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(storage)) Fn(std::forward<F>(fn));  // trivial: cannot throw
-      invoke = [](void* s) -> R { return call<R>(*std::launder(reinterpret_cast<Fn*>(s))); };
+      invoke = [](void* s, Args... args) -> R {
+        return call<R>(*std::launder(reinterpret_cast<Fn*>(s)), args...);
+      };
       drop = nullptr;
     } else {
       Fn* box = new Fn(std::forward<F>(fn));  // may throw: nothing installed yet
       std::memcpy(static_cast<void*>(storage), &box, sizeof(box));
-      invoke = [](void* s) -> R {
+      invoke = [](void* s, Args... args) -> R {
         Fn* b;
         std::memcpy(&b, s, sizeof(b));
-        return call<R>(*b);
+        return call<R>(*b, args...);
       };
       drop = [](void* s) {
         Fn* b;
@@ -237,7 +262,8 @@ class EventQueue {
   bool step_one(TimeMs until);
 
   /// Advance `s` (the earliest source, due by `until` and before
-  /// quiet_until_) through its no-op fires without invoking it.
+  /// quiet_until_) past its no-op fires without invoking it, then run its
+  /// catch-up, if any, with the number of fires skipped.
   void skip_quiet_fires(Stepper& s, TimeMs until);
 
   std::vector<Entry> heap_;

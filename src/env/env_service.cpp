@@ -33,6 +33,15 @@ std::size_t EnvService::outstanding_queries() const noexcept {
       std::max<std::int64_t>(0, outstanding_.load(std::memory_order_relaxed)));
 }
 
+std::uint64_t EnvService::episodes() const {
+  const auto snapshot = registry_.load(std::memory_order_acquire);
+  std::uint64_t total = 0;
+  for (const Backend* backend : *snapshot) {
+    total += backend->episodes.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 BackendId EnvService::register_backend(std::shared_ptr<const EnvBackend> backend) {
   if (backend == nullptr) {
     throw std::invalid_argument("EnvService: null backend");

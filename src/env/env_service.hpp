@@ -84,6 +84,10 @@ class EnvService final : public EnvClient {
   /// this for least-loaded backend placement.
   std::size_t outstanding_queries() const noexcept override;
 
+  /// Episodes run across every backend: the sum of stats()'s per-backend
+  /// `episodes`, read from the counters alone (a heartbeat answers with it).
+  std::uint64_t episodes() const;
+
   std::size_t threads() const noexcept { return pool_.size(); }
   common::ThreadPool& pool() noexcept { return pool_; }
 

@@ -54,10 +54,15 @@ struct EpisodeState {
   // 256-UE population is a handful of bump allocations.
   lte::UeRadio slice_ue;
   lte::UeBatch background;
-  int fg_prb_cap_dl = 0;  ///< Foreground slice's DL PRB cap.
-  int bg_prb_cap_dl = 0;  ///< PRBs left to the background slice.
-  std::vector<lte::SliceRadioShare> slices;
-  lte::TtiScratch scratch;
+  // The foreground slice has one UE, so the MAC scheduler's even split would
+  // grant it the whole slice budget, min(cap, kTotalPrbs), in every TTI it
+  // has data; its TTIs run directly with that grant.
+  int ul_grant = 0;
+  int dl_grant = 0;
+  int mcs_offset_ul = 0;
+  int mcs_offset_dl = 0;
+  int bg_prb_cap_dl = 0;                 ///< PRBs left to the background slice.
+  std::vector<std::uint64_t> completed;  ///< SDUs the slice UE finished this TTI.
 
   // ---- TN / CN / EN -------------------------------------------------------
   net::TransportLink ul_link;
@@ -101,17 +106,15 @@ struct EpisodeState {
         traffic_model(make_traffic_model(p)),
         result_bits(traffic_model.result_kbits * 1e3),
         frame_app(traffic_model, wl.traffic, rng) {
-    lte::SliceRadioShare ours;
-    ours.prb_cap_ul = static_cast<int>(std::lround(config.bandwidth_ul));
-    ours.prb_cap_dl = static_cast<int>(std::lround(config.bandwidth_dl));
-    ours.mcs_offset_ul = static_cast<int>(std::lround(config.mcs_offset_ul));
-    ours.mcs_offset_dl = static_cast<int>(std::lround(config.mcs_offset_dl));
-    ours.ues = {&slice_ue};
-    fg_prb_cap_dl = ours.prb_cap_dl;
+    const int prb_cap_ul = static_cast<int>(std::lround(config.bandwidth_ul));
+    const int prb_cap_dl = static_cast<int>(std::lround(config.bandwidth_dl));
+    ul_grant = std::min(prb_cap_ul, lte::kTotalPrbs);
+    dl_grant = std::min(prb_cap_dl, lte::kTotalPrbs);
+    mcs_offset_ul = static_cast<int>(std::lround(config.mcs_offset_ul));
+    mcs_offset_dl = static_cast<int>(std::lround(config.mcs_offset_dl));
     // The background slice holds the remaining PRBs; caps never overlap, so
     // radio isolation is structural (FlexRAN-style partitioning).
-    bg_prb_cap_dl = lte::kTotalPrbs - ours.prb_cap_dl;
-    slices.push_back(ours);
+    bg_prb_cap_dl = lte::kTotalPrbs - prb_cap_dl;
   }
 
   FrameTrace& trace_of(std::uint64_t id) {
@@ -177,67 +180,70 @@ struct EpisodeState {
     slice_ue.step_fading(rng);
     background.step_fading(rng);
 
-    // Idle fast-path: with nothing schedulable, run_direction_tti would be a
-    // pure no-op (no RNG draws, zero counters) — skip the call outright.
+    // Idle fast-path: with nothing schedulable, run_tti_into would be a pure
+    // no-op (no RNG draws, zero counters) — skip the call outright.
     // Background UEs never carry uplink data, so the uplink leg only looks
     // at the foreground slice.
-    if (lte::direction_has_active_ue(slices, /*uplink=*/true, events.now())) {
-      lte::run_direction_tti(slices, /*uplink=*/true, events.now(), rng, scratch);
-      result.ul_tb_total += scratch.tb_total;
-      result.ul_tb_err += scratch.tb_err;
-      for (const auto& span : scratch.completed) {
-        if (span.ue != &slice_ue) continue;
-        for (std::uint32_t i = 0; i < span.count; ++i) {
-          frame_left_ran(scratch.ids[span.begin + i]);
-        }
-      }
+    const double now = events.now();
+    if (slice_ue.ul_queue().has_data(now)) {
+      completed.clear();
+      const lte::TtiStats ul =
+          slice_ue.run_tti_into(/*uplink=*/true, now, ul_grant, mcs_offset_ul, rng, completed);
+      result.ul_tb_total += ul.tb_total;
+      result.ul_tb_err += ul.tb_err;
+      for (const std::uint64_t id : completed) frame_left_ran(id);
     }
 
-    // Downlink: the exact foreground pass first, then one batched sweep over
-    // the background tier — the same slice order (and therefore the same RNG
+    // Downlink: the foreground UE first, then one batched sweep over the
+    // background tier — the same slice order (and therefore the same RNG
     // draw order) as the scalar scheduler's [foreground, background] walk.
-    const bool fg_dl_active = lte::direction_has_active_ue(slices, /*uplink=*/false, events.now());
+    const bool fg_dl_active = slice_ue.dl_queue().has_data(now);
     if (fg_dl_active) {
-      lte::run_direction_tti(slices, /*uplink=*/false, events.now(), rng, scratch);
-      result.dl_tb_total += scratch.tb_total;
-      result.dl_tb_err += scratch.tb_err;
-      for (const auto& span : scratch.completed) {
-        if (span.ue != &slice_ue) continue;
-        for (std::uint32_t i = 0; i < span.count; ++i) {
-          const std::uint64_t id = scratch.ids[span.begin + i];
-          events.schedule_in(profile.ue_proc_ms, [s = this, id] { s->result_delivered(id); });
-        }
+      completed.clear();
+      const lte::TtiStats dl =
+          slice_ue.run_tti_into(/*uplink=*/false, now, dl_grant, mcs_offset_dl, rng, completed);
+      result.dl_tb_total += dl.tb_total;
+      result.dl_tb_err += dl.tb_err;
+      for (const std::uint64_t id : completed) {
+        events.schedule_in(profile.ue_proc_ms, [s = this, id] { s->result_delivered(id); });
       }
     }
     if (!background.empty()) {
-      // An active foreground slice consumes exactly its cap (it has one UE,
-      // which is granted the whole slice budget), so the batch's budget is
-      // the scalar scheduler's remaining-PRB arithmetic in closed form.
-      const int used_fg =
-          fg_dl_active ? std::min(fg_prb_cap_dl, lte::kTotalPrbs) : 0;
-      const int budget = std::min(bg_prb_cap_dl, lte::kTotalPrbs - used_fg);
+      // An active foreground slice consumes exactly its grant, so the
+      // batch's budget is the scalar scheduler's remaining-PRB arithmetic in
+      // closed form.
+      const int budget =
+          std::min(bg_prb_cap_dl, lte::kTotalPrbs - (fg_dl_active ? dl_grant : 0));
       lte::BatchTtiStats bg_stats;
-      background.run_dl_tti(events.now(), budget, /*mcs_offset=*/0, rng, bg_stats);
+      background.run_dl_tti(now, budget, /*mcs_offset=*/0, rng, bg_stats);
       result.dl_tb_total += bg_stats.tb_total;
       result.dl_tb_err += bg_stats.tb_err;
     }
     return fg_dl_active ? des::EventQueue::kNoHint : quiet_until();
   }
 
-  /// Until when the coming ticks are provably no-ops: with fading off and no
-  /// background UEs, a tick draws nothing and touches nothing unless a queue
-  /// has schedulable data, and data only arrives through heap events, which
-  /// revoke the hint. So the hint is the earliest access-delay deadline of
-  /// queued data (+inf when both queues are empty). A disabled fading process
-  /// keeps its value at 0, so the CQI history a skipped tick would extend
-  /// holds the same constant. Real-network and background-UE episodes tick
-  /// every TTI.
+  /// Until when the coming ticks are provably quiet: without background UEs,
+  /// a tick draws nothing but the slice UE's fading innovation and touches
+  /// nothing else unless a queue has schedulable data, and data only arrives
+  /// through heap events, which revoke the hint. So the hint is the earliest
+  /// access-delay deadline of queued data (+inf when both queues are empty).
+  /// The TTI stepper's catch-up replays the skipped ticks' fading steps:
+  /// the same normals in the same order, because a skip always ends before
+  /// any other source fires. A disabled fading process (the simulator) draws
+  /// nothing and keeps its value at 0, so the CQI history a skipped tick
+  /// would extend holds the same constant and no catch-up is needed.
+  /// Background-UE episodes tick every TTI.
   des::TimeMs quiet_until() const {
-    if (slice_ue.fading_enabled() || !background.empty()) return des::EventQueue::kNoHint;
+    if (!background.empty()) return des::EventQueue::kNoHint;
     const lte::RadioQueue& ul = slice_ue.ul_queue();
     const lte::RadioQueue& dl = slice_ue.dl_queue();
     if (ul.has_data(events.now()) || dl.has_data(events.now())) return des::EventQueue::kNoHint;
     return std::min(ul.schedulable_at(), dl.schedulable_at());
+  }
+
+  /// The TTI stepper's catch-up: the fading steps of `ttis` skipped ticks.
+  void catch_up_fading(std::uint64_t ttis) {
+    for (std::uint64_t i = 0; i < ttis; ++i) slice_ue.step_fading(rng);
   }
 
   void mobility_step() {
@@ -254,7 +260,14 @@ struct EpisodeState {
     if (workload.random_walk) {
       events.add_stepper(100.0, [s = this] { s->mobility_step(); });
     }
-    events.add_stepper(lte::kTtiMs, [s = this] { return s->tti_tick(); });
+    // Only a fading UE has work to catch up on; without it every skip stays
+    // O(1).
+    if (slice_ue.fading_enabled()) {
+      events.add_stepper(lte::kTtiMs, [s = this] { return s->tti_tick(); },
+                         [s = this](std::uint64_t ttis) { s->catch_up_fading(ttis); });
+    } else {
+      events.add_stepper(lte::kTtiMs, [s = this] { return s->tti_tick(); });
+    }
   }
 };
 

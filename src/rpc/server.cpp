@@ -115,9 +115,7 @@ void EpisodeRpcServer::serve(Transport& transport) {
           reader.expect_done();
           env::WorkerHealth health;
           health.outstanding = service_.outstanding_queries();
-          for (const auto& backend : service_.stats().backends) {
-            health.episodes += backend.episodes;
-          }
+          health.episodes = service_.episodes();
           write_frame(encode_heartbeat_ack(request_id, health));
           continue;
         }

@@ -264,26 +264,40 @@ TEST(EventQueue, ManySameInstantEventsKeepFifoUnderHeapChurn) {
 
 namespace {
 
-/// A 1-ms server stepper over a job queue, driven by a seeded random
-/// schedule: heap events at random times and exactly on the 1-ms grid push
-/// jobs, and some schedule further events, as served jobs do; a 100-ms
-/// stepper pushes jobs too. A job pushed into an empty queue waits out an access delay
-/// (grid-aligned, zero or arbitrary), like an uplink scheduling request.
-/// With `hints`, the server returns a quiet hint while it has nothing to
-/// serve: +inf when the queue is empty, else the end of the access delay.
-/// Every fire that does something is logged as (time, source), and so is
+/// A server stepper (1 ms by default) over a job queue, driven by a seeded
+/// random schedule: heap events at random times and exactly on the 1-ms
+/// grid push jobs, and some schedule further events, as served jobs do; a
+/// 100-ms stepper pushes jobs too. A job pushed into an empty queue waits
+/// out an access delay (grid-aligned, zero or arbitrary), like an uplink
+/// scheduling request. With `hints`, the server returns a quiet hint while
+/// it has nothing to serve: +inf when the queue is empty, else the end of
+/// the access delay. With `fading`, every server fire first steps an AR(1)
+/// drift with a normal draw, as a TTI steps its UE's fading, so quiet fires
+/// are not no-ops; a hinted run then replays the skipped steps through the
+/// stepper's catch-up (unless `catch_up` is off). Every fire that does
+/// something is logged as (time, source) with the drift it saw, and so is
 /// the clock after each run_until.
 struct QuietServerRun {
+  struct Options {
+    bool hints = false;
+    bool fading = false;
+    bool catch_up = true;
+    double period = 1.0;  ///< Server cadence.
+    double arm_at = 0.0;  ///< Clock when the schedule and steppers are set up.
+  };
+
   ad::EventQueue q;
   atlas::math::Rng rng;
-  bool hints;
+  Options opt;
   std::deque<int> jobs;
   double ready_at = 0.0;
+  double drift = 0.0;
   int next_job = 0;
   std::size_t server_calls = 0;
   std::vector<std::pair<double, int>> log;
+  std::vector<double> drifts;  ///< The drift at each log entry.
 
-  QuietServerRun(std::uint64_t seed, bool with_hints) : rng(seed), hints(with_hints) {}
+  QuietServerRun(std::uint64_t seed, Options options) : rng(seed), opt(options) {}
 
   double random_delay() {
     switch (rng.uniform_int(0, 3)) {
@@ -293,6 +307,11 @@ struct QuietServerRun {
     }
   }
 
+  void record(int source) {
+    log.emplace_back(q.now(), source);
+    drifts.push_back(drift);
+  }
+
   void push_job() {
     if (jobs.empty()) ready_at = q.now() + random_delay();
     jobs.push_back(next_job++);
@@ -300,39 +319,86 @@ struct QuietServerRun {
 
   void schedule_arrival(double at, int source) {
     q.schedule_at(at, [this, source] {
-      log.emplace_back(q.now(), source);
+      record(source);
       push_job();
       if (rng.bernoulli(0.25)) schedule_arrival(q.now() + random_delay(), -5);
     });
   }
 
+  void step_drift() { drift = 0.9 * drift + rng.normal(); }
+
   ad::TimeMs serve() {
     ++server_calls;
+    if (opt.fading) step_drift();
     if (!jobs.empty() && q.now() >= ready_at) {
-      log.emplace_back(q.now(), jobs.front());
+      record(jobs.front());
       jobs.pop_front();
       if (rng.bernoulli(0.5)) schedule_arrival(q.now() + random_delay(), -2);
       return ad::EventQueue::kNoHint;
     }
-    if (!hints) return ad::EventQueue::kNoHint;
+    if (!opt.hints) return ad::EventQueue::kNoHint;
     return jobs.empty() ? std::numeric_limits<double>::infinity() : ready_at;
   }
 
   std::vector<std::pair<double, int>> drive(const std::vector<double>& arrivals,
                                             const std::vector<double>& stops) {
-    for (double at : arrivals) schedule_arrival(at, -1);
+    q.run_until(opt.arm_at);
+    for (double at : arrivals) schedule_arrival(opt.arm_at + at, -1);
     q.add_stepper(100.0, [this] {
-      log.emplace_back(q.now(), -3);
+      record(-3);
       if (rng.bernoulli(0.5)) push_job();
     });
-    q.add_stepper(1.0, [this] { return serve(); });
+    if (opt.hints && opt.fading && opt.catch_up) {
+      q.add_stepper(opt.period, [this] { return serve(); }, [this](std::uint64_t fires) {
+        for (std::uint64_t i = 0; i < fires; ++i) step_drift();
+      });
+    } else {
+      q.add_stepper(opt.period, [this] { return serve(); });
+    }
     for (double until : stops) {
-      q.run_until(until);
-      log.emplace_back(q.now(), -4);
+      q.run_until(opt.arm_at + until);
+      record(-4);
     }
     return log;
   }
 };
+
+/// The random arrivals (on and off the 1-ms grid) and run_until stops of
+/// one seeded QuietServerRun schedule.
+struct QuietPlan {
+  std::vector<double> arrivals;
+  std::vector<double> stops;
+
+  explicit QuietPlan(std::uint64_t seed) {
+    atlas::math::Rng plan(seed);
+    for (int i = 0; i < 60; ++i) {
+      arrivals.push_back(plan.bernoulli(0.5) ? static_cast<double>(plan.uniform_int(0, 2000))
+                                             : plan.uniform(0.0, 2000.0));
+    }
+    for (double t = 0.0; t < 2000.0;) {
+      t += plan.bernoulli(0.5) ? static_cast<double>(plan.uniform_int(1, 90))
+                               : plan.uniform(0.0, 90.0);
+      stops.push_back(t);
+    }
+  }
+};
+
+/// Run one seeded schedule hinted and plain, and expect the same log, the
+/// same drifts, the same clock and the same next RNG draw.
+void expect_hints_change_nothing(std::uint64_t seed, QuietServerRun::Options options) {
+  const QuietPlan plan(seed);
+  options.hints = true;
+  QuietServerRun hinted(seed, options);
+  options.hints = false;
+  QuietServerRun plain(seed, options);
+  const auto hinted_log = hinted.drive(plan.arrivals, plan.stops);
+  const auto plain_log = plain.drive(plan.arrivals, plan.stops);
+  ASSERT_EQ(hinted_log, plain_log) << "seed " << seed;
+  EXPECT_EQ(hinted.drifts, plain.drifts) << "seed " << seed;
+  EXPECT_EQ(hinted.q.now(), plain.q.now()) << "seed " << seed;
+  EXPECT_EQ(hinted.rng.next_u64(), plain.rng.next_u64()) << "seed " << seed;
+  EXPECT_LT(hinted.server_calls, plain.server_calls / 2) << "seed " << seed << ": no skip";
+}
 
 }  // namespace
 
@@ -340,25 +406,59 @@ TEST(EventQueue, QuietHintsSkipOnlyNoOpFires) {
   // Equivalence property of the quiet-stepper contract: the same schedule
   // with and without hints yields the same (time, source) log, and so the
   // same clock after every run_until, including stops that land mid-skip.
+  // The 1-ms server's clock and period are whole numbers, so its skips take
+  // the closed-form count.
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    atlas::math::Rng plan(seed);
-    std::vector<double> arrivals;
-    for (int i = 0; i < 60; ++i) {
-      arrivals.push_back(plan.bernoulli(0.5) ? static_cast<double>(plan.uniform_int(0, 2000))
-                                             : plan.uniform(0.0, 2000.0));
-    }
-    std::vector<double> stops;
-    for (double t = 0.0; t < 2000.0;) {
-      t += plan.bernoulli(0.5) ? static_cast<double>(plan.uniform_int(1, 90))
-                               : plan.uniform(0.0, 90.0);
-      stops.push_back(t);
-    }
-    QuietServerRun hinted(seed, /*with_hints=*/true);
-    QuietServerRun plain(seed, /*with_hints=*/false);
-    const auto hinted_log = hinted.drive(arrivals, stops);
-    const auto plain_log = plain.drive(arrivals, stops);
-    ASSERT_EQ(hinted_log, plain_log) << "seed " << seed;
-    EXPECT_EQ(hinted.q.now(), plain.q.now()) << "seed " << seed;
-    EXPECT_LT(hinted.server_calls, plain.server_calls / 2) << "seed " << seed << ": no skip";
+    expect_hints_change_nothing(seed, {});
   }
+}
+
+TEST(EventQueue, QuietCatchUpReplaysSkippedDraws) {
+  // Quiet fires that draw from the RNG, like a fading TTI: a hinted run
+  // whose catch-up replays the skipped draws matches the plain run in its
+  // log, its drifts (also at stops that land mid-skip), its clock and its
+  // next RNG draw.
+  QuietServerRun::Options fading;
+  fading.fading = true;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    expect_hints_change_nothing(seed, fading);
+  }
+  // The check has teeth: without the catch-up the skipped draws are lost.
+  const QuietPlan plan(1);
+  QuietServerRun lossy(1, {.hints = true, .fading = true, .catch_up = false});
+  QuietServerRun plain(1, fading);
+  lossy.drive(plan.arrivals, plan.stops);
+  plain.drive(plan.arrivals, plan.stops);
+  EXPECT_NE(lossy.drifts, plain.drifts);
+}
+
+TEST(EventQueue, QuietSkipsReplayCadencesThatAreNotWhole) {
+  // A period or an arming clock that is not a whole number leaves the fire
+  // times inexact, so the skip replays each fire's arithmetic instead of
+  // counting in closed form; both must still match the plain run.
+  for (const bool with_fading : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      expect_hints_change_nothing(seed, {.fading = with_fading, .period = 0.7});
+      expect_hints_change_nothing(seed, {.fading = with_fading, .arm_at = 0.25});
+    }
+  }
+}
+
+TEST(EventQueue, RunUntilRejectsNonFiniteHorizon) {
+  // With a 1-ms stepper armed, run_until(NaN) or run_until(+inf) would fire
+  // forever; they throw instead and leave the queue as it was.
+  ad::EventQueue q;
+  int fires = 0;
+  q.add_stepper(1.0, [&] { ++fires; });
+  EXPECT_THROW(q.run_until(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  EXPECT_THROW(q.run_until(std::numeric_limits<double>::infinity()), std::invalid_argument);
+  EXPECT_THROW(q.run_until(-std::numeric_limits<double>::infinity()), std::invalid_argument);
+  EXPECT_EQ(fires, 0);
+  EXPECT_EQ(q.now(), 0.0);
+  q.run_until(5.0);
+  EXPECT_EQ(fires, 5);
+  // A NaN period would set the clock to NaN on its first fire.
+  EXPECT_THROW(q.add_stepper(std::numeric_limits<double>::quiet_NaN(), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(q.pending(), 1u);
 }

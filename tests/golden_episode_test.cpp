@@ -114,6 +114,18 @@ const GoldenCase kGolden[] = {
     // 100-ms mobility stepper that lands inside quiet stretches.
     {"sim_starved_60s_t1", false, 6, 3, 10, 10, 5, 0.1, 1, 60000, false, false, 0, 41, 0x82b424ddc2e99742ULL},
     {"sim_walk_traces_60s_t1", false, 50, 50, 0, 0, 100, 1.0, 1, 60000, true, true, 0, 43, 0x91bec9750c5d2d48ULL},
+    // Guard cases for fading catch-up skips, the closed-form skip count and
+    // the direct foreground TTI, captured before any of the three landed:
+    // 60-s real-network episodes without background UEs (the default slice;
+    // a starved slice whose HARQ blocking and stale CQI meet quiet
+    // stretches; a random walk with traces, whose 100-ms stepper bounds the
+    // skips), plus one 20-s episode per profile, the length loopback_farm's
+    // stages run.
+    {"real_default_60s_t1", true, 50, 50, 0, 0, 100, 1.0, 1, 60000, false, false, 0, 47, 0x4eb81a0cf819cafbULL},
+    {"real_starved_60s_t1", true, 6, 3, 0, 0, 5, 0.1, 1, 60000, false, false, 0, 53, 0x29d9a8c2edda20d0ULL},
+    {"real_walk_traces_60s_t1", true, 50, 50, 0, 0, 100, 1.0, 1, 60000, true, true, 0, 59, 0xa16b099e73b9a1fdULL},
+    {"sim_default_20s_t1", false, 50, 50, 0, 0, 100, 1.0, 1, 20000, false, false, 0, 61, 0x65ff1db839aeb7dbULL},
+    {"real_default_20s_t1", true, 50, 50, 0, 0, 100, 1.0, 1, 20000, false, false, 0, 67, 0x59eb2adb67bcd1b3ULL},
 };
 
 ae::EpisodeResult run_case(const GoldenCase& c) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "lte/mac.hpp"
 #include "lte/phy.hpp"
@@ -395,6 +398,72 @@ TEST(Scheduler, ScratchFormMatchesAllocatingForm) {
       ASSERT_EQ(span.count, ref.completed[s].second.size());
       for (std::uint32_t i = 0; i < span.count; ++i) {
         ASSERT_EQ(scratch.ids[span.begin + i], ref.completed[s].second[i]);
+      }
+    }
+  }
+}
+
+TEST(Scheduler, OneUeSliceEqualsDirectTti) {
+  // The episode runs its one foreground UE without the scheduler: a
+  // one-slice, one-UE run_direction_tti must equal run_tti_into with grant
+  // min(cap, kTotalPrbs) and the slice's MCS offset — same stats, same
+  // completed ids, same RNG consumption — in both directions, in TTIs that
+  // transmit and in TTIs the HARQ round trip blocks.
+  al::RadioParams lossy = ideal_radio();
+  lossy.la_margin_db = 1.0;  // errors often enough to block
+  lossy.harq_rtt_ttis = 3;
+  for (const bool uplink : {true, false}) {
+    for (const int cap : {60, 50, 17, 0}) {
+      for (const int offset : {0, 3}) {
+        // At 4 m the SINR sits mid-ladder, below the MCS cap.
+        al::UeRadio sched_ue(lossy, lossy, 4.0, 2.5, 0.9, 2);
+        al::UeRadio direct_ue(lossy, lossy, 4.0, 2.5, 0.9, 2);
+        std::vector<al::SliceRadioShare> slices(1);
+        (uplink ? slices[0].prb_cap_ul : slices[0].prb_cap_dl) = cap;
+        (uplink ? slices[0].mcs_offset_ul : slices[0].mcs_offset_dl) = offset;
+        slices[0].ues = {&sched_ue};
+        am::Rng sched_rng(100 + static_cast<std::uint64_t>(cap));
+        am::Rng direct_rng(100 + static_cast<std::uint64_t>(cap));
+        al::TtiScratch scratch;
+        std::vector<std::uint64_t> ids;
+        int sent = 0;
+        int blocked = 0;
+        for (int t = 0; t < 600; ++t) {
+          const double now = static_cast<double>(t);
+          if (t % 6 == 0) {
+            const double bits = 2000.0 + 500.0 * static_cast<double>(t % 17);
+            for (al::UeRadio* ue : {&sched_ue, &direct_ue}) {
+              (uplink ? ue->ul_queue() : ue->dl_queue())
+                  .push(static_cast<std::uint64_t>(t), bits, now, 2.0);
+            }
+          }
+          sched_ue.step_fading(sched_rng);
+          direct_ue.step_fading(direct_rng);
+          const al::RadioQueue& queue = uplink ? direct_ue.ul_queue() : direct_ue.dl_queue();
+          const bool had_data = queue.has_data(now);
+          al::run_direction_tti(slices, uplink, now, sched_rng, scratch);
+          ids.clear();
+          const al::TtiStats direct = direct_ue.run_tti_into(
+              uplink, now, std::min(cap, al::kTotalPrbs), offset, direct_rng, ids);
+          ASSERT_EQ(scratch.delivered_bits, direct.delivered_bits) << "tti " << t;
+          ASSERT_EQ(scratch.tb_total, direct.tb_total) << "tti " << t;
+          ASSERT_EQ(scratch.tb_err, direct.tb_err) << "tti " << t;
+          std::vector<std::uint64_t> sched_ids;
+          for (const auto& span : scratch.completed) {
+            ASSERT_EQ(span.ue, &sched_ue);
+            sched_ids.insert(sched_ids.end(), scratch.ids.begin() + span.begin,
+                             scratch.ids.begin() + span.begin + span.count);
+          }
+          ASSERT_EQ(sched_ids, ids) << "tti " << t;
+          sent += direct.tb_total - direct.tb_err;
+          if (had_data && cap > 0 && direct.tb_total == 0) ++blocked;
+        }
+        EXPECT_EQ(sched_rng.next_u64(), direct_rng.next_u64())
+            << "uplink " << uplink << " cap " << cap << " offset " << offset;
+        if (cap > 0) {
+          EXPECT_GT(sent, 0) << "cap " << cap;
+          EXPECT_GT(blocked, 0) << "cap " << cap << ": no HARQ-blocked TTI";
+        }
       }
     }
   }

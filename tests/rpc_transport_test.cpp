@@ -419,6 +419,9 @@ TEST(RpcLoopback, ControlPlaneHelloAndHeartbeat) {
   const ae::WorkerHealth health = backend.heartbeat();
   EXPECT_EQ(health.episodes, 1u);
   EXPECT_EQ(health.outstanding, 0u);
+  std::uint64_t stats_episodes = 0;
+  for (const auto& row : worker.service.stats().backends) stats_episodes += row.episodes;
+  EXPECT_EQ(health.episodes, stats_episodes);
 }
 
 TEST(RpcLoopback, CancelledRequestIsDroppedWithoutAResponse) {
