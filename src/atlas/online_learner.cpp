@@ -1,7 +1,9 @@
 #include "atlas/online_learner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -18,6 +20,151 @@ namespace atlas::core {
 using atlas::math::Matrix;
 using atlas::math::Rng;
 using atlas::math::Vec;
+
+namespace {
+
+/// Iteration `iter`'s exploration weight (0-based) under the options'
+/// acquisition. Only cRGP-UCB draws it from the RNG.
+double exploration_beta(const OnlineOptions& options, std::size_t iter, Rng& rng) {
+  switch (options.acquisition) {
+    case bo::AcquisitionKind::kCrgpUcb:
+      return bo::crgp_ucb_beta(iter + 1, options.rho, options.clip_b, rng);
+    case bo::AcquisitionKind::kGpUcb:
+      return bo::gp_ucb_beta(iter + 1, options.candidates);
+    case bo::AcquisitionKind::kUcb:
+      return 4.0;
+    default:
+      return 0.0;
+  }
+}
+
+/// Stage 3's candidates, stored in the order the stage's RNG draws them.
+/// Round r belongs to iteration r: its inner updates' pools of `pool_size`
+/// candidates, then its beta draw, then the candidates of its selection
+/// scan. A candidate is one row of raw coordinates beside its usage F(a) and
+/// its clamped offline estimate Q_s(a) through `offline_net` (Q_s = 0
+/// without one: kGpWhole without a policy). Given a `draw` (kBnnResidual,
+/// whose posterior reads the RNG), the online model's posterior drawn at the
+/// candidate's normalized coordinates right after it is kept too. Nothing is
+/// stored per candidate on the heap.
+///
+/// The stream holds two rounds, the current one and the next, and fills one
+/// tile per step: at most ScanTile::kSize candidates, within one pool or
+/// within the selection scan. A caller fills on demand, just before it reads
+/// a pool or the selection scan, or ahead, a step at a time while it waits
+/// for an episode. Both fill in the same order from the same RNG, so what
+/// the stream holds does not depend on when it was filled.
+class CandidateStream {
+ public:
+  /// `offline_net` is read at each fill, so it must outlive the stream.
+  CandidateStream(const bo::BoxSpace& space, const OnlineOptions& options, std::size_t pools,
+                  std::size_t pool_size, Rng& rng, const nn::BnnSample* offline_net,
+                  std::function<gp::Posterior(const Vec&)> draw)
+      : space_(space),
+        options_(options),
+        rng_(rng),
+        offline_net_(offline_net),
+        draw_(std::move(draw)),
+        pool_size_(pool_size),
+        selection_begin_(pools * pool_size),
+        round_size_(selection_begin_ + options.candidates),
+        offline_inputs_(0, 2 + space.dim()),
+        normalized_(space.dim()) {
+    for (Round& r : rounds_) {
+      r.points.resize(round_size_ * space.dim());
+      r.usage.resize(round_size_);
+      r.offline_q.resize(round_size_);
+      if (draw_) r.drawn.resize(round_size_);
+    }
+  }
+
+  std::size_t selection_begin() const { return selection_begin_; }
+  std::size_t round_size() const { return round_size_; }
+
+  /// Fills one more tile toward the end of the round after the current one
+  /// (or of the last round). Returns false when it is filled that far.
+  bool fill_ahead() {
+    return fill_tile(std::min(current_ + 2, options_.iterations) * round_size_);
+  }
+  /// Fills the current round through candidate `end` (exclusive).
+  void fill_to(std::size_t end) {
+    while (fill_tile(current_ * round_size_ + end)) {
+    }
+  }
+  /// Moves on to the next round; the current round's storage goes to the
+  /// round after that.
+  void next_round() { ++current_; }
+
+  // Candidate k of the current round, once filled.
+  const double* point(std::size_t k) const { return round().points.data() + k * space_.dim(); }
+  double usage(std::size_t k) const { return round().usage[k]; }
+  double offline_q(std::size_t k) const { return round().offline_q[k]; }
+  const gp::Posterior& drawn(std::size_t k) const { return round().drawn[k]; }
+  /// The current round's beta, once its first selection candidate is filled.
+  double beta() const { return round().beta; }
+
+ private:
+  struct Round {
+    Vec points;  ///< round_size x dim raw coordinates, row-major
+    Vec usage;
+    Vec offline_q;
+    std::vector<gp::Posterior> drawn;  ///< Only with a `draw`.
+    double beta = 0.0;
+  };
+
+  const Round& round() const { return rounds_[current_ % 2]; }
+
+  /// Fills the next tile, stopping at stream position `end` (round r's
+  /// candidate k sits at r * round_size + k). Returns false at `end`.
+  bool fill_tile(std::size_t end) {
+    if (filled_ >= end) return false;
+    const std::size_t r = filled_ / round_size_;
+    const std::size_t first = filled_ % round_size_;
+    Round& round = rounds_[r % 2];
+    std::size_t stop = round_size_;
+    if (first < selection_begin_) stop = (first / pool_size_ + 1) * pool_size_;
+    if (first == selection_begin_) round.beta = exploration_beta(options_, r, rng_);
+    const std::size_t n = std::min({bo::ScanTile::kSize, stop - first, end - filled_});
+    const std::size_t dim = space_.dim();
+    offline_inputs_.resize(n, offline_inputs_.cols());
+    for (std::size_t k = 0; k < n; ++k) {
+      double* a = round.points.data() + (first + k) * dim;
+      space_.sample(rng_, a);
+      space_.normalize(a, normalized_.data());
+      OfflinePolicy::input(options_.workload.traffic, options_.sla.latency_threshold_ms,
+                           normalized_.data(), dim,
+                           offline_inputs_.data() + k * offline_inputs_.cols());
+      round.usage[first + k] = env::SliceConfig::from_vec(a).resource_usage();
+      if (draw_) round.drawn[first + k] = draw_(normalized_);
+    }
+    double* qs = round.offline_q.data() + first;
+    if (offline_net_ == nullptr) {
+      std::fill_n(qs, n, 0.0);
+    } else {
+      // Bit-identical to OnlineLearner::offline_qoe_estimate per candidate.
+      const Vec predicted = offline_net_->predict_batch(offline_inputs_);
+      for (std::size_t k = 0; k < n; ++k) qs[k] = std::clamp(predicted[k], 0.0, 1.0);
+    }
+    filled_ += n;
+    return true;
+  }
+
+  const bo::BoxSpace& space_;
+  const OnlineOptions& options_;
+  Rng& rng_;
+  const nn::BnnSample* offline_net_;
+  std::function<gp::Posterior(const Vec&)> draw_;
+  std::size_t pool_size_;
+  std::size_t selection_begin_;
+  std::size_t round_size_;
+  std::array<Round, 2> rounds_;
+  std::size_t current_ = 0;  ///< The round being read.
+  std::size_t filled_ = 0;   ///< Stream position of the next candidate to fill.
+  Matrix offline_inputs_;  ///< One tile's offline-BNN inputs.
+  Vec normalized_;         ///< One candidate's normalized coordinates.
+};
+
+}  // namespace
 
 LambdaBracket lambda_bracket(double lambda, std::size_t depth, double epsilon,
                              double availability) {
@@ -119,81 +266,84 @@ OnlineResult OnlineLearner::learn() {
     return p;
   };
 
-  // Acquisition scans run one tile at a time (bo/scan_tile.hpp). The tile's
-  // inputs are normalized configurations, the online model's input; the
-  // offline BNN reads the same rows behind its (traffic, Y) prefix.
-  bo::ScanTile tile(space_.dim(), space_.dim());
-  Matrix offline_inputs(0, 2 + space_.dim());
-  Vec tile_qs;                        // offline QoE estimate Q_s per candidate
-  std::vector<gp::Posterior> tile_g;  // online-model posterior G per candidate
-
-  // Samples the tile's candidates in RNG order, straight into the tile's
-  // rows. kBnnResidual's Monte-Carlo posterior draws from the RNG too, so it
-  // stays here, per candidate.
-  auto sample_tile = [&] {
-    offline_inputs.resize(tile.size(), offline_inputs.cols());
-    tile_g.resize(tile.size());
-    for (std::size_t k = 0; k < tile.size(); ++k) {
-      Vec& a = tile.point(k);
-      space_.sample(rng, a.data());
-      space_.normalize(a.data(), tile.input(k));
-      OfflinePolicy::input(options_.workload.traffic, options_.sla.latency_threshold_ms,
-                           tile.input(k), space_.dim(),
-                           offline_inputs.data() + k * offline_inputs.cols());
-      if (options_.model == OnlineModel::kBnnResidual) {
-        tile_g[k] = residual_posterior(tile.inputs.row(k));
-      }
-    }
-  };
-  // Scores the sampled tile without the RNG: Q_s through this iteration's
-  // posterior-mean network (bit-identical to offline_qoe_estimate), and G
-  // through one batched GP call.
-  auto score_tile = [&](const std::optional<nn::BnnSample>& offline_net) {
-    if (!offline_net) {
-      tile_qs.assign(tile.size(), 0.0);  // kGpWhole: the online model carries everything
-    } else {
-      tile_qs = offline_net->predict_batch(offline_inputs);
-      for (double& v : tile_qs) v = std::clamp(v, 0.0, 1.0);
-    }
-    if (options_.model == OnlineModel::kBnnResidual) return;  // sampled above
-    if (residual_gp.fitted()) {
-      tile_g = residual_gp.predict_batch(tile.inputs);
-    } else {
-      // A constant prior (unfitted GP, kBnnContinued), the same at every
-      // candidate.
-      std::fill(tile_g.begin(), tile_g.end(), residual_posterior(tile.inputs.row(0)));
-    }
-  };
-
-  // An inner update's pool, sampled and scored before lambda is known: each
-  // candidate's action a, its usage F(a) and its combined QoE estimate
-  // clamp(Q_s(a) + G(a) mean). Every inner update has its own buffer.
-  struct PoolCandidate {
-    Vec a;
-    double usage = 0.0;
-    double q = 0.0;
-  };
-  using Pool = std::vector<PoolCandidate>;
   const bool accelerated = options_.offline_acceleration && options_.inner_updates > 0;
   const std::size_t inner_updates = accelerated ? options_.inner_updates : 0;
-  std::vector<Pool> pools(inner_updates, Pool(options_.candidates / 4));
-  auto score_pool = [&](Pool& pool, const std::optional<nn::BnnSample>& offline_net) {
-    tile.scan(pool.size(), [&](std::size_t first) {
-      sample_tile();
-      score_tile(offline_net);
-      for (std::size_t k = 0; k < tile.size(); ++k) {
-        PoolCandidate& c = pool[first + k];
-        c.a = tile.point(k);
-        c.usage = env::SliceConfig::from_vec(c.a).resource_usage();
-        c.q = std::clamp(tile_qs[k] + tile_g[k].mean, 0.0, 1.0);
-      }
-    });
-  };
+  const std::size_t pool_size = options_.candidates / 4;
+
+  // The posterior-mean offline network Q_s reads. Only kBnnContinued
+  // retrains the offline BNN, and it rebuilds this in place after each
+  // fine-tune.
+  std::optional<nn::BnnSample> offline_net;
+  if (policy_ != nullptr) offline_net = policy_->qoe_model->mean_sample();
 
   double lambda = policy_ != nullptr ? policy_->final_lambda : 1.0;
 
   // The very first online action is the offline optimum when available (§8.3).
   Vec next_config = policy_ != nullptr ? policy_->best_config.to_vec() : space_.sample(rng);
+
+  // Every later draw of the GP models comes from the candidate stream
+  // (GaussianProcess::fit seeds its own generator), and their offline
+  // network never changes, so their stream fills while episodes run, up to
+  // one iteration ahead. The BNN models draw between rounds (training, and
+  // kBnnResidual's posterior at each inner update's action), and a
+  // kBnnContinued round's Q_s needs that iteration's fine-tune, so they fill
+  // on demand only, at the points where they sample.
+  CandidateStream stream(
+      space_, options_, inner_updates, pool_size, rng, offline_net ? &*offline_net : nullptr,
+      options_.model == OnlineModel::kBnnResidual
+          ? std::function<gp::Posterior(const Vec&)>(residual_posterior)
+          : nullptr);
+  const bool run_ahead =
+      options_.model == OnlineModel::kGpResidual || options_.model == OnlineModel::kGpWhole;
+  // Blocks until `episode` completes, filling the stream meanwhile a tile at
+  // a time when it runs ahead.
+  auto wait_filling = [&](const env::QueryHandle& episode) {
+    if (run_ahead) {
+      while (!episode.ready() && stream.fill_ahead()) {
+      }
+    }
+    episode.wait();
+  };
+
+  // The online model's posterior G over candidates [first, first + n) of the
+  // current round, n at most one tile, into tile_g: one batched GP call, the
+  // draws kept beside kBnnResidual's candidates, or a constant prior
+  // (unfitted GP, kBnnContinued).
+  Matrix tile_inputs(0, space_.dim());
+  std::vector<gp::Posterior> tile_g;
+  auto online_posterior = [&](std::size_t first, std::size_t n) {
+    if (options_.model == OnlineModel::kBnnResidual) {
+      tile_g.resize(n);
+      for (std::size_t k = 0; k < n; ++k) tile_g[k] = stream.drawn(first + k);
+      return;
+    }
+    tile_inputs.resize(n, space_.dim());
+    for (std::size_t k = 0; k < n; ++k) {
+      space_.normalize(stream.point(first + k), tile_inputs.data() + k * space_.dim());
+    }
+    if (residual_gp.fitted()) {
+      tile_g = residual_gp.predict_batch(tile_inputs);
+    } else {
+      tile_g.assign(n, residual_posterior(tile_inputs.row(0)));
+    }
+  };
+
+  // Inner update m's pool is the current round's candidates
+  // [m * pool_size, (m + 1) * pool_size). Scoring it waits for the refit but
+  // not for lambda: each candidate's combined estimate clamp(Q_s(a) + G(a)
+  // mean) goes to pool_q.
+  Vec pool_q(inner_updates * pool_size);
+  auto score_pool = [&](std::size_t m) {
+    const std::size_t end = (m + 1) * pool_size;
+    stream.fill_to(end);
+    for (std::size_t first = m * pool_size; first < end; first += bo::ScanTile::kSize) {
+      const std::size_t n = std::min(bo::ScanTile::kSize, end - first);
+      online_posterior(first, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        pool_q[first + k] = std::clamp(stream.offline_q(first + k) + tile_g[k].mean, 0.0, 1.0);
+      }
+    }
+  };
 
   // Seed planning: the metered real stream and the simulator stream (one
   // residual episode + N inner-update episodes per iteration) draw from
@@ -203,22 +353,17 @@ OnlineResult OnlineLearner::learn() {
   const env::SeedStream real_seeds = plan.stream(env::SeedDomain::kStage3RealOnline, 1);
   const env::SeedStream sim_seeds = plan.stream(env::SeedDomain::kStage3Sim, 1 + inner_updates);
 
-  // bo::Argmin's rule by index: the first candidate of lowest Lagrangian
-  // F(a) - lambda (Q(a) - E), NaN scores skipped. Throws like Argmin when
-  // every score is NaN, which no lambda can change.
-  auto greedy_pick = [&](const Pool& pool, double lam) {
-    std::size_t best = pool.size();
-    double best_score = 0.0;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      const double score = pool[i].usage - lam * (pool[i].q - options_.sla.availability);
-      if (std::isnan(score)) continue;
-      if (best == pool.size() || score < best_score) {
-        best = i;
-        best_score = score;
-      }
+  // The pool index of pool m's lowest Lagrangian F(a) - lambda (Q(a) - E).
+  // Throws like bo::Argmin when every score is NaN, which no lambda can
+  // change.
+  auto greedy_pick = [&](std::size_t m, double lam) {
+    const std::size_t first = m * pool_size;
+    bo::ArgminIndex argmin;
+    for (std::size_t i = 0; i < pool_size; ++i) {
+      argmin.offer(i, stream.usage(first + i) -
+                          lam * (pool_q[first + i] - options_.sla.availability));
     }
-    if (best == pool.size()) throw std::out_of_range("Argmin: nothing was offered");
-    return best;
+    return argmin.best();
   };
 
   // An inner update's episode in flight: the pool index of its action and
@@ -231,9 +376,11 @@ OnlineResult OnlineLearner::learn() {
   std::vector<Flight> flights(inner_updates);
   auto launch = [&](std::size_t iter, std::size_t m, std::size_t pick) {
     Flight& f = flights[m];
-    const Vec& greedy = pools[m][pick].a;
+    const double* greedy = stream.point(m * pool_size + pick);
+    Vec xn(space_.dim());
+    space_.normalize(greedy, xn.data());
     f.pick = pick;
-    f.g = residual_posterior(space_.normalize(greedy));
+    f.g = residual_posterior(xn);
     env::EnvQuery q;
     q.backend = simulator_;
     q.config = env::SliceConfig::from_vec(greedy);
@@ -267,7 +414,9 @@ OnlineResult OnlineLearner::learn() {
 
     auto real_handle = service_.submit(std::move(real_q));
     auto sim_handle = service_.submit(std::move(sim_q));
+    wait_filling(real_handle);
     const double qoe_real = real_handle.get().qoe(options_.sla.latency_threshold_ms);
+    wait_filling(sim_handle);
     const double qoe_sim = sim_handle.get().qoe(options_.sla.latency_threshold_ms);
 
     OnlineStep step;
@@ -315,16 +464,11 @@ OnlineResult OnlineLearner::learn() {
                                                options_.sla.latency_threshold_ms, obs_x[r]));
           }
           policy_->qoe_model->train(xi, obs_g, 20, 16, bnn_opt, nullptr, rng);
+          *offline_net = policy_->qoe_model->mean_sample();  // this round's Q_s reads it
           break;
         }
       }
     }
-
-    // The posterior-mean offline network scores this iteration's scans. It is
-    // built after the kBnnContinued fine-tune above and dropped at the end of
-    // the iteration, so it always matches the current weights.
-    std::optional<nn::BnnSample> offline_net;
-    if (policy_ != nullptr) offline_net = policy_->qoe_model->mean_sample();
 
     // ---- Multiplier updates --------------------------------------------------
     if (accelerated) {
@@ -340,28 +484,29 @@ OnlineResult OnlineLearner::learn() {
       // launches on the service pool. Pools are scored and episodes launched
       // in order, stopping at the first uncertain update; a pool is scored
       // only after every earlier update has launched, which keeps the RNG
-      // order of the pools' sampling. Each commit recomputes the pick with
-      // the true lambda, and a pick that differs (rounding between the ends)
-      // replaces its flight, so results never depend on the lookahead.
+      // order of pools sampled on demand. Each commit recomputes the pick
+      // with the true lambda, and a pick that differs (rounding between the
+      // ends) replaces its flight, so results never depend on the lookahead.
       std::size_t scored = 0;
       std::size_t launched = 0;
       try {
         for (std::size_t n = 0; n < inner_updates; ++n) {
           for (; launched < inner_updates; ++launched) {
-            if (scored == launched) score_pool(pools[scored++], offline_net);
+            if (scored == launched) score_pool(scored++);
             const std::size_t depth = launched - n;
             if (depth > max_depth) break;
             const LambdaBracket b =
                 lambda_bracket(lambda, depth, options_.epsilon, options_.sla.availability);
-            const std::size_t pick = greedy_pick(pools[launched], b.lo);
-            if (depth > 0 && greedy_pick(pools[launched], b.hi) != pick) break;
+            const std::size_t pick = greedy_pick(launched, b.lo);
+            if (depth > 0 && greedy_pick(launched, b.hi) != pick) break;
             launch(iter, launched, pick);
           }
           Flight& f = flights[n];  // launched at depth 0 at the latest
-          if (const std::size_t pick = greedy_pick(pools[n], lambda); pick != f.pick) {
-            f.episode.wait();
+          if (const std::size_t pick = greedy_pick(n, lambda); pick != f.pick) {
+            wait_filling(f.episode);
             launch(iter, n, pick);
           }
+          wait_filling(f.episode);
           const double qs = f.episode.get().qoe(options_.sla.latency_threshold_ms);
           lambda = dual_step(lambda, std::clamp(qs + f.g.mean, 0.0, 1.0), options_.epsilon,
                              options_.sla.availability);
@@ -376,20 +521,8 @@ OnlineResult OnlineLearner::learn() {
     }
 
     // ---- Select the next online action --------------------------------------
-    double beta = 0.0;
-    switch (options_.acquisition) {
-      case bo::AcquisitionKind::kCrgpUcb:
-        beta = bo::crgp_ucb_beta(iter + 1, options_.rho, options_.clip_b, rng);
-        break;
-      case bo::AcquisitionKind::kGpUcb:
-        beta = bo::gp_ucb_beta(iter + 1, options_.candidates);
-        break;
-      case bo::AcquisitionKind::kUcb:
-        beta = 4.0;
-        break;
-      default:
-        break;
-    }
+    stream.fill_to(stream.round_size());
+    const double beta = stream.beta();
     step.beta = beta;
 
     // Incumbent Lagrangian value for EI/PI.
@@ -402,15 +535,16 @@ OnlineResult OnlineLearner::learn() {
     incumbent = std::min(incumbent,
                          step.usage - lambda * (qoe_real - options_.sla.availability));
 
-    // Maximizing scan: offer(-util) keeps the first of equal utilities.
-    bo::Argmin argmin;
-    tile.scan(options_.candidates, [&](std::size_t) {
-      sample_tile();
-      score_tile(offline_net);
-      for (std::size_t k = 0; k < tile.size(); ++k) {
-        const Vec& a = tile.point(k);
-        const double usage = env::SliceConfig::from_vec(a).resource_usage();
-        const double qs = tile_qs[k];
+    // Maximizing scan, one tile at a time: offer(-util) keeps the first of
+    // equal utilities.
+    bo::ArgminIndex argmin;
+    for (std::size_t first = stream.selection_begin(); first < stream.round_size();
+         first += bo::ScanTile::kSize) {
+      const std::size_t n = std::min(bo::ScanTile::kSize, stream.round_size() - first);
+      online_posterior(first, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const double usage = stream.usage(first + k);
+        const double qs = stream.offline_q(first + k);
         const gp::Posterior& g = tile_g[k];
         double util = 0.0;
         switch (options_.acquisition) {
@@ -435,10 +569,12 @@ OnlineResult OnlineLearner::learn() {
             break;
           }
         }
-        argmin.offer(a, -util);
+        argmin.offer(first + k, -util);
       }
-    });
-    next_config = argmin.best();
+    }
+    const double* best = stream.point(argmin.best());
+    next_config.assign(best, best + space_.dim());
+    stream.next_round();
 
     result.history.push_back(step);
     if ((iter + 1) % 20 == 0) {

@@ -18,7 +18,7 @@ using atlas::math::Vec;
 Dlda::Dlda(env::EnvClient& service, env::BackendId offline_env, DldaOptions options)
     : service_(service), offline_env_(offline_env), options_(std::move(options)) {}
 
-double Dlda::train_offline() {
+DldaGrid Dlda::collect_grid(std::span<const double> thresholds_ms) const {
   const auto space = env::SliceConfig::space();
   const std::size_t g = std::max<std::size_t>(2, options_.grid_per_dim);
   const std::size_t dims = space.dim();
@@ -31,7 +31,8 @@ double Dlda::train_offline() {
     levels[i] = 0.9 * static_cast<double>(i) / static_cast<double>(g - 1);
   }
 
-  dataset_x_.assign(total, Vec(dims, 0.0));
+  DldaGrid grid;
+  grid.configs.assign(total, Vec(dims, 0.0));
   const env::SeedStream seeds =
       env::SeedPlan(options_.seed).stream(env::SeedDomain::kBaselineDldaGrid, total);
   std::vector<env::EnvQuery> batch(total);
@@ -42,15 +43,34 @@ double Dlda::train_offline() {
       u[d] = levels[rem % g];
       rem /= g;
     }
-    dataset_x_[idx] = u;
+    grid.configs[idx] = u;
     batch[idx].backend = offline_env_;
     batch[idx].config = env::SliceConfig::from_vec(space.denormalize(u));
     batch[idx].workload = options_.workload;
     seeds.apply(batch[idx], 0, idx);  // the grid is one offline "iteration"
   }
-  dataset_y_ = service_.measure_qoe_batch(batch, options_.sla.latency_threshold_ms);
+  const std::vector<env::EpisodeResult> episodes = service_.run_batch(batch);
+  grid.qoe.assign(thresholds_ms.size(), Vec(total, 0.0));
+  for (std::size_t t = 0; t < thresholds_ms.size(); ++t) {
+    for (std::size_t idx = 0; idx < total; ++idx) {
+      grid.qoe[t][idx] = episodes[idx].qoe(thresholds_ms[t]);
+    }
+  }
   common::log_info("dlda: grid dataset of ", total, " configurations collected");
+  return grid;
+}
 
+double Dlda::train_offline() {
+  const double threshold = options_.sla.latency_threshold_ms;
+  const DldaGrid grid = collect_grid({&threshold, 1});
+  return train_offline(grid.configs, grid.qoe.front());
+}
+
+double Dlda::train_offline(const std::vector<Vec>& configs, const Vec& qoe) {
+  if (configs.size() != qoe.size()) {
+    throw std::invalid_argument("Dlda: need one QoE label per grid configuration");
+  }
+  const std::size_t dims = env::SliceConfig::space().dim();
   Rng rng(options_.seed);
   std::vector<std::size_t> sizes;
   sizes.push_back(dims);
@@ -58,13 +78,14 @@ double Dlda::train_offline() {
   sizes.push_back(1);
   teacher_.emplace(sizes, rng);
 
-  Matrix x(total, dims);
-  for (std::size_t r = 0; r < total; ++r) x.set_row(r, dataset_x_[r]);
+  Matrix x(configs.size(), dims);
+  for (std::size_t r = 0; r < configs.size(); ++r) x.set_row(r, configs[r]);
   nn::Adam opt(options_.teacher_lr);
   double loss = 0.0;
   for (std::size_t e = 0; e < options_.teacher_epochs; ++e) {
-    loss = teacher_->train_epoch_mse(x, dataset_y_, opt, 64, rng);
+    loss = teacher_->train_epoch_mse(x, qoe, opt, 64, rng);
   }
+  dataset_size_ = configs.size();
   common::log_info("dlda: teacher trained, final mse=", loss);
   return loss;
 }

@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "app/qoe.hpp"
 #include "baselines/online_trace.hpp"
@@ -38,6 +40,13 @@ struct DldaOptions {
   std::uint64_t seed = 13;
 };
 
+/// DLDA's grid dataset: each grid configuration's normalized coordinates and
+/// its episode's QoE at each latency threshold the grid was labelled at.
+struct DldaGrid {
+  std::vector<math::Vec> configs;
+  std::vector<math::Vec> qoe;  ///< qoe[t][i]: configuration i at threshold t
+};
+
 class Dlda {
  public:
   /// `offline_env` names the offline backend of `service` that generates the
@@ -45,9 +54,18 @@ class Dlda {
   /// as one batched EnvService request.
   Dlda(env::EnvClient& service, env::BackendId offline_env, DldaOptions options);
 
-  /// Collect the grid dataset and train the teacher. Must run before
-  /// select()/learn_online(). Returns the final training MSE.
+  /// Run the grid's episodes and label each at every threshold in
+  /// `thresholds_ms`. The episodes depend on the seed and the workload
+  /// only, so one grid serves every threshold.
+  DldaGrid collect_grid(std::span<const double> thresholds_ms) const;
+
+  /// Collect the grid dataset at `sla.latency_threshold_ms` and train the
+  /// teacher on it. Must run before select()/learn_online(). Returns the
+  /// final training MSE.
   double train_offline();
+  /// Train the teacher on collected grid configurations and their QoE
+  /// labels at `sla.latency_threshold_ms` (one of DldaGrid::qoe).
+  double train_offline(const std::vector<math::Vec>& configs, const math::Vec& qoe);
 
   /// Offline policy (Figs. 17-19): min-usage configuration whose teacher-
   /// predicted QoE meets `sla.availability`.
@@ -59,7 +77,7 @@ class Dlda {
   /// Online transfer loop against the metered `real` backend.
   OnlineTrace learn_online(env::BackendId real);
 
-  std::size_t dataset_size() const noexcept { return dataset_y_.size(); }
+  std::size_t dataset_size() const noexcept { return dataset_size_; }
 
  private:
   env::SliceConfig select_with(const nn::Mlp& model, atlas::math::Rng& rng) const;
@@ -68,8 +86,7 @@ class Dlda {
   env::BackendId offline_env_;
   DldaOptions options_;
   std::optional<nn::Mlp> teacher_;
-  std::vector<math::Vec> dataset_x_;
-  math::Vec dataset_y_;
+  std::size_t dataset_size_ = 0;
 };
 
 }  // namespace atlas::baselines

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 #include "math/matrix.hpp"
@@ -44,6 +45,32 @@ class Argmin {
   }
 
   math::Vec best_;
+  double best_score_ = 0.0;
+  bool empty_ = true;
+};
+
+/// Argmin's rule over candidate indices, for scans whose candidates stay in
+/// flat storage: the first index offered with the lowest score, NaN scores
+/// skipped.
+class ArgminIndex {
+ public:
+  void offer(std::size_t index, double score) {
+    if (std::isnan(score)) return;
+    if (empty_ || score < best_score_) {
+      best_ = index;
+      best_score_ = score;
+      empty_ = false;
+    }
+  }
+
+  /// The lowest-score index. Throws std::out_of_range like Argmin::best().
+  std::size_t best() const {
+    if (empty_) throw std::out_of_range("Argmin: nothing was offered");
+    return best_;
+  }
+
+ private:
+  std::size_t best_ = 0;
   double best_score_ = 0.0;
   bool empty_ = true;
 };

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -84,14 +85,19 @@ class EventQueue {
     }
   }
 
-  /// Schedule `fn` at absolute time `at` (must be >= now(); NaN is rejected).
+  /// Schedule `fn` at absolute time `at`, which must be finite and >= now().
+  /// A NaN or infinite time throws std::invalid_argument: run_all() would
+  /// drive an armed stepper toward a +inf event forever.
   template <typename F>
   void schedule_at(TimeMs at, F&& fn) {
+    if (!std::isfinite(at)) {
+      throw std::invalid_argument("EventQueue: cannot schedule at a non-finite time");
+    }
     if (!(at >= now_)) throw std::invalid_argument("EventQueue: cannot schedule in the past");
     push_entry(at, std::forward<F>(fn));
   }
 
-  /// Schedule `fn` after a relative delay (>= 0).
+  /// Schedule `fn` after a relative delay, which must be finite and >= 0.
   template <typename F>
   void schedule_in(TimeMs delay, F&& fn) {
     if (delay < 0.0) throw std::invalid_argument("EventQueue: negative delay");

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -32,6 +33,12 @@ class QueryHandle {
   /// Block until the episode completes; no-op on an invalid handle.
   void wait() const {
     if (future_.valid()) future_.wait();
+  }
+  /// Whether the episode has completed, without blocking. False on an
+  /// invalid handle, so false again once get() has consumed the result.
+  bool ready() const {
+    return future_.valid() &&
+           future_.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
   }
 
  private:

@@ -17,8 +17,12 @@ atlas::math::Vec SliceConfig::to_vec() const {
 }
 
 SliceConfig SliceConfig::from_vec(const atlas::math::Vec& v) {
-  SliceConfig c;
   if (v.size() != 6) throw std::invalid_argument("SliceConfig::from_vec: need 6 dims");
+  return from_vec(v.data());
+}
+
+SliceConfig SliceConfig::from_vec(const double* v) {
+  SliceConfig c;
   c.bandwidth_ul = v[0];
   c.bandwidth_dl = v[1];
   c.mcs_offset_ul = v[2];

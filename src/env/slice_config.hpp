@@ -22,6 +22,8 @@ struct SliceConfig {
   /// Round-trip through the flat vector representation used by surrogates.
   atlas::math::Vec to_vec() const;
   static SliceConfig from_vec(const atlas::math::Vec& v);
+  /// from_vec() reading the 6 doubles at `v` in place.
+  static SliceConfig from_vec(const double* v);
 
   /// Resource usage F(a) = (1/6) * sum_i a_i / A_i — the normalized L1 of
   /// Eq. 5 (the paper's reported "resource usage %" is this quantity).

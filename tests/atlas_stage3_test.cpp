@@ -9,10 +9,13 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "env/env_service.hpp"
+#include "env/fault_injection.hpp"
 #include "atlas/offline_trainer.hpp"
 #include "atlas/online_learner.hpp"
 #include "atlas/oracle.hpp"
@@ -158,6 +161,69 @@ class GatedSimulator final : public ae::EnvBackend {
 };
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// `inner` behind a FaultInjectingBackend running `plan` (see FaultPlan), or
+/// `inner` itself for an empty plan.
+std::shared_ptr<const ae::EnvBackend> with_plan(std::shared_ptr<const ae::EnvBackend> inner,
+                                                const char* plan) {
+  if (*plan == '\0') return inner;
+  return std::make_shared<ae::FaultInjectingBackend>(
+      std::move(inner), std::make_shared<ae::FaultInjector>(ae::FaultPlan::parse(plan, 5)));
+}
+
+/// A service whose submit() returns only once the episode has completed, so
+/// every handle a caller gets is ready at once: a learner never finds an
+/// episode running and fills nothing while it waits.
+class PromptService final : public ae::EnvClient {
+ public:
+  PromptService() = default;
+
+  using ae::EnvClient::register_backend;
+  ae::BackendId register_backend(std::shared_ptr<const ae::EnvBackend> backend) override {
+    return inner_.register_backend(std::move(backend));
+  }
+  std::size_t backend_count() const override { return inner_.backend_count(); }
+  const std::string& backend_name(ae::BackendId id) const override {
+    return inner_.backend_name(id);
+  }
+  ae::BackendKind backend_kind(ae::BackendId id) const override {
+    return inner_.backend_kind(id);
+  }
+  using ae::EnvClient::run;
+  ae::EpisodeResult run(const ae::EnvQuery& query) override { return inner_.run(query); }
+  ae::QueryHandle submit(ae::EnvQuery query) override {
+    ae::QueryHandle handle = inner_.submit(std::move(query));
+    handle.wait();
+    return handle;
+  }
+  std::vector<ae::EpisodeResult> run_batch(std::span<const ae::EnvQuery> queries) override {
+    return inner_.run_batch(queries);
+  }
+  ae::BackendStats backend_stats(ae::BackendId id) const override {
+    return inner_.backend_stats(id);
+  }
+  ae::EnvServiceStats stats() const override { return inner_.stats(); }
+  void reset_stats() override { inner_.reset_stats(); }
+  std::size_t outstanding_queries() const override { return inner_.outstanding_queries(); }
+
+ private:
+  ae::EnvService inner_{ae::EnvServiceOptions{.threads = 2}};
+};
+
+void expect_same_result(const ac::OnlineResult& a, const ac::OnlineResult& b) {
+  EXPECT_EQ(a.final_lambda, b.final_lambda);
+  ASSERT_EQ(a.history.size(), b.history.size());
+  for (std::size_t i = 0; i < a.history.size(); ++i) {
+    const ac::OnlineStep& x = a.history[i];
+    const ac::OnlineStep& y = b.history[i];
+    EXPECT_EQ(x.config.to_vec(), y.config.to_vec()) << "step " << i;
+    EXPECT_EQ(x.usage, y.usage) << "step " << i;
+    EXPECT_EQ(x.qoe_real, y.qoe_real) << "step " << i;
+    EXPECT_EQ(x.qoe_sim, y.qoe_sim) << "step " << i;
+    EXPECT_EQ(x.lambda, y.lambda) << "step " << i;
+    EXPECT_EQ(x.beta, y.beta) << "step " << i;
+  }
+}
 
 }  // namespace
 
@@ -314,6 +380,46 @@ TEST_F(Stage3Test, BnnResidualKeepsOneInnerEpisodeOutstanding) {
   EXPECT_EQ(gated->max_inner_outstanding(), 1u);
   EXPECT_EQ(service.backend_stats(sim).queries, opts.iterations * (1 + opts.inner_updates));
   EXPECT_EQ(service.outstanding_queries(), 0u);
+}
+
+// kGpResidual fills its candidate stream while episodes run, up to one
+// iteration ahead; kBnnResidual fills it on demand. Neither may depend on
+// when an episode returns: the same learner runs against episodes that
+// have returned by the time it looks (it fills nothing while waiting), and
+// against real-network episodes held 20 ms and about every third simulator
+// episode held 5 ms (it fills a full iteration ahead).
+TEST_F(Stage3Test, ResultsDoNotDependOnWhenEpisodesReturn) {
+  for (const auto model : {ac::OnlineModel::kGpResidual, ac::OnlineModel::kBnnResidual}) {
+    auto opts = fast_online();
+    opts.model = model;
+    if (model == ac::OnlineModel::kGpResidual) {
+      opts.iterations = 3;
+      opts.candidates = 1100;  // two-tile inner pools, a five-tile selection scan
+    } else {
+      opts.iterations = 2;  // its posterior draws 8 networks a candidate
+    }
+    auto run = [&](ae::EnvClient&& service, const char* real_plan, const char* sim_plan) {
+      const auto sim = service.register_backend(with_plan(
+          std::make_shared<ae::LocalBackend>(
+              std::make_shared<ae::Simulator>(ae::oracle_calibration()), "sim",
+              ae::BackendKind::kOffline),
+          sim_plan));
+      const auto real = service.register_backend(with_plan(
+          std::make_shared<ae::LocalBackend>(std::make_shared<ae::RealNetwork>(), "real",
+                                             ae::BackendKind::kOnline),
+          real_plan));
+      ac::OnlineLearner learner(&offline_->policy, service, sim, real, opts);
+      const ac::OnlineResult result = learner.learn();
+      EXPECT_EQ(service.backend_stats(sim).queries, opts.iterations * (1 + opts.inner_updates));
+      EXPECT_EQ(service.outstanding_queries(), 0u);
+      return result;
+    };
+    const ac::OnlineResult prompt = run(PromptService(), "", "");
+    const ac::OnlineResult held =
+        run(ae::EnvService(ae::EnvServiceOptions{.threads = 2}), "delay=1:20ms", "delay=0.33:5ms");
+    SCOPED_TRACE(model == ac::OnlineModel::kGpResidual ? "kGpResidual" : "kBnnResidual");
+    expect_same_result(prompt, held);
+  }
 }
 
 TEST_F(Stage3Test, RejectsEpsilonThatIsNotFiniteAndNonNegative) {

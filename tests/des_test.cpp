@@ -462,3 +462,18 @@ TEST(EventQueue, RunUntilRejectsNonFiniteHorizon) {
                std::invalid_argument);
   EXPECT_EQ(q.pending(), 1u);
 }
+
+TEST(EventQueue, RejectsInfiniteEventTimes) {
+  // With a 1-ms stepper armed, run_all() would drive the stepper toward a
+  // +inf event forever; scheduling one throws instead and queues nothing.
+  ad::EventQueue q;
+  int fires = 0;
+  q.add_stepper(1.0, [&] { ++fires; });
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(q.schedule_at(inf, [] {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(inf, [] {}), std::invalid_argument);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(fires, 0);
+  q.schedule_in(3.0, [] {});
+  EXPECT_EQ(q.pending(), 2u);
+}

@@ -271,6 +271,23 @@ TEST(QueryHandle, InvalidHandleIsSafeNotUB) {
   EXPECT_THROW((void)live.get(), std::logic_error);
 }
 
+TEST(QueryHandle, ReadyReportsCompletionWithoutBlocking) {
+  EXPECT_FALSE(ae::QueryHandle{}.ready());
+
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 1});
+  auto blocking = std::make_shared<BlockingBackend>();
+  const auto id = service.register_backend(blocking);
+  auto handle = service.submit(query(id, 1));
+  while (blocking->started() < 1) std::this_thread::yield();
+  EXPECT_FALSE(handle.ready());  // returns while the backend holds the episode
+
+  blocking->release();
+  handle.wait();
+  EXPECT_TRUE(handle.ready());
+  (void)handle.get();
+  EXPECT_FALSE(handle.ready());  // consumed
+}
+
 TEST(EnvService, RacingIdenticalQueriesKeepExactAccounting) {
   // N threads hammer ONE offline query: every copy runs its episode, every
   // copy returns the same bits, and episodes == queries.

@@ -287,6 +287,18 @@ ac::OnlineOptions stage3_shipped_updates(ac::OnlineModel model) {
   return o;
 }
 
+// The shipped candidate count and inner-update count (the OnlineOptions
+// defaults): 500-candidate inner pools, two scan tiles each, and an
+// eight-tile selection scan, over enough iterations that the candidate
+// stream runs ahead across several iteration boundaries.
+ac::OnlineOptions stage3_shipped_shape(ac::OnlineModel model) {
+  ac::OnlineOptions o = stage3_model(model);
+  o.iterations = 6;
+  o.candidates = 2000;
+  o.inner_updates = 20;
+  return o;
+}
+
 ac::OfflineOptions stage2_surrogate(ac::OfflineSurrogate surrogate) {
   ac::OfflineOptions o = stage2_options();
   o.surrogate = surrogate;
@@ -395,6 +407,22 @@ const StageCase kGoldenVariants[] = {
        return hash_stage3_with(stage3_shipped_updates(ac::OnlineModel::kBnnContinued), true);
      },
      0x22350c5cb2df09e3ULL},
+    // Captured before the candidate stream ran ahead into episode waits. The
+    // GP models fill it up to one iteration ahead; kUcb without offline
+    // acceleration streams only beta and the selection scan.
+    {"stage3_shipped_shape_gp_residual",
+     [] { return hash_stage3_with(stage3_shipped_shape(ac::OnlineModel::kGpResidual), true); },
+     0x20828d473e9cf514ULL},
+    {"stage3_shipped_shape_gp_whole_no_policy",
+     [] { return hash_stage3_with(stage3_shipped_shape(ac::OnlineModel::kGpWhole), false); },
+     0xfdf2573a020f4345ULL},
+    {"stage3_acq_ucb_no_offline_acc",
+     [] {
+       ac::OnlineOptions o = stage3_acquisition(Acq::kUcb);
+       o.offline_acceleration = false;
+       return hash_stage3_with(o, true);
+     },
+     0x2d402e1375b7a90fULL},
 };
 
 bool print_mode() { return std::getenv("ATLAS_GOLDEN_PRINT") != nullptr; }
