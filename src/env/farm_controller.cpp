@@ -16,6 +16,18 @@ constexpr double kHedgeQuantile = 0.95;
 constexpr double kHedgeMinDelayMs = 1.0;
 constexpr double kHedgeMaxDelayMs = 1000.0;
 
+/// Longest millisecond setting a HedgePolicy takes: one day. Every such
+/// setting becomes a steady-clock duration or an int64 nanosecond count,
+/// which a larger, infinite or NaN value would overflow.
+constexpr double kMaxSettingMs = 24.0 * 3600.0 * 1000.0;
+
+void check_setting_ms(const char* field, double ms) {
+  if (!(ms >= 0.0 && ms <= kMaxSettingMs)) {
+    throw std::invalid_argument(std::string("HedgePolicy::") + field +
+                                " must be finite, >= 0 and at most one day");
+  }
+}
+
 }  // namespace
 
 std::uint64_t params_digest(const SimParams& params) {
@@ -69,6 +81,8 @@ void FarmState::report_fault(std::uint32_t worker) {
 FailoverBackend::FailoverBackend(WorkerBackendInfo descriptor, std::shared_ptr<FarmState> farm,
                                  HedgePolicy hedge)
     : descriptor_(std::move(descriptor)), farm_(std::move(farm)), hedge_(hedge) {
+  check_setting_ms("fallback_delay_ms", hedge_.fallback_delay_ms);
+  check_setting_ms("refresh_interval_ms", hedge_.refresh_interval_ms);
   replicas_.store(std::make_shared<const ReplicaList>(), std::memory_order_release);
   hedge_delay_cache_ms_.store(hedge_.fallback_delay_ms, std::memory_order_relaxed);
 }
@@ -254,6 +268,19 @@ EpisodeResult FailoverBackend::execute(const EnvQuery& query) const {
     throw std::runtime_error("FailoverBackend '" + descriptor_.name + "': no replicas attached");
   }
   const std::vector<std::size_t> candidates = candidate_order(*replicas);
+
+  if (descriptor_.kind == BackendKind::kOnline) {
+    // At most once: a metered query is a live interaction that may already
+    // have run when its attempt failed, and the service meters it once, so
+    // it is neither hedged nor re-dispatched.
+    const Replica& replica = (*replicas)[candidates[0]];
+    try {
+      return replica.backend->execute(query);
+    } catch (...) {
+      farm_->report_fault(replica.worker);
+      throw;
+    }
+  }
 
   std::exception_ptr last;
   bool faulted = false;

@@ -23,8 +23,8 @@ namespace atlas::env {
 /// `serving` answers heartbeats and takes traffic; `suspect` missed one (or a
 /// data-plane fault was reported) and is deprioritized but not abandoned;
 /// `dead` is removed from every FailoverBackend. These states are the farm's
-/// only replica-health model. Episodes are deterministic per seed, so
-/// anything lost with a worker is safely re-dispatched.
+/// only replica-health model. Episodes are deterministic per seed, so an
+/// offline episode lost with a worker is safely re-dispatched.
 enum class WorkerState : std::uint8_t {
   kJoining = 0,
   kServing = 1,
@@ -59,7 +59,10 @@ class WorkerControl {
 class FarmController;
 
 /// When to hedge an episode onto a second replica. Disabled by default — the
-/// farm behaves exactly as before unless a deployment opts in.
+/// farm behaves exactly as before unless a deployment opts in. Metered
+/// (kOnline) backends are never hedged. The millisecond fields must be
+/// finite, >= 0 and at most one day, or FailoverBackend's constructor throws
+/// std::invalid_argument.
 struct HedgePolicy {
   bool enabled = false;
   /// The hedge delay is learned from the replicas' observed rpc_rtt_ns
@@ -121,6 +124,10 @@ class FarmState {
 /// rest of the batch avoids it; the next heartbeat sweep clears or confirms
 /// the suspicion. A brown-out worker — episodes fail, heartbeats answer —
 /// therefore costs one failed attempt per sweep.
+///
+/// A metered (kOnline) backend runs each query at most once: on its first
+/// candidate, with no hedge and no re-dispatch. A failed attempt may already
+/// have run its live interaction, so the fault is reported and rethrown.
 class FailoverBackend final : public EnvBackend {
  public:
   FailoverBackend(WorkerBackendInfo descriptor, std::shared_ptr<FarmState> farm,

@@ -1,9 +1,10 @@
 #include "env/fault_injection.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 #include <utility>
 
 namespace atlas::env {
@@ -27,23 +28,37 @@ double uniform01(std::uint64_t seed, std::uint64_t stream_key, std::uint64_t rul
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-/// A kHang with duration 0 parks "forever" — bounded only so a pathological
-/// test without release_hangs() cannot outlive the machine.
-constexpr double kForeverMs = 3600.0 * 1000.0;
+/// Longest delay or hang a plan may hold. Every injected fault ends on its
+/// own, so teardown waits at most this long for a worker parked in one.
+constexpr double kMaxDurationMs = 3600.0 * 1000.0;
 
 [[noreturn]] void parse_fail(std::string_view spec, const std::string& why) {
   throw std::invalid_argument("bad fault plan '" + std::string(spec) + "': " + why);
+}
+
+/// Sleeps `duration_ms` unless `cancel` fires first; returns false when
+/// cancelled. The token is polled in 2-ms slices, fine enough that a hedge
+/// loser parked in an injected delay releases its slot promptly.
+bool sleep_unless_cancelled(double duration_ms, const CancelToken* cancel) {
+  using clock = std::chrono::steady_clock;
+  const auto deadline = clock::now() + std::chrono::duration_cast<clock::duration>(
+                                           std::chrono::duration<double, std::milli>(duration_ms));
+  constexpr clock::duration kSlice = std::chrono::milliseconds(2);
+  for (;;) {
+    if (cancel != nullptr && cancel->load(std::memory_order_acquire)) return false;
+    const auto now = clock::now();
+    if (now >= deadline) return true;
+    std::this_thread::sleep_for(std::min(kSlice, deadline - now));
+  }
 }
 
 }  // namespace
 
 const char* to_string(FaultKind kind) noexcept {
   switch (kind) {
-    case FaultKind::kDrop: return "drop";
     case FaultKind::kDelay: return "delay";
     case FaultKind::kError: return "error";
     case FaultKind::kHang: return "hang";
-    case FaultKind::kCorrupt: return "corrupt";
   }
   return "unknown";
 }
@@ -63,26 +78,16 @@ FaultPlan FaultPlan::parse(std::string_view spec, std::uint64_t seed) {
     const std::size_t eq = item.find('=');
     if (eq == std::string_view::npos) parse_fail(spec, "rule needs kind=prob");
     const std::string_view kind = item.substr(0, eq);
-    if (kind == "drop") rule.kind = FaultKind::kDrop;
-    else if (kind == "delay") rule.kind = FaultKind::kDelay;
+    if (kind == "delay") rule.kind = FaultKind::kDelay;
     else if (kind == "error") rule.kind = FaultKind::kError;
     else if (kind == "hang") rule.kind = FaultKind::kHang;
-    else if (kind == "corrupt") rule.kind = FaultKind::kCorrupt;
     else parse_fail(spec, "unknown fault kind '" + std::string(kind) + "'");
 
     std::string_view rest = item.substr(eq + 1);
-    // Optional trailing @after, then optional :duration, then the probability.
-    const std::size_t at = rest.find('@');
-    if (at != std::string_view::npos) {
-      const std::string_view after = rest.substr(at + 1);
-      const auto [end, ec] =
-          std::from_chars(after.data(), after.data() + after.size(), rule.after);
-      if (ec != std::errc{} || end != after.data() + after.size())
-        parse_fail(spec, "bad @after '" + std::string(after) + "'");
-      rest = rest.substr(0, at);
-    }
+    // Optional :duration, then the probability.
     const std::size_t colon = rest.find(':');
     if (colon != std::string_view::npos) {
+      if (rule.kind == FaultKind::kError) parse_fail(spec, "error takes no duration");
       std::string_view dur = rest.substr(colon + 1);
       double unit = 1.0;
       if (dur.ends_with("ms")) {
@@ -93,16 +98,22 @@ FaultPlan FaultPlan::parse(std::string_view spec, std::uint64_t seed) {
       }
       const auto [end, ec] =
           std::from_chars(dur.data(), dur.data() + dur.size(), rule.duration_ms);
-      if (ec != std::errc{} || end != dur.data() + dur.size() || rule.duration_ms < 0.0)
+      if (ec != std::errc{} || end != dur.data() + dur.size())
         parse_fail(spec, "bad duration '" + std::string(rest.substr(colon + 1)) + "'");
       rule.duration_ms *= unit;
+      // Also rejects NaN and infinity, which no steady-clock deadline holds.
+      if (!(rule.duration_ms > 0.0 && rule.duration_ms <= kMaxDurationMs))
+        parse_fail(spec, "duration '" + std::string(rest.substr(colon + 1)) +
+                             "' outside (0, 1 h]");
       rest = rest.substr(0, colon);
+    } else if (rule.kind != FaultKind::kError) {
+      parse_fail(spec, std::string(kind) + " needs a duration");
     }
     const auto [end, ec] =
         std::from_chars(rest.data(), rest.data() + rest.size(), rule.probability);
     if (ec != std::errc{} || end != rest.data() + rest.size())
       parse_fail(spec, "bad probability '" + std::string(rest) + "'");
-    if (rule.probability < 0.0 || rule.probability > 1.0)
+    if (!(rule.probability >= 0.0 && rule.probability <= 1.0))
       parse_fail(spec, "probability outside [0,1]");
     plan.rules.push_back(rule);
   }
@@ -121,89 +132,30 @@ std::string FaultPlan::to_string() const {
       std::snprintf(buf, sizeof buf, ":%gms", rule.duration_ms);
       out += buf;
     }
-    if (rule.after > 0) {
-      std::snprintf(buf, sizeof buf, "@%llu", static_cast<unsigned long long>(rule.after));
-      out += buf;
-    }
   }
   return out;
 }
 
 FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
-std::optional<FaultInjector::Fault> FaultInjector::decide(std::uint64_t stream_key) {
-  const std::uint64_t decision = decisions_.fetch_add(1, std::memory_order_relaxed);
+std::optional<FaultRule> FaultInjector::decide(std::uint64_t stream_key) {
   for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
     const FaultRule& rule = plan_.rules[i];
-    if (decision < rule.after) continue;
     if (uniform01(plan_.seed, stream_key, i) < rule.probability) {
-      count(rule.kind);
-      return Fault{rule.kind, rule.duration_ms};
+      fired_[static_cast<std::size_t>(rule.kind)].fetch_add(1, std::memory_order_relaxed);
+      return rule;
     }
   }
   return std::nullopt;
 }
 
-FaultInjector::WakeReason FaultInjector::sleep_for(double duration_ms,
-                                                   const CancelToken* cancel) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(duration_ms));
-  std::unique_lock lock(sleep_mutex_);
-  // Poll granularity for the cancel token: fine enough that a hedge loser
-  // parked in an injected delay releases its slot promptly.
-  constexpr auto kSlice = std::chrono::milliseconds(2);
-  for (;;) {
-    if (released_) return WakeReason::kReleased;
-    if (cancel != nullptr && cancel->load(std::memory_order_acquire))
-      return WakeReason::kCancelled;
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return WakeReason::kElapsed;
-    sleep_cv_.wait_for(lock, std::min<std::chrono::steady_clock::duration>(
-                                 kSlice, deadline - now));
-  }
-}
-
-void FaultInjector::release_hangs() {
-  {
-    std::scoped_lock lock(sleep_mutex_);
-    released_ = true;
-  }
-  sleep_cv_.notify_all();
-}
-
-void FaultInjector::reset() {
-  {
-    std::scoped_lock lock(sleep_mutex_);
-    released_ = false;
-  }
-  decisions_.store(0, std::memory_order_relaxed);
-  drops_.store(0, std::memory_order_relaxed);
-  delays_.store(0, std::memory_order_relaxed);
-  errors_.store(0, std::memory_order_relaxed);
-  hangs_.store(0, std::memory_order_relaxed);
-  corruptions_.store(0, std::memory_order_relaxed);
-}
-
 FaultCounters FaultInjector::counters() const {
-  FaultCounters c;
-  c.drops = drops_.load(std::memory_order_relaxed);
-  c.delays = delays_.load(std::memory_order_relaxed);
-  c.errors = errors_.load(std::memory_order_relaxed);
-  c.hangs = hangs_.load(std::memory_order_relaxed);
-  c.corruptions = corruptions_.load(std::memory_order_relaxed);
-  return c;
-}
-
-void FaultInjector::count(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDrop: drops_.fetch_add(1, std::memory_order_relaxed); break;
-    case FaultKind::kDelay: delays_.fetch_add(1, std::memory_order_relaxed); break;
-    case FaultKind::kError: errors_.fetch_add(1, std::memory_order_relaxed); break;
-    case FaultKind::kHang: hangs_.fetch_add(1, std::memory_order_relaxed); break;
-    case FaultKind::kCorrupt: corruptions_.fetch_add(1, std::memory_order_relaxed); break;
-  }
+  const auto fired = [this](FaultKind kind) {
+    return fired_[static_cast<std::size_t>(kind)].load(std::memory_order_relaxed);
+  };
+  return FaultCounters{.delays = fired(FaultKind::kDelay),
+                       .errors = fired(FaultKind::kError),
+                       .hangs = fired(FaultKind::kHang)};
 }
 
 FaultInjectingBackend::FaultInjectingBackend(std::shared_ptr<const EnvBackend> inner,
@@ -224,83 +176,17 @@ EpisodeResult FaultInjectingBackend::execute_impl(const EnvQuery& query,
   const auto fault = injector_->decide(query.workload.seed);
   if (!fault) return inner_->execute(query);
   switch (fault->kind) {
-    case FaultKind::kDrop:
-      // At the backend layer a dropped query and an errored one look the
-      // same to the caller by the time its patience runs out.
-      throw FaultInjectedError("injected drop: query lost");
     case FaultKind::kError:
       throw FaultInjectedError("injected error: worker failure");
-    case FaultKind::kDelay: {
-      const auto wake = injector_->sleep_for(fault->duration_ms, cancel);
-      if (wake == FaultInjector::WakeReason::kCancelled) throw EpisodeCancelled();
+    case FaultKind::kDelay:
+      if (!sleep_unless_cancelled(fault->duration_ms, cancel)) throw EpisodeCancelled();
       // Brown-out: slower, not wrong — the episode still runs.
       return inner_->execute(query);
-    }
-    case FaultKind::kHang: {
-      const double ms = fault->duration_ms > 0.0 ? fault->duration_ms : kForeverMs;
-      const auto wake = injector_->sleep_for(ms, cancel);
-      if (wake == FaultInjector::WakeReason::kCancelled) throw EpisodeCancelled();
+    case FaultKind::kHang:
+      if (!sleep_unless_cancelled(fault->duration_ms, cancel)) throw EpisodeCancelled();
       throw FaultInjectedError("injected hang: worker stuck");
-    }
-    case FaultKind::kCorrupt: {
-      EpisodeResult result = inner_->execute(query);
-      // Deterministic perturbation: plausible-looking but wrong numbers,
-      // the nastiest failure mode (nothing throws, checksums must catch it).
-      result.frames_completed += 1;
-      result.ul_tb_err += 1;
-      if (!result.latencies_ms.empty()) result.latencies_ms.front() += 1000.0;
-      return result;
-    }
   }
   return inner_->execute(query);  // unreachable; keeps -Wreturn-type quiet
 }
-
-FlakyTransport::FlakyTransport(std::unique_ptr<rpc::Transport> inner,
-                               std::shared_ptr<FaultInjector> injector)
-    : inner_(std::move(inner)), injector_(std::move(injector)) {}
-
-void FlakyTransport::send(std::span<const std::uint8_t> frame) {
-  const std::uint64_t key = frames_.fetch_add(1, std::memory_order_relaxed);
-  const auto fault = injector_->decide(key);
-  if (!fault) {
-    inner_->send(frame);
-    return;
-  }
-  switch (fault->kind) {
-    case FaultKind::kDrop:
-      return;  // swallowed: the peer's request id never resolves
-    case FaultKind::kError:
-      throw rpc::TransportError("injected transport error");
-    case FaultKind::kDelay:
-    case FaultKind::kHang: {
-      const double ms = fault->duration_ms > 0.0
-                            ? fault->duration_ms
-                            : (fault->kind == FaultKind::kHang ? kForeverMs : 0.0);
-      const auto wake = injector_->sleep_for(ms, nullptr);
-      if (fault->kind == FaultKind::kHang)
-        throw rpc::TransportError("injected transport hang");
-      (void)wake;
-      inner_->send(frame);
-      return;
-    }
-    case FaultKind::kCorrupt: {
-      std::vector<std::uint8_t> mangled(frame.begin(), frame.end());
-      if (!mangled.empty()) {
-        // Flip a byte past the header when possible, so the peer sees a
-        // well-framed message with a poisoned body (CodecError path), not
-        // just a bad magic.
-        const std::size_t index = mangled.size() > 16 ? 16 : mangled.size() - 1;
-        mangled[index] ^= 0xff;
-      }
-      inner_->send(mangled);
-      return;
-    }
-  }
-  inner_->send(frame);
-}
-
-bool FlakyTransport::recv(std::vector<std::uint8_t>& frame) { return inner_->recv(frame); }
-
-void FlakyTransport::close() { inner_->close(); }
 
 }  // namespace atlas::env

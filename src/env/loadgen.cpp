@@ -99,7 +99,6 @@ LoadPointResult run_load_point(EnvClient& client, const LoadPlan& plan,
   std::atomic<std::size_t> completed{0};
   std::atomic<std::size_t> failed{0};
   std::atomic<std::uint64_t> last_completion_ns{0};
-  std::atomic<bool> aborted{false};
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -108,11 +107,6 @@ LoadPointResult run_load_point(EnvClient& client, const LoadPlan& plan,
 
   using clock = std::chrono::steady_clock;
   const auto start = clock::now();
-  const bool guarded = options.wall_limit_s > 0.0;
-  const auto wall_deadline =
-      guarded ? start + std::chrono::duration_cast<clock::duration>(
-                            std::chrono::duration<double>(options.wall_limit_s))
-              : clock::time_point::max();
   const auto since_start_ns = [&] {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - start).count());
@@ -155,71 +149,24 @@ LoadPointResult run_load_point(EnvClient& client, const LoadPlan& plan,
     });
   }
 
-  // Wall-guard watchdog: if the whole point has not resolved by the
-  // deadline, declare the abort, dump still-queued events as failed, and run
-  // on_abort so stuck in-flight queries come back. It does NOT kill worker
-  // threads — it can only make their blocking calls return.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool run_done = false;  // guarded by done_mutex
-  std::thread watchdog;
-  if (guarded) {
-    watchdog = std::thread([&] {
-      {
-        std::unique_lock lock(done_mutex);
-        if (done_cv.wait_until(lock, wall_deadline, [&] { return run_done; })) return;
-      }
-      aborted.store(true, std::memory_order_release);
-      {
-        std::scoped_lock lock(mutex);
-        failed.fetch_add(ready.size(), std::memory_order_relaxed);
-        ready.clear();
-        dispatch_done = true;
-      }
-      cv.notify_all();
-      if (options.on_abort) options.on_abort();
-    });
-  }
-
   // Open-loop dispatch on this thread: each event fires at its scheduled
-  // offset whether or not earlier ones completed. Past the wall deadline
-  // nothing new is offered — the rest of the plan is failed wholesale.
-  std::size_t undispatched = 0;
+  // offset whether or not earlier ones completed.
   for (const LoadEvent& event : plan.events) {
-    const auto fire_at =
-        start + std::chrono::nanoseconds(static_cast<std::uint64_t>(event.arrival_s * 1e9));
-    if (fire_at >= wall_deadline || aborted.load(std::memory_order_acquire)) {
-      ++undispatched;
-      continue;
-    }
-    std::this_thread::sleep_until(fire_at);
+    std::this_thread::sleep_until(
+        start + std::chrono::nanoseconds(static_cast<std::uint64_t>(event.arrival_s * 1e9)));
     {
       std::scoped_lock lock(mutex);
-      if (dispatch_done) {  // watchdog fired while we slept
-        ++undispatched;
-        continue;
-      }
       ready.push_back(&event);
     }
     cv.notify_one();
   }
-  failed.fetch_add(undispatched, std::memory_order_relaxed);
   {
     std::scoped_lock lock(mutex);
     dispatch_done = true;
   }
   cv.notify_all();
   for (auto& thread : pool) thread.join();
-  if (watchdog.joinable()) {
-    {
-      std::scoped_lock lock(done_mutex);
-      run_done = true;
-    }
-    done_cv.notify_all();
-    watchdog.join();
-  }
 
-  result.aborted = aborted.load(std::memory_order_acquire);
   result.completed = completed.load(std::memory_order_relaxed);
   result.failed = failed.load(std::memory_order_relaxed);
   result.latency_ns = latency.snapshot();

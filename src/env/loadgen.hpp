@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "env/client.hpp"
@@ -82,20 +81,6 @@ struct LoadRunOptions {
   /// from the generator's side; keep it above the service's pool width so the
   /// service's own queue — not the generator — is what saturates.
   std::size_t workers = 32;
-  /// Hard wall-clock guard for the whole point (0 = none). A fault-injected
-  /// or genuinely hung backend must not stall a sweep forever: when the
-  /// limit expires before every event resolves, the point aborts —
-  /// undispatched and still-queued events are recorded as failed, on_abort
-  /// fires, and the result comes back with `aborted` set so the sweep can
-  /// log the point and move on.
-  double wall_limit_s = 0.0;
-  /// Invoked once when the wall guard fires, BEFORE waiting for in-flight
-  /// queries. Its job is to unblock them: release injected hangs
-  /// (FaultInjector::release_hangs), drop connections — whatever lets the
-  /// stuck worker threads return. In-flight work that stays blocked anyway
-  /// still blocks the join; the guard bounds the sweep only as well as this
-  /// hook unbounds the backend.
-  std::function<void()> on_abort;
 };
 
 struct LoadPointResult {
@@ -104,7 +89,6 @@ struct LoadPointResult {
   std::size_t scheduled = 0;
   std::size_t completed = 0;
   std::size_t failed = 0;  ///< Queries that threw (e.g. RpcError); not in latency.
-  bool aborted = false;  ///< Wall guard fired; counts cover a partial run.
   double wall_s = 0.0;
   /// Completion - scheduled arrival, nanoseconds (open-loop latency).
   telemetry::HistogramData latency_ns;

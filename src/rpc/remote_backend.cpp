@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -113,7 +114,28 @@ class RemoteBackend::MuxConnection {
   std::atomic<bool> dead_{false};
 };
 
+namespace {
+
+/// Longest millisecond setting a remote backend takes: one day. Every such
+/// setting becomes a steady-clock duration, which a larger, infinite or NaN
+/// value would overflow.
+constexpr double kMaxSettingMs = 24.0 * 3600.0 * 1000.0;
+
+void check_setting_ms(const char* field, double ms, bool positive) {
+  if (!(ms >= 0.0 && ms <= kMaxSettingMs) || (positive && ms == 0.0)) {
+    throw std::invalid_argument(std::string("RemoteBackendOptions::") + field + " must be " +
+                                (positive ? "> 0" : ">= 0") +
+                                ", finite and at most one day");
+  }
+}
+
+}  // namespace
+
 RemoteBackend::RemoteBackend(RemoteBackendOptions options) : options_(std::move(options)) {
+  check_setting_ms("timeout_ms", options_.timeout_ms, true);
+  check_setting_ms("control_timeout_ms", options_.control_timeout_ms, true);
+  check_setting_ms("backoff_base_ms", options_.backoff_base_ms, false);
+  check_setting_ms("backoff_cap_ms", options_.backoff_cap_ms, false);
   if (!options_.transport_factory) {
     options_.transport_factory = [host = options_.host, port = options_.port] {
       return TcpTransport::connect(host, port);

@@ -20,6 +20,9 @@ namespace atlas::rpc {
 
 enum class MsgType : std::uint16_t;  // rpc/codec.hpp
 
+/// The millisecond fields must be finite, >= 0 and at most one day, and the
+/// two timeouts > 0, or RemoteBackend's constructor throws
+/// std::invalid_argument.
 struct RemoteBackendOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;

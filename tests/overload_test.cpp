@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -186,6 +188,108 @@ TEST(OverloadHedging, FastPrimaryNeverHedges) {
   }
   EXPECT_EQ(farm->hedges.load(), 0u);
   EXPECT_EQ(farm->hedge_wins.load(), 0u);
+}
+
+TEST(OverloadHedging, MillisecondSettingsMustFitTheClock) {
+  // Each of these reached a duration_cast to steady-clock ticks (or an int64
+  // nanosecond count), which a NaN, infinite or astronomically large value
+  // overflows; the constructor refuses them, whether or not hedging is on.
+  const auto farm = std::make_shared<ae::FarmState>();
+  const auto build = [&farm](const ae::HedgePolicy& hedge) {
+    ae::FailoverBackend backend(sim_descriptor(), farm, hedge);
+  };
+  for (const double bad : {std::nan(""), 1e300, -1.0}) {
+    ae::HedgePolicy fallback;
+    fallback.enabled = true;
+    fallback.fallback_delay_ms = bad;
+    EXPECT_THROW(build(fallback), std::invalid_argument) << bad;
+    ae::HedgePolicy refresh;
+    refresh.refresh_interval_ms = bad;
+    EXPECT_THROW(build(refresh), std::invalid_argument) << bad;
+  }
+  ae::HedgePolicy day;
+  day.fallback_delay_ms = 24.0 * 3600.0 * 1000.0;
+  day.refresh_interval_ms = 0.0;
+  EXPECT_NO_THROW(build(day));
+}
+
+// ---- metered queries: at most once -----------------------------------------
+
+namespace {
+
+ae::WorkerBackendInfo metered_descriptor() {
+  ae::WorkerBackendInfo info;
+  info.name = "real-pool";
+  info.kind = ae::BackendKind::kOnline;
+  return info;
+}
+
+/// Metered replica fake: counts every live interaction it runs, optionally
+/// after a delay, and optionally fails AFTER running it (the reply was lost,
+/// the interaction was not).
+class LiveBackend final : public ae::EnvBackend {
+ public:
+  LiveBackend(double tag, std::shared_ptr<std::atomic<int>> runs, bool fail_after_run,
+              std::chrono::milliseconds delay = std::chrono::milliseconds(0))
+      : tag_(tag), runs_(std::move(runs)), fail_after_run_(fail_after_run), delay_(delay) {}
+
+  ae::EpisodeResult execute(const ae::EnvQuery&) const override {
+    std::this_thread::sleep_for(delay_);
+    runs_->fetch_add(1);
+    if (fail_after_run_) throw std::runtime_error("reply lost after the episode ran");
+    ae::EpisodeResult result;
+    result.latencies_ms = {tag_};
+    return result;
+  }
+  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOnline; }
+  const std::string& name() const noexcept override { return name_; }
+
+ private:
+  std::string name_ = "live";
+  double tag_;
+  std::shared_ptr<std::atomic<int>> runs_;
+  bool fail_after_run_;
+  std::chrono::milliseconds delay_;
+};
+
+}  // namespace
+
+TEST(MeteredFailover, AFailedMeteredQueryIsNotRedispatched) {
+  // The first replica runs the live interaction, then fails. Re-dispatching
+  // would run it a second time while the service meters one online query.
+  const auto farm = std::make_shared<ae::FarmState>();
+  const auto runs = std::make_shared<std::atomic<int>>(0);
+  ae::FailoverBackend backend(metered_descriptor(), farm);
+  backend.add_replica(std::make_shared<LiveBackend>(1.0, runs, /*fail_after_run=*/true), 0,
+                      serving_health());
+  backend.add_replica(std::make_shared<LiveBackend>(2.0, runs, /*fail_after_run=*/false), 1,
+                      serving_health());
+
+  EXPECT_THROW((void)backend.execute(query(0, 5)), std::runtime_error);
+  EXPECT_EQ(runs->load(), 1) << "one live interaction per metered query";
+  EXPECT_EQ(farm->episodes_redispatched.load(), 0u);
+}
+
+TEST(MeteredFailover, ASlowMeteredQueryIsNotHedged) {
+  const auto farm = std::make_shared<ae::FarmState>();
+  const auto runs = std::make_shared<std::atomic<int>>(0);
+  ae::HedgePolicy hedge;
+  hedge.enabled = true;
+  hedge.fallback_delay_ms = 5.0;
+  ae::FailoverBackend backend(metered_descriptor(), farm, hedge);
+  backend.add_replica(std::make_shared<LiveBackend>(1.0, runs, /*fail_after_run=*/false,
+                                                    std::chrono::milliseconds(40)),
+                      0, serving_health());
+  backend.add_replica(std::make_shared<LiveBackend>(2.0, runs, /*fail_after_run=*/false), 1,
+                      serving_health());
+
+  // The primary outlives the 5-ms hedge delay eight times over, yet no
+  // second live interaction starts: the slow primary's answer is the result.
+  const auto result = backend.execute(query(0, 6));
+  ASSERT_EQ(result.latencies_ms.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.latencies_ms[0], 1.0);
+  EXPECT_EQ(runs->load(), 1);
+  EXPECT_EQ(farm->hedges.load(), 0u);
 }
 
 // ---- golden guard: idle features change nothing ----------------------------

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <latch>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "rpc/remote_backend.hpp"
 #include "rpc/server.hpp"
 #include "rpc/transport.hpp"
+#include "rpc/worker_control.hpp"
 
 namespace ae = atlas::env;
 namespace ar = atlas::rpc;
@@ -393,6 +396,38 @@ TEST(RpcShardRouter, MixesLocalAndRemoteShards) {
   EXPECT_EQ(stats.backends[0].queries, 4u);
   EXPECT_EQ(stats.backends[1].queries, 4u);
   EXPECT_EQ(stats.backends[1].rpc_failures, 0u);
+}
+
+TEST(RpcOptions, MillisecondSettingsMustFitTheClock) {
+  // Each of these reached a duration_cast to steady-clock ticks, which a NaN,
+  // infinite or astronomically large value overflows; a zero timeout would
+  // fail every attempt at once. The constructor refuses them.
+  for (const double bad : {std::nan(""), 1e300, -1.0, 0.0}) {
+    ar::RemoteBackendOptions timeout;
+    timeout.timeout_ms = bad;
+    EXPECT_THROW(ar::RemoteBackend{timeout}, std::invalid_argument) << bad;
+    ar::RemoteBackendOptions control;
+    control.control_timeout_ms = bad;
+    EXPECT_THROW(ar::RemoteBackend{control}, std::invalid_argument) << bad;
+  }
+  for (const double bad : {std::nan(""), 1e300, -1.0}) {
+    ar::RemoteBackendOptions base;
+    base.backoff_base_ms = bad;
+    EXPECT_THROW(ar::RemoteBackend{base}, std::invalid_argument) << bad;
+    ar::RemoteBackendOptions cap;
+    cap.backoff_cap_ms = bad;
+    EXPECT_THROW(ar::RemoteBackend{cap}, std::invalid_argument) << bad;
+  }
+  // A worker control builds its control connection at once, so it inherits
+  // the check.
+  ar::RemoteWorkerOptions worker;
+  worker.timeout_ms = 1e300;
+  EXPECT_THROW(ar::RemoteWorkerControl{worker}, std::invalid_argument);
+  // The bounds themselves are accepted; nothing connects until first use.
+  ar::RemoteBackendOptions edge;
+  edge.timeout_ms = 24.0 * 3600.0 * 1000.0;
+  edge.backoff_base_ms = 0.0;
+  EXPECT_NO_THROW(ar::RemoteBackend{edge});
 }
 
 // ---- farm control plane over the full RPC path -----------------------------

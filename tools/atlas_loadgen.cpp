@@ -1,9 +1,9 @@
 // atlas_loadgen: open-loop (Poisson-arrival) load generator for the serving
-// stack. Drives an EnvClient — an in-process ShardRouter, a remote episode
-// worker, or both — at a sweep of offered QPS points with a synthetic query
-// mix (metered online queries, trace-heavy episodes, fresh exploration),
-// measures coordinated-omission-free latency quantiles, finds the saturation
-// rate, and writes BENCH_serving.json.
+// stack. Drives an EnvClient — an in-process ShardRouter, a farm of remote
+// episode workers, or both — at a sweep of offered QPS points with a
+// synthetic query mix (metered online queries, trace-heavy episodes, fresh
+// exploration), measures coordinated-omission-free latency quantiles, finds
+// the saturation rate, and writes BENCH_serving.json.
 //
 // Usage:
 //   atlas_loadgen [--topology inproc|remote|both] [--host H] [--port N]
@@ -16,13 +16,12 @@
 //   --topology        Which serving stacks to drive (default inproc; remote
 //                     and both need --port of a running atlas_episode_worker
 //                     OR --workers >= 2 to self-host a farm).
-//   --workers         Remote episode workers to drive (default 1 = the single
-//                     direct RemoteBackend path). With N >= 2 the remote
-//                     topology becomes a FarmController-managed farm: an
-//                     external --port worker counts as worker 0 and the rest
-//                     are self-hosted in-process episode-RPC servers on
-//                     ephemeral loopback ports; per-worker throughput is
-//                     reported in the JSON `workers` array.
+//   --workers         Remote episode workers to drive (default 1). The remote
+//                     topology is a FarmController-managed farm: an external
+//                     --port worker counts as worker 0 and the rest are
+//                     self-hosted in-process episode-RPC servers on ephemeral
+//                     loopback ports; per-worker throughput is reported in
+//                     the JSON `workers` array.
 //   --qps             Explicit offered-rate points; otherwise a geometric
 //                     sweep from --sweep-start (default 50) by --sweep-factor
 //                     (default 2) up to --sweep-max-steps (default 6) points,
@@ -51,15 +50,13 @@
 // absence.
 //
 //   --fault-plan       FaultPlan spec, e.g. 'delay=0.35:40ms,error=0.08,
-//                      hang=0.02:800ms' (grammar: kind=prob[:dur][@after]).
+//                      hang=0.02:800ms' (grammar: kind=prob[:dur], kinds
+//                      delay|error|hang; a malformed plan is a usage error).
 //   --faulty-fraction  Fraction of workers wrapped in the injector
 //                      (default 0.25, rounded up to at least one worker).
 //   --rpc-timeout-ms   Per-attempt RPC timeout in this mode (default 250).
 //   --hedge-ms         Hedge fallback delay before RTTs are learned
 //                      (default 25).
-//   --wall-limit       Hard wall-clock guard per load point in seconds
-//                      (default: 10x the horizon + 20; a hung worker aborts
-//                      the point instead of stalling the sweep).
 //
 // Exit status: 0 on success, 1 when a topology cannot be driven (e.g. the
 // worker is unreachable), 2 on usage errors.
@@ -82,7 +79,6 @@
 #include "env/fault_injection.hpp"
 #include "env/loadgen.hpp"
 #include "env/shard_router.hpp"
-#include "rpc/remote_backend.hpp"
 #include "rpc/server.hpp"
 #include "rpc/worker_control.hpp"
 #include "telemetry/report.hpp"
@@ -114,11 +110,10 @@ struct LoadgenOptions {
   bool smoke = false;
   bool quiet = false;
   // Degradation mode (--fault-plan).
-  std::string fault_plan;
+  atlas::env::FaultPlan fault_plan;  ///< Empty = the serving sweep.
   double faulty_fraction = 0.25;
   double rpc_timeout_ms = 250.0;
   double hedge_ms = 25.0;
-  double wall_limit_s = 0.0;  ///< 0 = derive from the horizon.
 };
 
 void print_usage(std::FILE* out, const char* argv0) {
@@ -132,7 +127,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "          [--seed N] [--out PATH]\n"
                "          [--smoke] [--quiet]\n"
                "          [--fault-plan SPEC] [--faulty-fraction F] [--rpc-timeout-ms MS]\n"
-               "          [--hedge-ms MS] [--wall-limit S]\n",
+               "          [--hedge-ms MS]\n",
                argv0);
 }
 
@@ -162,6 +157,7 @@ std::vector<double> parse_qps_list(const char* value) {
 
 LoadgenOptions parse_args(int argc, char** argv) {
   LoadgenOptions options;
+  const char* fault_spec = nullptr;  // parsed once --seed is known
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     const auto next = [&]() -> const char* {
@@ -209,7 +205,7 @@ LoadgenOptions parse_args(int argc, char** argv) {
     } else if (flag == "--out") {
       options.out = next();
     } else if (flag == "--fault-plan") {
-      options.fault_plan = next();
+      fault_spec = next();
     } else if (flag == "--faulty-fraction") {
       options.faulty_fraction = parse_double(flag, next());
       if (options.faulty_fraction > 1.0) usage_error(argv[0], "--faulty-fraction must be <= 1");
@@ -217,8 +213,6 @@ LoadgenOptions parse_args(int argc, char** argv) {
       options.rpc_timeout_ms = parse_double(flag, next());
     } else if (flag == "--hedge-ms") {
       options.hedge_ms = parse_double(flag, next());
-    } else if (flag == "--wall-limit") {
-      options.wall_limit_s = parse_double(flag, next());
     } else if (flag == "--smoke") {
       options.smoke = true;
     } else if (flag == "--quiet") {
@@ -238,6 +232,14 @@ LoadgenOptions parse_args(int argc, char** argv) {
     options.duration_s = 0.4;
     options.episode_ms = 5.0;
     options.clients = std::min<std::size_t>(options.clients, 16);
+  }
+  if (fault_spec != nullptr) {
+    try {
+      options.fault_plan = atlas::env::FaultPlan::parse(fault_spec, options.seed);
+    } catch (const std::invalid_argument& e) {
+      usage_error(argv[0], e.what());
+    }
+    if (options.fault_plan.empty()) usage_error(argv[0], "--fault-plan parsed to no rules");
   }
   if (options.workers == 0) usage_error(argv[0], "--workers must be >= 1");
   if (!options.fault_plan.empty() && options.workers < 2) {
@@ -271,8 +273,6 @@ struct TopologyReport {
   double saturation_qps = 0.0;  ///< Highest achieved rate observed.
   bool saturated = false;       ///< A point fell short of its offered rate.
   atlas::env::EnvServiceStats final_stats;
-  bool has_worker_stats = false;
-  atlas::env::EnvServiceStats worker_stats;
   std::vector<WorkerRow> workers;  ///< Farm topology: one row per worker.
 };
 
@@ -298,8 +298,7 @@ double episodes_per_sec(const PointRow& row) {
 
 TopologyReport drive(const LoadgenOptions& options, const std::string& name,
                      atlas::env::EnvClient& client, atlas::env::BackendId offline,
-                     atlas::env::BackendId online, bool has_online,
-                     atlas::rpc::RemoteBackend* remote) {
+                     atlas::env::BackendId online) {
   TopologyReport report;
   report.name = name;
 
@@ -310,7 +309,7 @@ TopologyReport drive(const LoadgenOptions& options, const std::string& name,
   plan_options.extra_users = options.extra_users;
   plan_options.offline_backend = offline;
   plan_options.online_backend = online;
-  plan_options.has_online = has_online;
+  plan_options.has_online = true;
 
   atlas::env::LoadRunOptions run_options;
   run_options.workers = options.clients;
@@ -351,14 +350,6 @@ TopologyReport drive(const LoadgenOptions& options, const std::string& name,
   }
 
   report.final_stats = client.stats();
-  if (remote != nullptr) {
-    try {
-      report.worker_stats = remote->fetch_worker_stats();
-      report.has_worker_stats = true;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "atlas_loadgen: worker stats scrape failed: %s\n", e.what());
-    }
-  }
   if (!options.quiet) {
     report.final_stats.summary().print(std::cout);
     std::cout << std::endl;
@@ -372,28 +363,7 @@ TopologyReport drive_inproc(const LoadgenOptions& options) {
   atlas::env::ShardRouter router(options.shards, service_options);
   const atlas::env::BackendId sim = router.add_simulator();
   const atlas::env::BackendId real = router.add_real_network();
-  return drive(options, "inproc", router, sim, real, /*has_online=*/true, nullptr);
-}
-
-TopologyReport drive_remote(const LoadgenOptions& options) {
-  // The client mirrors a router node in front of a worker farm: a local
-  // EnvService with the worker's simulator as its offline backend (every
-  // offline query rides the RPC) and a local testbed surrogate as the
-  // metered one.
-  atlas::env::EnvServiceOptions service_options;
-  service_options.threads = options.threads;
-  atlas::env::EnvService service(service_options);
-
-  atlas::rpc::RemoteBackendOptions remote_options;
-  remote_options.host = options.host;
-  remote_options.port = options.port;
-  remote_options.name = "worker-sim";
-  remote_options.remote_backend = 0;
-  auto remote = std::make_shared<atlas::rpc::RemoteBackend>(remote_options);
-  const atlas::env::BackendId sim = service.register_backend(remote);
-  const atlas::env::BackendId real = service.add_real_network();
-  return drive(options, "remote-loopback", service, sim, real, /*has_online=*/true,
-               remote.get());
+  return drive(options, "inproc", router, sim, real);
 }
 
 /// What differs between the farm the serving sweep drives and the ones the
@@ -485,8 +455,7 @@ TopologyReport drive_farm(const LoadgenOptions& options) {
   const atlas::env::BackendId real = farm.router->add_real_network();
 
   farm.controller->start();  // heartbeat sweeps run for the whole drive
-  TopologyReport report = drive(options, "farm", *farm.router, farm.sim, real,
-                                /*has_online=*/true, nullptr);
+  TopologyReport report = drive(options, "farm", *farm.router, farm.sim, real);
   farm.controller->stop();
 
   // Per-worker view: a final heartbeat (load gauges + episode count) plus the
@@ -574,14 +543,6 @@ void write_topology_json(atlas::telemetry::JsonWriter& json, const TopologyRepor
     }
     json.end_array();
   }
-  if (report.has_worker_stats) {
-    json.key("worker");
-    json.begin_object();
-    json.field("queries", report.worker_stats.total_queries());
-    json.key("rpc_service_ms");
-    atlas::telemetry::write_histogram_json(json, report.worker_stats.rpc_service_ns, 1e6);
-    json.end_object();
-  }
   json.end_object();
 }
 
@@ -636,21 +597,10 @@ DegradationSide run_degradation_side(const LoadgenOptions& options,
 
   env::LoadRunOptions run_options;
   run_options.workers = options.clients;
-  run_options.wall_limit_s = options.wall_limit_s > 0.0
-                                 ? options.wall_limit_s
-                                 : options.duration_s * 10.0 + 20.0;
-  if (spec.injector) {
-    run_options.on_abort = [injector = spec.injector] { injector->release_hangs(); };
-  }
 
   farm.controller->start();
   side.result = env::run_load_point(*farm.router, side.plan, run_options);
-  // Unpark any still-sleeping injected hangs BEFORE teardown: the worker
-  // services join their pools in their destructors.
-  if (spec.injector) {
-    spec.injector->release_hangs();
-    side.faults = spec.injector->counters();
-  }
+  if (spec.injector) side.faults = spec.injector->counters();
   farm.controller->stop();
   side.final_stats = farm.router->stats();
   return side;
@@ -664,7 +614,6 @@ void write_degradation_side_json(atlas::telemetry::JsonWriter& json,
   json.field("scheduled", static_cast<std::uint64_t>(r.scheduled));
   json.field("completed", static_cast<std::uint64_t>(r.completed));
   json.field("failed", static_cast<std::uint64_t>(r.failed));
-  json.field("aborted", r.aborted);
   json.field("wall_s", r.wall_s);
   json.field("p50_ms", r.latency_ns.quantile(0.50) / 1e6);
   json.field("p99_ms", r.latency_ns.quantile(0.99) / 1e6);
@@ -684,11 +633,9 @@ void write_degradation_side_json(atlas::telemetry::JsonWriter& json,
   if (side.faults.total() > 0 || side.faulty_workers > 0) {
     json.key("faults_injected");
     json.begin_object();
-    json.field("drops", side.faults.drops);
     json.field("delays", side.faults.delays);
     json.field("errors", side.faults.errors);
     json.field("hangs", side.faults.hangs);
-    json.field("corruptions", side.faults.corruptions);
     json.end_object();
   }
   json.key("latency_ms");
@@ -697,13 +644,6 @@ void write_degradation_side_json(atlas::telemetry::JsonWriter& json,
 }
 
 int run_degradation(const LoadgenOptions& options) {
-  const atlas::env::FaultPlan plan =
-      atlas::env::FaultPlan::parse(options.fault_plan, options.seed);
-  if (plan.empty()) {
-    std::fprintf(stderr, "atlas_loadgen: --fault-plan parsed to no rules\n");
-    return 2;
-  }
-
   DegradationSide clean;
   DegradationSide faulted;
   try {
@@ -715,7 +655,7 @@ int run_degradation(const LoadgenOptions& options) {
                   clean.result.completed, clean.result.failed);
       std::fflush(stdout);
     }
-    faulted = run_degradation_side(options, &plan);
+    faulted = run_degradation_side(options, &options.fault_plan);
     if (!options.quiet) {
       const atlas::env::FarmView& farm = faulted.final_stats.farm;
       std::printf("[degradation/faulted] goodput %8.1f qps  p99 %7.2f ms  "
@@ -748,7 +688,7 @@ int run_degradation(const LoadgenOptions& options) {
   json.begin_object();
   json.field("bench", "degradation");
   json.field("seed", options.seed);
-  json.field("fault_plan", plan.to_string());
+  json.field("fault_plan", options.fault_plan.to_string());
   json.field("workers", static_cast<std::uint64_t>(options.workers));
   json.field("faulty_workers", static_cast<std::uint64_t>(faulted.faulty_workers));
   json.field("offered_qps", clean.result.offered_qps);
@@ -786,7 +726,7 @@ int main(int argc, char** argv) {
       reports.push_back(drive_inproc(options));
     }
     if (options.topology == "remote" || options.topology == "both") {
-      reports.push_back(options.workers >= 2 ? drive_farm(options) : drive_remote(options));
+      reports.push_back(drive_farm(options));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "atlas_loadgen: fatal: %s\n", e.what());
